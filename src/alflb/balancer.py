@@ -86,13 +86,29 @@ class BalancerState:
         return self.p.diameter() <= 1.0 - self.kappa
 
 
+def _center(v: np.ndarray) -> np.ndarray:
+    return v - v.mean()
+
+
 def project_zero_sum(p: BiasVector) -> BiasVector:
     """Orthogonal projection onto the zero-sum subspace: subtract the mean."""
-    return BiasVector(p.values - p.values.mean())
+    return BiasVector(_center(p.values))
 
 
 def diameter(p: BiasVector) -> float:
     return p.diameter()
+
+
+def _dual_step(
+    p: np.ndarray, loads: np.ndarray, L: float, sched: StepSchedule, n: int,
+    zero_sum: bool = False,
+) -> np.ndarray:
+    """The update rule on raw arrays: p + eps_n * (L - A), then, with
+    ``zero_sum``, minus its mean.  No input checks; ``dual_update`` and the
+    iteration loops share it.
+    """
+    new_p = p + sched.bias_delta(loads, L, n)
+    return _center(new_p) if zero_sum else new_p
 
 
 def dual_update(
@@ -108,8 +124,7 @@ def dual_update(
     """
     if loads.counts.shape[0] != state.p.E:
         raise DimMismatch("loads / bias length mismatch")
-    delta = sched.bias_delta(loads.counts, L, state.iteration)
-    new_p = BiasVector(state.p.values + delta)
-    if state.zero_sum:
-        new_p = project_zero_sum(new_p)
-    return replace(state, p=new_p, iteration=state.iteration + 1)
+    new_p = _dual_step(
+        state.p.values, loads.counts, L, sched, state.iteration, state.zero_sum
+    )
+    return replace(state, p=BiasVector(new_p), iteration=state.iteration + 1)

@@ -33,7 +33,7 @@ from .deterministic import (
     ubar,
 )
 from .distributions import AffinityDistributionSet, from_spec
-from .errors import ParseError, ValidationError
+from .errors import AlflbError, InvalidRange, ParseError, ValidationError
 from .router import RawScoreMatrix, softmax_affinities
 from .stochastic import (
     check_gradient_moments,
@@ -84,37 +84,112 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _need(cfg: dict, key: str):
+def _need(cfg: dict, key: str, path: str = ""):
     if key not in cfg:
-        raise ValidationError(key, "missing")
+        raise ValidationError(path + key, "missing")
     return cfg[key]
 
 
-def _parse_dims(d: dict) -> ProblemDims:
+def _integer(value, field: str, minimum: int | None = 1) -> int:
+    """A JSON integer >= ``minimum`` (if given); bools, floats and strings
+    are rejected, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(field, f"must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValidationError(field, f"must be >= {minimum}, got {value}")
+    return value
+
+
+def _real(value, field: str, positive: bool = False) -> float:
+    """A finite JSON number, optionally > 0."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x):
+            if positive and not x > 0:
+                raise ValidationError(field, f"must be > 0, got {value}")
+            return x
+    raise ValidationError(field, f"must be a finite number, got {value!r}")
+
+
+def _boolean(value, field: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(field, f"must be true or false, got {value!r}")
+    return value
+
+
+def _object(value, field: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(field, "must be a JSON object")
+    return value
+
+
+def _parse_dims(d) -> ProblemDims:
+    d = _object(d, "dims")
     extra = set(d) - {"T", "E", "K"}
     if extra:
-        raise ValidationError(sorted(extra)[0], "unknown key in dims")
+        raise ValidationError(f"dims.{sorted(extra)[0]}", "unknown key in dims")
+    T, E, K = (
+        _integer(_need(d, key, "dims."), f"dims.{key}", minimum=None)
+        for key in ("T", "E", "K")
+    )
     try:
-        return ProblemDims(T=int(_need(d, "T")), E=int(_need(d, "E")), K=int(_need(d, "K")))
-    except ValidationError:
-        raise
-    except Exception as exc:
-        raise ValidationError("K" if "K" in str(exc) else "dims", str(exc)) from exc
+        return ProblemDims(T=T, E=E, K=K)
+    except InvalidRange as exc:
+        raise ValidationError(f"dims.{exc.field}", str(exc)) from exc
 
 
-def _parse_schedule(d: dict) -> StepSchedule:
+def _parse_schedule(d) -> StepSchedule:
+    d = _object(d, "schedule")
     extra = set(d) - {"kind", "u"}
     if extra:
-        raise ValidationError(sorted(extra)[0], "unknown key in schedule")
-    name = _need(d, "kind")
-    if name not in _SCHEDULE_NAMES:
+        raise ValidationError(f"schedule.{sorted(extra)[0]}", "unknown key in schedule")
+    name = _need(d, "kind", "schedule.")
+    if not isinstance(name, str) or name not in _SCHEDULE_NAMES:
         raise ValidationError("schedule.kind", f"unknown schedule {name!r}")
-    return StepSchedule(kind=_SCHEDULE_NAMES[name], u=float(_need(d, "u")))
+    u = _real(_need(d, "u", "schedule."), "schedule.u")
+    try:
+        return StepSchedule(kind=_SCHEDULE_NAMES[name], u=u)
+    except InvalidRange as exc:
+        raise ValidationError("schedule.u", str(exc)) from exc
+
+
+def _parse_distributions(specs) -> AffinityDistributionSet:
+    if not isinstance(specs, list):
+        raise ValidationError("distributions", "must be a list of distribution specs")
+    dists = []
+    for i, spec in enumerate(specs):
+        path = f"distributions.{i}"
+        spec = _object(spec, path)
+        try:
+            dists.append(from_spec(spec))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}.{exc.field}", str(exc)) from exc
+        except (AlflbError, TypeError, ValueError) as exc:
+            raise ValidationError(path, str(exc)) from exc
+    try:
+        return AffinityDistributionSet(tuple(dists))
+    except AlflbError as exc:
+        raise ValidationError("distributions", str(exc)) from exc
+
+
+def _parse_bias(raw: dict, E: int) -> np.ndarray:
+    bias = raw.get("bias", [0.0] * E)
+    if not isinstance(bias, list) or len(bias) != E:
+        raise ValidationError("bias", f"must be a list of {E} numbers")
+    return np.array(
+        [_real(b, f"bias.{k}") for k, b in enumerate(bias)], dtype=np.float64
+    )
 
 
 def load_config(path) -> ExperimentConfig:
     """Parse and strictly validate a JSON experiment config."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror or exc}") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -128,8 +203,8 @@ def load_config(path) -> ExperimentConfig:
     extra = set(raw) - allowed
     if extra:
         raise ValidationError(sorted(extra)[0], "unknown key")
-    seed = int(raw.get("seed", 0))
-    if seed < 0 or seed >= 2**64:
+    seed = _integer(raw.get("seed", 0), "seed", minimum=0)
+    if seed >= 2**64:
         raise ValidationError("seed", "must be a 64-bit unsigned integer")
 
     params: dict = {}
@@ -137,49 +212,62 @@ def load_config(path) -> ExperimentConfig:
         params["dims"] = _parse_dims(_need(raw, "dims"))
     if kind == "deterministic_run":
         params["schedule"] = _parse_schedule(_need(raw, "schedule"))
-        params["iterations"] = int(_need(raw, "iterations"))
-        params["zero_sum"] = bool(raw.get("zero_sum", False))
+        params["iterations"] = _integer(_need(raw, "iterations"), "iterations")
+        params["zero_sum"] = _boolean(raw.get("zero_sum", False), "zero_sum")
     elif kind == "balance_check":
         if params["dims"].K != 1:
-            raise ValidationError("K", "balance_check requires K=1")
-        params["u_fraction"] = float(raw.get("u_fraction", 0.9))
-        params["budget"] = raw.get("budget")
-        params["instances"] = int(raw.get("instances", 1))
-        params["score_scale"] = float(raw.get("score_scale", 1.0))
-    elif kind == "schedule_compare":
-        params["u"] = float(_need(raw, "u"))
-        params["iterations"] = int(_need(raw, "iterations"))
-    elif kind in ("moment_check", "hessian_check", "regret_sweep"):
-        dist_specs = _need(raw, "distributions")
-        params["dist"] = AffinityDistributionSet(
-            tuple(from_spec(s) for s in dist_specs)
+            raise ValidationError("dims.K", "balance_check requires K=1")
+        if not params["dims"].balanced:
+            raise ValidationError("dims", "balance_check requires E to divide K*T")
+        params["u_fraction"] = _real(
+            raw.get("u_fraction", 0.9), "u_fraction", positive=True
         )
-        params["K"] = int(_need(raw, "K"))
-        if params["K"] > params["dist"].E:
+        budget = raw.get("budget")
+        params["budget"] = None if budget is None else _integer(budget, "budget")
+        params["instances"] = _integer(raw.get("instances", 1), "instances")
+        params["score_scale"] = _real(
+            raw.get("score_scale", 1.0), "score_scale", positive=True
+        )
+    elif kind == "schedule_compare":
+        params["u"] = _real(_need(raw, "u"), "u")
+        try:
+            StepSchedule(kind=ScheduleKind.CONSTANT, u=params["u"])
+        except InvalidRange as exc:
+            raise ValidationError("u", str(exc)) from exc
+        params["iterations"] = _integer(_need(raw, "iterations"), "iterations")
+    elif kind in ("moment_check", "hessian_check", "regret_sweep"):
+        params["dist"] = _parse_distributions(_need(raw, "distributions"))
+        E = params["dist"].E
+        params["K"] = _integer(_need(raw, "K"), "K")
+        if params["K"] > E:
             raise ValidationError("K", "K exceeds the number of distributions")
         if kind == "moment_check":
-            params["T"] = int(_need(raw, "T"))
-            params["replicas"] = int(raw.get("replicas", 10_000))
-            params["bias"] = np.asarray(
-                raw.get("bias", [0.0] * params["dist"].E), dtype=np.float64
+            params["T"] = _integer(_need(raw, "T"), "T")
+            params["replicas"] = _integer(
+                raw.get("replicas", 10_000), "replicas", minimum=2
             )
+            params["bias"] = _parse_bias(raw, E)
         elif kind == "hessian_check":
-            params["bias"] = np.asarray(
-                raw.get("bias", [0.0] * params["dist"].E), dtype=np.float64
-            )
-            params["directions"] = int(raw.get("directions", 20))
-            params["fd_step"] = float(raw.get("fd_step", 1e-3))
+            params["bias"] = _parse_bias(raw, E)
+            params["directions"] = _integer(raw.get("directions", 20), "directions")
+            params["fd_step"] = _real(raw.get("fd_step", 1e-3), "fd_step", positive=True)
         else:
-            params["T"] = int(_need(raw, "T"))
-            params["rounds"] = int(raw.get("rounds", 10_000))
-            params["replicas"] = int(raw.get("replicas", 32))
-            params["kappa"] = float(raw.get("kappa", 0.1))
-            params["grid_points"] = int(raw.get("grid_points", 200))
-            params["checkpoints"] = [int(c) for c in raw.get(
-                "checkpoints", [100, 1000, 10_000]
-            )]
+            params["T"] = _integer(_need(raw, "T"), "T")
+            params["rounds"] = _integer(raw.get("rounds", 10_000), "rounds")
+            params["replicas"] = _integer(raw.get("replicas", 32), "replicas")
+            params["kappa"] = _real(raw.get("kappa", 0.1), "kappa")
+            params["grid_points"] = _integer(raw.get("grid_points", 200), "grid_points")
+            checkpoints = raw.get("checkpoints", [100, 1000, 10_000])
+            if not isinstance(checkpoints, list):
+                raise ValidationError("checkpoints", "must be a list of integers")
+            params["checkpoints"] = [
+                _integer(c, f"checkpoints.{i}") for i, c in enumerate(checkpoints)
+            ]
 
-    out_dir = Path(raw["out_dir"]) if "out_dir" in raw else None
+    out_dir = raw.get("out_dir")
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise ValidationError("out_dir", "must be a path string")
+    out_dir = Path(out_dir) if out_dir is not None else None
     return ExperimentConfig(kind=kind, seed=seed, raw=raw, out_dir=out_dir, params=params)
 
 
@@ -482,6 +570,10 @@ def main(argv=None) -> int:
         )
         return 2
     if args.seed is not None:
+        if not 0 <= args.seed < 2**64:
+            print("config error: seed: must be a 64-bit unsigned integer",
+                  file=sys.stderr)
+            return 2
         cfg.raw["seed"] = args.seed
         cfg.seed = args.seed
     return run(cfg, out_dir=args.out, parallel=args.parallel)

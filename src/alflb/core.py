@@ -31,12 +31,13 @@ class ProblemDims:
     K: int
 
     def __post_init__(self):
-        if self.T <= 0 or self.E <= 0 or self.K <= 0:
-            raise InvalidRange(f"dims must be positive, got {self}")
+        for name in ("T", "E", "K"):
+            if getattr(self, name) <= 0:
+                raise InvalidRange(f"dims must be positive, got {self}", name)
         if self.E < 2:
-            raise InvalidRange(f"need at least 2 experts, got E={self.E}")
+            raise InvalidRange(f"need at least 2 experts, got E={self.E}", "E")
         if self.K > self.E:
-            raise InvalidRange(f"K={self.K} exceeds E={self.E}")
+            raise InvalidRange(f"K={self.K} exceeds E={self.E}", "K")
 
     @property
     def balanced(self) -> bool:

@@ -12,10 +12,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
-from .balancer import BalancerState, ScheduleKind, StepSchedule, dual_update
+from .balancer import ScheduleKind, StepSchedule, _dual_step
 from .core import (
     AffinityMatrix,
     Assignment,
@@ -23,7 +24,7 @@ from .core import (
     ProblemDims,
 )
 from .errors import DegenerateGaps, DimMismatch, InvalidRange, KNotOne, TooLarge
-from .router import RoutingOutcome, route_topk, switching_set
+from .router import RoutingOutcome, switching_set, topk
 
 IP_ENUMERATION_GUARD = 10**7
 
@@ -52,19 +53,19 @@ OVERLOADED, BALANCED, UNDERLOADED = 1, 0, -1
 
 @dataclass(frozen=True)
 class IterationStep:
-    """State of the routing iteration n (1-based)."""
+    """State of the routing iteration n (1-based).
+
+    A step stores the per-expert loads, not the routing outcome, so a trace
+    holds O(E) numbers per iteration whatever the token count.
+    """
 
     n: int
     p: np.ndarray
-    outcome: RoutingOutcome
+    loads: np.ndarray             # A_k per expert, length E
     lagrangian: LagrangianValue
     designations: np.ndarray      # sign(A_k - L) per expert
     tie_flag: bool
     switches: tuple[SwitchRecord, ...]  # transitions from step n-1 to n
-
-    @property
-    def loads(self) -> np.ndarray:
-        return self.outcome.loads.counts
 
 
 @dataclass
@@ -82,9 +83,19 @@ def lagrangian(
     """Exact evaluation of sum_{ik} (gamma_ik + p_k) x_ik - L sum_k p_k."""
     if x.selected.shape != gamma.values.shape or p.E != gamma.values.shape[1]:
         raise DimMismatch("gamma / assignment / bias shapes disagree")
-    sel = x.selected.astype(np.float64)
-    affinity_term = float(((gamma.values + p.values[None, :]) * sel).sum())
-    bias_penalty_term = float(L * p.values.sum())
+    return _lagrangian(
+        gamma.values + p.values[None, :], x.selected.astype(np.float64),
+        p.values, L,
+    )
+
+
+def _lagrangian(
+    shifted: np.ndarray, sel: np.ndarray, p: np.ndarray, L: float
+) -> LagrangianValue:
+    """``lagrangian`` on raw arrays: shifted = gamma + p, sel the float 0/1
+    selection matrix."""
+    affinity_term = float((shifted * sel).sum())
+    bias_penalty_term = float(L * p.sum())
     return LagrangianValue(
         value=affinity_term - bias_penalty_term,
         affinity_term=affinity_term,
@@ -105,14 +116,26 @@ def switching_benefit(
     iteration-n biases (needed for the switching-bound audit).
     """
     switched = switching_set(prev_outcome, next_outcome)
-    a_prev = prev_outcome.alpha()
-    a_next = next_outcome.alpha()
-    g = gamma.values
+    return _switch_records(
+        gamma.values, switched, prev_outcome.alpha(), next_outcome.alpha(),
+        p_next.values, p_prev.values,
+    )
+
+
+def _switch_records(
+    g: np.ndarray,
+    switched: np.ndarray,
+    a_prev: np.ndarray,
+    a_next: np.ndarray,
+    p_next: np.ndarray,
+    p_prev: np.ndarray,
+) -> list[SwitchRecord]:
+    """``switching_benefit`` on raw arrays, for the tokens in ``switched``."""
     records = []
     for i in switched:
         old, new = int(a_prev[i]), int(a_next[i])
-        benefit = (g[i, new] + p_next.values[new]) - (g[i, old] + p_next.values[old])
-        gap_prev = (g[i, new] + p_prev.values[new]) - (g[i, old] + p_prev.values[old])
+        benefit = (g[i, new] + p_next[new]) - (g[i, old] + p_next[old])
+        gap_prev = (g[i, new] + p_prev[new]) - (g[i, old] + p_prev[old])
         records.append(
             SwitchRecord(
                 token=int(i),
@@ -130,6 +153,33 @@ def designations(loads: np.ndarray, L: float) -> np.ndarray:
     return np.sign(np.asarray(loads, dtype=np.float64) - L).astype(np.int64)
 
 
+def _iterate(
+    g: np.ndarray, schedule: StepSchedule, K: int, L: float, zero_sum: bool = False
+):
+    """The primal-dual iteration from p = 0 on raw affinities, without end.
+
+    Iteration n routes by Top-K on gamma + p and yields
+    ``(n, p, shifted, chosen, loads, row_tie)``; the dual step to the next p
+    is taken when the consumer asks for the next iteration.
+    """
+    E = g.shape[1]
+    p = np.zeros(E)
+    n = 1
+    while True:
+        shifted = g + p
+        chosen, row_tie = topk(shifted, K)
+        loads = np.bincount(chosen.ravel(), minlength=E)
+        # Steps keep p and loads; the next dual step must not see a
+        # consumer's in-place change.
+        p.flags.writeable = False
+        loads.flags.writeable = False
+        yield n, p, shifted, chosen, loads, row_tie
+        p = _dual_step(p, loads, L, schedule, n, zero_sum)
+        if not np.isfinite(p).all():
+            raise InvalidRange("bias entries must be finite")
+        n += 1
+
+
 def simulate_fixed_scores(
     gamma: AffinityMatrix,
     schedule: StepSchedule,
@@ -144,36 +194,39 @@ def simulate_fixed_scores(
     """
     if iterations < 1:
         raise InvalidRange("need at least one iteration")
-    T, E = gamma.values.shape
+    g = gamma.values
+    T, E = g.shape
     dims = ProblemDims(T=T, E=E, K=K)
     L = dims.target_load
     trace = IterationTrace(gamma=gamma, K=K, L=L, schedule=schedule)
 
-    state = BalancerState(p=BiasVector.zeros(E), iteration=1, zero_sum=zero_sum)
-    prev_outcome: RoutingOutcome | None = None
-    prev_p: BiasVector | None = None
-    for n in range(1, iterations + 1):
-        outcome = route_topk(gamma, state.p, K)
-        if prev_outcome is not None and K == 1:
-            switches = tuple(
-                switching_benefit(gamma, prev_outcome, outcome, state.p, prev_p)
-            )
-        else:
-            switches = ()
-        lag = lagrangian(gamma, outcome.assignment, state.p, L)
+    rows = np.arange(T)[:, None]
+    prev = None
+    for n, p, shifted, chosen, loads, row_tie in islice(
+        _iterate(g, schedule, K, L, zero_sum), iterations
+    ):
+        switches = ()
+        if prev is not None and K == 1:
+            a_prev, p_prev = prev
+            a_next = chosen[:, 0]
+            switched = np.flatnonzero(a_prev != a_next)
+            switches = tuple(_switch_records(g, switched, a_prev, a_next, p, p_prev))
+        sel = np.zeros((T, E))
+        sel[rows, chosen] = 1.0
+        desig = designations(loads, L)
+        desig.flags.writeable = False
         trace.steps.append(
             IterationStep(
                 n=n,
-                p=state.p.values,
-                outcome=outcome,
-                lagrangian=lag,
-                designations=designations(outcome.loads.counts, L),
-                tie_flag=outcome.tie_flag,
+                p=p,
+                loads=loads,
+                lagrangian=_lagrangian(shifted, sel, p, L),
+                designations=desig,
+                tie_flag=bool(row_tie.any()),
                 switches=switches,
             )
         )
-        prev_outcome, prev_p = outcome, state.p
-        state = dual_update(state, outcome.loads, L, schedule)
+        prev = (chosen[:, 0], p)
     return trace
 
 
@@ -295,7 +348,6 @@ def check_balance_convergence(
     lo, hi = L - (E - 1), L + (E - 1)
     sched = StepSchedule(kind=ScheduleKind.DEEPSEEK_SIGN, u=u)
 
-    state = BalancerState(p=BiasVector.zeros(E), iteration=1)
     entered = np.full(E, -1, dtype=np.int64)
     stayed = True
     max_step = 0
@@ -303,28 +355,24 @@ def check_balance_convergence(
     prev_loads: np.ndarray | None = None
     settle_left: int | None = None
     n = 0
-    while n < budget:
-        n += 1
-        outcome = route_topk(gamma, state.p, 1)
-        any_tie = any_tie or outcome.tie_flag
-        loads = outcome.loads.counts
+    for n, _, _, _, loads, row_tie in islice(
+        _iterate(gamma.values, sched, 1, L), max(budget, 0)
+    ):
+        any_tie = any_tie or bool(row_tie.any())
         in_band = (loads >= lo) & (loads <= hi)
-        newly = (entered < 0) & in_band
-        entered[newly] = n
-        left = (entered > 0) & (entered < n) & ~in_band
-        if left.any():
+        if stayed and ((entered > 0) & ~in_band).any():
             stayed = False
         if prev_loads is not None:
             max_step = max(max_step, int(np.abs(loads - prev_loads).max()))
         prev_loads = loads
-        if np.all(entered > 0):
-            if settle_left is None:
+        if settle_left is None:
+            entered[(entered < 0) & in_band] = n
+            if (entered > 0).all():
                 settle_left = settle_iterations
-            elif settle_left == 0:
-                break
-            else:
-                settle_left -= 1
-        state = dual_update(state, outcome.loads, L, sched)
+        elif settle_left == 0:
+            break
+        else:
+            settle_left -= 1
     return BalanceConvergenceReport(
         entered_iteration=entered,
         stayed=stayed,

@@ -1,12 +1,21 @@
 """Exception hierarchy shared across the package."""
 
+from __future__ import annotations
+
 
 class AlflbError(Exception):
     """Base class for all package errors."""
 
 
 class InvalidRange(AlflbError):
-    """A dimension or parameter is outside its allowed range."""
+    """A dimension or parameter is outside its allowed range.
+
+    ``field`` names the offending parameter when one can be singled out.
+    """
+
+    def __init__(self, message: str = "", field: str | None = None):
+        self.field = field
+        super().__init__(message)
 
 
 class NonDivisible(AlflbError):

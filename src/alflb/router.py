@@ -76,6 +76,31 @@ def softmax_affinities(raw: RawScoreMatrix) -> AffinityMatrix:
     return AffinityMatrix(ProblemDims(T=T, E=E, K=1), probs)
 
 
+def topk(shifted: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of a (T, E) score matrix, the indices of the K largest entries.
+
+    Returns ``chosen`` (T, K) int64 in decreasing-score order, lowest index
+    first among equals, and ``row_tie`` (T,) bool, true where the K-th and the
+    (K+1)-th largest scores are equal.  No input checks: this is the kernel
+    under ``route_topk`` and the iteration loops.
+    """
+    T, E = shifted.shape
+    if K == 1:
+        best = shifted.argmax(axis=1)
+        at_top = shifted == shifted[np.arange(T), best][:, None]
+        return best[:, None], at_top.sum(axis=1) > 1
+    # Stable argsort of the negated scores: descending score, lowest index
+    # first among equals.
+    order = np.argsort(-shifted, axis=1, kind="stable")
+    if K < E:
+        kth = np.take_along_axis(shifted, order[:, K - 1 : K], axis=1)
+        nxt = np.take_along_axis(shifted, order[:, K : K + 1], axis=1)
+        row_tie = (kth == nxt).ravel()
+    else:
+        row_tie = np.zeros(T, dtype=bool)
+    return order[:, :K].copy(), row_tie
+
+
 def route_topk(gamma: AffinityMatrix, p: BiasVector, K: int) -> RoutingOutcome:
     """Select, per token, the K experts with the largest gamma_ik + p_k.
 
@@ -86,20 +111,7 @@ def route_topk(gamma: AffinityMatrix, p: BiasVector, K: int) -> RoutingOutcome:
     if p.E != E:
         raise DimMismatch(f"bias length {p.E} != expert count {E}")
     dims = ProblemDims(T=T, E=E, K=K)
-
-    shifted = gamma.values + p.values[None, :]
-    # Stable argsort of the negated scores: descending score, lowest index
-    # first among equals.
-    order = np.argsort(-shifted, axis=1, kind="stable")
-    chosen = order[:, :K]
-
-    if K < E:
-        kth = np.take_along_axis(shifted, order[:, K - 1 : K], axis=1)
-        nxt = np.take_along_axis(shifted, order[:, K : K + 1], axis=1)
-        row_tie = (kth == nxt).ravel()
-    else:
-        row_tie = np.zeros(T, dtype=bool)
-
+    chosen, row_tie = topk(gamma.values + p.values[None, :], K)
     selected = np.zeros((T, E), dtype=np.int8)
     np.put_along_axis(selected, chosen, 1, axis=1)
     assignment = Assignment(dims, selected)

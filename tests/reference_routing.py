@@ -1,0 +1,233 @@
+"""Slow reference for the routing kernel and the two iteration loops.
+
+These are the container-based implementations that ``alflb`` used before the
+raw-array ``topk`` kernel and the shared ``_iterate`` loop: every iteration
+builds a validated ``Assignment``, ``LoadVector``, ``BiasVector`` and
+``BalancerState``.  The routing, Lagrangian, switch-record and dual-update
+bodies are copied here as well, so the oracle tests compare the fast path
+against code that shares none of its helpers.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field, replace
+
+import numpy as np
+
+from alflb.balancer import BalancerState, ScheduleKind, StepSchedule, project_zero_sum
+from alflb.core import (
+    AffinityMatrix,
+    Assignment,
+    BiasVector,
+    LoadVector,
+    ProblemDims,
+    loads_from_assignment,
+)
+from alflb.deterministic import (
+    BalanceConvergenceReport,
+    LagrangianValue,
+    SwitchRecord,
+    designations,
+)
+from alflb.errors import DimMismatch
+from alflb.router import RoutingOutcome, switching_set
+
+
+def route_topk(gamma: AffinityMatrix, p: BiasVector, K: int) -> RoutingOutcome:
+    T, E = gamma.values.shape
+    if p.E != E:
+        raise DimMismatch(f"bias length {p.E} != expert count {E}")
+    dims = ProblemDims(T=T, E=E, K=K)
+
+    shifted = gamma.values + p.values[None, :]
+    # Stable argsort of the negated scores: descending score, lowest index
+    # first among equals.
+    order = np.argsort(-shifted, axis=1, kind="stable")
+    chosen = order[:, :K]
+
+    if K < E:
+        kth = np.take_along_axis(shifted, order[:, K - 1 : K], axis=1)
+        nxt = np.take_along_axis(shifted, order[:, K : K + 1], axis=1)
+        row_tie = (kth == nxt).ravel()
+    else:
+        row_tie = np.zeros(T, dtype=bool)
+
+    selected = np.zeros((T, E), dtype=np.int8)
+    np.put_along_axis(selected, chosen, 1, axis=1)
+    assignment = Assignment(dims, selected)
+    return RoutingOutcome(
+        assignment=assignment,
+        loads=loads_from_assignment(assignment),
+        tie_flag=bool(row_tie.any()),
+        assigned_experts=chosen,
+        row_tie=row_tie,
+    )
+
+
+def lagrangian(
+    gamma: AffinityMatrix, x: Assignment, p: BiasVector, L: float
+) -> LagrangianValue:
+    sel = x.selected.astype(np.float64)
+    affinity_term = float(((gamma.values + p.values[None, :]) * sel).sum())
+    bias_penalty_term = float(L * p.values.sum())
+    return LagrangianValue(
+        value=affinity_term - bias_penalty_term,
+        affinity_term=affinity_term,
+        bias_penalty_term=bias_penalty_term,
+    )
+
+
+def switching_benefit(
+    gamma: AffinityMatrix,
+    prev_outcome: RoutingOutcome,
+    next_outcome: RoutingOutcome,
+    p_next: BiasVector,
+    p_prev: BiasVector,
+) -> list[SwitchRecord]:
+    switched = switching_set(prev_outcome, next_outcome)
+    a_prev = prev_outcome.alpha()
+    a_next = next_outcome.alpha()
+    g = gamma.values
+    records = []
+    for i in switched:
+        old, new = int(a_prev[i]), int(a_next[i])
+        benefit = (g[i, new] + p_next.values[new]) - (g[i, old] + p_next.values[old])
+        gap_prev = (g[i, new] + p_prev.values[new]) - (g[i, old] + p_prev.values[old])
+        records.append(
+            SwitchRecord(
+                token=int(i),
+                from_expert=old,
+                to_expert=new,
+                benefit=float(benefit),
+                score_gap_prev=float(gap_prev),
+            )
+        )
+    return records
+
+
+def dual_update(
+    state: BalancerState, loads: LoadVector, L: float, sched: StepSchedule
+) -> BalancerState:
+    if loads.counts.shape[0] != state.p.E:
+        raise DimMismatch("loads / bias length mismatch")
+    delta = sched.bias_delta(loads.counts, L, state.iteration)
+    new_p = BiasVector(state.p.values + delta)
+    if state.zero_sum:
+        new_p = project_zero_sum(new_p)
+    return replace(state, p=new_p, iteration=state.iteration + 1)
+
+
+@dataclass(frozen=True)
+class ReferenceStep:
+    n: int
+    p: np.ndarray
+    outcome: RoutingOutcome
+    lagrangian: LagrangianValue
+    designations: np.ndarray
+    tie_flag: bool
+    switches: tuple[SwitchRecord, ...]
+
+    @property
+    def loads(self) -> np.ndarray:
+        return self.outcome.loads.counts
+
+
+@dataclass
+class ReferenceTrace:
+    L: float
+    steps: list[ReferenceStep] = field(default_factory=list)
+
+
+def simulate_fixed_scores(
+    gamma: AffinityMatrix,
+    schedule: StepSchedule,
+    iterations: int,
+    K: int = 1,
+    zero_sum: bool = False,
+) -> ReferenceTrace:
+    T, E = gamma.values.shape
+    dims = ProblemDims(T=T, E=E, K=K)
+    L = dims.target_load
+    trace = ReferenceTrace(L=L)
+
+    state = BalancerState(p=BiasVector.zeros(E), iteration=1, zero_sum=zero_sum)
+    prev_outcome: RoutingOutcome | None = None
+    prev_p: BiasVector | None = None
+    for n in range(1, iterations + 1):
+        outcome = route_topk(gamma, state.p, K)
+        if prev_outcome is not None and K == 1:
+            switches = tuple(
+                switching_benefit(gamma, prev_outcome, outcome, state.p, prev_p)
+            )
+        else:
+            switches = ()
+        lag = lagrangian(gamma, outcome.assignment, state.p, L)
+        trace.steps.append(
+            ReferenceStep(
+                n=n,
+                p=state.p.values,
+                outcome=outcome,
+                lagrangian=lag,
+                designations=designations(outcome.loads.counts, L),
+                tie_flag=outcome.tie_flag,
+                switches=switches,
+            )
+        )
+        prev_outcome, prev_p = outcome, state.p
+        state = dual_update(state, outcome.loads, L, schedule)
+    return trace
+
+
+def check_balance_convergence(
+    gamma: AffinityMatrix,
+    u: float,
+    budget: int | None = None,
+    settle_iterations: int = 200,
+) -> BalanceConvergenceReport:
+    T, E = gamma.values.shape
+    dims = ProblemDims(T=T, E=E, K=1)
+    L = dims.L
+    if budget is None:
+        budget = 10 * T * E
+    lo, hi = L - (E - 1), L + (E - 1)
+    sched = StepSchedule(kind=ScheduleKind.DEEPSEEK_SIGN, u=u)
+
+    state = BalancerState(p=BiasVector.zeros(E), iteration=1)
+    entered = np.full(E, -1, dtype=np.int64)
+    stayed = True
+    max_step = 0
+    any_tie = False
+    prev_loads: np.ndarray | None = None
+    settle_left: int | None = None
+    n = 0
+    while n < budget:
+        n += 1
+        outcome = route_topk(gamma, state.p, 1)
+        any_tie = any_tie or outcome.tie_flag
+        loads = outcome.loads.counts
+        in_band = (loads >= lo) & (loads <= hi)
+        newly = (entered < 0) & in_band
+        entered[newly] = n
+        left = (entered > 0) & (entered < n) & ~in_band
+        if left.any():
+            stayed = False
+        if prev_loads is not None:
+            max_step = max(max_step, int(np.abs(loads - prev_loads).max()))
+        prev_loads = loads
+        if np.all(entered > 0):
+            if settle_left is None:
+                settle_left = settle_iterations
+            elif settle_left == 0:
+                break
+            else:
+                settle_left -= 1
+        state = dual_update(state, outcome.loads, L, sched)
+    return BalanceConvergenceReport(
+        entered_iteration=entered,
+        stayed=stayed,
+        max_load_step=max_step,
+        load_step_ok=max_step <= E - 1,
+        iterations_run=n,
+        converged=bool(np.all(entered > 0)),
+        any_tie=any_tie,
+    )

@@ -35,7 +35,7 @@ class TestLoadConfig:
         bad = dict(DET_CFG, dims={"T": 16, "E": 4, "K": 5})
         with pytest.raises(ValidationError) as exc:
             load_config(_write(tmp_path, "b.json", bad))
-        assert exc.value.field == "K"
+        assert exc.value.field == "dims.K"
 
     def test_unknown_key_rejected(self, tmp_path):
         bad = dict(DET_CFG, flavor="extra")
@@ -47,7 +47,7 @@ class TestLoadConfig:
         bad = dict(DET_CFG, schedule={"kind": "constant", "u": 0.1, "warmup": 5})
         with pytest.raises(ValidationError) as exc:
             load_config(_write(tmp_path, "d.json", bad))
-        assert exc.value.field == "warmup"
+        assert exc.value.field == "schedule.warmup"
 
     def test_malformed_json_reports_position(self, tmp_path):
         path = tmp_path / "e.json"
@@ -74,7 +74,7 @@ class TestLoadConfig:
         }
         with pytest.raises(ValidationError) as exc:
             load_config(_write(tmp_path, "h.json", bad))
-        assert exc.value.field == "K"
+        assert exc.value.field == "dims.K"
 
     def test_config_hash_stable_under_key_order(self, tmp_path):
         a = load_config(_write(tmp_path, "i.json", DET_CFG))
@@ -196,6 +196,67 @@ class TestRunStochasticKinds:
         for name in ("deepseek_sign", "inverse_n", "inverse_sqrt_n"):
             assert f"imbalance_{name}" in header
             assert f"imbalance_norm_{name}" in header
+
+
+BALANCE_CFG = {
+    "kind": "balance_check",
+    "seed": 3,
+    "dims": {"T": 16, "E": 4, "K": 1},
+    "instances": 1,
+}
+MOMENT_CFG = {
+    "kind": "moment_check",
+    "seed": 5,
+    "distributions": [
+        {"type": "beta", "a": 2.0, "b": 3.0},
+        {"type": "uniform", "lo": 0.1, "hi": 0.9},
+    ],
+    "T": 12,
+    "K": 1,
+    "replicas": 100,
+}
+
+
+class TestConfigErrors:
+    """A bad config exits 2 (not 1, the code of a failed check) and names the
+    dotted field; valid configs keep their hash."""
+
+    @pytest.mark.parametrize(
+        "base,changes,field",
+        [
+            (DET_CFG, {"schedule": {"kind": "deepseek_sign", "u": -1}}, "schedule.u"),
+            (DET_CFG, {"iterations": "abc"}, "iterations"),
+            (BALANCE_CFG, {"instances": 0}, "instances"),
+            (DET_CFG, {"seed": True}, "seed"),
+            (DET_CFG, {"iterations": 2.7}, "iterations"),
+            (MOMENT_CFG, {"distributions": [{"type": "beta", "a": 0.5, "b": 3.0},
+                                            {"type": "beta", "a": 2.0, "b": 2.0}]},
+             "distributions.0"),
+            (MOMENT_CFG, {"bias": [0.0, 0.0, 0.0]}, "bias"),
+            (DET_CFG, {"dims": {"T": 16, "E": 1, "K": 1}}, "dims.E"),
+            (DET_CFG, {"dims": {"T": 16, "E": 4, "K": 1, "L": 4}}, "dims.L"),
+        ],
+        ids=["negative_u", "string_iterations", "zero_instances", "bool_seed",
+             "float_iterations", "beta_shape_below_one", "bias_length_mismatch",
+             "single_expert", "unknown_dims_key"],
+    )
+    def test_exit_two_names_field(self, tmp_path, capsys, base, changes, field):
+        cfg_path = _write(tmp_path, "bad.json", dict(base, **changes))
+        with pytest.raises(ValidationError) as exc:
+            load_config(cfg_path)
+        assert exc.value.field == field
+        status = main([
+            base["kind"].replace("_", "-"), "--config", str(cfg_path),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert status == 2
+        assert f"config error: {field}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_valid_config_hash_unchanged(self, tmp_path):
+        # sha256 of the canonical JSON of DET_CFG, as every release computed it
+        cfg = load_config(_write(tmp_path, "ok.json", DET_CFG))
+        assert cfg.config_hash == "886644c88fbed145"
 
 
 class TestMain:
