@@ -5,6 +5,7 @@ schedules, with optional zero-sum projection and diameter tracking.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,8 +27,8 @@ class StepSchedule:
     u: float
 
     def __post_init__(self):
-        if not (self.u > 0):
-            raise InvalidRange(f"balancing constant u must be > 0, got {self.u}")
+        if not (self.u > 0 and math.isfinite(self.u)):
+            raise InvalidRange(f"balancing constant u must be finite, > 0: {self.u}")
 
     @property
     def homogeneous(self) -> bool:

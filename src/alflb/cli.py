@@ -37,6 +37,7 @@ from .errors import AlflbError, InvalidRange, ParseError, ValidationError
 from .router import RawScoreMatrix, softmax_affinities
 from .stochastic import (
     check_gradient_moments,
+    check_kappa,
     edge_weights_quadrature,
     expected_loss_minimizer,
     pi_quadrature,
@@ -126,6 +127,14 @@ def _object(value, field: str) -> dict:
     return value
 
 
+def _in_range(field: str, check, *args):
+    """Apply a range rule the library owns, as a ValidationError on ``field``."""
+    try:
+        return check(*args)
+    except InvalidRange as exc:
+        raise ValidationError(field, str(exc)) from exc
+
+
 def _parse_dims(d) -> ProblemDims:
     d = _object(d, "dims")
     extra = set(d) - {"T", "E", "K"}
@@ -150,10 +159,7 @@ def _parse_schedule(d) -> StepSchedule:
     if not isinstance(name, str) or name not in _SCHEDULE_NAMES:
         raise ValidationError("schedule.kind", f"unknown schedule {name!r}")
     u = _real(_need(d, "u", "schedule."), "schedule.u")
-    try:
-        return StepSchedule(kind=_SCHEDULE_NAMES[name], u=u)
-    except InvalidRange as exc:
-        raise ValidationError("schedule.u", str(exc)) from exc
+    return _in_range("schedule.u", StepSchedule, _SCHEDULE_NAMES[name], u)
 
 
 def _parse_distributions(specs) -> AffinityDistributionSet:
@@ -230,10 +236,7 @@ def load_config(path) -> ExperimentConfig:
         )
     elif kind == "schedule_compare":
         params["u"] = _real(_need(raw, "u"), "u")
-        try:
-            StepSchedule(kind=ScheduleKind.CONSTANT, u=params["u"])
-        except InvalidRange as exc:
-            raise ValidationError("u", str(exc)) from exc
+        _in_range("u", StepSchedule, ScheduleKind.CONSTANT, params["u"])
         params["iterations"] = _integer(_need(raw, "iterations"), "iterations")
     elif kind in ("moment_check", "hessian_check", "regret_sweep"):
         params["dist"] = _parse_distributions(_need(raw, "distributions"))
@@ -255,7 +258,8 @@ def load_config(path) -> ExperimentConfig:
             params["T"] = _integer(_need(raw, "T"), "T")
             params["rounds"] = _integer(raw.get("rounds", 10_000), "rounds")
             params["replicas"] = _integer(raw.get("replicas", 32), "replicas")
-            params["kappa"] = _real(raw.get("kappa", 0.1), "kappa")
+            kappa = _real(raw.get("kappa", 0.1), "kappa")
+            params["kappa"] = _in_range("kappa", check_kappa, kappa)
             params["grid_points"] = _integer(raw.get("grid_points", 200), "grid_points")
             checkpoints = raw.get("checkpoints", [100, 1000, 10_000])
             if not isinstance(checkpoints, list):

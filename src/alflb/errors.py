@@ -42,12 +42,8 @@ class TooLarge(AlflbError):
     """Instance too large for exhaustive enumeration."""
 
 
-class TooManyTerms(AlflbError):
-    """Subset enumeration in the quadrature would exceed the term budget."""
-
-
 class NoConvergence(AlflbError):
-    """Iterative solver exhausted its budget without meeting tolerance."""
+    """A solver or the quadrature's node doublings ran out before tolerance."""
 
 
 class ConfigError(AlflbError):

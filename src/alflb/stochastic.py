@@ -1,15 +1,14 @@
 """Online / stochastic machinery.
 
 Selection probabilities and expected routed value by piecewise
-Gauss-Legendre quadrature (order-statistics subset enumeration), Monte
-Carlo verification of the gradient moment formulas, Hessian edge weights
-with the strong-convexity estimate, the expected-loss minimizer, and the
-logarithmic-regret experiment.
+Gauss-Legendre quadrature in the shifted-score frame, with the rival counts
+as Poisson-binomial tails, Monte Carlo verification of the gradient moment
+formulas, Hessian edge weights with the strong-convexity estimate, the
+expected-loss minimizer, and the logarithmic-regret experiment.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -19,18 +18,25 @@ import numpy as np
 from .core import AffinityMatrix, BiasVector
 from .deterministic import lagrangian
 from .distributions import AffinityDistributionSet
-from .errors import InvalidRange, NoConvergence, TooManyTerms
+from .errors import InvalidRange, NoConvergence
 from .router import route_topk
 
-MAX_ENUM_TERMS = 10**6
 QUAD_TOL = 1e-8
 QUAD_BASE_NODES = 256
 QUAD_MAX_DOUBLINGS = 5
+QUAD_BLOCK_NODES = 2048
 
 
 def sigma_squared(T: int, E: int, K: int) -> float:
     """Worst-case squared gradient norm T^2 (K - K^2/E)."""
     return T * T * (K - K * K / E)
+
+
+def check_kappa(kappa: float) -> float:
+    """The diameter margin kappa must lie in (0, 1]."""
+    if not (0.0 < kappa <= 1.0):
+        raise InvalidRange(f"kappa must lie in (0, 1], got {kappa}", field="kappa")
+    return kappa
 
 
 # ---------------------------------------------------------------------------
@@ -59,24 +65,79 @@ def piecewise_gauss_vec(f, a: float, b: float, cuts=(), tol: float = QUAD_TOL):
 
     The interval is split at ``cuts`` (pdf / cdf kinks) and each segment is
     integrated with Gauss-Legendre, doubling the node count until two
-    successive estimates agree to ``tol``.
+    successive estimates agree to ``tol`` in every component; raises
+    ``NoConvergence`` when the doublings run out.  ``f`` sees at most
+    ``QUAD_BLOCK_NODES`` nodes per call, to bound its working set.
     """
-    if b <= a:
-        probe = np.atleast_2d(f(np.array([0.5 * (a + b) if b > a else a])))
-        return np.zeros(probe.shape[0])
     interior = sorted({c for c in cuts if a < c < b})
     edges = np.array([a, *interior, b])
+
+    def estimate(n: int) -> np.ndarray:
+        nodes, weights = _segment_nodes(edges, n)
+        return sum(
+            np.atleast_2d(f(nodes[i : i + QUAD_BLOCK_NODES]))
+            @ weights[i : i + QUAD_BLOCK_NODES]
+            for i in range(0, nodes.size, QUAD_BLOCK_NODES)
+        )
+
     n = QUAD_BASE_NODES
-    nodes, weights = _segment_nodes(edges, n)
-    prev = np.atleast_2d(f(nodes)) @ weights
+    prev = estimate(n)
     for _ in range(QUAD_MAX_DOUBLINGS):
         n *= 2
-        nodes, weights = _segment_nodes(edges, n)
-        cur = np.atleast_2d(f(nodes)) @ weights
-        if np.max(np.abs(cur - prev)) < tol:
+        cur = estimate(n)
+        change = float(np.max(np.abs(cur - prev)))
+        if change < tol:
             return cur
         prev = cur
-    return prev
+    raise NoConvergence(
+        f"quadrature moved by {change:.3g} > tol {tol:.3g} at {n} nodes per segment"
+    )
+
+
+def _shifted_frame(dist: AffinityDistributionSet, p: np.ndarray):
+    """Range and cuts in the shifted frame w = v + p_j: every expert's
+    shifted support, cut at its shifted breakpoints and at p_j, p_j + 1."""
+    cuts = set()
+    for d, pj in zip(dist.dists, p):
+        cuts.update(bp + pj for bp in d.breakpoints())
+        cuts.update((pj, pj + 1.0))
+    return float(p.min()), float(p.max()) + 1.0, cuts
+
+
+def _shifted_densities(dist: AffinityDistributionSet, p: np.ndarray, w: np.ndarray):
+    """Rows pdf_j(w - p_j) and cdf_j(w - p_j) = P(X_j + p_j <= w), (E, m)."""
+    pdf = np.stack([d.pdf(w - pj) for d, pj in zip(dist.dists, p)])
+    cdf = np.stack([d.cdf(w - pj) for d, pj in zip(dist.dists, p)])
+    return pdf, cdf
+
+
+def _leave_one_out_tails(cdf: np.ndarray, K: int):
+    """For each row i of ``cdf`` (n, m), the probabilities that at most and
+    exactly K-1 of the other rows exceed the node (row j with 1 - cdf[j]):
+    the Poisson-binomial count recursion, truncated to r < K, over prefixes
+    and suffixes, joined around row i (Hong 2013, CSDA 59).
+    """
+    n, m = cdf.shape
+    comp = 1.0 - cdf
+
+    def running(order):
+        out = np.zeros((n + 1, K, m))
+        out[0, 0] = 1.0
+        for s, j in enumerate(order):
+            np.multiply(out[s], cdf[j], out=out[s + 1])
+            out[s + 1, 1:] += out[s, :-1] * comp[j]
+        return out
+
+    before = running(range(n))[:n]                      # before[i]: rows < i
+    after = running(range(n - 1, -1, -1))[n - 1 :: -1]  # after[i]: rows > i
+    at_most = np.zeros((n, m))
+    exactly = np.zeros((n, m))
+    tail = np.zeros((n, m))  # P(at most s of the rows after i exceed)
+    for s in range(K):
+        tail += after[:, s]
+        at_most += before[:, K - 1 - s] * tail
+        exactly += before[:, K - 1 - s] * after[:, s]
+    return at_most, exactly
 
 
 # ---------------------------------------------------------------------------
@@ -101,70 +162,30 @@ class SelectionProbabilities:
         return float(np.square(self.pi).sum())
 
 
-def _enum_guard(count: int):
-    if count > MAX_ENUM_TERMS:
-        raise TooManyTerms(f"{count} subset terms exceed the {MAX_ENUM_TERMS} budget")
-
-
-def _small_subsets(indices: list[int], max_size: int) -> list[tuple[int, ...]]:
-    """All subsets of size < max_size + 1 ... i.e. sizes 0..max_size."""
-    out = []
-    for r in range(max_size + 1):
-        out.extend(itertools.combinations(indices, r))
-    return out
-
-
-def _selection_kernel(dist: AffinityDistributionSet, p: np.ndarray, K: int, k: int):
-    """Integrand pieces for expert k.
-
-    Returns (f, cuts) where f(v) stacks [phi_k(v) * Q_k(v),
-    (v + p_k) * phi_k(v) * Q_k(v)] and Q_k(v) is the probability that at
-    most K-1 rival shifted scores exceed v + p_k.
-    """
-    E = dist.E
-    others = [j for j in range(E) if j != k]
-    _enum_guard(sum(math.comb(E - 1, r) for r in range(K)))
-    subsets = _small_subsets(list(range(E - 1)), K - 1)
-    dk = dist.dists[k]
-
-    def f(v: np.ndarray) -> np.ndarray:
-        cdfs = np.stack([dist.dists[j].cdf(v - p[j] + p[k]) for j in others])
-        comp = 1.0 - cdfs
-        q = np.zeros_like(v)
-        for S in subsets:
-            term = np.ones_like(v)
-            in_s = np.zeros(E - 1, dtype=bool)
-            in_s[list(S)] = True
-            for idx in range(E - 1):
-                term = term * (comp[idx] if in_s[idx] else cdfs[idx])
-            q += term
-        base = dk.pdf(v) * q
-        return np.stack([base, (v + p[k]) * base])
-
-    cuts = set(dk.breakpoints())
-    for j in others:
-        for bp in dist.dists[j].breakpoints():
-            cuts.add(bp + p[j] - p[k])
-    return f, cuts
-
-
 def selection_moments(
     dist: AffinityDistributionSet, p: BiasVector, K: int, tol: float = QUAD_TOL
 ) -> tuple[SelectionProbabilities, float]:
     """Quadrature (pi(p), F_K(p)) where F_K is the expected routed Top-K
     value of a single token.
+
+    In the shifted frame w, pi_k = int pdf_k(w - p_k) Q_k(w) dw and expert
+    k adds int w pdf_k(w - p_k) Q_k(w) dw to F_K, where Q_k(w) is the
+    probability that at most K-1 rivals' shifted scores exceed w.  All 2E
+    integrals share one node set.
     """
     E = dist.E
     if p.E != E:
         raise InvalidRange("bias / distribution count mismatch")
-    pi = np.empty(E)
-    total_value = 0.0
-    for k in range(E):
-        f, cuts = _selection_kernel(dist, p.values, K, k)
-        pi_k, val_k = piecewise_gauss_vec(f, 0.0, 1.0, cuts, tol)
-        pi[k] = pi_k
-        total_value += val_k
-    return SelectionProbabilities(pi), float(total_value)
+    pv = p.values
+
+    def f(w: np.ndarray) -> np.ndarray:
+        pdf, cdf = _shifted_densities(dist, pv, w)
+        base = pdf * _leave_one_out_tails(cdf, K)[0]
+        return np.concatenate([base, w * base])
+
+    a, b, cuts = _shifted_frame(dist, pv)
+    rows = piecewise_gauss_vec(f, a, b, cuts, tol)
+    return SelectionProbabilities(rows[:E]), float(rows[E:].sum())
 
 
 def pi_quadrature(
@@ -174,20 +195,19 @@ def pi_quadrature(
     return selection_moments(dist, p, K, tol)[0]
 
 
+def _selection_counts(chosen: np.ndarray, E: int) -> np.ndarray:
+    """Per-expert counts of a (..., T, K) block of chosen expert indices."""
+    lead = chosen.shape[:-2]
+    flat = chosen.reshape(-1, chosen.shape[-2] * chosen.shape[-1])
+    flat = flat + np.arange(flat.shape[0])[:, None] * E
+    return np.bincount(flat.ravel(), minlength=flat.shape[0] * E).reshape(lead + (E,))
+
+
 def _topk_counts(samples: np.ndarray, p: np.ndarray, K: int) -> np.ndarray:
     """Per-expert Top-K membership counts for a (..., T, E) sample block."""
     shifted = samples + p
-    E = shifted.shape[-1]
-    T = shifted.shape[-2]
-    lead = shifted.shape[:-2]
-    if K == E:
-        return np.full(lead + (E,), T, dtype=np.int64)
-    batch = int(np.prod(lead, dtype=np.int64)) if lead else 1
     chosen = np.argpartition(-shifted, K - 1, axis=-1)[..., :K]
-    flat = chosen.reshape(batch * T, K)
-    owner = np.repeat(np.arange(batch), T)
-    counts = np.bincount((owner[:, None] * E + flat).ravel(), minlength=batch * E)
-    return counts.reshape(lead + (E,))
+    return _selection_counts(chosen, shifted.shape[-1])
 
 
 def pi_monte_carlo(
@@ -357,52 +377,28 @@ def edge_weights_quadrature(
     dist: AffinityDistributionSet, p: BiasVector, K: int, tol: float = QUAD_TOL
 ) -> EdgeWeights:
     """Pairwise Hessian weights w_kl = int phi_k(v-p_k) phi_l(v-p_l)
-    B^(K-1)(v) dv with B assembled by subset enumeration.
+    B^(K-1)(v) dv, where B^(K-1) is the probability that exactly K-1 of the
+    other experts exceed v.  All E(E-1)/2 integrals share one node set.
     """
     E = dist.E
     if p.E != E:
         raise InvalidRange("bias / distribution count mismatch")
-    if K >= 2:
-        _enum_guard(math.comb(E - 2, K - 1))
     pv = p.values
+    rows_k, rows_l = np.triu_indices(E, 1)
+
+    def f(w: np.ndarray) -> np.ndarray:
+        pdf, cdf = _shifted_densities(dist, pv, w)
+        rows = []
+        for k in range(E - 1):
+            # leaving rival l > k (index l - 1) out of the rivals of k
+            exactly = _leave_one_out_tails(np.delete(cdf, k, axis=0), K)[1]
+            rows.append(pdf[k] * pdf[k + 1 :] * exactly[k:])
+        return np.concatenate(rows)
+
+    a, b, cuts = _shifted_frame(dist, pv)
+    vals = np.maximum(piecewise_gauss_vec(f, a, b, cuts, tol), 0.0)
     w = np.zeros((E, E))
-    for k in range(E):
-        for l in range(k + 1, E):
-            others = [j for j in range(E) if j not in (k, l)]
-            if K - 1 > len(others):
-                continue  # not enough rivals: weight is 0
-            subsets = list(itertools.combinations(range(len(others)), K - 1))
-            dk, dl = dist.dists[k], dist.dists[l]
-            lo = max(dk.support[0] + pv[k], dl.support[0] + pv[l])
-            hi = min(dk.support[1] + pv[k], dl.support[1] + pv[l])
-            if hi <= lo:
-                continue
-
-            def f(v: np.ndarray) -> np.ndarray:
-                base = dk.pdf(v - pv[k]) * dl.pdf(v - pv[l])
-                if others:
-                    cdfs = np.stack(
-                        [dist.dists[j].cdf(v - pv[j]) for j in others]
-                    )
-                    comp = 1.0 - cdfs
-                    b = np.zeros_like(v)
-                    for S in subsets:
-                        term = np.ones_like(v)
-                        in_s = np.zeros(len(others), dtype=bool)
-                        in_s[list(S)] = True
-                        for idx in range(len(others)):
-                            term = term * (comp[idx] if in_s[idx] else cdfs[idx])
-                        b += term
-                else:
-                    b = np.ones_like(v)
-                return base * b
-
-            cuts = set()
-            for j in range(E):
-                for bp in dist.dists[j].breakpoints():
-                    cuts.add(bp + pv[j])
-            val = piecewise_gauss_vec(f, lo, hi, cuts, tol)[0]
-            w[k, l] = w[l, k] = max(val, 0.0)
+    w[rows_k, rows_l] = w[rows_l, rows_k] = vals
     return EdgeWeights(w)
 
 
@@ -461,8 +457,7 @@ def strong_convexity_estimate(
     diameter-limited bias domain.  The result is an upper bound on the true
     infimum, used as a practical strong-convexity estimate.
     """
-    if not (0.0 < kappa <= 1.0):
-        raise InvalidRange("kappa must lie in (0, 1]")
+    check_kappa(kappa)
     grid = _domain_grid(dist.E, kappa, grid_points, rng)
     best = math.inf
     best_p = grid[0]
@@ -594,9 +589,10 @@ def regret_experiment(
         block = np.stack(
             [d.sample(rng, (replicas, T)) for d in dist.dists], axis=2
         )
-        # shifted top-K values under the iterate and under p*
+        # one Top-K selection per side: indices for the iterate, values for p*
         shifted = block + P[:, None, :]
-        top_vals = -np.partition(-shifted, K - 1, axis=2)[:, :, :K]
+        chosen = np.argpartition(-shifted, K - 1, axis=2)[:, :, :K]
+        top_vals = np.take_along_axis(shifted, chosen, axis=2)
         f_iter = top_vals.sum(axis=(1, 2)) - L * P.sum(axis=1)
         shifted_star = block + ps[None, None, :]
         top_star = -np.partition(-shifted_star, K - 1, axis=2)[:, :, :K]
@@ -612,7 +608,7 @@ def regret_experiment(
         if np.any(diams > d_cap):
             diam_violations += 1
 
-        counts = _topk_counts(shifted, np.zeros(E), K)
+        counts = _selection_counts(chosen, E)
         s_proxy[n - 1] = float(np.square(counts / T).sum(axis=1).mean())
         g = counts - L
         P = P - g / (mu * n)

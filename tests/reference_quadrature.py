@@ -1,0 +1,159 @@
+"""Slow reference for the selection moments and the Hessian edge weights.
+
+These are the subset-enumeration implementations that ``alflb`` used before
+the shared-node Poisson-binomial quadrature: one quadrature per expert for
+(pi, F_K) and one per pair for w_kl, each evaluating every rival's cdf at its
+own nodes and summing the products over all rival subsets of the right size.
+The piecewise Gauss-Legendre rule is copied as well, so the oracle tests
+compare the fast path against code that shares none of its helpers.  The
+term-budget guard is left out: the oracle only runs on small E.
+"""
+
+from __future__ import annotations
+
+import itertools
+from functools import lru_cache
+
+import numpy as np
+
+from alflb.core import BiasVector
+from alflb.distributions import AffinityDistributionSet
+from alflb.errors import InvalidRange
+from alflb.stochastic import EdgeWeights, SelectionProbabilities
+
+QUAD_TOL = 1e-8
+QUAD_BASE_NODES = 256
+QUAD_MAX_DOUBLINGS = 5
+
+
+@lru_cache(maxsize=32)
+def _leggauss(n: int):
+    x, w = np.polynomial.legendre.leggauss(n)
+    return x, w
+
+
+def _segment_nodes(edges: np.ndarray, n: int):
+    x, w = _leggauss(n)
+    lo = edges[:-1][:, None]
+    hi = edges[1:][:, None]
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (hi + lo) + half * x[None, :]).ravel()
+    weights = (half * w[None, :]).ravel()
+    return nodes, weights
+
+
+def piecewise_gauss_vec(f, a: float, b: float, cuts=(), tol: float = QUAD_TOL):
+    if b <= a:
+        probe = np.atleast_2d(f(np.array([0.5 * (a + b) if b > a else a])))
+        return np.zeros(probe.shape[0])
+    interior = sorted({c for c in cuts if a < c < b})
+    edges = np.array([a, *interior, b])
+    n = QUAD_BASE_NODES
+    nodes, weights = _segment_nodes(edges, n)
+    prev = np.atleast_2d(f(nodes)) @ weights
+    for _ in range(QUAD_MAX_DOUBLINGS):
+        n *= 2
+        nodes, weights = _segment_nodes(edges, n)
+        cur = np.atleast_2d(f(nodes)) @ weights
+        if np.max(np.abs(cur - prev)) < tol:
+            return cur
+        prev = cur
+    return prev
+
+
+def _small_subsets(indices: list[int], max_size: int) -> list[tuple[int, ...]]:
+    out = []
+    for r in range(max_size + 1):
+        out.extend(itertools.combinations(indices, r))
+    return out
+
+
+def _selection_kernel(dist: AffinityDistributionSet, p: np.ndarray, K: int, k: int):
+    E = dist.E
+    others = [j for j in range(E) if j != k]
+    subsets = _small_subsets(list(range(E - 1)), K - 1)
+    dk = dist.dists[k]
+
+    def f(v: np.ndarray) -> np.ndarray:
+        cdfs = np.stack([dist.dists[j].cdf(v - p[j] + p[k]) for j in others])
+        comp = 1.0 - cdfs
+        q = np.zeros_like(v)
+        for S in subsets:
+            term = np.ones_like(v)
+            in_s = np.zeros(E - 1, dtype=bool)
+            in_s[list(S)] = True
+            for idx in range(E - 1):
+                term = term * (comp[idx] if in_s[idx] else cdfs[idx])
+            q += term
+        base = dk.pdf(v) * q
+        return np.stack([base, (v + p[k]) * base])
+
+    cuts = set(dk.breakpoints())
+    for j in others:
+        for bp in dist.dists[j].breakpoints():
+            cuts.add(bp + p[j] - p[k])
+    return f, cuts
+
+
+def selection_moments(
+    dist: AffinityDistributionSet, p: BiasVector, K: int, tol: float = QUAD_TOL
+) -> tuple[SelectionProbabilities, float]:
+    E = dist.E
+    if p.E != E:
+        raise InvalidRange("bias / distribution count mismatch")
+    pi = np.empty(E)
+    total_value = 0.0
+    for k in range(E):
+        f, cuts = _selection_kernel(dist, p.values, K, k)
+        pi_k, val_k = piecewise_gauss_vec(f, 0.0, 1.0, cuts, tol)
+        pi[k] = pi_k
+        total_value += val_k
+    return SelectionProbabilities(pi), float(total_value)
+
+
+def edge_weights_quadrature(
+    dist: AffinityDistributionSet, p: BiasVector, K: int, tol: float = QUAD_TOL
+) -> EdgeWeights:
+    E = dist.E
+    if p.E != E:
+        raise InvalidRange("bias / distribution count mismatch")
+    pv = p.values
+    w = np.zeros((E, E))
+    for k in range(E):
+        for l in range(k + 1, E):
+            others = [j for j in range(E) if j not in (k, l)]
+            if K - 1 > len(others):
+                continue  # not enough rivals: weight is 0
+            subsets = list(itertools.combinations(range(len(others)), K - 1))
+            dk, dl = dist.dists[k], dist.dists[l]
+            lo = max(dk.support[0] + pv[k], dl.support[0] + pv[l])
+            hi = min(dk.support[1] + pv[k], dl.support[1] + pv[l])
+            if hi <= lo:
+                continue
+
+            def f(v: np.ndarray) -> np.ndarray:
+                base = dk.pdf(v - pv[k]) * dl.pdf(v - pv[l])
+                if others:
+                    cdfs = np.stack(
+                        [dist.dists[j].cdf(v - pv[j]) for j in others]
+                    )
+                    comp = 1.0 - cdfs
+                    b = np.zeros_like(v)
+                    for S in subsets:
+                        term = np.ones_like(v)
+                        in_s = np.zeros(len(others), dtype=bool)
+                        in_s[list(S)] = True
+                        for idx in range(len(others)):
+                            term = term * (comp[idx] if in_s[idx] else cdfs[idx])
+                        b += term
+                else:
+                    b = np.ones_like(v)
+                return base * b
+
+            cuts = set()
+            for j in range(E):
+                for bp in dist.dists[j].breakpoints():
+                    cuts.add(bp + pv[j])
+            val = piecewise_gauss_vec(f, lo, hi, cuts, tol)[0]
+            w[k, l] = w[l, k] = max(val, 0.0)
+    return EdgeWeights(w)

@@ -28,6 +28,12 @@ class TestStepSchedule:
         with pytest.raises(InvalidRange):
             StepSchedule(ScheduleKind.DEEPSEEK_SIGN, -0.001)
 
+    @pytest.mark.parametrize("u", [float("inf"), float("nan")])
+    def test_u_must_be_finite(self, u):
+        # rejected at construction, not at the first dual step
+        with pytest.raises(InvalidRange):
+            StepSchedule(ScheduleKind.CONSTANT, u)
+
     def test_sign_schedule_delta(self):
         sched = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 0.001)
         delta = sched.bias_delta(np.array([3, 1]), 2.0, n=1)

@@ -215,6 +215,16 @@ MOMENT_CFG = {
     "K": 1,
     "replicas": 100,
 }
+REGRET_CFG = {
+    "kind": "regret_sweep",
+    "seed": 7,
+    "distributions": [
+        {"type": "beta", "a": 2.0, "b": 3.0},
+        {"type": "beta", "a": 3.0, "b": 2.0},
+    ],
+    "T": 8,
+    "K": 1,
+}
 
 
 class TestConfigErrors:
@@ -235,10 +245,11 @@ class TestConfigErrors:
             (MOMENT_CFG, {"bias": [0.0, 0.0, 0.0]}, "bias"),
             (DET_CFG, {"dims": {"T": 16, "E": 1, "K": 1}}, "dims.E"),
             (DET_CFG, {"dims": {"T": 16, "E": 4, "K": 1, "L": 4}}, "dims.L"),
+            (REGRET_CFG, {"kappa": 2.0}, "kappa"),
         ],
         ids=["negative_u", "string_iterations", "zero_instances", "bool_seed",
              "float_iterations", "beta_shape_below_one", "bias_length_mismatch",
-             "single_expert", "unknown_dims_key"],
+             "single_expert", "unknown_dims_key", "kappa_above_one"],
     )
     def test_exit_two_names_field(self, tmp_path, capsys, base, changes, field):
         cfg_path = _write(tmp_path, "bad.json", dict(base, **changes))

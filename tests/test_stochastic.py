@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from alflb import stochastic
 from alflb.core import AffinityMatrix, BiasVector, ProblemDims, RandomSource
 from alflb.deterministic import lagrangian
 from alflb.distributions import (
@@ -10,7 +11,7 @@ from alflb.distributions import (
     UniformScore,
     identical,
 )
-from alflb.errors import InvalidRange, TooManyTerms
+from alflb.errors import InvalidRange, NoConvergence
 from alflb.router import route_topk
 from alflb.stochastic import (
     EdgeWeights,
@@ -119,10 +120,25 @@ class TestPiQuadrature:
         pi_mc, se = pi_monte_carlo(ds, p, 1, samples=200_000, rng=rng)
         assert np.all(np.abs(pi_q.pi - pi_mc.pi) <= 4 * se)
 
-    def test_enumeration_guard(self):
-        ds = identical(BetaScore(1.0, 1.0), 30)
-        with pytest.raises(TooManyTerms):
-            pi_quadrature(ds, BiasVector.zeros(30), 15)
+    def test_thirty_experts_top_fifteen(self):
+        # C(29, <=14) ~ 2.7e8 rival subsets per expert: far beyond subset
+        # enumeration, a few recursion steps per node for Poisson-binomial
+        E, K = 30, 15
+        ds = identical(BetaScore(1.0, 1.0), E)
+        p = BiasVector.zeros(E)
+        pi_q = pi_quadrature(ds, p, K)
+        assert abs(pi_q.pi.sum() - K) <= 1e-9
+        rng = RandomSource(44, 5).generator()
+        pi_mc, se = pi_monte_carlo(ds, p, K, samples=100_000, rng=rng)
+        assert np.all(np.abs(pi_q.pi - pi_mc.pi) <= 4 * se)
+
+    def test_non_convergence_raises(self, monkeypatch):
+        # tol=0 is never met; one doubling keeps the test short (the rules
+        # of the later doublings take tens of seconds to generate)
+        monkeypatch.setattr(stochastic, "QUAD_MAX_DOUBLINGS", 1)
+        ds = identical(BetaScore(2.0, 2.0), 3)
+        with pytest.raises(NoConvergence):
+            pi_quadrature(ds, BiasVector.zeros(3), 1, tol=0.0)
 
 
 class TestPiMonteCarlo:
