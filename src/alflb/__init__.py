@@ -10,16 +10,8 @@ from .core import (
     ProblemDims,
     RandomSource,
     loads_from_assignment,
-    validate_dims,
 )
-from .balancer import (
-    BalancerState,
-    ScheduleKind,
-    StepSchedule,
-    diameter,
-    dual_update,
-    project_zero_sum,
-)
+from .balancer import ScheduleKind, StepSchedule, project_zero_sum
 from .router import (
     RawScoreMatrix,
     RoutingOutcome,
@@ -33,7 +25,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AffinityMatrix",
     "Assignment",
-    "BalancerState",
     "BiasVector",
     "LoadVector",
     "ProblemDims",
@@ -42,12 +33,9 @@ __all__ = [
     "RoutingOutcome",
     "ScheduleKind",
     "StepSchedule",
-    "diameter",
-    "dual_update",
     "loads_from_assignment",
     "project_zero_sum",
     "route_topk",
     "softmax_affinities",
     "switching_set",
-    "validate_dims",
 ]

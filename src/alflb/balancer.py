@@ -1,17 +1,18 @@
-"""Single-shot dual update of the expert biases under pluggable step-size
-schedules, with optional zero-sum projection and diameter tracking.
+"""Step-size schedules of the dual bias update, and the zero-sum projection.
+
+The update itself, p + eps_n * (L - A), runs inside ``deterministic.iterate``.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BiasVector, LoadVector
-from .errors import DimMismatch, InvalidRange
+from .core import BiasVector
+from .errors import InvalidRange
 
 
 class ScheduleKind(enum.Enum):
@@ -29,11 +30,6 @@ class StepSchedule:
     def __post_init__(self):
         if not (self.u > 0 and math.isfinite(self.u)):
             raise InvalidRange(f"balancing constant u must be finite, > 0: {self.u}")
-
-    @property
-    def homogeneous(self) -> bool:
-        """True when every coordinate uses the same step size."""
-        return self.kind is not ScheduleKind.DEEPSEEK_SIGN
 
     def scalar_step(self, n: int) -> float:
         """Common step size at iteration n for homogeneous schedules."""
@@ -67,65 +63,6 @@ class StepSchedule:
         return float(self.scalar_step(n) * np.square(gap).sum())
 
 
-@dataclass(frozen=True)
-class BalancerState:
-    p: BiasVector
-    iteration: int = 1
-    zero_sum: bool = False
-    kappa: float | None = None
-
-    def __post_init__(self):
-        if self.iteration < 1:
-            raise InvalidRange("iteration counter starts at 1")
-        if self.kappa is not None and not (0.0 < self.kappa < 1.0):
-            raise InvalidRange(f"kappa must lie in (0, 1), got {self.kappa}")
-
-    def diameter_ok(self) -> bool:
-        """True unless a kappa is set and diam(p) exceeds 1 - kappa."""
-        if self.kappa is None:
-            return True
-        return self.p.diameter() <= 1.0 - self.kappa
-
-
-def _center(v: np.ndarray) -> np.ndarray:
-    return v - v.mean()
-
-
 def project_zero_sum(p: BiasVector) -> BiasVector:
     """Orthogonal projection onto the zero-sum subspace: subtract the mean."""
-    return BiasVector(_center(p.values))
-
-
-def diameter(p: BiasVector) -> float:
-    return p.diameter()
-
-
-def _dual_step(
-    p: np.ndarray, loads: np.ndarray, L: float, sched: StepSchedule, n: int,
-    zero_sum: bool = False,
-) -> np.ndarray:
-    """The update rule on raw arrays: p + eps_n * (L - A), then, with
-    ``zero_sum``, minus its mean.  No input checks; ``dual_update`` and the
-    iteration loops share it.
-    """
-    new_p = p + sched.bias_delta(loads, L, n)
-    return _center(new_p) if zero_sum else new_p
-
-
-def dual_update(
-    state: BalancerState,
-    loads: LoadVector,
-    L: float,
-    sched: StepSchedule,
-) -> BalancerState:
-    """One dual step p_k <- p_k + eps_k * (L - A_k) under ``sched``.
-
-    ``loads`` must come from routing under ``state.p``.  With ``zero_sum``
-    the componentwise mean is subtracted afterwards.
-    """
-    if loads.counts.shape[0] != state.p.E:
-        raise DimMismatch("loads / bias length mismatch")
-    new_p = _dual_step(
-        state.p.values, loads.counts, L, sched, state.iteration, state.zero_sum
-    )
-    return replace(state, p=BiasVector(new_p), iteration=state.iteration + 1)
+    return BiasVector(p.values - p.values.mean())

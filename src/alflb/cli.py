@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .balancer import ScheduleKind, StepSchedule
-from .core import BiasVector, LoadVector, ProblemDims, RandomSource
+from .core import BiasVector, ProblemDims, RandomSource
 from .deterministic import (
     check_balance_convergence,
     check_lagrangian_identity,
@@ -32,8 +32,8 @@ from .deterministic import (
     trace_to_csv,
     ubar,
 )
-from .distributions import AffinityDistributionSet, from_spec
-from .errors import AlflbError, InvalidRange, ParseError, ValidationError
+from .distributions import AffinityDistributionSet, BetaScore, MixtureScore, UniformScore
+from .errors import InvalidRange, ParseError, ValidationError
 from .router import RawScoreMatrix, softmax_affinities
 from .stochastic import (
     check_gradient_moments,
@@ -68,6 +68,12 @@ _KIND_KEYS = {
         "grid_points", "checkpoints",
     },
     "schedule_compare": {"dims", "u", "iterations"},
+}
+# Constructor and parameter keys per distribution type.
+_DISTRIBUTION_TYPES = {
+    "beta": (BetaScore, ("a", "b")),
+    "uniform": (UniformScore, ("lo", "hi")),
+    "mixture": (MixtureScore, ("components", "weights")),
 }
 
 
@@ -127,6 +133,12 @@ def _object(value, field: str) -> dict:
     return value
 
 
+def _only_keys(d: dict, allowed, path: str = "") -> None:
+    extra = set(d) - set(allowed)
+    if extra:
+        raise ValidationError(path + sorted(extra)[0], "unknown key")
+
+
 def _in_range(field: str, check, *args):
     """Apply a range rule the library owns, as a ValidationError on ``field``."""
     try:
@@ -137,9 +149,7 @@ def _in_range(field: str, check, *args):
 
 def _parse_dims(d) -> ProblemDims:
     d = _object(d, "dims")
-    extra = set(d) - {"T", "E", "K"}
-    if extra:
-        raise ValidationError(f"dims.{sorted(extra)[0]}", "unknown key in dims")
+    _only_keys(d, ("T", "E", "K"), "dims.")
     T, E, K = (
         _integer(_need(d, key, "dims."), f"dims.{key}", minimum=None)
         for key in ("T", "E", "K")
@@ -152,9 +162,7 @@ def _parse_dims(d) -> ProblemDims:
 
 def _parse_schedule(d) -> StepSchedule:
     d = _object(d, "schedule")
-    extra = set(d) - {"kind", "u"}
-    if extra:
-        raise ValidationError(f"schedule.{sorted(extra)[0]}", "unknown key in schedule")
+    _only_keys(d, ("kind", "u"), "schedule.")
     name = _need(d, "kind", "schedule.")
     if not isinstance(name, str) or name not in _SCHEDULE_NAMES:
         raise ValidationError("schedule.kind", f"unknown schedule {name!r}")
@@ -162,23 +170,45 @@ def _parse_schedule(d) -> StepSchedule:
     return _in_range("schedule.u", StepSchedule, _SCHEDULE_NAMES[name], u)
 
 
+def _list(value, field: str, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(field, f"must be a list of {what}")
+    return value
+
+
+def _parse_distribution(spec, path: str):
+    """One Beta, uniform or mixture score distribution; a mixture's
+    components are specs themselves."""
+    spec = _object(spec, path)
+    kind = spec.get("type")
+    if not isinstance(kind, str) or kind not in _DISTRIBUTION_TYPES:
+        raise ValidationError(f"{path}.type", f"unknown distribution type {kind!r}")
+    build, keys = _DISTRIBUTION_TYPES[kind]
+    _only_keys(spec, ("type", *keys), path + ".")
+    values = [_need(spec, key, path + ".") for key in keys]
+    if kind == "mixture":
+        components, weights = values
+        args = (
+            tuple(
+                _parse_distribution(c, f"{path}.components.{j}")
+                for j, c in enumerate(_list(components, f"{path}.components", "specs"))
+            ),
+            tuple(
+                _real(w, f"{path}.weights.{j}")
+                for j, w in enumerate(_list(weights, f"{path}.weights", "numbers"))
+            ),
+        )
+    else:
+        args = [_real(v, f"{path}.{key}") for v, key in zip(values, keys)]
+    return _in_range(path, build, *args)
+
+
 def _parse_distributions(specs) -> AffinityDistributionSet:
-    if not isinstance(specs, list):
-        raise ValidationError("distributions", "must be a list of distribution specs")
-    dists = []
-    for i, spec in enumerate(specs):
-        path = f"distributions.{i}"
-        spec = _object(spec, path)
-        try:
-            dists.append(from_spec(spec))
-        except ValidationError as exc:
-            raise ValidationError(f"{path}.{exc.field}", str(exc)) from exc
-        except (AlflbError, TypeError, ValueError) as exc:
-            raise ValidationError(path, str(exc)) from exc
-    try:
-        return AffinityDistributionSet(tuple(dists))
-    except AlflbError as exc:
-        raise ValidationError("distributions", str(exc)) from exc
+    specs = _list(specs, "distributions", "distribution specs")
+    dists = tuple(
+        _parse_distribution(spec, f"distributions.{i}") for i, spec in enumerate(specs)
+    )
+    return _in_range("distributions", AffinityDistributionSet, dists)
 
 
 def _parse_bias(raw: dict, E: int) -> np.ndarray:
@@ -205,10 +235,7 @@ def load_config(path) -> ExperimentConfig:
     kind = raw.get("kind")
     if kind not in KINDS:
         raise ValidationError("kind", f"must be one of {KINDS}, got {kind!r}")
-    allowed = _COMMON_KEYS | _KIND_KEYS[kind]
-    extra = set(raw) - allowed
-    if extra:
-        raise ValidationError(sorted(extra)[0], "unknown key")
+    _only_keys(raw, _COMMON_KEYS | _KIND_KEYS[kind])
     seed = _integer(raw.get("seed", 0), "seed", minimum=0)
     if seed >= 2**64:
         raise ValidationError("seed", "must be a 64-bit unsigned integer")
@@ -241,9 +268,12 @@ def load_config(path) -> ExperimentConfig:
     elif kind in ("moment_check", "hessian_check", "regret_sweep"):
         params["dist"] = _parse_distributions(_need(raw, "distributions"))
         E = params["dist"].E
+        # With K = E every expert is selected and every gradient is 0, which
+        # leaves the moment z-scores and the strong-convexity estimate 0/0.
+        K_max = E if kind == "hessian_check" else E - 1
         params["K"] = _integer(_need(raw, "K"), "K")
-        if params["K"] > E:
-            raise ValidationError("K", "K exceeds the number of distributions")
+        if params["K"] > K_max:
+            raise ValidationError("K", f"must be <= {K_max} for {E} distributions")
         if kind == "moment_check":
             params["T"] = _integer(_need(raw, "T"), "T")
             params["replicas"] = _integer(
@@ -261,9 +291,9 @@ def load_config(path) -> ExperimentConfig:
             kappa = _real(raw.get("kappa", 0.1), "kappa")
             params["kappa"] = _in_range("kappa", check_kappa, kappa)
             params["grid_points"] = _integer(raw.get("grid_points", 200), "grid_points")
-            checkpoints = raw.get("checkpoints", [100, 1000, 10_000])
-            if not isinstance(checkpoints, list):
-                raise ValidationError("checkpoints", "must be a list of integers")
+            checkpoints = _list(
+                raw.get("checkpoints", [100, 1000, 10_000]), "checkpoints", "integers"
+            )
             params["checkpoints"] = [
                 _integer(c, f"checkpoints.{i}") for i, c in enumerate(checkpoints)
             ]
@@ -278,12 +308,6 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------
-
-def report_imbalance(loads: LoadVector, L: float, normalized: bool = False) -> float:
-    """Average absolute load deviation from the target, optionally / L."""
-    dev = float(np.abs(loads.counts - L).mean())
-    return dev / L if normalized else dev
-
 
 def _imbalance_from_counts(counts: np.ndarray, L: float) -> float:
     return float(np.abs(counts - L).mean())
@@ -556,8 +580,6 @@ def main(argv=None) -> int:
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--parallel", type=int, default=1,
                         help="fan independent instances over N processes")
-        sp.add_argument("--strict", action="store_true",
-                        help="strict config validation (always on; accepted for compat)")
         sp.set_defaults(kind=kind)
     args = parser.parse_args(argv)
 

@@ -13,8 +13,6 @@ import numpy as np
 
 from .errors import DimMismatch, InvalidRange, NonDivisible
 
-ZERO_SUM_TOL = 1e-12
-
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.float64, copy=True)
@@ -58,19 +56,6 @@ class ProblemDims:
         return self.K * self.T / self.E
 
 
-def validate_dims(dims: ProblemDims, balanced: bool = True) -> ProblemDims:
-    """Validate dims, additionally requiring E | K*T when ``balanced``.
-
-    Construction already enforces positivity and K <= E; this re-raises a
-    NonDivisible for unbalanced dims when balanced-target mode is requested.
-    """
-    if balanced and not dims.balanced:
-        raise NonDivisible(
-            f"K*T={dims.K * dims.T} not divisible by E={dims.E}"
-        )
-    return dims
-
-
 @dataclass(frozen=True)
 class AffinityMatrix:
     """T x E matrix of normalized affinity scores, every entry in (0, 1)."""
@@ -109,9 +94,6 @@ class BiasVector:
     @property
     def E(self) -> int:
         return self.values.shape[0]
-
-    def is_zero_sum(self, tol: float = ZERO_SUM_TOL) -> bool:
-        return abs(float(self.values.sum())) <= tol
 
     def diameter(self) -> float:
         return float(self.values.max() - self.values.min())
@@ -182,6 +164,3 @@ class RandomSource:
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         return np.random.default_rng(ss)
-
-    def substream(self, offset: int) -> "RandomSource":
-        return RandomSource(self.seed, self.stream * 100_003 + 1 + offset)

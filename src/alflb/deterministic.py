@@ -16,7 +16,7 @@ from itertools import islice
 
 import numpy as np
 
-from .balancer import ScheduleKind, StepSchedule, _dual_step
+from .balancer import ScheduleKind, StepSchedule
 from .core import (
     AffinityMatrix,
     Assignment,
@@ -24,7 +24,7 @@ from .core import (
     ProblemDims,
 )
 from .errors import DegenerateGaps, DimMismatch, InvalidRange, KNotOne, TooLarge
-from .router import RoutingOutcome, switching_set, topk
+from .router import topk
 
 IP_ENUMERATION_GUARD = 10**7
 
@@ -103,36 +103,21 @@ def _lagrangian(
     )
 
 
-def switching_benefit(
-    gamma: AffinityMatrix,
-    prev_outcome: RoutingOutcome,
-    next_outcome: RoutingOutcome,
-    p_next: BiasVector,
-    p_prev: BiasVector,
-) -> list[SwitchRecord]:
-    """One record per token whose assignment changed (K=1 mode).
-
-    The benefit uses the iteration-(n+1) biases; the prior score gap uses the
-    iteration-n biases (needed for the switching-bound audit).
-    """
-    switched = switching_set(prev_outcome, next_outcome)
-    return _switch_records(
-        gamma.values, switched, prev_outcome.alpha(), next_outcome.alpha(),
-        p_next.values, p_prev.values,
-    )
-
-
 def _switch_records(
     g: np.ndarray,
-    switched: np.ndarray,
     a_prev: np.ndarray,
     a_next: np.ndarray,
     p_next: np.ndarray,
     p_prev: np.ndarray,
 ) -> list[SwitchRecord]:
-    """``switching_benefit`` on raw arrays, for the tokens in ``switched``."""
+    """One record per token whose assigned expert changed from ``a_prev`` to
+    ``a_next`` (K=1 mode).
+
+    The benefit uses the iteration-(n+1) biases; the prior score gap uses the
+    iteration-n biases (needed for the switching-bound audit).
+    """
     records = []
-    for i in switched:
+    for i in np.flatnonzero(a_prev != a_next):
         old, new = int(a_prev[i]), int(a_next[i])
         benefit = (g[i, new] + p_next[new]) - (g[i, old] + p_next[old])
         gap_prev = (g[i, new] + p_prev[new]) - (g[i, old] + p_prev[old])
@@ -153,16 +138,20 @@ def designations(loads: np.ndarray, L: float) -> np.ndarray:
     return np.sign(np.asarray(loads, dtype=np.float64) - L).astype(np.int64)
 
 
-def _iterate(
-    g: np.ndarray, schedule: StepSchedule, K: int, L: float, zero_sum: bool = False
+def iterate(
+    gamma: AffinityMatrix, schedule: StepSchedule, K: int = 1, zero_sum: bool = False
 ):
-    """The primal-dual iteration from p = 0 on raw affinities, without end.
+    """The primal-dual iteration from p = 0 on frozen affinities, without end.
 
     Iteration n routes by Top-K on gamma + p and yields
-    ``(n, p, shifted, chosen, loads, row_tie)``; the dual step to the next p
-    is taken when the consumer asks for the next iteration.
+    ``(n, p, shifted, chosen, loads, row_tie)``; the dual step
+    p + eps_n * (L - A), with L = K*T/E and, under ``zero_sum``, minus its
+    mean, is taken when the consumer asks for the next iteration.  The input
+    is validated once, on entry; the loop itself works on raw arrays.
     """
-    E = g.shape[1]
+    g = gamma.values
+    T, E = g.shape
+    L = ProblemDims(T=T, E=E, K=K).target_load
     p = np.zeros(E)
     n = 1
     while True:
@@ -174,7 +163,9 @@ def _iterate(
         p.flags.writeable = False
         loads.flags.writeable = False
         yield n, p, shifted, chosen, loads, row_tie
-        p = _dual_step(p, loads, L, schedule, n, zero_sum)
+        p = p + schedule.bias_delta(loads, L, n)
+        if zero_sum:
+            p = p - p.mean()
         if not np.isfinite(p).all():
             raise InvalidRange("bias entries must be finite")
         n += 1
@@ -196,21 +187,18 @@ def simulate_fixed_scores(
         raise InvalidRange("need at least one iteration")
     g = gamma.values
     T, E = g.shape
-    dims = ProblemDims(T=T, E=E, K=K)
-    L = dims.target_load
+    L = ProblemDims(T=T, E=E, K=K).target_load
     trace = IterationTrace(gamma=gamma, K=K, L=L, schedule=schedule)
 
     rows = np.arange(T)[:, None]
     prev = None
     for n, p, shifted, chosen, loads, row_tie in islice(
-        _iterate(g, schedule, K, L, zero_sum), iterations
+        iterate(gamma, schedule, K, zero_sum), iterations
     ):
         switches = ()
         if prev is not None and K == 1:
             a_prev, p_prev = prev
-            a_next = chosen[:, 0]
-            switched = np.flatnonzero(a_prev != a_next)
-            switches = tuple(_switch_records(g, switched, a_prev, a_next, p, p_prev))
+            switches = tuple(_switch_records(g, a_prev, chosen[:, 0], p, p_prev))
         sel = np.zeros((T, E))
         sel[rows, chosen] = 1.0
         desig = designations(loads, L)
@@ -341,8 +329,7 @@ def check_balance_convergence(
     ``settle_iterations`` more steps to probe the "remains in range" claim.
     """
     T, E = gamma.values.shape
-    dims = ProblemDims(T=T, E=E, K=1)
-    L = dims.L
+    L = ProblemDims(T=T, E=E, K=1).L
     if budget is None:
         budget = 10 * T * E
     lo, hi = L - (E - 1), L + (E - 1)
@@ -356,7 +343,7 @@ def check_balance_convergence(
     settle_left: int | None = None
     n = 0
     for n, _, _, _, loads, row_tie in islice(
-        _iterate(gamma.values, sched, 1, L), max(budget, 0)
+        iterate(gamma, sched), max(budget, 0)
     ):
         any_tie = any_tie or bool(row_tie.any())
         in_band = (loads >= lo) & (loads <= hi)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import integrate, stats
 
 from .core import AffinityMatrix, ProblemDims
-from .errors import InvalidRange, ValidationError
+from .errors import InvalidRange
 
 PDF_NORMALIZATION_TOL = 1e-6
 
@@ -49,12 +49,6 @@ class BetaScore:
     def breakpoints(self) -> tuple[float, ...]:
         return (0.0, 1.0)
 
-    def density_bound(self) -> float:
-        if self.a == 1.0 and self.b == 1.0:
-            return 1.0
-        grid = np.linspace(0.0, 1.0, 4097)
-        return float(self.pdf(grid).max())
-
 
 @dataclass(frozen=True)
 class UniformScore:
@@ -85,9 +79,6 @@ class UniformScore:
 
     def breakpoints(self) -> tuple[float, ...]:
         return (self.lo, self.hi)
-
-    def density_bound(self) -> float:
-        return 1.0 / (self.hi - self.lo)
 
 
 @dataclass(frozen=True)
@@ -140,15 +131,10 @@ class MixtureScore:
             pts.update(c.breakpoints())
         return tuple(sorted(pts))
 
-    def density_bound(self) -> float:
-        return float(
-            sum(w * c.density_bound() for c, w in zip(self.components, self.weights))
-        )
-
 
 @dataclass(frozen=True)
 class AffinityDistributionSet:
-    """One score distribution per expert, plus a shared density bound.
+    """One score distribution per expert.
 
     Construction verifies support in (0, 1), cdf endpoints, nonnegative pdf
     and unit normalization (numerically, to 1e-6).
@@ -179,10 +165,6 @@ class AffinityDistributionSet:
     def E(self) -> int:
         return len(self.dists)
 
-    @property
-    def density_bound(self) -> float:
-        return max(d.density_bound() for d in self.dists)
-
     def sample_matrix(self, T: int, rng: np.random.Generator) -> np.ndarray:
         """Raw T x E sample, column k drawn i.i.d. from distribution k."""
         cols = [d.sample(rng, (T,)) for d in self.dists]
@@ -206,29 +188,3 @@ def sample_affinities(
     values = dist.sample_matrix(dims.T, rng)
     values = np.clip(values, 1e-15, 1.0 - 1e-15)
     return AffinityMatrix(dims, values)
-
-
-def from_spec(spec: dict):
-    """Build one distribution from a config dict (CLI surface)."""
-    known = {"beta", "uniform", "mixture"}
-    kind = spec.get("type")
-    if kind not in known:
-        raise ValidationError("type", f"unknown distribution type {kind!r}")
-    if kind == "beta":
-        _require_keys(spec, {"type", "a", "b"})
-        return BetaScore(a=float(spec["a"]), b=float(spec["b"]))
-    if kind == "uniform":
-        _require_keys(spec, {"type", "lo", "hi"})
-        return UniformScore(lo=float(spec["lo"]), hi=float(spec["hi"]))
-    _require_keys(spec, {"type", "components", "weights"})
-    comps = tuple(from_spec(c) for c in spec["components"])
-    return MixtureScore(components=comps, weights=tuple(float(w) for w in spec["weights"]))
-
-
-def _require_keys(spec: dict, allowed: set):
-    extra = set(spec) - allowed
-    missing = allowed - set(spec)
-    if extra:
-        raise ValidationError(sorted(extra)[0], "unknown key")
-    if missing:
-        raise ValidationError(sorted(missing)[0], "missing key")

@@ -60,7 +60,3 @@ class ValidationError(ConfigError):
     def __init__(self, field: str, message: str = ""):
         self.field = field
         super().__init__(f"{field}: {message}" if message else field)
-
-
-class IoError(AlflbError):
-    """Filesystem problem while writing experiment artifacts."""

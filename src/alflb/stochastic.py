@@ -237,7 +237,7 @@ def pi_monte_carlo(
 
 
 # ---------------------------------------------------------------------------
-# Online loss and gradient
+# Online loss
 # ---------------------------------------------------------------------------
 
 def online_loss(gamma: AffinityMatrix, p: BiasVector, K: int, L: float) -> float:
@@ -248,12 +248,6 @@ def online_loss(gamma: AffinityMatrix, p: BiasVector, K: int, L: float) -> float
     """
     outcome = route_topk(gamma, p, K)
     return lagrangian(gamma, outcome.assignment, p, L).value
-
-
-def loss_gradient(gamma: AffinityMatrix, p: BiasVector, K: int, L: float) -> np.ndarray:
-    """Gradient of the per-round loss: loads minus the target load."""
-    outcome = route_topk(gamma, p, K)
-    return outcome.loads.counts.astype(np.float64) - L
 
 
 # ---------------------------------------------------------------------------

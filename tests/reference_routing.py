@@ -1,11 +1,11 @@
 """Slow reference for the routing kernel and the two iteration loops.
 
 These are the container-based implementations that ``alflb`` used before the
-raw-array ``topk`` kernel and the shared ``_iterate`` loop: every iteration
+raw-array ``topk`` kernel and the shared ``iterate`` loop: every iteration
 builds a validated ``Assignment``, ``LoadVector``, ``BiasVector`` and
 ``BalancerState``.  The routing, Lagrangian, switch-record and dual-update
-bodies are copied here as well, so the oracle tests compare the fast path
-against code that shares none of its helpers.
+bodies, and the balancer state, are copied here as well, so the oracle tests
+compare the fast path against code that shares none of its helpers.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from alflb.balancer import BalancerState, ScheduleKind, StepSchedule, project_zero_sum
+from alflb.balancer import ScheduleKind, StepSchedule, project_zero_sum
 from alflb.core import (
     AffinityMatrix,
     Assignment,
@@ -31,6 +31,13 @@ from alflb.deterministic import (
 )
 from alflb.errors import DimMismatch
 from alflb.router import RoutingOutcome, switching_set
+
+
+@dataclass(frozen=True)
+class BalancerState:
+    p: BiasVector
+    iteration: int = 1
+    zero_sum: bool = False
 
 
 def route_topk(gamma: AffinityMatrix, p: BiasVector, K: int) -> RoutingOutcome:

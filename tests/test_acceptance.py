@@ -8,18 +8,13 @@ import math
 import numpy as np
 import pytest
 
-from alflb.balancer import (
-    BalancerState,
-    ScheduleKind,
-    StepSchedule,
-    dual_update,
-    project_zero_sum,
-)
+from alflb.balancer import ScheduleKind, StepSchedule, project_zero_sum
 from alflb.core import BiasVector, RandomSource
 from alflb.deterministic import (
     check_balance_convergence,
     check_switch_direction,
     ip_bruteforce,
+    iterate,
     lagrangian,
     simulate_fixed_scores,
     stable_partition_preserved,
@@ -411,15 +406,14 @@ def test_criterion_10_ip_oracle():
         L = T // E
         u = 0.9 * ubar(gamma)
         sched = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, u)
-        state = BalancerState(p=BiasVector.zeros(E))
         budget = max(10 * T * E, math.ceil(2.0 / u))
         routed = None
-        for _ in range(budget):
-            out = route_topk(gamma, state.p, 1)
-            if np.all(out.loads.counts == L):
-                routed = float((gamma.values * out.assignment.selected).sum())
+        for _, _, _, chosen, loads, _ in itertools.islice(
+            iterate(gamma, sched), budget
+        ):
+            if np.all(loads == L):
+                routed = float(gamma.values[np.arange(T), chosen[:, 0]].sum())
                 break
-            state = dual_update(state, out.loads, L, sched)
         value, assignment = ip_bruteforce(gamma, L)
         oracle = _ip_enumeration_oracle(gamma.values, L)
         if routed is None or value < routed - 1e-12 or abs(value - oracle) > 1e-12:

@@ -1,24 +1,30 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alflb.balancer import (
-    BalancerState,
-    ScheduleKind,
-    StepSchedule,
-    diameter,
-    dual_update,
-    project_zero_sum,
-)
-from alflb.core import BiasVector, LoadVector, ProblemDims
-from alflb.errors import DimMismatch, InvalidRange
+from alflb.balancer import ScheduleKind, StepSchedule, project_zero_sum
+from alflb.core import AffinityMatrix, BiasVector, ProblemDims
+from alflb.deterministic import iterate
+from alflb.errors import InvalidRange
+from conftest import random_affinities
+
+SCHEDULE_U = {
+    ScheduleKind.DEEPSEEK_SIGN: 0.001,
+    ScheduleKind.INVERSE_N: 1.0,
+    ScheduleKind.INVERSE_SQRT_N: 0.02,
+    ScheduleKind.CONSTANT: 0.01,
+}
 
 
-def _loads(counts, K=1):
-    counts = np.asarray(counts)
-    T = int(counts.sum()) // K
-    return LoadVector(ProblemDims(T=T, E=len(counts), K=K), counts)
+def _biases_and_loads(gamma, sched, iterations, K=1, zero_sum=False):
+    """(n, p_n, loads_n) of the first ``iterations`` steps of ``iterate``."""
+    return [
+        (n, p, loads)
+        for n, p, _, _, loads, _ in islice(iterate(gamma, sched, K, zero_sum), iterations)
+    ]
 
 
 class TestStepSchedule:
@@ -38,7 +44,6 @@ class TestStepSchedule:
         sched = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 0.001)
         delta = sched.bias_delta(np.array([3, 1]), 2.0, n=1)
         np.testing.assert_array_equal(delta, [-0.001, 0.001])
-        assert not sched.homogeneous
 
     def test_sign_schedule_noop_at_target(self):
         sched = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 0.001)
@@ -71,44 +76,58 @@ class TestStepSchedule:
 
 
 class TestDualUpdate:
+    """The dual step that ``iterate`` takes between two routings."""
+
+    @pytest.mark.parametrize("zero_sum", [False, True], ids=["plain", "zero_sum"])
+    @pytest.mark.parametrize("kind", list(ScheduleKind), ids=lambda k: k.value)
+    def test_step_is_the_schedule_rule_bit_for_bit(self, kind, zero_sum):
+        # p_{n+1} = p_n + eps_n (L - A_n); under zero_sum, minus its mean
+        sched = StepSchedule(kind, SCHEDULE_U[kind])
+        for K in (1, 2):
+            gamma = random_affinities(24, 6, seed=4 + K, K=K)
+            steps = _biases_and_loads(gamma, sched, 40, K, zero_sum)
+            L = K * 24 / 6
+            for (n, p, loads), (_, p_next, _) in zip(steps, steps[1:]):
+                want = p + sched.bias_delta(loads, L, n)
+                if zero_sum:
+                    want = want - want.mean()
+                assert p_next.tobytes() == want.tobytes()
+
     def test_sign_update_is_exactly_plus_minus_u(self):
+        # at p = 0, tokens 0-3 pick expert 0, 4-5 expert 1, 6-8 expert 2
         u = 0.001
-        state = BalancerState(p=BiasVector.zeros(3))
-        loads = _loads([4, 2, 3])
-        new = dual_update(state, loads, 3.0, StepSchedule(ScheduleKind.DEEPSEEK_SIGN, u))
-        assert new.p.values.tolist() == [-u, u, 0.0]
-        assert new.iteration == 2
+        vals = np.full((9, 3), 0.1)
+        vals[:4, 0] = vals[4:6, 1] = vals[6:, 2] = 0.8
+        gamma = AffinityMatrix(ProblemDims(T=9, E=3, K=1), vals)
+        steps = _biases_and_loads(gamma, StepSchedule(ScheduleKind.DEEPSEEK_SIGN, u), 2)
+        assert steps[0][2].tolist() == [4, 2, 3]
+        assert steps[1][1].tolist() == [-u, u, 0.0]
+        assert steps[1][0] == 2
 
     def test_balanced_loads_are_a_fixed_point(self):
-        state = BalancerState(p=BiasVector(np.array([0.1, -0.1])))
-        loads = _loads([2, 2])
+        gamma = AffinityMatrix(
+            ProblemDims(T=2, E=2, K=1), np.array([[0.9, 0.1], [0.2, 0.8]])
+        )
         for kind in ScheduleKind:
-            new = dual_update(state, loads, 2.0, StepSchedule(kind, 0.5))
-            np.testing.assert_array_equal(new.p.values, state.p.values)
+            for zero_sum in (False, True):
+                steps = _biases_and_loads(gamma, StepSchedule(kind, 0.5), 5, 1, zero_sum)
+                for _, p, loads in steps:
+                    assert loads.tolist() == [1, 1]
+                    assert p.tolist() == [0.0, 0.0]
 
     def test_zero_sum_mode_projects_every_step(self):
-        state = BalancerState(p=BiasVector.zeros(4), zero_sum=True)
-        sched = StepSchedule(ScheduleKind.CONSTANT, 0.3)
-        rng = np.random.default_rng(0)
-        for _ in range(25):
-            counts = rng.multinomial(12, [0.25] * 4)
-            state = dual_update(state, _loads(counts), 3.0, sched)
-            assert abs(state.p.values.sum()) <= 1e-12
+        gamma = random_affinities(12, 4, seed=0)
+        for kind in ScheduleKind:
+            sched = StepSchedule(kind, SCHEDULE_U[kind])
+            for _, p, _ in _biases_and_loads(gamma, sched, 25, zero_sum=True):
+                assert abs(p.sum()) <= 1e-12
 
     def test_homogeneous_updates_preserve_zero_sum_without_projection(self):
         # the update is eps * (L - A) and sum(L - A) = 0 exactly
-        state = BalancerState(p=BiasVector.zeros(4))
+        gamma = random_affinities(12, 4, seed=1)
         sched = StepSchedule(ScheduleKind.INVERSE_SQRT_N, 0.7)
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            counts = rng.multinomial(12, [0.25] * 4)
-            state = dual_update(state, _loads(counts), 3.0, sched)
-        assert abs(state.p.values.sum()) <= 1e-9
-
-    def test_length_mismatch(self):
-        state = BalancerState(p=BiasVector.zeros(3))
-        with pytest.raises(DimMismatch):
-            dual_update(state, _loads([2, 2]), 2.0, StepSchedule(ScheduleKind.CONSTANT, 0.1))
+        for _, p, _ in _biases_and_loads(gamma, sched, 50):
+            assert abs(p.sum()) <= 1e-9
 
 
 class TestProjectionAndDiameter:
@@ -121,18 +140,6 @@ class TestProjectionAndDiameter:
         q = project_zero_sum(p)
         np.testing.assert_allclose(q.values, p.values, atol=1e-15)
 
-    def test_diameter(self):
-        assert diameter(BiasVector(np.array([-0.4, 0.0, 0.6]))) == pytest.approx(1.0)
-
-    def test_kappa_gate(self):
-        p = BiasVector(np.array([-0.3, 0.3]))
-        assert BalancerState(p=p).diameter_ok()
-        assert BalancerState(p=p, kappa=0.2).diameter_ok()
-        assert not BalancerState(p=p, kappa=0.5).diameter_ok()
-
-    def test_iteration_counter_validated(self):
-        with pytest.raises(InvalidRange):
-            BalancerState(p=BiasVector.zeros(2), iteration=0)
 
 
 @given(

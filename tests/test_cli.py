@@ -1,10 +1,9 @@
 import json
 
-import numpy as np
 import pytest
 
-from alflb.cli import load_config, main, report_imbalance, run
-from alflb.core import LoadVector, ProblemDims
+from alflb.cli import load_config, main, run
+from alflb.distributions import BetaScore, MixtureScore, UniformScore
 from alflb.errors import ParseError, ValidationError
 
 
@@ -81,17 +80,6 @@ class TestLoadConfig:
         reordered = {k: DET_CFG[k] for k in reversed(list(DET_CFG))}
         b = load_config(_write(tmp_path, "j.json", reordered))
         assert a.config_hash == b.config_hash
-
-
-class TestReportImbalance:
-    def test_balanced_is_zero(self):
-        loads = LoadVector(ProblemDims(T=8, E=4, K=1), np.array([2, 2, 2, 2]))
-        assert report_imbalance(loads, 2.0) == 0.0
-
-    def test_simple_deviation(self):
-        loads = LoadVector(ProblemDims(T=4, E=2, K=1), np.array([3, 1]))
-        assert report_imbalance(loads, 2.0) == pytest.approx(1.0)
-        assert report_imbalance(loads, 2.0, normalized=True) == pytest.approx(0.5)
 
 
 class TestRunDeterministic:
@@ -225,6 +213,57 @@ REGRET_CFG = {
     "T": 8,
     "K": 1,
 }
+UNIFORM = {"type": "uniform", "lo": 0.1, "hi": 0.9}
+MIXTURE = {
+    "type": "mixture",
+    "components": [
+        {"type": "uniform", "lo": 0.0, "hi": 0.5},
+        {"type": "beta", "a": 2.0, "b": 2.0},
+    ],
+    "weights": [0.25, 0.75],
+}
+
+
+def _first_distribution(spec):
+    """Config ``distributions`` with ``spec`` as expert 0."""
+    return {"distributions": [spec, UNIFORM]}
+
+
+class TestFromSpec:
+    """Distribution specs, parsed by ``load_config``."""
+
+    def _load(self, tmp_path, spec):
+        cfg = dict(MOMENT_CFG, **_first_distribution(spec))
+        return load_config(_write(tmp_path, "spec.json", cfg)).params["dist"].dists[0]
+
+    def test_beta_roundtrip(self, tmp_path):
+        d = self._load(tmp_path, {"type": "beta", "a": 2.0, "b": 3.0})
+        assert d == BetaScore(2.0, 3.0)
+
+    def test_uniform_roundtrip(self, tmp_path):
+        d = self._load(tmp_path, {"type": "uniform", "lo": 0.2, "hi": 0.9})
+        assert d == UniformScore(0.2, 0.9)
+
+    def test_mixture_roundtrip(self, tmp_path):
+        d = self._load(tmp_path, MIXTURE)
+        assert isinstance(d, MixtureScore)
+        assert d.components == (UniformScore(0.0, 0.5), BetaScore(2.0, 2.0))
+        assert d.weights == (0.25, 0.75)
+
+    def test_unknown_type_rejected(self, tmp_path):
+        with pytest.raises(ValidationError) as exc:
+            self._load(tmp_path, {"type": "gamma", "a": 1.0})
+        assert exc.value.field == "distributions.0.type"
+
+    def test_unknown_key_rejected(self, tmp_path):
+        with pytest.raises(ValidationError) as exc:
+            self._load(tmp_path, {"type": "beta", "a": 2.0, "b": 3.0, "scale": 2.0})
+        assert exc.value.field == "distributions.0.scale"
+
+    def test_missing_key_rejected(self, tmp_path):
+        with pytest.raises(ValidationError) as exc:
+            self._load(tmp_path, {"type": "uniform", "lo": 0.2})
+        assert exc.value.field == "distributions.0.hi"
 
 
 class TestConfigErrors:
@@ -246,10 +285,32 @@ class TestConfigErrors:
             (DET_CFG, {"dims": {"T": 16, "E": 1, "K": 1}}, "dims.E"),
             (DET_CFG, {"dims": {"T": 16, "E": 4, "K": 1, "L": 4}}, "dims.L"),
             (REGRET_CFG, {"kappa": 2.0}, "kappa"),
+            (MOMENT_CFG, _first_distribution({"type": "beta", "a": "2.5", "b": 3.0}),
+             "distributions.0.a"),
+            (MOMENT_CFG, _first_distribution({"type": "beta", "a": True, "b": 3.0}),
+             "distributions.0.a"),
+            (MOMENT_CFG, _first_distribution({"type": "uniform", "lo": False, "hi": 0.9}),
+             "distributions.0.lo"),
+            (MOMENT_CFG, _first_distribution(dict(MIXTURE, weights="1")),
+             "distributions.0.weights"),
+            (MOMENT_CFG, _first_distribution({"type": "beta", "a": "nan", "b": 3.0}),
+             "distributions.0.a"),
+            (MOMENT_CFG, _first_distribution({"type": "beta", "a": 1e400, "b": 3.0}),
+             "distributions.0.a"),
+            (MOMENT_CFG, _first_distribution(dict(MIXTURE, components="ab")),
+             "distributions.0.components"),
+            (MOMENT_CFG, _first_distribution(dict(MIXTURE, components=[1, 2])),
+             "distributions.0.components.0"),
+            (MOMENT_CFG, {"K": 2}, "K"),
+            (REGRET_CFG, {"K": 2}, "K"),
         ],
         ids=["negative_u", "string_iterations", "zero_instances", "bool_seed",
              "float_iterations", "beta_shape_below_one", "bias_length_mismatch",
-             "single_expert", "unknown_dims_key", "kappa_above_one"],
+             "single_expert", "unknown_dims_key", "kappa_above_one",
+             "string_beta_shape", "bool_beta_shape", "bool_uniform_bound",
+             "string_weights", "nan_string_beta_shape", "overflowing_beta_shape",
+             "string_components", "number_components", "moment_k_equals_e",
+             "regret_k_equals_e"],
     )
     def test_exit_two_names_field(self, tmp_path, capsys, base, changes, field):
         cfg_path = _write(tmp_path, "bad.json", dict(base, **changes))
@@ -263,6 +324,11 @@ class TestConfigErrors:
         assert status == 2
         assert f"config error: {field}:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_hessian_k_equals_e_stays_valid(self, tmp_path):
+        cfg = dict(MOMENT_CFG, kind="hessian_check", K=2)
+        del cfg["T"], cfg["replicas"]
+        assert load_config(_write(tmp_path, "h.json", cfg)).params["K"] == 2
 
     def test_valid_config_hash_unchanged(self, tmp_path):
         # sha256 of the canonical JSON of DET_CFG, as every release computed it

@@ -21,7 +21,6 @@ from alflb.deterministic import (
     lagrangian,
     simulate_fixed_scores,
     stable_partition_preserved,
-    switching_benefit,
     trace_to_csv,
     ubar,
 )
@@ -78,20 +77,21 @@ class TestLagrangian:
 
 class TestSwitchingBenefit:
     def test_no_switch_no_records(self):
-        out = route_topk(TWO_TOKEN, BiasVector.zeros(2), 1)
-        records = switching_benefit(
-            TWO_TOKEN, out, out, BiasVector.zeros(2), BiasVector.zeros(2)
+        # a step of 0.01 moves neither token off expert 0
+        trace = simulate_fixed_scores(
+            TWO_TOKEN, StepSchedule(ScheduleKind.CONSTANT, 0.01), 2
         )
-        assert records == []
+        assert trace.steps[1].switches == ()
 
     def test_constructed_switch_matches_hand_formula(self):
-        p_prev = BiasVector.zeros(2)
-        p_next = BiasVector(np.array([-0.65, 0.0]))
-        prev = route_topk(TWO_TOKEN, p_prev, 1)
-        nxt = route_topk(TWO_TOKEN, p_next, 1)
-        (rec,) = switching_benefit(TWO_TOKEN, prev, nxt, p_next, p_prev)
+        # both tokens pick expert 0 at p = 0, so p_2 = 0.325 * (1 - [2, 0])
+        trace = simulate_fixed_scores(
+            TWO_TOKEN, StepSchedule(ScheduleKind.CONSTANT, 0.325), 2
+        )
+        assert trace.steps[1].p.tolist() == [-0.325, 0.325]
+        (rec,) = trace.steps[1].switches
         assert rec.token == 1 and rec.from_expert == 0 and rec.to_expert == 1
-        # benefit under new biases: (0.2 + 0) - (0.8 - 0.65)
+        # benefit under new biases: (0.2 + 0.325) - (0.8 - 0.325)
         assert rec.benefit == pytest.approx(0.05, abs=1e-15)
         # prior gap under old biases: 0.2 - 0.8
         assert rec.score_gap_prev == pytest.approx(-0.6, abs=1e-15)

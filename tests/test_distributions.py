@@ -7,11 +7,10 @@ from alflb.distributions import (
     BetaScore,
     MixtureScore,
     UniformScore,
-    from_spec,
     identical,
     sample_affinities,
 )
-from alflb.errors import InvalidRange, ValidationError
+from alflb.errors import InvalidRange
 
 
 class TestComponents:
@@ -66,10 +65,6 @@ class TestDistributionSet:
         with pytest.raises(InvalidRange):
             AffinityDistributionSet((BetaScore(2.0, 2.0),))
 
-    def test_density_bound_covers_components(self):
-        ds = AffinityDistributionSet((UniformScore(0.4, 0.6), BetaScore(1.0, 1.0)))
-        assert ds.density_bound == pytest.approx(5.0)
-
     def test_identical_helper(self):
         ds = identical(BetaScore(2.0, 2.0), 4)
         assert ds.E == 4
@@ -112,38 +107,3 @@ class TestSampling:
         assert 0.45 < lo < 0.55
         assert not np.any((x > 0.3) & (x < 0.7))
 
-
-class TestFromSpec:
-    def test_beta_roundtrip(self):
-        d = from_spec({"type": "beta", "a": 2.0, "b": 3.0})
-        assert d == BetaScore(2.0, 3.0)
-
-    def test_uniform_roundtrip(self):
-        d = from_spec({"type": "uniform", "lo": 0.2, "hi": 0.9})
-        assert d == UniformScore(0.2, 0.9)
-
-    def test_mixture_roundtrip(self):
-        d = from_spec({
-            "type": "mixture",
-            "components": [
-                {"type": "uniform", "lo": 0.0, "hi": 0.5},
-                {"type": "beta", "a": 2.0, "b": 2.0},
-            ],
-            "weights": [0.25, 0.75],
-        })
-        assert isinstance(d, MixtureScore)
-        assert d.weights == (0.25, 0.75)
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(ValidationError):
-            from_spec({"type": "gamma", "a": 1.0})
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ValidationError) as exc:
-            from_spec({"type": "beta", "a": 2.0, "b": 3.0, "scale": 2.0})
-        assert exc.value.field == "scale"
-
-    def test_missing_key_rejected(self):
-        with pytest.raises(ValidationError) as exc:
-            from_spec({"type": "uniform", "lo": 0.2})
-        assert exc.value.field == "hi"

@@ -19,7 +19,6 @@ from alflb.stochastic import (
     edge_weights_quadrature,
     expected_loss,
     expected_loss_minimizer,
-    loss_gradient,
     online_loss,
     pi_monte_carlo,
     pi_quadrature,
@@ -59,30 +58,6 @@ class TestOnlineLoss:
         for c in (0.4, -2.0):
             val = online_loss(gamma, BiasVector(np.full(4, c)), 2, L)
             assert val == pytest.approx(base, abs=1e-9)
-
-
-class TestLossGradient:
-    def test_balanced_gives_zero(self):
-        gamma = AffinityMatrix(
-            ProblemDims(T=2, E=2, K=1), np.array([[0.9, 0.1], [0.2, 0.8]])
-        )
-        g = loss_gradient(gamma, BiasVector.zeros(2), 1, 1.0)
-        np.testing.assert_array_equal(g, [0.0, 0.0])
-
-    def test_all_on_expert_zero(self):
-        T, E = 8, 4
-        vals = np.full((T, E), 0.1)
-        vals[:, 0] = 0.7
-        gamma = AffinityMatrix(ProblemDims(T=T, E=E, K=1), vals)
-        g = loss_gradient(gamma, BiasVector.zeros(E), 1, 2.0)
-        np.testing.assert_array_equal(g, [T - 2.0, -2.0, -2.0, -2.0])
-
-    def test_components_sum_to_zero(self):
-        for seed in range(20):
-            gamma = random_affinities(24, 6, seed=seed, K=2)
-            p = BiasVector(np.random.default_rng(seed).uniform(-0.1, 0.1, 6))
-            g = loss_gradient(gamma, p, 2, 2 * 24 / 6)
-            assert abs(g.sum()) <= 1e-9
 
 
 class TestPiQuadrature:
