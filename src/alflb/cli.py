@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +26,9 @@ from . import __version__
 from .balancer import ScheduleKind, StepSchedule
 from .core import BiasVector, ProblemDims, RandomSource
 from .deterministic import (
+    audit_trace,
     check_balance_convergence,
-    check_lagrangian_identity,
-    check_switch_direction,
+    iterate,
     simulate_fixed_scores,
     trace_to_csv,
     ubar,
@@ -40,7 +41,7 @@ from .stochastic import (
     check_kappa,
     edge_weights_quadrature,
     expected_loss_minimizer,
-    pi_quadrature,
+    hessian_fd_errors,
     regret_experiment,
     strong_convexity_estimate,
 )
@@ -268,12 +269,12 @@ def load_config(path) -> ExperimentConfig:
     elif kind in ("moment_check", "hessian_check", "regret_sweep"):
         params["dist"] = _parse_distributions(_need(raw, "distributions"))
         E = params["dist"].E
-        # With K = E every expert is selected and every gradient is 0, which
-        # leaves the moment z-scores and the strong-convexity estimate 0/0.
-        K_max = E if kind == "hessian_check" else E - 1
+        # With K = E every expert is selected: every gradient is 0 and pi is
+        # 1 whatever the bias, so the moment z-scores, the strong-convexity
+        # estimate and the Hessian check are all 0/0.
         params["K"] = _integer(_need(raw, "K"), "K")
-        if params["K"] > K_max:
-            raise ValidationError("K", f"must be <= {K_max} for {E} distributions")
+        if params["K"] >= E:
+            raise ValidationError("K", f"must be <= {E - 1} for {E} distributions")
         if kind == "moment_check":
             params["T"] = _integer(_need(raw, "T"), "T")
             params["replicas"] = _integer(
@@ -306,14 +307,6 @@ def load_config(path) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# Metrics
-# ---------------------------------------------------------------------------
-
-def _imbalance_from_counts(counts: np.ndarray, L: float) -> float:
-    return float(np.abs(counts - L).mean())
-
-
-# ---------------------------------------------------------------------------
 # Experiment handlers: each returns (verdicts, summary_extra) and writes CSVs
 # ---------------------------------------------------------------------------
 
@@ -334,25 +327,13 @@ def _run_deterministic(cfg: ExperimentConfig, out: Path):
     trace_to_csv(trace, out / "trace.csv")
     verdicts, extra = {}, {}
     if dims.K == 1:
-        residuals = check_lagrangian_identity(trace)
-        lag_scale = np.array(
-            [1.0 + abs(s.lagrangian.value) for s in trace.steps[:-1]]
-        )
-        verdicts["theorem1"] = bool(np.all(residuals <= 1e-9 * lag_scale))
+        audit = audit_trace(trace)
+        residuals = audit.identity_residual
+        verdicts["theorem1"] = bool(np.all(residuals <= 1e-9 * audit.identity_scale))
         extra["max_identity_residual"] = float(residuals.max()) if len(residuals) else 0.0
         if sched.kind is ScheduleKind.DEEPSEEK_SIGN:
-            violations = 0
-            audited = 0
-            for m in range(len(trace.steps) - 1):
-                a, b = trace.steps[m], trace.steps[m + 1]
-                if a.tie_flag or b.tie_flag:
-                    continue
-                for chk in check_switch_direction(b.switches, a.designations, sched.u):
-                    audited += 1
-                    if not chk.ok:
-                        violations += 1
-            verdicts["theorem2"] = violations == 0
-            extra["switches_audited"] = audited
+            verdicts["theorem2"] = audit.switch_violations == 0
+            extra["switches_audited"] = audit.switches_audited
     return verdicts, extra
 
 
@@ -438,20 +419,11 @@ def _run_hessian(cfg: ExperimentConfig, out: Path):
     dist: AffinityDistributionSet = cfg.params["dist"]
     K = cfg.params["K"]
     p = BiasVector(cfg.params["bias"])
-    h = cfg.params["fd_step"]
     rng = RandomSource(cfg.seed, stream=3).generator()
     weights = edge_weights_quadrature(dist, p, K)
-    rel_errors = []
-    for _ in range(cfg.params["directions"]):
-        delta = rng.standard_normal(dist.E)
-        delta -= delta.mean()
-        delta /= np.linalg.norm(delta)
-        quad_form = weights.quadratic_form(delta)
-        dplus = pi_quadrature(dist, BiasVector(p.values + h * delta), K).pi
-        dminus = pi_quadrature(dist, BiasVector(p.values - h * delta), K).pi
-        fd = float(delta @ (dplus - dminus)) / (2.0 * h)
-        rel_errors.append(abs(quad_form - fd) / max(abs(fd), 1e-12))
-    rel_errors = np.array(rel_errors)
+    rel_errors = hessian_fd_errors(
+        dist, p, K, weights, rng, cfg.params["directions"], cfg.params["fd_step"]
+    )
     with open(out / "hessian.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["direction", "relative_error"])
@@ -514,26 +486,23 @@ def _run_schedule_compare(cfg: ExperimentConfig, out: Path):
     gamma = _seeded_affinities(dims, cfg.seed)
     L = dims.target_load
     kinds = [ScheduleKind.DEEPSEEK_SIGN, ScheduleKind.INVERSE_N, ScheduleKind.INVERSE_SQRT_N]
-    traces = {
-        k.value: simulate_fixed_scores(
-            gamma, StepSchedule(kind=k, u=cfg.params["u"]),
-            cfg.params["iterations"], K=dims.K,
-        )
-        for k in kinds
-    }
+    loads = {}
+    for k in kinds:
+        steps = iterate(gamma, StepSchedule(kind=k, u=cfg.params["u"]), dims.K)
+        loads[k.value] = [a for _, _, _, _, a, _ in islice(steps, cfg.params["iterations"])]
     with open(out / "schedule_compare.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         header = ["n"]
-        for name in traces:
+        for name in loads:
             header += [f"imbalance_{name}", f"imbalance_norm_{name}"]
         writer.writerow(header)
         for i in range(cfg.params["iterations"]):
             row = [i + 1]
-            for name, trace in traces.items():
-                dev = _imbalance_from_counts(trace.steps[i].loads, L)
+            for counts in loads.values():
+                dev = float(np.abs(counts[i] - L).mean())
                 row += [f"{dev:.17g}", f"{dev / L:.17g}"]
             writer.writerow(row)
-    return {}, {"schedules": list(traces)}
+    return {}, {"schedules": list(loads)}
 
 
 _HANDLERS = {

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -38,43 +38,31 @@ class LagrangianValue:
     bias_penalty_term: float
 
 
-@dataclass(frozen=True)
-class SwitchRecord:
-    token: int
-    from_expert: int
-    to_expert: int
-    benefit: float          # shifted-score gain under the *new* biases
-    score_gap_prev: float   # new-minus-old shifted score under the *old* biases
-
-
 # Per-expert designation relative to the target load.
 OVERLOADED, BALANCED, UNDERLOADED = 1, 0, -1
 
 
 @dataclass(frozen=True)
-class IterationStep:
-    """State of the routing iteration n (1-based).
+class IterationTrace:
+    """A fixed-score run as one read-only table, O(N*E + switches) numbers.
 
-    A step stores the per-expert loads, not the routing outcome, so a trace
-    holds O(E) numbers per iteration whatever the token count.
+    Row m is iteration n = m + 1: biases ``p`` and ``loads`` (N, E), the
+    Lagrangian value and whether any token had a boundary tie (N,).
+    ``switches`` has one row (row, token, from, to) per token whose expert
+    changed from row - 1 to row (K=1 only, in token order); ``benefit`` is its
+    shifted-score gain under the new biases, ``gap_prev`` under the old ones.
     """
 
-    n: int
-    p: np.ndarray
-    loads: np.ndarray             # A_k per expert, length E
-    lagrangian: LagrangianValue
-    designations: np.ndarray      # sign(A_k - L) per expert
-    tie_flag: bool
-    switches: tuple[SwitchRecord, ...]  # transitions from step n-1 to n
-
-
-@dataclass
-class IterationTrace:
-    gamma: AffinityMatrix
     K: int
     L: float
     schedule: StepSchedule
-    steps: list[IterationStep] = field(default_factory=list)
+    p: np.ndarray
+    loads: np.ndarray
+    lagrangian: np.ndarray
+    tie: np.ndarray
+    switches: np.ndarray
+    benefit: np.ndarray
+    gap_prev: np.ndarray
 
 
 def lagrangian(
@@ -101,36 +89,6 @@ def _lagrangian(
         affinity_term=affinity_term,
         bias_penalty_term=bias_penalty_term,
     )
-
-
-def _switch_records(
-    g: np.ndarray,
-    a_prev: np.ndarray,
-    a_next: np.ndarray,
-    p_next: np.ndarray,
-    p_prev: np.ndarray,
-) -> list[SwitchRecord]:
-    """One record per token whose assigned expert changed from ``a_prev`` to
-    ``a_next`` (K=1 mode).
-
-    The benefit uses the iteration-(n+1) biases; the prior score gap uses the
-    iteration-n biases (needed for the switching-bound audit).
-    """
-    records = []
-    for i in np.flatnonzero(a_prev != a_next):
-        old, new = int(a_prev[i]), int(a_next[i])
-        benefit = (g[i, new] + p_next[new]) - (g[i, old] + p_next[old])
-        gap_prev = (g[i, new] + p_prev[new]) - (g[i, old] + p_prev[old])
-        records.append(
-            SwitchRecord(
-                token=int(i),
-                from_expert=old,
-                to_expert=new,
-                benefit=float(benefit),
-                score_gap_prev=float(gap_prev),
-            )
-        )
-    return records
 
 
 def designations(loads: np.ndarray, L: float) -> np.ndarray:
@@ -180,94 +138,101 @@ def simulate_fixed_scores(
 ) -> IterationTrace:
     """Run the primal-dual iteration from p = 0 on frozen affinities.
 
-    Switch records are only computed for K=1; for K > 1 the trace still
-    carries loads / Lagrangians but the switching fields stay empty.
+    Switches are only recorded for K=1; for K > 1 the switch table is empty.
     """
     if iterations < 1:
         raise InvalidRange("need at least one iteration")
     g = gamma.values
     T, E = g.shape
     L = ProblemDims(T=T, E=E, K=K).target_load
-    trace = IterationTrace(gamma=gamma, K=K, L=L, schedule=schedule)
+    p_rows = np.empty((iterations, E))
+    load_rows = np.empty((iterations, E), dtype=np.int64)
+    lag = np.empty(iterations)
+    tie = np.empty(iterations, dtype=bool)
+    switched = [(np.empty((0, 4), dtype=np.int64), np.empty(0), np.empty(0))]
 
     rows = np.arange(T)[:, None]
-    prev = None
+    a_prev = p_prev = None
     for n, p, shifted, chosen, loads, row_tie in islice(
         iterate(gamma, schedule, K, zero_sum), iterations
     ):
-        switches = ()
-        if prev is not None and K == 1:
-            a_prev, p_prev = prev
-            switches = tuple(_switch_records(g, a_prev, chosen[:, 0], p, p_prev))
+        m = n - 1
+        if a_prev is not None and K == 1:
+            a_next = chosen[:, 0]
+            i = np.flatnonzero(a_prev != a_next)
+            old, new = a_prev[i], a_next[i]
+            switched.append((
+                np.column_stack((np.full(i.size, m), i, old, new)),
+                (g[i, new] + p[new]) - (g[i, old] + p[old]),
+                (g[i, new] + p_prev[new]) - (g[i, old] + p_prev[old]),
+            ))
         sel = np.zeros((T, E))
         sel[rows, chosen] = 1.0
-        desig = designations(loads, L)
-        desig.flags.writeable = False
-        trace.steps.append(
-            IterationStep(
-                n=n,
-                p=p,
-                loads=loads,
-                lagrangian=_lagrangian(shifted, sel, p, L),
-                designations=desig,
-                tie_flag=bool(row_tie.any()),
-                switches=switches,
-            )
-        )
-        prev = (chosen[:, 0], p)
-    return trace
+        p_rows[m], load_rows[m], tie[m] = p, loads, row_tie.any()
+        lag[m] = _lagrangian(shifted, sel, p, L).value
+        a_prev, p_prev = chosen[:, 0], p
+
+    columns = (p_rows, load_rows, lag, tie, *(np.concatenate(c) for c in zip(*switched)))
+    for c in columns:
+        c.flags.writeable = False
+    return IterationTrace(K, L, schedule, *columns)
 
 
-def check_lagrangian_identity(trace: IterationTrace) -> np.ndarray:
-    """Identity residual per transition of a K=1 trace."""
-    if trace.K != 1:
-        raise KNotOne("identity check requires K=1")
-    steps = trace.steps
-    out = np.empty(max(len(steps) - 1, 0))
-    for m in range(len(steps) - 1):
-        d_lag = steps[m + 1].lagrangian.value - steps[m].lagrangian.value
-        total_benefit = sum(r.benefit for r in steps[m + 1].switches)
-        penalty = trace.schedule.quadratic_penalty(
-            steps[m].loads, trace.L, steps[m].n
-        )
-        out[m] = abs(d_lag - (total_benefit - penalty))
-    return out
+def _row_benefits(trace: IterationTrace) -> np.ndarray:
+    """Sum of the switch benefits into each row, added in token order."""
+    total = np.zeros(len(trace.lagrangian))
+    np.add.at(total, trace.switches[:, 0], trace.benefit)
+    return total
 
 
 @dataclass(frozen=True)
-class SwitchCheck:
-    record: SwitchRecord
-    direction_ok: bool   # strictly lower designation: over > balanced > under
-    benefit_ok: bool     # 0 < b < 2u
-    gap_ok: bool         # -2u < prior score gap < 0
+class TraceAudit:
+    """Per transition m -> m+1: the theorem-1 residual and its scale
+    1 + |L_m|; over the tie-free transitions of a sign-schedule trace (0 and
+    0 otherwise): the switches audited and those that break theorem 2."""
 
-    @property
-    def ok(self) -> bool:
-        return self.direction_ok and self.benefit_ok and self.gap_ok
+    identity_residual: np.ndarray
+    identity_scale: np.ndarray
+    switches_audited: int
+    switch_violations: int
 
 
-def check_switch_direction(
-    records: list[SwitchRecord] | tuple[SwitchRecord, ...],
-    designations_at_n: np.ndarray,
-    u: float,
-) -> list[SwitchCheck]:
-    """Audit sign-schedule switches against the direction / bound guarantees.
+def audit_trace(trace: IterationTrace) -> TraceAudit:
+    """Audit every transition of a K=1 trace.
 
-    Valid only on transitions where neither iteration had a boundary tie.
+    Theorem 1: the Lagrangian changes by exactly the switch benefits minus
+    the schedule's quadratic penalty.  Theorem 2: a token only moves to an
+    expert of strictly lower designation at the earlier row, with benefit in
+    (0, 2u) and earlier score gap in (-2u, 0).
     """
-    checks = []
-    for r in records:
-        d_from = int(designations_at_n[r.from_expert])
-        d_to = int(designations_at_n[r.to_expert])
-        checks.append(
-            SwitchCheck(
-                record=r,
-                direction_ok=d_to < d_from,
-                benefit_ok=0.0 < r.benefit < 2.0 * u,
-                gap_ok=-2.0 * u < r.score_gap_prev < 0.0,
-            )
+    if trace.K != 1:
+        raise KNotOne("trace audit requires K=1")
+    row, _, frm, to = trace.switches.T
+    penalty = np.array([
+        trace.schedule.quadratic_penalty(loads, trace.L, m + 1)
+        for m, loads in enumerate(trace.loads[:-1])
+    ])
+    residual = np.abs(np.diff(trace.lagrangian) - (_row_benefits(trace)[1:] - penalty))
+
+    audited = violations = 0
+    if trace.schedule.kind is ScheduleKind.DEEPSEEK_SIGN:
+        u = trace.schedule.u
+        desig = designations(trace.loads, trace.L)
+        b, gap = trace.benefit, trace.gap_prev
+        ok = (
+            (desig[row - 1, to] < desig[row - 1, frm])
+            & (0.0 < b) & (b < 2.0 * u)
+            & (-2.0 * u < gap) & (gap < 0.0)
         )
-    return checks
+        keep = ~(trace.tie[row - 1] | trace.tie[row])
+        audited = int(keep.sum())
+        violations = int((keep & ~ok).sum())
+    return TraceAudit(
+        identity_residual=residual,
+        identity_scale=1.0 + np.abs(trace.lagrangian[:-1]),
+        switches_audited=audited,
+        switch_violations=violations,
+    )
 
 
 def stable_partition_preserved(
@@ -416,6 +381,8 @@ def trace_to_csv(trace: IterationTrace, path) -> None:
     """One CSV row per iteration: n, lagrangian, sum_benefit,
     sum_abs_imbalance, num_switches, max_load, min_load, tie_flag.
     """
+    total_benefit = _row_benefits(trace)
+    num_switches = np.bincount(trace.switches[:, 0], minlength=len(total_benefit))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -430,17 +397,16 @@ def trace_to_csv(trace: IterationTrace, path) -> None:
                 "tie_flag",
             ]
         )
-        for step in trace.steps:
-            loads = step.loads
+        for m, loads in enumerate(trace.loads):
             writer.writerow(
                 [
-                    step.n,
-                    f"{step.lagrangian.value:.17g}",
-                    f"{sum(r.benefit for r in step.switches):.17g}",
+                    m + 1,
+                    f"{trace.lagrangian[m]:.17g}",
+                    f"{total_benefit[m]:.17g}",
                     f"{float(np.abs(loads - trace.L).sum()):.17g}",
-                    len(step.switches),
+                    num_switches[m],
                     int(loads.max()),
                     int(loads.min()),
-                    int(step.tie_flag),
+                    int(trace.tie[m]),
                 ]
             )

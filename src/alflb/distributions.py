@@ -150,7 +150,9 @@ class AffinityDistributionSet:
             lo, hi = d.support
             if lo < 0.0 or hi > 1.0:
                 raise InvalidRange(f"expert {k}: support outside (0, 1)")
-            if abs(float(d.cdf(0.0))) > 1e-12 or abs(float(d.cdf(1.0)) - 1.0) > 1e-12:
+            # Compared as ``<= tol`` so that a NaN fails the check.
+            ends = np.abs([float(d.cdf(0.0)), float(d.cdf(1.0)) - 1.0])
+            if not np.all(ends <= 1e-12):
                 raise InvalidRange(f"expert {k}: cdf endpoints not 0 / 1")
             if np.any(d.pdf(grid) < 0.0):
                 raise InvalidRange(f"expert {k}: negative pdf")
@@ -158,7 +160,7 @@ class AffinityDistributionSet:
                 lambda x: float(d.pdf(x)), 0.0, 1.0,
                 points=sorted(set(d.breakpoints())), limit=200,
             )
-            if abs(mass - 1.0) > PDF_NORMALIZATION_TOL:
+            if not abs(mass - 1.0) <= PDF_NORMALIZATION_TOL:
                 raise InvalidRange(f"expert {k}: pdf mass {mass} != 1")
 
     @property

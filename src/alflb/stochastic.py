@@ -396,6 +396,26 @@ def edge_weights_quadrature(
     return EdgeWeights(w)
 
 
+def hessian_fd_errors(
+    dist: AffinityDistributionSet, p: BiasVector, K: int, weights: EdgeWeights,
+    rng: np.random.Generator, directions: int, h: float,
+) -> np.ndarray:
+    """|q - fd| / max(|fd|, 1e-12) of the Hessian quadratic form q against a
+    central difference fd of pi, along ``directions`` zero-sum unit directions
+    (each one standard-normal draw of length E, centered and normalized)."""
+    errors = np.empty(directions)
+    for i in range(directions):
+        delta = rng.standard_normal(dist.E)
+        delta -= delta.mean()
+        delta /= np.linalg.norm(delta)
+        quad_form = weights.quadratic_form(delta)
+        plus = pi_quadrature(dist, BiasVector(p.values + h * delta), K).pi
+        minus = pi_quadrature(dist, BiasVector(p.values - h * delta), K).pi
+        fd = float(delta @ (plus - minus)) / (2.0 * h)
+        errors[i] = abs(quad_form - fd) / max(abs(fd), 1e-12)
+    return errors
+
+
 @dataclass(frozen=True)
 class StrongConvexityEstimate:
     c_hat: float       # grid minimum of min_{k<l} w_kl (upper bound on the inf)

@@ -1,11 +1,15 @@
-"""Slow reference for the routing kernel and the two iteration loops.
+"""Slow reference for the routing kernel, the two iteration loops and the
+trace audit.
 
 These are the container-based implementations that ``alflb`` used before the
 raw-array ``topk`` kernel and the shared ``iterate`` loop: every iteration
 builds a validated ``Assignment``, ``LoadVector``, ``BiasVector`` and
 ``BalancerState``.  The routing, Lagrangian, switch-record and dual-update
 bodies, and the balancer state, are copied here as well, so the oracle tests
-compare the fast path against code that shares none of its helpers.
+compare the fast path against code that shares none of its helpers.  The
+per-step identity check, switch-direction check and tie-skipping switch audit
+are the ones that walked the per-step traces before ``audit_trace`` read the
+trace table.
 """
 
 from __future__ import annotations
@@ -26,11 +30,19 @@ from alflb.core import (
 from alflb.deterministic import (
     BalanceConvergenceReport,
     LagrangianValue,
-    SwitchRecord,
     designations,
 )
-from alflb.errors import DimMismatch
+from alflb.errors import DimMismatch, KNotOne
 from alflb.router import RoutingOutcome, switching_set
+
+
+@dataclass(frozen=True)
+class SwitchRecord:
+    token: int
+    from_expert: int
+    to_expert: int
+    benefit: float          # shifted-score gain under the *new* biases
+    score_gap_prev: float   # new-minus-old shifted score under the *old* biases
 
 
 @dataclass(frozen=True)
@@ -141,7 +153,9 @@ class ReferenceStep:
 
 @dataclass
 class ReferenceTrace:
+    K: int
     L: float
+    schedule: StepSchedule
     steps: list[ReferenceStep] = field(default_factory=list)
 
 
@@ -155,7 +169,7 @@ def simulate_fixed_scores(
     T, E = gamma.values.shape
     dims = ProblemDims(T=T, E=E, K=K)
     L = dims.target_load
-    trace = ReferenceTrace(L=L)
+    trace = ReferenceTrace(K=K, L=L, schedule=schedule)
 
     state = BalancerState(p=BiasVector.zeros(E), iteration=1, zero_sum=zero_sum)
     prev_outcome: RoutingOutcome | None = None
@@ -183,6 +197,73 @@ def simulate_fixed_scores(
         prev_outcome, prev_p = outcome, state.p
         state = dual_update(state, outcome.loads, L, schedule)
     return trace
+
+
+def check_lagrangian_identity(trace: ReferenceTrace) -> np.ndarray:
+    """Identity residual per transition of a K=1 trace."""
+    if trace.K != 1:
+        raise KNotOne("identity check requires K=1")
+    steps = trace.steps
+    out = np.empty(max(len(steps) - 1, 0))
+    for m in range(len(steps) - 1):
+        d_lag = steps[m + 1].lagrangian.value - steps[m].lagrangian.value
+        total_benefit = sum(r.benefit for r in steps[m + 1].switches)
+        penalty = trace.schedule.quadratic_penalty(
+            steps[m].loads, trace.L, steps[m].n
+        )
+        out[m] = abs(d_lag - (total_benefit - penalty))
+    return out
+
+
+@dataclass(frozen=True)
+class SwitchCheck:
+    record: SwitchRecord
+    direction_ok: bool   # strictly lower designation: over > balanced > under
+    benefit_ok: bool     # 0 < b < 2u
+    gap_ok: bool         # -2u < prior score gap < 0
+
+    @property
+    def ok(self) -> bool:
+        return self.direction_ok and self.benefit_ok and self.gap_ok
+
+
+def check_switch_direction(
+    records: list[SwitchRecord] | tuple[SwitchRecord, ...],
+    designations_at_n: np.ndarray,
+    u: float,
+) -> list[SwitchCheck]:
+    """Audit sign-schedule switches against the direction / bound guarantees.
+
+    Valid only on transitions where neither iteration had a boundary tie.
+    """
+    checks = []
+    for r in records:
+        d_from = int(designations_at_n[r.from_expert])
+        d_to = int(designations_at_n[r.to_expert])
+        checks.append(
+            SwitchCheck(
+                record=r,
+                direction_ok=d_to < d_from,
+                benefit_ok=0.0 < r.benefit < 2.0 * u,
+                gap_ok=-2.0 * u < r.score_gap_prev < 0.0,
+            )
+        )
+    return checks
+
+
+def audit_switches(trace: ReferenceTrace, u: float) -> tuple[int, int]:
+    """(switches audited, violations) over the tie-free transitions."""
+    violations = 0
+    audited = 0
+    for m in range(len(trace.steps) - 1):
+        a, b = trace.steps[m], trace.steps[m + 1]
+        if a.tie_flag or b.tie_flag:
+            continue
+        for chk in check_switch_direction(b.switches, a.designations, u):
+            audited += 1
+            if not chk.ok:
+                violations += 1
+    return audited, violations
 
 
 def check_balance_convergence(

@@ -213,6 +213,13 @@ REGRET_CFG = {
     "T": 8,
     "K": 1,
 }
+HESSIAN_CFG = {
+    "kind": "hessian_check",
+    "seed": 3,
+    "distributions": MOMENT_CFG["distributions"],
+    "K": 1,
+    "directions": 2,
+}
 UNIFORM = {"type": "uniform", "lo": 0.1, "hi": 0.9}
 MIXTURE = {
     "type": "mixture",
@@ -303,6 +310,10 @@ class TestConfigErrors:
              "distributions.0.components.0"),
             (MOMENT_CFG, {"K": 2}, "K"),
             (REGRET_CFG, {"K": 2}, "K"),
+            # K = E: every pi is 1 and the finite difference is rounding noise
+            (HESSIAN_CFG, {"K": 2}, "K"),
+            (MOMENT_CFG, _first_distribution({"type": "uniform", "lo": 0.0, "hi": 5e-324}),
+             "distributions"),
         ],
         ids=["negative_u", "string_iterations", "zero_instances", "bool_seed",
              "float_iterations", "beta_shape_below_one", "bias_length_mismatch",
@@ -310,7 +321,7 @@ class TestConfigErrors:
              "string_beta_shape", "bool_beta_shape", "bool_uniform_bound",
              "string_weights", "nan_string_beta_shape", "overflowing_beta_shape",
              "string_components", "number_components", "moment_k_equals_e",
-             "regret_k_equals_e"],
+             "regret_k_equals_e", "hessian_k_equals_e", "nan_pdf_mass"],
     )
     def test_exit_two_names_field(self, tmp_path, capsys, base, changes, field):
         cfg_path = _write(tmp_path, "bad.json", dict(base, **changes))
@@ -324,11 +335,6 @@ class TestConfigErrors:
         assert status == 2
         assert f"config error: {field}:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
-
-    def test_hessian_k_equals_e_stays_valid(self, tmp_path):
-        cfg = dict(MOMENT_CFG, kind="hessian_check", K=2)
-        del cfg["T"], cfg["replicas"]
-        assert load_config(_write(tmp_path, "h.json", cfg)).params["K"] == 2
 
     def test_valid_config_hash_unchanged(self, tmp_path):
         # sha256 of the canonical JSON of DET_CFG, as every release computed it

@@ -12,10 +12,9 @@ from alflb.deterministic import (
     BALANCED,
     OVERLOADED,
     UNDERLOADED,
-    SwitchRecord,
+    IterationTrace,
+    audit_trace,
     check_balance_convergence,
-    check_lagrangian_identity,
-    check_switch_direction,
     designations,
     ip_bruteforce,
     lagrangian,
@@ -81,20 +80,21 @@ class TestSwitchingBenefit:
         trace = simulate_fixed_scores(
             TWO_TOKEN, StepSchedule(ScheduleKind.CONSTANT, 0.01), 2
         )
-        assert trace.steps[1].switches == ()
+        assert trace.switches.shape == (0, 4)
+        assert trace.benefit.size == trace.gap_prev.size == 0
 
     def test_constructed_switch_matches_hand_formula(self):
         # both tokens pick expert 0 at p = 0, so p_2 = 0.325 * (1 - [2, 0])
         trace = simulate_fixed_scores(
             TWO_TOKEN, StepSchedule(ScheduleKind.CONSTANT, 0.325), 2
         )
-        assert trace.steps[1].p.tolist() == [-0.325, 0.325]
-        (rec,) = trace.steps[1].switches
-        assert rec.token == 1 and rec.from_expert == 0 and rec.to_expert == 1
+        assert trace.p[1].tolist() == [-0.325, 0.325]
+        # row 1, token 1, from expert 0 to expert 1
+        assert trace.switches.tolist() == [[1, 1, 0, 1]]
         # benefit under new biases: (0.2 + 0.325) - (0.8 - 0.325)
-        assert rec.benefit == pytest.approx(0.05, abs=1e-15)
+        assert trace.benefit[0] == pytest.approx(0.05, abs=1e-15)
         # prior gap under old biases: 0.2 - 0.8
-        assert rec.score_gap_prev == pytest.approx(-0.6, abs=1e-15)
+        assert trace.gap_prev[0] == pytest.approx(-0.6, abs=1e-15)
 
 
 class TestLagrangianIdentity:
@@ -106,9 +106,8 @@ class TestLagrangianIdentity:
         trace = simulate_fixed_scores(
             gamma, StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 0.001), 5
         )
-        res = check_lagrangian_identity(trace)
-        np.testing.assert_array_equal(res, 0.0)
-        vals = [s.lagrangian.value for s in trace.steps]
+        np.testing.assert_array_equal(audit_trace(trace).identity_residual, 0.0)
+        vals = trace.lagrangian.tolist()
         assert vals == pytest.approx([vals[0]] * 5)
 
     def test_sign_schedule_matches_l1_form(self):
@@ -119,11 +118,11 @@ class TestLagrangianIdentity:
         trace = simulate_fixed_scores(
             gamma, StepSchedule(ScheduleKind.DEEPSEEK_SIGN, u), 120
         )
-        for m in range(len(trace.steps) - 1):
-            a, b = trace.steps[m], trace.steps[m + 1]
-            d_lag = b.lagrangian.value - a.lagrangian.value
-            rhs = sum(r.benefit for r in b.switches) - u * float(
-                np.abs(a.loads - trace.L).sum()
+        for m in range(len(trace.lagrangian) - 1):
+            d_lag = trace.lagrangian[m + 1] - trace.lagrangian[m]
+            benefits = trace.benefit[trace.switches[:, 0] == m + 1]
+            rhs = sum(benefits.tolist()) - u * float(
+                np.abs(trace.loads[m] - trace.L).sum()
             )
             assert d_lag == pytest.approx(rhs, abs=1e-9)
 
@@ -132,9 +131,9 @@ class TestLagrangianIdentity:
         gamma = random_affinities(40, 5, seed=4)
         u = 0.001 if kind is ScheduleKind.DEEPSEEK_SIGN else 0.05
         trace = simulate_fixed_scores(gamma, StepSchedule(kind, u), 300)
-        res = check_lagrangian_identity(trace)
-        scale = np.array([1.0 + abs(s.lagrangian.value) for s in trace.steps[:-1]])
-        assert np.all(res <= 1e-9 * scale)
+        audit = audit_trace(trace)
+        assert len(audit.identity_residual) == 299
+        assert np.all(audit.identity_residual <= 1e-9 * audit.identity_scale)
 
     def test_requires_k1(self):
         gamma = random_affinities(12, 4, seed=5, K=2)
@@ -142,46 +141,53 @@ class TestLagrangianIdentity:
             gamma, StepSchedule(ScheduleKind.CONSTANT, 0.01), 5, K=2
         )
         with pytest.raises(KNotOne):
-            check_lagrangian_identity(trace)
+            audit_trace(trace)
+
+
+def _one_switch_trace(from_expert, to_expert, benefit, gap_prev, u=0.001):
+    """A fabricated two-row sign-schedule table: row 0 has loads [2, 1, 0]
+    around L = 1 (overloaded, balanced, underloaded), and token 0 moves
+    into row 1 with the given benefit and earlier score gap."""
+    loads = np.array([[2, 1, 0], [1, 1, 1]])
+    assert designations(loads[0], 1.0).tolist() == [OVERLOADED, BALANCED, UNDERLOADED]
+    return IterationTrace(
+        K=1, L=1.0, schedule=StepSchedule(ScheduleKind.DEEPSEEK_SIGN, u),
+        p=np.zeros((2, 3)), loads=loads,
+        lagrangian=np.zeros(2), tie=np.zeros(2, dtype=bool),
+        switches=np.array([[1, 0, from_expert, to_expert]]),
+        benefit=np.array([benefit]), gap_prev=np.array([gap_prev]),
+    )
 
 
 class TestSwitchDirection:
     def test_synthetic_upward_switch_fails(self):
-        rec = SwitchRecord(
-            token=0, from_expert=0, to_expert=1, benefit=0.001, score_gap_prev=-0.001
-        )
-        desg = np.array([BALANCED, OVERLOADED])
-        (chk,) = check_switch_direction([rec], desg, u=0.001)
-        assert not chk.direction_ok
-        assert not chk.ok
+        audit = audit_trace(_one_switch_trace(1, 0, benefit=0.001, gap_prev=-0.001))
+        assert (audit.switches_audited, audit.switch_violations) == (1, 1)
 
     def test_downward_switch_passes(self):
-        rec = SwitchRecord(
-            token=0, from_expert=1, to_expert=0, benefit=0.0005, score_gap_prev=-0.0015
-        )
-        desg = np.array([UNDERLOADED, OVERLOADED])
-        (chk,) = check_switch_direction([rec], desg, u=0.001)
-        assert chk.ok
+        audit = audit_trace(_one_switch_trace(0, 2, benefit=0.0005, gap_prev=-0.0015))
+        assert (audit.switches_audited, audit.switch_violations) == (1, 0)
 
     def test_bounds_checked(self):
-        desg = np.array([UNDERLOADED, OVERLOADED])
-        too_big = SwitchRecord(0, 1, 0, benefit=0.01, score_gap_prev=-0.001)
-        (chk,) = check_switch_direction([too_big], desg, u=0.001)
-        assert chk.direction_ok and not chk.benefit_ok
+        # both bounds are strict: a benefit of exactly 2u and an earlier
+        # score gap of exactly 0 each break theorem 2
+        u = 0.001
+        for benefit, gap_prev in [(2.0 * u, -0.001), (0.001, 0.0)]:
+            audit = audit_trace(_one_switch_trace(0, 2, benefit, gap_prev, u))
+            assert (audit.switches_audited, audit.switch_violations) == (1, 1)
 
     def test_full_run_audit_zero_failures(self):
         u = 0.001
+        audited = 0
         for seed in range(5):
             gamma = random_affinities(30, 5, seed=100 + seed)
             trace = simulate_fixed_scores(
                 gamma, StepSchedule(ScheduleKind.DEEPSEEK_SIGN, u), 200
             )
-            for m in range(len(trace.steps) - 1):
-                a, b = trace.steps[m], trace.steps[m + 1]
-                if a.tie_flag or b.tie_flag:
-                    continue
-                for chk in check_switch_direction(b.switches, a.designations, u):
-                    assert chk.ok, chk
+            audit = audit_trace(trace)
+            assert audit.switch_violations == 0
+            audited += audit.switches_audited
+        assert audited > 0
 
 
 class TestDesignationsAndPartition:
@@ -270,15 +276,14 @@ class TestBalanceConvergence:
 
     def test_concurrent_same_route_switches_excluded(self):
         # with u < ubar, no two tokens ever switch the same (from, to) pair
-        # in the same iteration
+        # in the same iteration (the first switch comes at row 735)
         gamma = random_affinities(20, 4, seed=12)
         u = 0.9 * ubar(gamma)
         trace = simulate_fixed_scores(
-            gamma, StepSchedule(ScheduleKind.DEEPSEEK_SIGN, u), 400
+            gamma, StepSchedule(ScheduleKind.DEEPSEEK_SIGN, u), 2000
         )
-        for step in trace.steps:
-            routes = [(r.from_expert, r.to_expert) for r in step.switches]
-            assert len(routes) == len(set(routes))
+        routes = [(row, old, new) for row, _, old, new in trace.switches.tolist()]
+        assert routes and len(routes) == len(set(routes))
 
 
 def _ip_enumeration_oracle(g, L):
@@ -347,5 +352,5 @@ class TestTraceCsv:
             "num_switches", "max_load", "min_load", "tie_flag",
         ]
         assert len(rows) == 31
-        assert float(rows[1][1]) == pytest.approx(trace.steps[0].lagrangian.value)
+        assert float(rows[1][1]) == pytest.approx(trace.lagrangian[0])
         assert int(rows[1][4]) == 0  # no switches recorded on the first step

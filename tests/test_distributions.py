@@ -65,6 +65,19 @@ class TestDistributionSet:
         with pytest.raises(InvalidRange):
             AffinityDistributionSet((BetaScore(2.0, 2.0),))
 
+    def test_nan_pdf_mass_rejected(self):
+        # 1 / (hi - lo) overflows to inf, so the integrated mass is NaN
+        with pytest.raises(InvalidRange, match="mass nan"):
+            AffinityDistributionSet((UniformScore(0.0, 5e-324), UniformScore(0.1, 0.9)))
+
+    def test_nan_cdf_endpoint_rejected(self):
+        class NanCdf(UniformScore):
+            def cdf(self, x):
+                return np.full(np.shape(x), np.nan)
+
+        with pytest.raises(InvalidRange, match="endpoints"):
+            AffinityDistributionSet((NanCdf(0.1, 0.9), UniformScore(0.1, 0.9)))
+
     def test_identical_helper(self):
         ds = identical(BetaScore(2.0, 2.0), 4)
         assert ds.E == 4

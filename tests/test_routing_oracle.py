@@ -1,9 +1,7 @@
-"""The raw-array Top-K kernel and iteration loop against the container-based
-reference in ``reference_routing``.  Every comparison is exact: discrete
-outputs are equal and float outputs are bitwise equal.
+"""The raw-array Top-K kernel, iteration loop and trace audit against the
+container-based reference in ``reference_routing``.  Every comparison is
+exact: discrete outputs are equal and float outputs are bitwise equal.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -13,7 +11,13 @@ from hypothesis import strategies as st
 import reference_routing as ref
 from alflb.balancer import ScheduleKind, StepSchedule
 from alflb.core import AffinityMatrix, BiasVector, ProblemDims, RandomSource
-from alflb.deterministic import check_balance_convergence, simulate_fixed_scores, ubar
+from alflb.deterministic import (
+    audit_trace,
+    check_balance_convergence,
+    designations,
+    simulate_fixed_scores,
+    ubar,
+)
 from alflb.router import RawScoreMatrix, softmax_affinities, topk
 
 # Shapes of the criterion-1/2/4 trace suite and of the criterion-3 sweep.
@@ -65,25 +69,38 @@ def test_topk_matches_reference_on_tied_grid(scores):
         np.testing.assert_array_equal(row_tie, want.row_tie)
 
 
-def _bits(record):
-    """A switch record or Lagrangian value with its floats as exact hex."""
-    return tuple(
-        v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(record)
+def _switch_bits(token, from_expert, to_expert, benefit, gap_prev):
+    """One switch with its floats as exact hex."""
+    return (
+        int(token), int(from_expert), int(to_expert),
+        float(benefit).hex(), float(gap_prev).hex(),
     )
 
 
 def _assert_traces_equal(got, want):
+    """The trace table, row by row, against the reference's steps."""
     assert got.L == want.L
-    assert len(got.steps) == len(want.steps)
-    for a, b in zip(got.steps, want.steps):
-        assert a.n == b.n
-        np.testing.assert_array_equal(a.loads, b.loads)
-        assert a.loads.dtype == b.loads.dtype
-        assert a.p.tobytes() == b.p.tobytes()
-        np.testing.assert_array_equal(a.designations, b.designations)
-        assert a.tie_flag == b.tie_flag
-        assert [_bits(r) for r in a.switches] == [_bits(r) for r in b.switches]
-        assert _bits(a.lagrangian) == _bits(b.lagrangian)
+    assert len(got.lagrangian) == len(want.steps)
+    assert got.loads.dtype == want.steps[0].loads.dtype
+    for m, b in enumerate(want.steps):
+        assert b.n == m + 1
+        np.testing.assert_array_equal(got.loads[m], b.loads)
+        assert got.p[m].tobytes() == b.p.tobytes()
+        np.testing.assert_array_equal(designations(got.loads[m], got.L), b.designations)
+        assert got.tie[m] == b.tie_flag
+        in_row = got.switches[:, 0] == m
+        assert [
+            _switch_bits(*sw[1:], bf, gp)
+            for sw, bf, gp in zip(
+                got.switches[in_row], got.benefit[in_row], got.gap_prev[in_row]
+            )
+        ] == [
+            _switch_bits(
+                r.token, r.from_expert, r.to_expert, r.benefit, r.score_gap_prev
+            )
+            for r in b.switches
+        ]
+        assert float(got.lagrangian[m]).hex() == b.lagrangian.value.hex()
 
 
 @pytest.mark.parametrize("K", [1, 3])
@@ -106,6 +123,40 @@ def test_simulate_matches_reference_loop_with_ties(K):
     want = ref.simulate_fixed_scores(gamma, sched, 80, K=K)
     assert any(step.tie_flag for step in want.steps)
     _assert_traces_equal(got, want)
+
+
+def _assert_audits_equal(gamma, sched, iterations):
+    """audit_trace against the reference audit; returns the number of
+    switches audited and of switches skipped for a tie."""
+    trace = simulate_fixed_scores(gamma, sched, iterations)
+    audit = audit_trace(trace)
+    want = ref.simulate_fixed_scores(gamma, sched, iterations)
+    residual = ref.check_lagrangian_identity(want)
+    assert audit.identity_residual.tobytes() == residual.tobytes()
+    if sched.kind is ScheduleKind.DEEPSEEK_SIGN:
+        assert (audit.switches_audited, audit.switch_violations) == ref.audit_switches(
+            want, sched.u
+        )
+    else:
+        assert (audit.switches_audited, audit.switch_violations) == (0, 0)
+    return audit.switches_audited, len(trace.benefit) - audit.switches_audited
+
+
+@pytest.mark.parametrize("kind", list(ScheduleKind))
+def test_audit_matches_reference(kind):
+    sched = StepSchedule(kind, SCHEDULE_U[kind])
+    for s, (T, E) in enumerate(RUN_DIMS):
+        _assert_audits_equal(_seeded_affinities(T, E, 1000 + s), sched, 60)
+
+
+def test_audit_matches_reference_with_ties():
+    # Every transition of the first instance has a tie; the second has some.
+    audited = skipped = 0
+    for (T, E, seed), u in [((24, 4, 5), 1 / 16), ((8, 4, 2), 1 / 48)]:
+        sched = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, u)
+        counts = _assert_audits_equal(_grid_affinities(T, E, seed), sched, 80)
+        audited, skipped = audited + counts[0], skipped + counts[1]
+    assert audited > 0 and skipped > 0
 
 
 def _assert_reports_equal(got, want):
@@ -147,25 +198,25 @@ def test_balance_check_matches_reference_with_ties():
 
 
 def _arrays(obj):
-    """Every numpy array reachable from a step, with the arrays they view."""
-    if isinstance(obj, np.ndarray):
-        while obj is not None:
-            yield obj
-            obj = obj.base if isinstance(obj.base, np.ndarray) else None
-    elif dataclasses.is_dataclass(obj):
-        for f in dataclasses.fields(obj):
-            yield from _arrays(getattr(obj, f.name))
-    elif isinstance(obj, (tuple, list)):
-        for item in obj:
-            yield from _arrays(item)
+    """Every numpy array of a trace column, with the arrays it views."""
+    while obj is not None:
+        yield obj
+        obj = obj.base if isinstance(obj.base, np.ndarray) else None
 
 
 def test_trace_steps_hold_only_per_expert_arrays():
-    T, E = 512, 16
+    T, E, N = 512, 16, 50
     gamma = _seeded_affinities(T, E, 21)
-    trace = simulate_fixed_scores(gamma, StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 1e-3), 50)
-    assert len(trace.steps) == 50
-    for step in trace.steps:
-        arrays = list(_arrays(step))
-        assert arrays and max(a.size for a in arrays) <= E
+    trace = simulate_fixed_scores(gamma, StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 1e-3), N)
+    S = len(trace.benefit)
+    assert S > 0
+    shapes = {
+        "p": (N, E), "loads": (N, E), "lagrangian": (N,), "tie": (N,),
+        "switches": (S, 4), "benefit": (S,), "gap_prev": (S,),
+    }
+    for name, shape in shapes.items():
+        column = getattr(trace, name)
+        assert column.shape == shape
+        arrays = list(_arrays(column))
+        assert max(a.size for a in arrays) == column.size
         assert not any(a.flags.writeable for a in arrays)
