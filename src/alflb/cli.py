@@ -2,9 +2,10 @@
 
 Configs are strict JSON: unknown keys are rejected anywhere, since a typo in
 a balancing constant would silently invalidate a theorem check.  Every run
-writes a CSV trace plus a JSON summary carrying a reproducibility block
-(seed, config hash, build id) and per-checker verdicts; the process exit
-status is nonzero iff any enabled checker failed.
+writes one CSV (through ``_write_csv``, the only code that knows the format)
+plus a JSON summary carrying a reproducibility block (seed, config hash,
+build id) and per-checker verdicts.  The process exits 0 when every enabled
+checker passed, 1 when one failed, 2 on a config error and 3 on a crash.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
+import traceback
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -30,7 +33,6 @@ from .deterministic import (
     check_balance_convergence,
     iterate,
     simulate_fixed_scores,
-    trace_to_csv,
     ubar,
 )
 from .distributions import AffinityDistributionSet, BetaScore, MixtureScore, UniformScore
@@ -310,6 +312,23 @@ def load_config(path) -> ExperimentConfig:
 # Experiment handlers: each returns (verdicts, summary_extra) and writes CSVs
 # ---------------------------------------------------------------------------
 
+def _write_csv(path: Path, columns: dict) -> None:
+    """A header row of the column names, then one row per index of the
+    equal-length columns: numpy float columns as ``.17g``, every other cell
+    as ``csv`` writes it."""
+    cells = []
+    for col in columns.values():
+        if isinstance(col, np.ndarray):
+            is_float, col = col.dtype.kind == "f", col.tolist()
+            if is_float:
+                col = [format(x, ".17g") for x in col]
+        cells.append(col)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(zip(*cells, strict=True))
+
+
 def _seeded_affinities(dims: ProblemDims, seed: int, scale: float = 1.0):
     rng = RandomSource(seed, stream=1).generator()
     raw = RawScoreMatrix(scale * rng.standard_normal((dims.T, dims.E)))
@@ -324,7 +343,18 @@ def _run_deterministic(cfg: ExperimentConfig, out: Path):
         gamma, sched, cfg.params["iterations"], K=dims.K,
         zero_sum=cfg.params["zero_sum"],
     )
-    trace_to_csv(trace, out / "trace.csv")
+    n = len(trace.lagrangian)
+    row = trace.switches[:, 0]
+    _write_csv(out / "trace.csv", {
+        "n": range(1, n + 1),
+        "lagrangian": trace.lagrangian,
+        "sum_benefit": np.bincount(row, trace.benefit, minlength=n),
+        "sum_abs_imbalance": np.abs(trace.loads - trace.L).sum(axis=1),
+        "num_switches": np.bincount(row, minlength=n),
+        "max_load": trace.loads.max(axis=1),
+        "min_load": trace.loads.min(axis=1),
+        "tie_flag": trace.tie.astype(np.int64),
+    })
     verdicts, extra = {}, {}
     if dims.K == 1:
         audit = audit_trace(trace)
@@ -370,15 +400,13 @@ def _run_balance(cfg: ExperimentConfig, out: Path, parallel: int = 1):
          cfg.params["u_fraction"], cfg.params["budget"])
         for s in seeds
     ]
-    if parallel > 1 and instances > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=parallel) as pool:
+    workers = min(parallel, instances, os.cpu_count() or 1)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_balance_one_star, args))
     else:
         rows = [_balance_one(*a) for a in args]
-    with open(out / "balance.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(out / "balance.csv", {key: [r[key] for r in rows] for key in rows[0]})
     verdicts = {"theorem3": all(r["pass"] for r in rows)}
     return verdicts, {"instances": instances, "failures": [r["seed"] for r in rows if not r["pass"]]}
 
@@ -394,14 +422,13 @@ def _run_moment(cfg: ExperimentConfig, out: Path):
     report = check_gradient_moments(
         dist, p, cfg.params["K"], cfg.params["T"], cfg.params["replicas"], rng
     )
-    with open(out / "moments.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["expert", "pi", "expected_mean", "empirical_mean", "mean_z"])
-        for k in range(dist.E):
-            writer.writerow([
-                k, f"{report.pi[k]:.17g}", f"{report.expected_mean[k]:.17g}",
-                f"{report.empirical_mean[k]:.17g}", f"{report.mean_z[k]:.17g}",
-            ])
+    _write_csv(out / "moments.csv", {
+        "expert": range(dist.E),
+        "pi": report.pi,
+        "expected_mean": report.expected_mean,
+        "empirical_mean": report.empirical_mean,
+        "mean_z": report.mean_z,
+    })
     verdicts = {
         "mean_unbiased": bool(np.abs(report.mean_z).max() <= 4.0),
         "variance_formula": abs(report.var_z) <= 4.0,
@@ -424,11 +451,9 @@ def _run_hessian(cfg: ExperimentConfig, out: Path):
     rel_errors = hessian_fd_errors(
         dist, p, K, weights, rng, cfg.params["directions"], cfg.params["fd_step"]
     )
-    with open(out / "hessian.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["direction", "relative_error"])
-        for i, e in enumerate(rel_errors):
-            writer.writerow([i, f"{e:.17g}"])
+    _write_csv(out / "hessian.csv", {
+        "direction": range(len(rel_errors)), "relative_error": rel_errors,
+    })
     verdicts = {"hessian_identity": bool(np.all(rel_errors <= 1e-3))}
     return verdicts, {"max_relative_error": float(rel_errors.max())}
 
@@ -446,17 +471,13 @@ def _run_regret(cfg: ExperimentConfig, out: Path):
         dist, T, K, sc.mu, p_star, cfg.params["rounds"], cfg.params["replicas"],
         rng, kappa=kappa,
     )
-    with open(out / "regret.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "mean_regret", "bound", "diam_p", "s_n"])
-        for n in range(acct.rounds):
-            writer.writerow([
-                n + 1,
-                f"{acct.mean_cum_regret[n]:.17g}",
-                f"{acct.bound[n]:.17g}",
-                f"{acct.mean_diam[n]:.17g}",
-                f"{acct.s_n_proxy[n]:.17g}",
-            ])
+    _write_csv(out / "regret.csv", {
+        "n": range(1, acct.rounds + 1),
+        "mean_regret": acct.mean_cum_regret,
+        "bound": acct.bound,
+        "diam_p": acct.mean_diam,
+        "s_n": acct.s_n_proxy,
+    })
     checkpoints = [c for c in cfg.params["checkpoints"] if c <= acct.rounds]
     cp_ok = {
         str(c): bool(acct.mean_cum_regret[c - 1] <= acct.bound[c - 1])
@@ -486,23 +507,16 @@ def _run_schedule_compare(cfg: ExperimentConfig, out: Path):
     gamma = _seeded_affinities(dims, cfg.seed)
     L = dims.target_load
     kinds = [ScheduleKind.DEEPSEEK_SIGN, ScheduleKind.INVERSE_N, ScheduleKind.INVERSE_SQRT_N]
-    loads = {}
+    iterations = cfg.params["iterations"]
+    columns = {"n": range(1, iterations + 1)}
     for k in kinds:
         steps = iterate(gamma, StepSchedule(kind=k, u=cfg.params["u"]), dims.K)
-        loads[k.value] = [a for _, _, _, _, a, _ in islice(steps, cfg.params["iterations"])]
-    with open(out / "schedule_compare.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["n"]
-        for name in loads:
-            header += [f"imbalance_{name}", f"imbalance_norm_{name}"]
-        writer.writerow(header)
-        for i in range(cfg.params["iterations"]):
-            row = [i + 1]
-            for counts in loads.values():
-                dev = float(np.abs(counts[i] - L).mean())
-                row += [f"{dev:.17g}", f"{dev / L:.17g}"]
-            writer.writerow(row)
-    return {}, {"schedules": list(loads)}
+        loads = np.array([a for _, _, _, _, a, _ in islice(steps, iterations)])
+        dev = np.abs(loads - L).mean(axis=1)
+        columns[f"imbalance_{k.value}"] = dev
+        columns[f"imbalance_norm_{k.value}"] = dev / L
+    _write_csv(out / "schedule_compare.csv", columns)
+    return {}, {"schedules": [k.value for k in kinds]}
 
 
 _HANDLERS = {
@@ -551,6 +565,10 @@ def main(argv=None) -> int:
                         help="fan independent instances over N processes")
         sp.set_defaults(kind=kind)
     args = parser.parse_args(argv)
+    if args.parallel < 1:
+        print(f"config error: --parallel: must be >= 1, got {args.parallel}",
+              file=sys.stderr)
+        return 2
 
     try:
         cfg = load_config(args.config)
@@ -571,7 +589,11 @@ def main(argv=None) -> int:
             return 2
         cfg.raw["seed"] = args.seed
         cfg.seed = args.seed
-    return run(cfg, out_dir=args.out, parallel=args.parallel)
+    try:
+        return run(cfg, out_dir=args.out, parallel=args.parallel)
+    except Exception:  # 1 means a check failed; a crash must not look like one
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ balancing guarantee, and a brute-force exact-balancing IP oracle.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from itertools import islice
@@ -178,13 +177,6 @@ def simulate_fixed_scores(
     return IterationTrace(K, L, schedule, *columns)
 
 
-def _row_benefits(trace: IterationTrace) -> np.ndarray:
-    """Sum of the switch benefits into each row, added in token order."""
-    total = np.zeros(len(trace.lagrangian))
-    np.add.at(total, trace.switches[:, 0], trace.benefit)
-    return total
-
-
 @dataclass(frozen=True)
 class TraceAudit:
     """Per transition m -> m+1: the theorem-1 residual and its scale
@@ -212,7 +204,9 @@ def audit_trace(trace: IterationTrace) -> TraceAudit:
         trace.schedule.quadratic_penalty(loads, trace.L, m + 1)
         for m, loads in enumerate(trace.loads[:-1])
     ])
-    residual = np.abs(np.diff(trace.lagrangian) - (_row_benefits(trace)[1:] - penalty))
+    # the switch benefits into each row, added in token order
+    benefits = np.bincount(row, trace.benefit, minlength=len(trace.lagrangian))
+    residual = np.abs(np.diff(trace.lagrangian) - (benefits[1:] - penalty))
 
     audited = violations = 0
     if trace.schedule.kind is ScheduleKind.DEEPSEEK_SIGN:
@@ -376,37 +370,3 @@ def ip_bruteforce(gamma: AffinityMatrix, L: int) -> tuple[float, Assignment]:
     dims = ProblemDims(T=T, E=E, K=1)
     return best_value, Assignment(dims, selected)
 
-
-def trace_to_csv(trace: IterationTrace, path) -> None:
-    """One CSV row per iteration: n, lagrangian, sum_benefit,
-    sum_abs_imbalance, num_switches, max_load, min_load, tie_flag.
-    """
-    total_benefit = _row_benefits(trace)
-    num_switches = np.bincount(trace.switches[:, 0], minlength=len(total_benefit))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "n",
-                "lagrangian",
-                "sum_benefit",
-                "sum_abs_imbalance",
-                "num_switches",
-                "max_load",
-                "min_load",
-                "tie_flag",
-            ]
-        )
-        for m, loads in enumerate(trace.loads):
-            writer.writerow(
-                [
-                    m + 1,
-                    f"{trace.lagrangian[m]:.17g}",
-                    f"{total_benefit[m]:.17g}",
-                    f"{float(np.abs(loads - trace.L).sum()):.17g}",
-                    num_switches[m],
-                    int(loads.max()),
-                    int(loads.min()),
-                    int(trace.tie[m]),
-                ]
-            )

@@ -58,8 +58,12 @@ class UniformScore:
     hi: float
 
     def __post_init__(self):
-        if not (0.0 <= self.lo < self.hi <= 1.0):
-            raise InvalidRange(f"need 0 <= lo < hi <= 1, got ({self.lo}, {self.hi})")
+        width = self.hi - self.lo
+        if not (0.0 <= self.lo < self.hi <= 1.0 and np.isfinite(1.0 / width)):
+            raise InvalidRange(
+                f"need 0 <= lo < hi <= 1 and a finite density 1/(hi - lo), "
+                f"got ({self.lo}, {self.hi})"
+            )
 
     def pdf(self, x):
         x = np.asarray(x, dtype=np.float64)

@@ -1,10 +1,15 @@
+import concurrent.futures
+import csv
+import hashlib
 import json
+import os
 
 import pytest
 
 from alflb.cli import load_config, main, run
 from alflb.distributions import BetaScore, MixtureScore, UniformScore
 from alflb.errors import ParseError, ValidationError
+from conftest import random_affinities
 
 
 def _write(tmp_path, name, cfg):
@@ -104,6 +109,23 @@ class TestRunDeterministic:
             assert a == b
 
 
+class TestTraceCsv:
+    def test_columns_and_rows(self, tmp_path):
+        cfg = dict(DET_CFG, seed=16, dims={"T": 12, "E": 3, "K": 1}, iterations=30)
+        run(load_config(_write(tmp_path, "cfg.json", cfg)), out_dir=tmp_path / "out")
+        with open(tmp_path / "out" / "trace.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == [
+            "n", "lagrangian", "sum_benefit", "sum_abs_imbalance",
+            "num_switches", "max_load", "min_load", "tie_flag",
+        ]
+        assert len(rows) == 31
+        # p = 0 on the first step: each token adds its largest affinity
+        gamma = random_affinities(12, 3, seed=16)
+        assert float(rows[1][1]) == pytest.approx(gamma.values.max(axis=1).sum())
+        assert int(rows[1][4]) == 0  # no switches recorded on the first step
+
+
 class TestRunBalance:
     CFG = {
         "kind": "balance_check",
@@ -128,6 +150,35 @@ class TestRunBalance:
         a = (tmp_path / "serial" / "balance.csv").read_bytes()
         b = (tmp_path / "par" / "balance.csv").read_bytes()
         assert a == b
+
+    @pytest.mark.parametrize(
+        "parallel,cpus,workers",
+        [(1000, 8, 3), (2, 8, 2), (1000, 2, 2), (1000, None, None)],
+    )
+    def test_pool_size_bounded(self, tmp_path, monkeypatch, parallel, cpus, workers):
+        """The pool holds min(parallel, instances, CPUs) workers and is not
+        started for one; a stand-in executor records the size, so no
+        process starts."""
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        cfg = load_config(_write(tmp_path, "cfg.json", self.CFG))
+        assert run(cfg, out_dir=tmp_path / "out", parallel=parallel) == 0
+        assert sizes == ([] if workers is None else [workers])
 
 
 class TestRunStochasticKinds:
@@ -313,7 +364,7 @@ class TestConfigErrors:
             # K = E: every pi is 1 and the finite difference is rounding noise
             (HESSIAN_CFG, {"K": 2}, "K"),
             (MOMENT_CFG, _first_distribution({"type": "uniform", "lo": 0.0, "hi": 5e-324}),
-             "distributions"),
+             "distributions.0"),
         ],
         ids=["negative_u", "string_iterations", "zero_instances", "bool_seed",
              "float_iterations", "beta_shape_below_one", "bias_length_mismatch",
@@ -323,7 +374,7 @@ class TestConfigErrors:
              "string_components", "number_components", "moment_k_equals_e",
              "regret_k_equals_e", "hessian_k_equals_e", "nan_pdf_mass"],
     )
-    def test_exit_two_names_field(self, tmp_path, capsys, base, changes, field):
+    def test_exit_two_names_field(self, tmp_path, capsys, recwarn, base, changes, field):
         cfg_path = _write(tmp_path, "bad.json", dict(base, **changes))
         with pytest.raises(ValidationError) as exc:
             load_config(cfg_path)
@@ -333,7 +384,10 @@ class TestConfigErrors:
             "--out", str(tmp_path / "out"),
         ])
         assert status == 2
-        assert f"config error: {field}:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config error: {field}:" in err
+        assert "Warning" not in err
+        assert not recwarn.list
         assert not (tmp_path / "out").exists()
 
     def test_valid_config_hash_unchanged(self, tmp_path):
@@ -368,6 +422,36 @@ class TestMain:
         ])
         assert status == 2
 
+    @pytest.mark.parametrize("parallel", ["0", "-3"])
+    def test_exit_two_on_parallel_below_one(self, tmp_path, capsys, parallel):
+        cfg_path = _write(tmp_path, "cfg.json", DET_CFG)
+        status = main([
+            "deterministic-run", "--config", str(cfg_path),
+            "--parallel", parallel, "--out", str(tmp_path / "out"),
+        ])
+        assert status == 2
+        assert "config error: --parallel: must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_exit_three_on_crash(self, tmp_path, capsys):
+        # a valid config whose dual step overflows: a crash, not a failed check
+        cfg = {
+            "kind": "deterministic_run",
+            "dims": {"T": 8, "E": 2, "K": 1},
+            "schedule": {"kind": "constant", "u": 1e308},
+            "iterations": 5,
+        }
+        cfg_path = _write(tmp_path, "cfg.json", cfg)
+        status = main([
+            "deterministic-run", "--config", str(cfg_path),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert status == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert "InvalidRange: bias entries must be finite" in err
+
     def test_seed_override(self, tmp_path):
         cfg_path = _write(tmp_path, "cfg.json", DET_CFG)
         status = main([
@@ -377,3 +461,70 @@ class TestMain:
         assert status == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["seed"] == 99
+
+
+# Five configs off the benchmark's shapes: a non-integer L (T=50, E=4 and
+# T=10, E=3 under zero_sum), K > 1 traces and comparisons with odd T and E,
+# and a three-instance balance check.
+PINNED_CONFIGS = {
+    "trace_t50_e4": {
+        "kind": "deterministic_run", "seed": 4, "dims": {"T": 50, "E": 4, "K": 1},
+        "schedule": {"kind": "deepseek_sign", "u": 0.002}, "iterations": 40,
+    },
+    "trace_t10_e3_zero_sum": {
+        "kind": "deterministic_run", "seed": 5, "dims": {"T": 10, "E": 3, "K": 1},
+        "schedule": {"kind": "inverse_sqrt_n", "u": 0.05}, "iterations": 30,
+        "zero_sum": True,
+    },
+    "trace_k3_t37_e7": {
+        "kind": "deterministic_run", "seed": 6, "dims": {"T": 37, "E": 7, "K": 3},
+        "schedule": {"kind": "inverse_n", "u": 0.5}, "iterations": 25,
+    },
+    "compare_k2_t37_e7": {
+        "kind": "schedule_compare", "seed": 8, "dims": {"T": 37, "E": 7, "K": 2},
+        "u": 0.01, "iterations": 25,
+    },
+    "balance_3_instances": {
+        "kind": "balance_check", "seed": 9, "dims": {"T": 16, "E": 4, "K": 1},
+        "instances": 3,
+    },
+}
+PINNED_SHA256 = {
+    "trace_t50_e4": {
+        "trace.csv": "8aa47891a16cf2b4a9b862b76d8f56bd4592a97c43c40aeccde8ee9039c229c0",
+        "summary.json": "5349aef7937d784a38be5d2eeef9f2f10d2cb408a6e02f94311689b048762e8b",
+    },
+    "trace_t10_e3_zero_sum": {
+        "trace.csv": "97ff3d2818e12d74fbab9992a0e6354563672a3bc23beeb40095b06964030650",
+        "summary.json": "4f6496186fb09049c8d44087fd70d7db472f37e97a28afa5afb50eacabea2f88",
+    },
+    "trace_k3_t37_e7": {
+        "trace.csv": "614bf8febfb3f764bcd06821d27060dbd718580e32f30d192fc3b15de258d11d",
+        "summary.json": "cafdeee8a707440033e8f41e48d4b518513fba7cc5ad4590bd2021bafc34b754",
+    },
+    "compare_k2_t37_e7": {
+        "schedule_compare.csv":
+            "4eae89f6c473ff9a2a99fdddb92382dac0008ad55d8e1af292545529f0449657",
+        "summary.json": "50cb3a998d13444ce800aeaf1a6e22ec17cb1a6920e2c31144d00f1019afe094",
+    },
+    "balance_3_instances": {
+        "balance.csv": "18cd3d5d6f81f18282a37297dfaa8a9d08662375b8a8ac4b0d04b71d293dcb4d",
+        "summary.json": "071ba540ce0a1ca6b665ededa942d0f51e5e2ecd6c44b1e4bdbbae2714dfbb80",
+    },
+}
+
+
+class TestArtifactBytes:
+    """Every file a run writes, byte for byte, as the per-row CSV writers of
+    earlier releases wrote it (numpy 2.4, IEEE float64): the CSV format and
+    the ``.17g`` floats must not drift."""
+
+    @pytest.mark.parametrize("name", list(PINNED_CONFIGS))
+    def test_sha256_pinned(self, tmp_path, name):
+        cfg_path = _write(tmp_path, "cfg.json", PINNED_CONFIGS[name])
+        assert run(load_config(cfg_path), out_dir=tmp_path / "out") == 0
+        got = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (tmp_path / "out").iterdir()
+        }
+        assert got == PINNED_SHA256[name]

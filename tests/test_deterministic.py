@@ -1,4 +1,3 @@
-import csv
 import itertools
 import math
 
@@ -20,7 +19,6 @@ from alflb.deterministic import (
     lagrangian,
     simulate_fixed_scores,
     stable_partition_preserved,
-    trace_to_csv,
     ubar,
 )
 from alflb.errors import DegenerateGaps, KNotOne, TooLarge
@@ -336,21 +334,3 @@ class TestIpBruteforce:
         with pytest.raises(TooLarge):
             ip_bruteforce(gamma, 9)
 
-
-class TestTraceCsv:
-    def test_columns_and_rows(self, tmp_path):
-        gamma = random_affinities(12, 3, seed=16)
-        trace = simulate_fixed_scores(
-            gamma, StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 0.001), 30
-        )
-        path = tmp_path / "trace.csv"
-        trace_to_csv(trace, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == [
-            "n", "lagrangian", "sum_benefit", "sum_abs_imbalance",
-            "num_switches", "max_load", "min_load", "tie_flag",
-        ]
-        assert len(rows) == 31
-        assert float(rows[1][1]) == pytest.approx(trace.lagrangian[0])
-        assert int(rows[1][4]) == 0  # no switches recorded on the first step

@@ -24,6 +24,9 @@ class TestComponents:
             UniformScore(0.8, 0.2)
         with pytest.raises(InvalidRange):
             UniformScore(-0.1, 0.5)
+        # 1 / (hi - lo) overflows to inf: the density is not finite
+        with pytest.raises(InvalidRange, match="finite density"):
+            UniformScore(0.0, 5e-324)
 
     def test_uniform_pdf_cdf(self):
         d = UniformScore(0.2, 0.8)
@@ -65,10 +68,14 @@ class TestDistributionSet:
         with pytest.raises(InvalidRange):
             AffinityDistributionSet((BetaScore(2.0, 2.0),))
 
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_nan_pdf_mass_rejected(self):
-        # 1 / (hi - lo) overflows to inf, so the integrated mass is NaN
+        class NanPdf(UniformScore):
+            def pdf(self, x):
+                return np.full(np.shape(x), np.nan)
+
         with pytest.raises(InvalidRange, match="mass nan"):
-            AffinityDistributionSet((UniformScore(0.0, 5e-324), UniformScore(0.1, 0.9)))
+            AffinityDistributionSet((NanPdf(0.1, 0.9), UniformScore(0.1, 0.9)))
 
     def test_nan_cdf_endpoint_rejected(self):
         class NanCdf(UniformScore):
