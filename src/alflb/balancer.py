@@ -31,8 +31,9 @@ class StepSchedule:
         if not (self.u > 0 and math.isfinite(self.u)):
             raise InvalidRange(f"balancing constant u must be finite, > 0: {self.u}")
 
-    def scalar_step(self, n: int) -> float:
-        """Common step size at iteration n for homogeneous schedules."""
+    def scalar_step(self, n: int | np.ndarray) -> float | np.ndarray:
+        """Common step size at iteration n (an int or an array of them) for
+        homogeneous schedules."""
         if self.kind is ScheduleKind.INVERSE_N:
             return self.u / n
         if self.kind is ScheduleKind.INVERSE_SQRT_N:
@@ -41,26 +42,35 @@ class StepSchedule:
             return self.u
         raise InvalidRange("DeepSeek sign schedule has no scalar step")
 
-    def bias_delta(self, loads: np.ndarray, L: float, n: int) -> np.ndarray:
+    def bias_delta(
+        self, loads: np.ndarray, L: float, n: int | np.ndarray
+    ) -> np.ndarray:
         """Per-coordinate update eps_k * (L - A_k).
 
-        For the sign schedule the 0/0 at A_k = L is resolved to a zero net
-        update, matching the original three-case rule.
+        ``loads`` is one length-E load vector or (M, E) rows of them, and
+        ``n`` an iteration or an (M, 1) column of them, one per row.  For the
+        sign schedule the 0/0 at A_k = L is resolved to a zero net update,
+        matching the original three-case rule.
         """
         gap = L - np.asarray(loads, dtype=np.float64)
         if self.kind is ScheduleKind.DEEPSEEK_SIGN:
             return self.u * np.sign(gap)
         return self.scalar_step(n) * gap
 
-    def quadratic_penalty(self, loads: np.ndarray, L: float, n: int) -> float:
+    def quadratic_penalty(
+        self, loads: np.ndarray, L: float, n: int | np.ndarray
+    ) -> float | np.ndarray:
         """sum_k eps_k * (A_k - L)^2, with the sign schedule's 0/0 removed.
+
+        ``loads`` is one length-E load vector or (M, E) rows of them, and
+        ``n`` an iteration or an (M,) array of them, one per row.
 
         For the sign schedule this reduces exactly to u * sum_k |A_k - L|.
         """
         gap = np.asarray(loads, dtype=np.float64) - L
         if self.kind is ScheduleKind.DEEPSEEK_SIGN:
-            return float(self.u * np.abs(gap).sum())
-        return float(self.scalar_step(n) * np.square(gap).sum())
+            return self.u * np.abs(gap).sum(axis=-1)
+        return self.scalar_step(n) * np.square(gap).sum(axis=-1)
 
 
 def project_zero_sum(p: BiasVector) -> BiasVector:

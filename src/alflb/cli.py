@@ -20,7 +20,6 @@ import os
 import sys
 import traceback
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -510,8 +509,10 @@ def _run_schedule_compare(cfg: ExperimentConfig, out: Path):
     iterations = cfg.params["iterations"]
     columns = {"n": range(1, iterations + 1)}
     for k in kinds:
-        steps = iterate(gamma, StepSchedule(kind=k, u=cfg.params["u"]), dims.K)
-        loads = np.array([a for _, _, _, _, a, _ in islice(steps, iterations)])
+        blocks = iterate(
+            gamma, StepSchedule(kind=k, u=cfg.params["u"]), dims.K, iterations=iterations
+        )
+        loads = np.concatenate([block[4] for block in blocks])
         dev = np.abs(loads - L).mean(axis=1)
         columns[f"imbalance_{k.value}"] = dev
         columns[f"imbalance_norm_{k.value}"] = dev / L

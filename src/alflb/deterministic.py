@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -26,6 +25,8 @@ from .errors import DegenerateGaps, DimMismatch, InvalidRange, KNotOne, TooLarge
 from .router import topk
 
 IP_ENUMERATION_GUARD = 10**7
+# Most scores, c * T * E, that one block of ``iterate`` routes at once.
+BLOCK_SCORES = 2**16
 
 
 @dataclass(frozen=True)
@@ -70,24 +71,24 @@ def lagrangian(
     """Exact evaluation of sum_{ik} (gamma_ik + p_k) x_ik - L sum_k p_k."""
     if x.selected.shape != gamma.values.shape or p.E != gamma.values.shape[1]:
         raise DimMismatch("gamma / assignment / bias shapes disagree")
-    return _lagrangian(
+    value, affinity_term, bias_penalty_term = _lagrangian(
         gamma.values + p.values[None, :], x.selected.astype(np.float64),
         p.values, L,
     )
-
-
-def _lagrangian(
-    shifted: np.ndarray, sel: np.ndarray, p: np.ndarray, L: float
-) -> LagrangianValue:
-    """``lagrangian`` on raw arrays: shifted = gamma + p, sel the float 0/1
-    selection matrix."""
-    affinity_term = float((shifted * sel).sum())
-    bias_penalty_term = float(L * p.sum())
     return LagrangianValue(
-        value=affinity_term - bias_penalty_term,
-        affinity_term=affinity_term,
-        bias_penalty_term=bias_penalty_term,
+        value=float(value),
+        affinity_term=float(affinity_term),
+        bias_penalty_term=float(bias_penalty_term),
     )
+
+
+def _lagrangian(shifted: np.ndarray, sel: np.ndarray, p: np.ndarray, L: float):
+    """``lagrangian`` on raw arrays, per leading row: shifted = gamma + p
+    (..., T, E), sel the float 0/1 selection matrices, p (..., E).  Returns
+    (value, affinity term, bias penalty term)."""
+    affinity_term = (shifted * sel).reshape(*p.shape[:-1], -1).sum(axis=-1)
+    bias_penalty_term = L * p.sum(axis=-1)
+    return affinity_term - bias_penalty_term, affinity_term, bias_penalty_term
 
 
 def designations(loads: np.ndarray, L: float) -> np.ndarray:
@@ -96,36 +97,93 @@ def designations(loads: np.ndarray, L: float) -> np.ndarray:
 
 
 def iterate(
-    gamma: AffinityMatrix, schedule: StepSchedule, K: int = 1, zero_sum: bool = False
+    gamma: AffinityMatrix,
+    schedule: StepSchedule,
+    K: int = 1,
+    zero_sum: bool = False,
+    *,
+    iterations: int,
 ):
-    """The primal-dual iteration from p = 0 on frozen affinities, without end.
+    """The primal-dual iteration from p = 0 on frozen affinities, in blocks.
 
-    Iteration n routes by Top-K on gamma + p and yields
-    ``(n, p, shifted, chosen, loads, row_tie)``; the dual step
-    p + eps_n * (L - A), with L = K*T/E and, under ``zero_sum``, minus its
-    mean, is taken when the consumer asks for the next iteration.  The input
-    is validated once, on entry; the loop itself works on raw arrays.
+    Iteration n routes by Top-K on gamma + p_n, then takes the dual step
+    p_{n+1} = p_n + eps_n * (L - A_n), with L = K*T/E and, under
+    ``zero_sum``, minus its mean.  Each yield is a block of M >= 1
+    consecutive iterations ``(n, p, shifted, chosen, loads, row_tie)`` of
+    shapes (M,), (M, E), (M, T, E), (M, T, K), (M, E) and (M, T); the blocks
+    run through iterations 1..``iterations`` in order.
+
+    A block guesses that the loads of its rows equal the last known loads,
+    builds up to c rows of biases from that guess and routes them at once.
+    It keeps the rows up to and including the first whose loads differ from
+    the guess, so every row it yields is the stepwise row bit for bit.  c
+    doubles after a block whose guess held and drops to 1 after a miss, with
+    c*T*E at most ``BLOCK_SCORES``.  The input is validated once, on entry;
+    non-finite biases raise ``InvalidRange`` at the iteration that has them.
     """
     g = gamma.values
     T, E = g.shape
     L = ProblemDims(T=T, E=E, K=K).target_load
+    cap = max(1, BLOCK_SCORES // (T * E))
     p = np.zeros(E)
-    n = 1
-    while True:
-        shifted = g + p
-        chosen, row_tie = topk(shifted, K)
-        loads = np.bincount(chosen.ravel(), minlength=E)
-        # Steps keep p and loads; the next dual step must not see a
-        # consumer's in-place change.
-        p.flags.writeable = False
+    guess = np.full(E, -1)  # no load is negative, so the first block misses
+    n, c = 1, 1
+    while n <= iterations:
+        rows = np.arange(n, n + min(c, iterations - n + 1))
+        M = len(rows)
+        # An exact row that overflows raises InvalidRange below, at its own
+        # iteration; a guessed row past a miss is thrown away, overflow or not.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if n > 1:  # the dual step from the last row of the previous block
+                p = p_rows[-1] + schedule.bias_delta(guess, L, n - 1)
+                if zero_sum:
+                    p = p - p.mean()
+            p_rows = _guessed_biases(p, guess, schedule, L, rows, zero_sum)
+            shifted = g + p_rows[:, None, :]
+            chosen, row_tie = topk(shifted, K)
+        flat = chosen + (E * np.arange(M))[:, None, None]
+        loads = np.bincount(flat.ravel(), minlength=M * E).reshape(M, E)
+        held = (loads == guess).all(axis=1)
+        first_miss = int(held.argmin())
+        missed = not held[first_miss]
+        keep = first_miss + 1 if missed else M
+        finite = np.isfinite(p_rows[:keep]).all(axis=1)
+        first_bad = int(finite.argmin())
+        if not finite[first_bad]:
+            keep = first_bad
+        # A consumer's in-place change must not reach the next dual step.
+        p_rows, loads = p_rows[:keep], loads[:keep]
+        p_rows.flags.writeable = False
         loads.flags.writeable = False
-        yield n, p, shifted, chosen, loads, row_tie
-        p = p + schedule.bias_delta(loads, L, n)
-        if zero_sum:
-            p = p - p.mean()
-        if not np.isfinite(p).all():
+        if keep:
+            yield (
+                rows[:keep], p_rows, shifted[:keep], chosen[:keep], loads,
+                row_tie[:keep],
+            )
+        if not finite[first_bad]:
             raise InvalidRange("bias entries must be finite")
-        n += 1
+        n += keep
+        guess = loads[-1]
+        c = 1 if missed else min(2 * c, cap)
+
+
+def _guessed_biases(p, guess, schedule, L, rows, zero_sum):
+    """The biases of iterations ``rows`` from p, exact at rows[0], if every
+    load from rows[0] on equals ``guess``: the stepwise adds, bit for bit."""
+    if len(rows) == 1:
+        return p[None]
+    steps = schedule.bias_delta(
+        np.broadcast_to(guess, (len(rows) - 1, len(p))), L, rows[:-1, None]
+    )
+    if not zero_sum:
+        # cumsum adds row by row, in the order of the stepwise loop
+        return np.cumsum(np.vstack((p, steps)), axis=0)
+    out = np.empty((len(rows), len(p)))
+    out[0] = p
+    for j, step in enumerate(steps):
+        q = out[j] + step
+        out[j + 1] = q - q.mean()
+    return out
 
 
 def simulate_fixed_scores(
@@ -148,30 +206,32 @@ def simulate_fixed_scores(
     load_rows = np.empty((iterations, E), dtype=np.int64)
     lag = np.empty(iterations)
     tie = np.empty(iterations, dtype=bool)
-    switched = [(np.empty((0, 4), dtype=np.int64), np.empty(0), np.empty(0))]
+    # per block: the row, token, old and new expert of each switch
+    switched = [np.empty((4, 0), dtype=np.int64)]
 
-    rows = np.arange(T)[:, None]
-    a_prev = p_prev = None
-    for n, p, shifted, chosen, loads, row_tie in islice(
-        iterate(gamma, schedule, K, zero_sum), iterations
+    a_prev = None  # the assignment of the row before a block
+    for n, p, shifted, chosen, loads, row_tie in iterate(
+        gamma, schedule, K, zero_sum, iterations=iterations
     ):
         m = n - 1
-        if a_prev is not None and K == 1:
-            a_next = chosen[:, 0]
-            i = np.flatnonzero(a_prev != a_next)
-            old, new = a_prev[i], a_next[i]
-            switched.append((
-                np.column_stack((np.full(i.size, m), i, old, new)),
-                (g[i, new] + p[new]) - (g[i, old] + p[old]),
-                (g[i, new] + p_prev[new]) - (g[i, old] + p_prev[old]),
-            ))
-        sel = np.zeros((T, E))
-        sel[rows, chosen] = 1.0
-        p_rows[m], load_rows[m], tie[m] = p, loads, row_tie.any()
-        lag[m] = _lagrangian(shifted, sel, p, L).value
-        a_prev, p_prev = chosen[:, 0], p
+        block = slice(m[0], m[-1] + 1)
+        p_rows[block], load_rows[block], tie[block] = p, loads, row_tie.any(axis=1)
+        sel = np.zeros(shifted.shape)  # sel[j, t, chosen[j, t]] = 1
+        np.put(sel, chosen + E * np.arange(len(m) * T).reshape(-1, T, 1), 1.0)
+        lag[block] = _lagrangian(shifted, sel, p, L)[0]
+        if K == 1:
+            a = chosen[:, :, 0]
+            a = np.concatenate((a[:1] if a_prev is None else a_prev[None], a))
+            r, i = np.nonzero(a[1:] != a[:-1])
+            switched.append(np.array((m[r], i, a[r, i], a[r + 1, i])))
+            a_prev = a[-1]
 
-    columns = (p_rows, load_rows, lag, tie, *(np.concatenate(c) for c in zip(*switched)))
+    row, i, old, new = np.concatenate(switched, axis=1)
+    switches = np.column_stack((row, i, old, new))
+    # the shifted-score gain of each switch under the new and the old biases
+    benefit = (g[i, new] + p_rows[row, new]) - (g[i, old] + p_rows[row, old])
+    gap_prev = (g[i, new] + p_rows[row - 1, new]) - (g[i, old] + p_rows[row - 1, old])
+    columns = (p_rows, load_rows, lag, tie, switches, benefit, gap_prev)
     for c in columns:
         c.flags.writeable = False
     return IterationTrace(K, L, schedule, *columns)
@@ -200,10 +260,9 @@ def audit_trace(trace: IterationTrace) -> TraceAudit:
     if trace.K != 1:
         raise KNotOne("trace audit requires K=1")
     row, _, frm, to = trace.switches.T
-    penalty = np.array([
-        trace.schedule.quadratic_penalty(loads, trace.L, m + 1)
-        for m, loads in enumerate(trace.loads[:-1])
-    ])
+    penalty = trace.schedule.quadratic_penalty(
+        trace.loads[:-1], trace.L, np.arange(1, len(trace.lagrangian))
+    )
     # the switch benefits into each row, added in token order
     benefits = np.bincount(row, trace.benefit, minlength=len(trace.lagrangian))
     residual = np.abs(np.diff(trace.lagrangian) - (benefits[1:] - penalty))
@@ -298,33 +357,37 @@ def check_balance_convergence(
     stayed = True
     max_step = 0
     any_tie = False
-    prev_loads: np.ndarray | None = None
-    settle_left: int | None = None
-    n = 0
-    for n, _, _, _, loads, row_tie in islice(
-        iterate(gamma, sched), max(budget, 0)
-    ):
-        any_tie = any_tie or bool(row_tie.any())
+    prev_loads = None
+    # The last iteration to run: once all have entered, the one after the
+    # settle window (a negative window never ends the run).
+    stop = math.inf
+    n_run = 0
+    for n, _, _, _, loads, row_tie in iterate(gamma, sched, iterations=budget):
         in_band = (loads >= lo) & (loads <= hi)
-        if stayed and ((entered > 0) & ~in_band).any():
-            stayed = False
+        if stop == math.inf:
+            new = (entered < 0) & in_band.any(axis=0)
+            entered[new] = n[in_band.argmax(axis=0)[new]]
+            if (entered > 0).all() and settle_iterations >= 0:
+                stop = int(entered.max()) + settle_iterations + 1
+        run = int(np.searchsorted(n, stop, side="right"))
+        n, loads, in_band = n[:run], loads[:run], in_band[:run]
+        # an expert entered at an earlier row and is out of the band now
+        left = (entered > 0) & (entered < n[:, None]) & ~in_band
+        stayed = stayed and not left.any()
         if prev_loads is not None:
-            max_step = max(max_step, int(np.abs(loads - prev_loads).max()))
-        prev_loads = loads
-        if settle_left is None:
-            entered[(entered < 0) & in_band] = n
-            if (entered > 0).all():
-                settle_left = settle_iterations
-        elif settle_left == 0:
+            loads = np.vstack((prev_loads, loads))
+        if len(loads) > 1:
+            max_step = max(max_step, int(np.abs(np.diff(loads, axis=0)).max()))
+        any_tie = any_tie or bool(row_tie[:run].any())
+        prev_loads, n_run = loads[-1], int(n[-1])
+        if n_run == stop:
             break
-        else:
-            settle_left -= 1
     return BalanceConvergenceReport(
         entered_iteration=entered,
         stayed=stayed,
         max_load_step=max_step,
         load_step_ok=max_step <= E - 1,
-        iterations_run=n,
+        iterations_run=n_run,
         converged=bool(np.all(entered > 0)),
         any_tie=any_tie,
     )

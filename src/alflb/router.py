@@ -77,28 +77,30 @@ def softmax_affinities(raw: RawScoreMatrix) -> AffinityMatrix:
 
 
 def topk(shifted: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of a (T, E) score matrix, the indices of the K largest entries.
+    """Per row of a (..., T, E) score array, the indices of the K largest entries.
 
-    Returns ``chosen`` (T, K) int64 in decreasing-score order, lowest index
-    first among equals, and ``row_tie`` (T,) bool, true where the K-th and the
-    (K+1)-th largest scores are equal.  No input checks: this is the kernel
-    under ``route_topk`` and the iteration loops.
+    Returns ``chosen`` (..., T, K) int64 in decreasing-score order, lowest
+    index first among equals, and ``row_tie`` (..., T) bool, true where the
+    K-th and the (K+1)-th largest scores are equal.  Leading axes are a batch
+    of score matrices, each routed as on its own.  No input checks: this is
+    the kernel under ``route_topk`` and the iteration loop.
     """
-    T, E = shifted.shape
+    E = shifted.shape[-1]
     if K == 1:
-        best = shifted.argmax(axis=1)
-        at_top = shifted == shifted[np.arange(T), best][:, None]
-        return best[:, None], at_top.sum(axis=1) > 1
+        best = shifted.argmax(axis=-1)
+        # the maximum is tied where its first and last positions differ
+        last = E - 1 - shifted[..., ::-1].argmax(axis=-1)
+        return best[..., None], best != last
     # Stable argsort of the negated scores: descending score, lowest index
     # first among equals.
-    order = np.argsort(-shifted, axis=1, kind="stable")
+    order = np.argsort(-shifted, axis=-1, kind="stable")
     if K < E:
-        kth = np.take_along_axis(shifted, order[:, K - 1 : K], axis=1)
-        nxt = np.take_along_axis(shifted, order[:, K : K + 1], axis=1)
-        row_tie = (kth == nxt).ravel()
+        kth = np.take_along_axis(shifted, order[..., K - 1 : K], axis=-1)
+        nxt = np.take_along_axis(shifted, order[..., K : K + 1], axis=-1)
+        row_tie = (kth == nxt)[..., 0]
     else:
-        row_tie = np.zeros(T, dtype=bool)
-    return order[:, :K].copy(), row_tie
+        row_tie = np.zeros(shifted.shape[:-1], dtype=bool)
+    return order[..., :K].copy(), row_tie
 
 
 def route_topk(gamma: AffinityMatrix, p: BiasVector, K: int) -> RoutingOutcome:

@@ -10,11 +10,16 @@ compare the fast path against code that shares none of its helpers.  The
 per-step identity check, switch-direction check and tie-skipping switch audit
 are the ones that walked the per-step traces before ``audit_trace`` read the
 trace table.
+
+``iterate_stepwise`` and ``check_balance_convergence_stepwise`` are the lean
+oracle of the blocked ``iterate``: the raw-array loop that routed and stepped
+one iteration at a time, and the balance check that consumed it, unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -32,8 +37,8 @@ from alflb.deterministic import (
     LagrangianValue,
     designations,
 )
-from alflb.errors import DimMismatch, KNotOne
-from alflb.router import RoutingOutcome, switching_set
+from alflb.errors import DimMismatch, InvalidRange, KNotOne
+from alflb.router import RoutingOutcome, switching_set, topk
 
 
 @dataclass(frozen=True)
@@ -310,6 +315,95 @@ def check_balance_convergence(
             else:
                 settle_left -= 1
         state = dual_update(state, outcome.loads, L, sched)
+    return BalanceConvergenceReport(
+        entered_iteration=entered,
+        stayed=stayed,
+        max_load_step=max_step,
+        load_step_ok=max_step <= E - 1,
+        iterations_run=n,
+        converged=bool(np.all(entered > 0)),
+        any_tie=any_tie,
+    )
+
+
+def iterate_stepwise(
+    gamma: AffinityMatrix, schedule: StepSchedule, K: int = 1, zero_sum: bool = False
+):
+    """The primal-dual iteration from p = 0 on frozen affinities, without end.
+
+    Iteration n routes by Top-K on gamma + p and yields
+    ``(n, p, shifted, chosen, loads, row_tie)``; the dual step
+    p + eps_n * (L - A), with L = K*T/E and, under ``zero_sum``, minus its
+    mean, is taken when the consumer asks for the next iteration.  The input
+    is validated once, on entry; the loop itself works on raw arrays.
+    """
+    g = gamma.values
+    T, E = g.shape
+    L = ProblemDims(T=T, E=E, K=K).target_load
+    p = np.zeros(E)
+    n = 1
+    while True:
+        shifted = g + p
+        chosen, row_tie = topk(shifted, K)
+        loads = np.bincount(chosen.ravel(), minlength=E)
+        # Steps keep p and loads; the next dual step must not see a
+        # consumer's in-place change.
+        p.flags.writeable = False
+        loads.flags.writeable = False
+        yield n, p, shifted, chosen, loads, row_tie
+        p = p + schedule.bias_delta(loads, L, n)
+        if zero_sum:
+            p = p - p.mean()
+        if not np.isfinite(p).all():
+            raise InvalidRange("bias entries must be finite")
+        n += 1
+
+
+def check_balance_convergence_stepwise(
+    gamma: AffinityMatrix,
+    u: float,
+    budget: int | None = None,
+    settle_iterations: int = 200,
+) -> BalanceConvergenceReport:
+    """Run the sign schedule (K=1) and audit the approximate-balancing band.
+
+    Each expert load must enter [L-(E-1), L+(E-1)] within ``budget``
+    iterations and never leave afterwards; per-iteration load changes must
+    stay <= E-1.  After all experts have entered, the run continues for
+    ``settle_iterations`` more steps to probe the "remains in range" claim.
+    """
+    T, E = gamma.values.shape
+    L = ProblemDims(T=T, E=E, K=1).L
+    if budget is None:
+        budget = 10 * T * E
+    lo, hi = L - (E - 1), L + (E - 1)
+    sched = StepSchedule(kind=ScheduleKind.DEEPSEEK_SIGN, u=u)
+
+    entered = np.full(E, -1, dtype=np.int64)
+    stayed = True
+    max_step = 0
+    any_tie = False
+    prev_loads: np.ndarray | None = None
+    settle_left: int | None = None
+    n = 0
+    for n, _, _, _, loads, row_tie in islice(
+        iterate_stepwise(gamma, sched), max(budget, 0)
+    ):
+        any_tie = any_tie or bool(row_tie.any())
+        in_band = (loads >= lo) & (loads <= hi)
+        if stayed and ((entered > 0) & ~in_band).any():
+            stayed = False
+        if prev_loads is not None:
+            max_step = max(max_step, int(np.abs(loads - prev_loads).max()))
+        prev_loads = loads
+        if settle_left is None:
+            entered[(entered < 0) & in_band] = n
+            if (entered > 0).all():
+                settle_left = settle_iterations
+        elif settle_left == 0:
+            break
+        else:
+            settle_left -= 1
     return BalanceConvergenceReport(
         entered_iteration=entered,
         stayed=stayed,

@@ -387,11 +387,11 @@ def test_criterion_10_ip_oracle():
         sched = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, u)
         budget = max(10 * T * E, math.ceil(2.0 / u))
         routed = None
-        for _, _, _, chosen, loads, _ in itertools.islice(
-            iterate(gamma, sched), budget
-        ):
-            if np.all(loads == L):
-                routed = float(gamma.values[np.arange(T), chosen[:, 0]].sum())
+        for _, _, _, chosen, loads, _ in iterate(gamma, sched, iterations=budget):
+            balanced = np.flatnonzero((loads == L).all(axis=1))
+            if balanced.size:
+                alpha = chosen[balanced[0], :, 0]
+                routed = float(gamma.values[np.arange(T), alpha].sum())
                 break
         value, assignment = ip_bruteforce(gamma, L)
         oracle = _ip_enumeration_oracle(gamma.values, L)

@@ -1,5 +1,3 @@
-from itertools import islice
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,10 +18,14 @@ SCHEDULE_U = {
 
 
 def _biases_and_loads(gamma, sched, iterations, K=1, zero_sum=False):
-    """(n, p_n, loads_n) of the first ``iterations`` steps of ``iterate``."""
+    """(n, p_n, loads_n) of the first ``iterations`` iterations of ``iterate``,
+    one tuple per row of its blocks."""
     return [
-        (n, p, loads)
-        for n, p, _, _, loads, _ in islice(iterate(gamma, sched, K, zero_sum), iterations)
+        step
+        for n, p, _, _, loads, _ in iterate(
+            gamma, sched, K, zero_sum, iterations=iterations
+        )
+        for step in zip(n, p, loads)
     ]
 
 

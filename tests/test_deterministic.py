@@ -247,6 +247,16 @@ class TestBalanceConvergence:
         assert report.converged and report.stayed
         assert report.entered_iteration.tolist() == [1, 1]
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_empty_budget_runs_nothing(self, budget):
+        gamma = AffinityMatrix(
+            ProblemDims(T=2, E=2, K=1), np.array([[0.9, 0.1], [0.2, 0.8]])
+        )
+        report = check_balance_convergence(gamma, u=0.01, budget=budget)
+        assert report.iterations_run == 0
+        assert not report.converged
+        assert report.entered_iteration.tolist() == [-1, -1]
+
     def test_adversarial_start_converges(self):
         # every token prefers expert 0; distinct per-expert slopes keep all
         # score-gap differences comfortably apart so ubar is not microscopic

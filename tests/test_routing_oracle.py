@@ -3,6 +3,9 @@ container-based reference in ``reference_routing``.  Every comparison is
 exact: discrete outputs are equal and float outputs are bitwise equal.
 """
 
+import warnings
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,12 +15,15 @@ import reference_routing as ref
 from alflb.balancer import ScheduleKind, StepSchedule
 from alflb.core import AffinityMatrix, BiasVector, ProblemDims, RandomSource
 from alflb.deterministic import (
+    BLOCK_SCORES,
     audit_trace,
     check_balance_convergence,
     designations,
+    iterate,
     simulate_fixed_scores,
     ubar,
 )
+from alflb.errors import InvalidRange
 from alflb.router import RawScoreMatrix, softmax_affinities, topk
 
 # Shapes of the criterion-1/2/4 trace suite and of the criterion-3 sweep.
@@ -67,6 +73,13 @@ def test_topk_matches_reference_on_tied_grid(scores):
         assert chosen.dtype == np.int64 and chosen.shape == (T, K)
         np.testing.assert_array_equal(chosen, want.assigned_experts)
         np.testing.assert_array_equal(row_tie, want.row_tie)
+        # a batch of score matrices is routed matrix by matrix
+        flipped = ref.route_topk(affinities, BiasVector(-bias), K)
+        chosen, row_tie = topk(np.stack((gamma + bias, gamma - bias)), K)
+        assert chosen.shape == (2, T, K) and row_tie.shape == (2, T)
+        for c, t, w in zip(chosen, row_tie, (want, flipped)):
+            np.testing.assert_array_equal(c, w.assigned_experts)
+            np.testing.assert_array_equal(t, w.row_tie)
 
 
 def _switch_bits(token, from_expert, to_expert, benefit, gap_prev):
@@ -125,6 +138,132 @@ def test_simulate_matches_reference_loop_with_ties(K):
     _assert_traces_equal(got, want)
 
 
+def _assert_blocks_equal(gamma, sched, iterations, K=1, zero_sum=False):
+    """Every row of the blocked ``iterate`` against the stepwise oracle, bit
+    for bit, and the trace against the container reference; returns the
+    blocks' loads."""
+    stepwise = islice(ref.iterate_stepwise(gamma, sched, K, zero_sum), iterations)
+    blocks = []
+    for block in iterate(gamma, sched, K, zero_sum, iterations=iterations):
+        n, p, _, _, loads, _ = block
+        assert not p.flags.writeable and not loads.flags.writeable
+        for got, want in zip(zip(*block), stepwise):
+            assert got[0] == want[0]
+            for a, b in zip(got[1:], want[1:]):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        blocks.append(loads)
+    assert sum(map(len, blocks)) == iterations
+    assert next(stepwise, None) is None
+    _assert_traces_equal(
+        simulate_fixed_scores(gamma, sched, iterations, K=K, zero_sum=zero_sum),
+        ref.simulate_fixed_scores(gamma, sched, iterations, K=K, zero_sum=zero_sum),
+    )
+    return blocks
+
+
+def test_blocks_match_stepwise_on_plateau():
+    # the benchmark's plateau: routing changes a few times in 2,500 iterations
+    gamma = _seeded_affinities(64, 4, 77)
+    blocks = _assert_blocks_equal(
+        gamma, StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 1e-6), 2_500
+    )
+    assert len(blocks) < 100 and max(map(len, blocks)) == BLOCK_SCORES // (64 * 4)
+
+
+def test_blocks_match_stepwise_when_loads_change_inside_a_block():
+    sched = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 1e-3)
+    blocks = _assert_blocks_equal(_seeded_affinities(40, 4, 1000), sched, 300)
+    # a guessed block cut short: its length is no power of two, and its last
+    # row's loads differ from the guess its earlier rows held to
+    cut = [
+        b for b in blocks[:-1]
+        if len(b) > 2 and len(b) & (len(b) - 1) and (b[-1] != b[0]).any()
+    ]
+    assert cut
+
+
+def test_blocks_match_stepwise_when_tokens_swap_at_equal_loads():
+    # Tokens 4 and 5 sit one ulp from a tie between experts 0 and 1, whose
+    # biases rise together, so rounding moves them between the two; at some
+    # row inside a block they swap and the loads stay [1, 1, 4].
+    vals = np.full((6, 3), 0.05)
+    vals[:4, 2] = 0.9
+    for token, x in ((4, 1 / 3), (5, 0.4)):
+        vals[token, :2] = x, np.nextafter(x, 1.0)
+    gamma = AffinityMatrix(ProblemDims(T=6, E=3, K=1), vals)
+    sched = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 0.002)
+    _assert_blocks_equal(gamma, sched, 200)
+    swaps = 0
+    for _, _, _, chosen, loads, _ in iterate(gamma, sched, iterations=200):
+        a = chosen[:, :, 0]
+        moved = (a[1:] != a[:-1]).any(axis=1)
+        swaps += int((moved & (loads[1:] == loads[:-1]).all(axis=1)).sum())
+    assert swaps > 0
+
+
+def test_blocks_match_stepwise_when_iterations_end_inside_a_block():
+    gamma = _seeded_affinities(64, 4, 77)
+    blocks = _assert_blocks_equal(
+        gamma, StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 1e-6), 1_037
+    )
+    last = len(blocks[-1])
+    assert last > 1 and last & (last - 1)
+
+
+def test_blocks_are_single_rows_above_the_block_cap():
+    T, E = BLOCK_SCORES // 64 + 1, 64
+    # u so small that the loads never change: only the cap keeps blocks short
+    sched = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 1e-12)
+    blocks = _assert_blocks_equal(_seeded_affinities(T, E, 5), sched, 6)
+    assert [len(b) for b in blocks] == [1] * 6
+    assert all((b == blocks[0]).all() for b in blocks)
+
+
+@pytest.mark.parametrize("kind", list(ScheduleKind))
+def test_blocks_match_stepwise_under_zero_sum(kind):
+    sched = StepSchedule(kind, SCHEDULE_U[kind] / 10)
+    for K in (1, 3):
+        blocks = _assert_blocks_equal(
+            _seeded_affinities(40, 4, 1000 + K), sched, 400, K=K, zero_sum=True
+        )
+        assert max(map(len, blocks)) > 1
+
+
+def _overflowing_run(run):
+    """The rows ``run`` yields, then whether it raised InvalidRange."""
+    rows = []
+    try:
+        for n in run:
+            rows.append(int(n))
+    except InvalidRange as exc:
+        assert str(exc) == "bias entries must be finite"
+        return rows, True
+    return rows, False
+
+
+@pytest.mark.parametrize("iterations", [1, 2, 5])
+def test_overflow_raises_at_the_stepwise_iteration(iterations):
+    # every token on expert 0: the first dual step is -4e308 = -inf
+    vals = np.tile([0.9, 0.1], (8, 1))
+    gamma = AffinityMatrix(ProblemDims(T=8, E=2, K=1), vals)
+    sched = StepSchedule(ScheduleKind.CONSTANT, 1e308)
+    with np.errstate(over="ignore"):
+        want = _overflowing_run(
+            step[0] for step in islice(ref.iterate_stepwise(gamma, sched), iterations)
+        )
+    assert want == ([1], iterations > 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        blocks = iterate(gamma, sched, iterations=iterations)
+        got = _overflowing_run(n for block in blocks for n in block[0])
+        assert got == want
+        if want[1]:
+            with pytest.raises(InvalidRange):
+                simulate_fixed_scores(gamma, sched, iterations)
+        else:
+            simulate_fixed_scores(gamma, sched, iterations)
+
+
 def _assert_audits_equal(gamma, sched, iterations):
     """audit_trace against the reference audit; returns the number of
     switches audited and of switches skipped for a tie."""
@@ -164,6 +303,8 @@ def _assert_reports_equal(got, want):
     assert got.iterations_run == want.iterations_run
     assert got.stayed == want.stayed
     assert got.max_load_step == want.max_load_step
+    assert got.load_step_ok == want.load_step_ok
+    assert got.converged == want.converged
     assert got.any_tie == want.any_tie
 
 
@@ -189,6 +330,31 @@ def test_balance_check_matches_reference_on_slow_instance():
     _assert_reports_equal(got, want)
 
 
+def test_balance_check_matches_stepwise_past_first_routing_change():
+    # The same instance past its first routing change, at n = 22,142.
+    gamma = _seeded_affinities(64, 4, 3058)
+    u = 0.9 * ubar(gamma)
+    got = check_balance_convergence(gamma, u, budget=23_000)
+    want = ref.check_balance_convergence_stepwise(gamma, u, budget=23_000)
+    assert want.iterations_run == 23_000 and want.max_load_step > 0
+    _assert_reports_equal(got, want)
+
+
+def test_balance_check_matches_stepwise_when_a_load_leaves_the_band():
+    # Loads [5, 3] start in the band [3, 5]; tokens 2-4 share one score gap,
+    # so they leave expert 0 together at row 11, the last row of the run and
+    # not the first of its block, and expert 0 falls to 2.
+    vals = np.array([[0.9, 0.1]] * 2 + [[0.6, 0.4]] * 3 + [[0.1, 0.9]] * 3)
+    gamma = AffinityMatrix(ProblemDims(T=8, E=2, K=1), vals)
+    got = check_balance_convergence(gamma, 0.011, budget=11)
+    want = ref.check_balance_convergence_stepwise(gamma, 0.011, budget=11)
+    assert not want.stayed and want.max_load_step == 3
+    _assert_reports_equal(got, want)
+    sched = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 0.011)
+    blocks = [n for n, *_ in iterate(gamma, sched, iterations=11)]
+    assert len(blocks[-1]) > 1 and blocks[-1][-1] == 11
+
+
 def test_balance_check_matches_reference_with_ties():
     gamma = _grid_affinities(16, 4, seed=9)
     got = check_balance_convergence(gamma, 1 / 16, budget=300, settle_iterations=50)
@@ -207,7 +373,8 @@ def _arrays(obj):
 def test_trace_steps_hold_only_per_expert_arrays():
     T, E, N = 512, 16, 50
     gamma = _seeded_affinities(T, E, 21)
-    trace = simulate_fixed_scores(gamma, StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 1e-3), N)
+    sched = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 1e-3)
+    trace = simulate_fixed_scores(gamma, sched, N)
     S = len(trace.benefit)
     assert S > 0
     shapes = {
@@ -220,3 +387,7 @@ def test_trace_steps_hold_only_per_expert_arrays():
         arrays = list(_arrays(column))
         assert max(a.size for a in arrays) == column.size
         assert not any(a.flags.writeable for a in arrays)
+    # the blocks the trace was built from hand out read-only biases and loads
+    for n, p, _, _, loads, _ in iterate(gamma, sched, iterations=N):
+        assert p.shape == loads.shape == (len(n), E)
+        assert not p.flags.writeable and not loads.flags.writeable
