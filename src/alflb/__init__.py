@@ -17,7 +17,6 @@ from .router import (
     RoutingOutcome,
     route_topk,
     softmax_affinities,
-    switching_set,
 )
 
 __version__ = "0.1.0"
@@ -37,5 +36,4 @@ __all__ = [
     "project_zero_sum",
     "route_topk",
     "softmax_affinities",
-    "switching_set",
 ]

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BiasVector
 from .errors import InvalidRange
 
 
@@ -73,6 +72,7 @@ class StepSchedule:
         return self.scalar_step(n) * np.square(gap).sum(axis=-1)
 
 
-def project_zero_sum(p: BiasVector) -> BiasVector:
-    """Orthogonal projection onto the zero-sum subspace: subtract the mean."""
-    return BiasVector(p.values - p.values.mean())
+def project_zero_sum(p: np.ndarray) -> np.ndarray:
+    """Orthogonal projection onto the zero-sum subspace: subtract the mean
+    of every row of a (..., E) array."""
+    return p - p.mean(axis=-1, keepdims=True)

@@ -14,28 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balancer import ScheduleKind, StepSchedule
-from .core import (
-    AffinityMatrix,
-    Assignment,
-    BiasVector,
-    ProblemDims,
-)
-from .errors import DegenerateGaps, DimMismatch, InvalidRange, KNotOne, TooLarge
+from .balancer import ScheduleKind, StepSchedule, project_zero_sum
+from .core import AffinityMatrix, ProblemDims
+from .errors import DegenerateGaps, InvalidRange, KNotOne, TooLarge
 from .router import topk
 
 IP_ENUMERATION_GUARD = 10**7
 # Most scores, c * T * E, that one block of ``iterate`` routes at once.
 BLOCK_SCORES = 2**16
-
-
-@dataclass(frozen=True)
-class LagrangianValue:
-    """Routed-affinity total minus the bias penalty L * sum_k p_k."""
-
-    value: float
-    affinity_term: float
-    bias_penalty_term: float
 
 
 # Per-expert designation relative to the target load.
@@ -65,30 +51,12 @@ class IterationTrace:
     gap_prev: np.ndarray
 
 
-def lagrangian(
-    gamma: AffinityMatrix, x: Assignment, p: BiasVector, L: float
-) -> LagrangianValue:
-    """Exact evaluation of sum_{ik} (gamma_ik + p_k) x_ik - L sum_k p_k."""
-    if x.selected.shape != gamma.values.shape or p.E != gamma.values.shape[1]:
-        raise DimMismatch("gamma / assignment / bias shapes disagree")
-    value, affinity_term, bias_penalty_term = _lagrangian(
-        gamma.values + p.values[None, :], x.selected.astype(np.float64),
-        p.values, L,
-    )
-    return LagrangianValue(
-        value=float(value),
-        affinity_term=float(affinity_term),
-        bias_penalty_term=float(bias_penalty_term),
-    )
-
-
 def _lagrangian(shifted: np.ndarray, sel: np.ndarray, p: np.ndarray, L: float):
-    """``lagrangian`` on raw arrays, per leading row: shifted = gamma + p
-    (..., T, E), sel the float 0/1 selection matrices, p (..., E).  Returns
-    (value, affinity term, bias penalty term)."""
+    """The Lagrangian sum_{ik} (gamma_ik + p_k) x_ik - L sum_k p_k per
+    leading row: shifted = gamma + p (..., T, E), sel the float 0/1
+    selection matrices x, p (..., E)."""
     affinity_term = (shifted * sel).reshape(*p.shape[:-1], -1).sum(axis=-1)
-    bias_penalty_term = L * p.sum(axis=-1)
-    return affinity_term - bias_penalty_term, affinity_term, bias_penalty_term
+    return affinity_term - L * p.sum(axis=-1)
 
 
 def designations(loads: np.ndarray, L: float) -> np.ndarray:
@@ -137,7 +105,7 @@ def iterate(
             if n > 1:  # the dual step from the last row of the previous block
                 p = p_rows[-1] + schedule.bias_delta(guess, L, n - 1)
                 if zero_sum:
-                    p = p - p.mean()
+                    p = project_zero_sum(p)
             p_rows = _guessed_biases(p, guess, schedule, L, rows, zero_sum)
             shifted = g + p_rows[:, None, :]
             chosen, row_tie = topk(shifted, K)
@@ -181,8 +149,7 @@ def _guessed_biases(p, guess, schedule, L, rows, zero_sum):
     out = np.empty((len(rows), len(p)))
     out[0] = p
     for j, step in enumerate(steps):
-        q = out[j] + step
-        out[j + 1] = q - q.mean()
+        out[j + 1] = project_zero_sum(out[j] + step)
     return out
 
 
@@ -218,7 +185,7 @@ def simulate_fixed_scores(
         p_rows[block], load_rows[block], tie[block] = p, loads, row_tie.any(axis=1)
         sel = np.zeros(shifted.shape)  # sel[j, t, chosen[j, t]] = 1
         np.put(sel, chosen + E * np.arange(len(m) * T).reshape(-1, T, 1), 1.0)
-        lag[block] = _lagrangian(shifted, sel, p, L)[0]
+        lag[block] = _lagrangian(shifted, sel, p, L)
         if K == 1:
             a = chosen[:, :, 0]
             a = np.concatenate((a[:1] if a_prev is None else a_prev[None], a))
@@ -393,9 +360,10 @@ def check_balance_convergence(
     )
 
 
-def ip_bruteforce(gamma: AffinityMatrix, L: int) -> tuple[float, Assignment]:
+def ip_bruteforce(gamma: AffinityMatrix, L: int) -> tuple[float, np.ndarray]:
     """Exact maximizer of the routed affinity over exactly-balanced K=1
-    assignments, by depth-first enumeration.
+    assignments, by depth-first enumeration.  Returns the value and the
+    (T,) expert of each token.
 
     Guarded: the number of balanced assignments T! / (L!)^E must not exceed
     IP_ENUMERATION_GUARD.
@@ -428,8 +396,5 @@ def ip_bruteforce(gamma: AffinityMatrix, L: int) -> tuple[float, Assignment]:
                 capacity[k] += 1
 
     dfs(0, 0.0)
-    selected = np.zeros((T, E), dtype=np.int8)
-    selected[np.arange(T), best_choice] = 1
-    dims = ProblemDims(T=T, E=E, K=1)
-    return best_value, Assignment(dims, selected)
+    return best_value, best_choice
 

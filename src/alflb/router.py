@@ -20,7 +20,7 @@ from .core import (
     ProblemDims,
     loads_from_assignment,
 )
-from .errors import DimMismatch, KNotOne, OverflowGuard
+from .errors import DimMismatch, OverflowGuard
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,7 @@ class RoutingOutcome:
     """Result of one Top-K routing pass.
 
     assigned_experts[i] lists token i's selected experts in decreasing
-    shifted-score order (lowest index first among equals); for K=1 its first
-    column is the assignment function alpha(i).
+    shifted-score order (lowest index first among equals).
     """
 
     assignment: Assignment
@@ -53,12 +52,6 @@ class RoutingOutcome:
     tie_flag: bool
     assigned_experts: np.ndarray  # (T, K) int array
     row_tie: np.ndarray  # (T,) bool, tie at the K-th selection boundary
-
-    def alpha(self) -> np.ndarray:
-        """Per-token single assigned expert; K=1 analysis mode only."""
-        if self.assignment.dims.K != 1:
-            raise KNotOne("alpha() requires K=1")
-        return self.assigned_experts[:, 0]
 
 
 def softmax_affinities(raw: RawScoreMatrix) -> AffinityMatrix:
@@ -124,12 +117,3 @@ def route_topk(gamma: AffinityMatrix, p: BiasVector, K: int) -> RoutingOutcome:
         assigned_experts=chosen,
         row_tie=row_tie,
     )
-
-
-def switching_set(prev: RoutingOutcome, next: RoutingOutcome) -> np.ndarray:
-    """Indices of tokens whose assigned expert changed (K=1 mode)."""
-    if prev.assignment.dims != next.assignment.dims:
-        raise DimMismatch("outcomes have different dims")
-    a0 = prev.alpha()
-    a1 = next.alpha()
-    return np.flatnonzero(a0 != a1)

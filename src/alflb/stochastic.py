@@ -15,11 +15,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import AffinityMatrix, BiasVector
-from .deterministic import lagrangian
+from .balancer import project_zero_sum
+from .core import BiasVector
 from .distributions import AffinityDistributionSet
 from .errors import InvalidRange, NoConvergence
-from .router import route_topk
 
 QUAD_TOL = 1e-8
 QUAD_BASE_NODES = 256
@@ -203,11 +202,18 @@ def _selection_counts(chosen: np.ndarray, E: int) -> np.ndarray:
     return np.bincount(flat.ravel(), minlength=flat.shape[0] * E).reshape(lead + (E,))
 
 
+def _topk_set(shifted: np.ndarray, K: int) -> np.ndarray:
+    """The indices (..., T, K) of the K largest entries of every row of a
+    (..., T, E) score array, in no set order: sampled continuous scores tie
+    with probability 0, so neither ``router.topk``'s order nor its tie flags
+    are needed."""
+    return np.argpartition(-shifted, K - 1, axis=-1)[..., :K]
+
+
 def _topk_counts(samples: np.ndarray, p: np.ndarray, K: int) -> np.ndarray:
     """Per-expert Top-K membership counts for a (..., T, E) sample block."""
     shifted = samples + p
-    chosen = np.argpartition(-shifted, K - 1, axis=-1)[..., :K]
-    return _selection_counts(chosen, shifted.shape[-1])
+    return _selection_counts(_topk_set(shifted, K), shifted.shape[-1])
 
 
 def pi_monte_carlo(
@@ -240,14 +246,16 @@ def pi_monte_carlo(
 # Online loss
 # ---------------------------------------------------------------------------
 
-def online_loss(gamma: AffinityMatrix, p: BiasVector, K: int, L: float) -> float:
-    """Per-round loss: routed shifted-score total minus L * sum_k p_k.
-
-    Evaluated through the router so that for K=1 it agrees bitwise with the
-    deterministic Lagrangian of the induced assignment.
-    """
-    outcome = route_topk(gamma, p, K)
-    return lagrangian(gamma, outcome.assignment, p, L).value
+def online_loss(
+    shifted: np.ndarray, p: np.ndarray, K: int, L: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-round loss of shifted scores gamma + p (..., T, E) under biases
+    p (..., E): the Top-K routed shifted-score total minus L * sum_k p_k,
+    which is the Lagrangian of the routed assignment.  Returns the chosen
+    experts (..., T, K) and the loss (...)."""
+    chosen = _topk_set(shifted, K)
+    routed = np.take_along_axis(shifted, chosen, axis=-1).sum(axis=(-2, -1))
+    return chosen, routed - L * p.sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +413,7 @@ def hessian_fd_errors(
     (each one standard-normal draw of length E, centered and normalized)."""
     errors = np.empty(directions)
     for i in range(directions):
-        delta = rng.standard_normal(dist.E)
-        delta -= delta.mean()
+        delta = project_zero_sum(rng.standard_normal(dist.E))
         delta /= np.linalg.norm(delta)
         quad_form = weights.quadratic_form(delta)
         plus = pi_quadrature(dist, BiasVector(p.values + h * delta), K).pi
@@ -442,12 +449,10 @@ def _domain_grid(E: int, kappa: float, grid_points: int, rng: np.random.Generato
                 if not np.all(v == v[0]):
                     patterns.append(v)
         for v in patterns:
-            q = 0.5 * d * v
-            pts.append(q - q.mean())
+            pts.append(project_zero_sum(0.5 * d * v))
         # random interior / boundary points
         while len(pts) < grid_points:
-            q = rng.uniform(-0.5 * d, 0.5 * d, size=E)
-            q -= q.mean()
+            q = project_zero_sum(rng.uniform(-0.5 * d, 0.5 * d, size=E))
             diam = q.max() - q.min()
             if diam > 0:
                 if rng.random() < 0.5:
@@ -492,12 +497,19 @@ def strong_convexity_estimate(
 # Expected loss and its minimizer
 # ---------------------------------------------------------------------------
 
+def _expected_loss(
+    dist: AffinityDistributionSet, p: np.ndarray, K: int, T: int, L: float
+) -> tuple[SelectionProbabilities, float]:
+    """pi(p) and the expected loss T * F_K(p) - L * sum_k p_k, by quadrature."""
+    pi, value = selection_moments(dist, BiasVector(p), K)
+    return pi, T * value - L * float(p.sum())
+
+
 def expected_loss(
     dist: AffinityDistributionSet, p: BiasVector, K: int, T: int, L: float
 ) -> float:
     """T * F_K(p) - L * sum_k p_k via quadrature."""
-    _, value = selection_moments(dist, p, K)
-    return T * value - L * float(p.values.sum())
+    return _expected_loss(dist, p.values, K, T, L)[1]
 
 
 def expected_loss_minimizer(
@@ -515,20 +527,16 @@ def expected_loss_minimizer(
     if tolerance is None:
         tolerance = 1e-6 * T
     p = np.zeros(E)
-    pi, value = selection_moments(dist, BiasVector(p), K)
-    fval = T * value - L * p.sum()
+    pi, fval = _expected_loss(dist, p, K, T, L)
     step = 1.0 / T
     for _ in range(max_iter):
-        grad = T * pi.pi - L
-        grad_z = grad - grad.mean()
+        grad_z = project_zero_sum(T * pi.pi - L)
         if np.abs(grad_z).max() <= tolerance:
             return BiasVector(p)
         # backtracking line search with a mild re-expansion on success
         while True:
-            cand = p - step * grad_z
-            cand -= cand.mean()
-            pi_c, value_c = selection_moments(dist, BiasVector(cand), K)
-            f_cand = T * value_c - L * cand.sum()
+            cand = project_zero_sum(p - step * grad_z)
+            pi_c, f_cand = _expected_loss(dist, cand, K, T, L)
             if f_cand <= fval - 0.25 * step * float(grad_z @ grad_z):
                 p, pi, fval = cand, pi_c, f_cand
                 step *= 1.5
@@ -536,8 +544,7 @@ def expected_loss_minimizer(
             step *= 0.5
             if step < 1e-14:
                 raise NoConvergence("line search collapsed")
-    grad = T * pi.pi - L
-    grad_z = grad - grad.mean()
+    grad_z = project_zero_sum(T * pi.pi - L)
     if np.abs(grad_z).max() <= tolerance:
         return BiasVector(p)
     raise NoConvergence(f"gradient sup-norm {np.abs(grad_z).max():.3g} > {tolerance:.3g}")
@@ -552,8 +559,7 @@ class RegretAccounting:
     """Per-round regret trace averaged over replicas.
 
     s_n is a plug-in proxy estimated from realized loads (quadrature
-    per-round would dominate the runtime); delta_n is the mean squared
-    distance to the precomputed minimizer.
+    per-round would dominate the runtime).
     """
 
     rounds: int
@@ -562,8 +568,6 @@ class RegretAccounting:
     sigma2: float
     mean_cum_regret: np.ndarray    # (N,)
     bound: np.ndarray              # (N,) sigma^2/(2 mu) (1 + ln n)
-    mean_gap: np.ndarray           # (N,) mean per-round f-gap (a_n proxy)
-    mean_delta: np.ndarray         # (N,) mean ||p - p*||^2
     mean_diam: np.ndarray          # (N,)
     s_n_proxy: np.ndarray          # (N,)
     diam_violations: int           # rounds with diam > 1 - kappa
@@ -592,8 +596,6 @@ def regret_experiment(
     P = np.zeros((replicas, E))
     cum = np.zeros(replicas)
     mean_cum = np.empty(rounds)
-    mean_gap = np.empty(rounds)
-    mean_delta = np.empty(rounds)
     mean_diam = np.empty(rounds)
     s_proxy = np.empty(rounds)
     diam_violations = 0
@@ -604,19 +606,13 @@ def regret_experiment(
             [d.sample(rng, (replicas, T)) for d in dist.dists], axis=2
         )
         # one Top-K selection per side: indices for the iterate, values for p*
-        shifted = block + P[:, None, :]
-        chosen = np.argpartition(-shifted, K - 1, axis=2)[:, :, :K]
-        top_vals = np.take_along_axis(shifted, chosen, axis=2)
-        f_iter = top_vals.sum(axis=(1, 2)) - L * P.sum(axis=1)
+        chosen, f_iter = online_loss(block + P[:, None, :], P, K, L)
         shifted_star = block + ps[None, None, :]
         top_star = -np.partition(-shifted_star, K - 1, axis=2)[:, :, :K]
         f_star = top_star.sum(axis=(1, 2)) - L * ps.sum()
 
-        gap = f_iter - f_star
-        cum += gap
+        cum += f_iter - f_star
         mean_cum[n - 1] = cum.mean()
-        mean_gap[n - 1] = gap.mean()
-        mean_delta[n - 1] = float(np.square(P - ps).sum(axis=1).mean())
         diams = P.max(axis=1) - P.min(axis=1)
         mean_diam[n - 1] = float(diams.mean())
         if np.any(diams > d_cap):
@@ -625,8 +621,7 @@ def regret_experiment(
         counts = _selection_counts(chosen, E)
         s_proxy[n - 1] = float(np.square(counts / T).sum(axis=1).mean())
         g = counts - L
-        P = P - g / (mu * n)
-        P -= P.mean(axis=1, keepdims=True)
+        P = project_zero_sum(P - g / (mu * n))
 
     bound = sig2 / (2.0 * mu) * (1.0 + np.log(np.arange(1, rounds + 1)))
     return RegretAccounting(
@@ -636,8 +631,6 @@ def regret_experiment(
         sigma2=sig2,
         mean_cum_regret=mean_cum,
         bound=bound,
-        mean_gap=mean_gap,
-        mean_delta=mean_delta,
         mean_diam=mean_diam,
         s_n_proxy=s_proxy,
         diam_violations=diam_violations,

@@ -5,8 +5,9 @@ These are the container-based implementations that ``alflb`` used before the
 raw-array ``topk`` kernel and the shared ``iterate`` loop: every iteration
 builds a validated ``Assignment``, ``LoadVector``, ``BiasVector`` and
 ``BalancerState``.  The routing, Lagrangian, switch-record and dual-update
-bodies, and the balancer state, are copied here as well, so the oracle tests
-compare the fast path against code that shares none of its helpers.  The
+bodies, the balancer state, the Lagrangian value and the zero-sum projection
+are copied here as well, so the oracle tests compare the fast path against
+code that shares none of its helpers.  The
 per-step identity check, switch-direction check and tie-skipping switch audit
 are the ones that walked the per-step traces before ``audit_trace`` read the
 trace table.
@@ -23,7 +24,7 @@ from itertools import islice
 
 import numpy as np
 
-from alflb.balancer import ScheduleKind, StepSchedule, project_zero_sum
+from alflb.balancer import ScheduleKind, StepSchedule
 from alflb.core import (
     AffinityMatrix,
     Assignment,
@@ -32,13 +33,9 @@ from alflb.core import (
     ProblemDims,
     loads_from_assignment,
 )
-from alflb.deterministic import (
-    BalanceConvergenceReport,
-    LagrangianValue,
-    designations,
-)
+from alflb.deterministic import BalanceConvergenceReport, designations
 from alflb.errors import DimMismatch, InvalidRange, KNotOne
-from alflb.router import RoutingOutcome, switching_set, topk
+from alflb.router import RoutingOutcome, topk
 
 
 @dataclass(frozen=True)
@@ -48,6 +45,13 @@ class SwitchRecord:
     to_expert: int
     benefit: float          # shifted-score gain under the *new* biases
     score_gap_prev: float   # new-minus-old shifted score under the *old* biases
+
+
+@dataclass(frozen=True)
+class LagrangianValue:
+    value: float
+    affinity_term: float
+    bias_penalty_term: float
 
 
 @dataclass(frozen=True)
@@ -108,9 +112,9 @@ def switching_benefit(
     p_next: BiasVector,
     p_prev: BiasVector,
 ) -> list[SwitchRecord]:
-    switched = switching_set(prev_outcome, next_outcome)
-    a_prev = prev_outcome.alpha()
-    a_next = next_outcome.alpha()
+    a_prev = prev_outcome.assigned_experts[:, 0]
+    a_next = next_outcome.assigned_experts[:, 0]
+    switched = np.flatnonzero(a_prev != a_next)
     g = gamma.values
     records = []
     for i in switched:
@@ -137,7 +141,7 @@ def dual_update(
     delta = sched.bias_delta(loads.counts, L, state.iteration)
     new_p = BiasVector(state.p.values + delta)
     if state.zero_sum:
-        new_p = project_zero_sum(new_p)
+        new_p = BiasVector(new_p.values - new_p.values.mean())
     return replace(state, p=new_p, iteration=state.iteration + 1)
 
 

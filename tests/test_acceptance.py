@@ -11,11 +11,11 @@ import pytest
 from alflb.balancer import ScheduleKind, StepSchedule, project_zero_sum
 from alflb.core import BiasVector, RandomSource
 from alflb.deterministic import (
+    _lagrangian,
     audit_trace,
     check_balance_convergence,
     ip_bruteforce,
     iterate,
-    lagrangian,
     simulate_fixed_scores,
     stable_partition_preserved,
     ubar,
@@ -27,7 +27,7 @@ from alflb.distributions import (
     UniformScore,
     identical,
 )
-from alflb.router import RawScoreMatrix, route_topk, softmax_affinities
+from alflb.router import RawScoreMatrix, softmax_affinities
 from alflb.stochastic import (
     check_gradient_moments,
     edge_weights_quadrature,
@@ -337,20 +337,24 @@ def test_criterion_9_exact_identities():
         E = int(rng.integers(2, 7))
         T = E * int(rng.integers(1, 9))
         gamma = _seeded_affinities(T, E, 7000 + s)
-        p = BiasVector(rng.uniform(-0.2, 0.2, size=E))
+        p = rng.uniform(-0.2, 0.2, size=E)
         L = T / E
-        out = route_topk(gamma, p, 1)
-        det = lagrangian(gamma, out.assignment, p, L).value
-        onl = online_loss(gamma, p, 1, L)
-        worst_loss = max(worst_loss, abs(onl - det))
-        g = out.loads.counts.astype(np.float64) - L
+        # the regret round's loss against the trace's Lagrangian column, on
+        # the one routing
+        shifted = gamma.values + p
+        chosen, onl = online_loss(shifted, p, 1, L)
+        sel = np.zeros((T, E))
+        np.put_along_axis(sel, chosen, 1.0, axis=1)
+        det = _lagrangian(shifted, sel, p, L)
+        worst_loss = max(worst_loss, abs(float(onl - det)))
+        g = np.bincount(chosen.ravel(), minlength=E) - L
         worst_grad = max(worst_grad, abs(float(g.sum())))
     worst_proj = 0.0
     for _ in range(100):
-        p = BiasVector(rng.uniform(-5.0, 5.0, size=int(rng.integers(2, 10))))
+        p = rng.uniform(-5.0, 5.0, size=int(rng.integers(2, 10)))
         q = project_zero_sum(p)
         q2 = project_zero_sum(q)
-        worst_proj = max(worst_proj, float(np.abs(q2.values - q.values).max()))
+        worst_proj = max(worst_proj, float(np.abs(q2 - q).max()))
     ok = worst_loss <= 1e-12 and worst_grad <= 1e-9 and worst_proj <= 1e-12
     _verdict(
         9, "exact identities", ok,
@@ -393,9 +397,13 @@ def test_criterion_10_ip_oracle():
                 alpha = chosen[balanced[0], :, 0]
                 routed = float(gamma.values[np.arange(T), alpha].sum())
                 break
-        value, assignment = ip_bruteforce(gamma, L)
+        value, choice = ip_bruteforce(gamma, L)
         oracle = _ip_enumeration_oracle(gamma.values, L)
-        if routed is None or value < routed - 1e-12 or abs(value - oracle) > 1e-12:
+        ip_balanced = (np.bincount(choice, minlength=E) == L).all()
+        if (
+            routed is None or not ip_balanced or value < routed - 1e-12
+            or abs(value - oracle) > 1e-12
+        ):
             failures.append(s)
     _verdict(
         10, "ip oracle", not failures,

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alflb.balancer import ScheduleKind, StepSchedule, project_zero_sum
-from alflb.core import AffinityMatrix, BiasVector, ProblemDims
+from alflb.core import AffinityMatrix, ProblemDims
 from alflb.deterministic import iterate
 from alflb.errors import InvalidRange
 from conftest import random_affinities
@@ -134,13 +134,18 @@ class TestDualUpdate:
 
 class TestProjectionAndDiameter:
     def test_projection_example(self):
-        q = project_zero_sum(BiasVector(np.array([1.0, 2.0, 3.0])))
-        np.testing.assert_allclose(q.values, [-1.0, 0.0, 1.0])
+        q = project_zero_sum(np.array([1.0, 2.0, 3.0]))
+        np.testing.assert_allclose(q, [-1.0, 0.0, 1.0])
 
     def test_projection_fixes_zero_sum_vectors(self):
-        p = BiasVector(np.array([-0.3, 0.1, 0.2]))
-        q = project_zero_sum(p)
-        np.testing.assert_allclose(q.values, p.values, atol=1e-15)
+        p = np.array([-0.3, 0.1, 0.2])
+        np.testing.assert_allclose(project_zero_sum(p), p, atol=1e-15)
+
+    def test_projection_is_per_row(self):
+        rows = np.array([[1.0, 2.0, 3.0], [-0.3, 0.1, 0.2]])
+        q = project_zero_sum(rows)
+        for row, want in zip(q, rows):
+            np.testing.assert_array_equal(row, project_zero_sum(want))
 
 
 
@@ -153,9 +158,9 @@ class TestProjectionAndDiameter:
 )
 @settings(max_examples=100, deadline=None)
 def test_projection_idempotent_and_zero_sum(vals):
-    p = BiasVector(np.array(vals))
+    p = np.array(vals)
     q = project_zero_sum(p)
-    scale = max(1.0, float(np.abs(p.values).max()))
-    assert abs(q.values.sum()) <= 1e-12 * scale * len(vals)
+    scale = max(1.0, float(np.abs(p).max()))
+    assert abs(q.sum()) <= 1e-12 * scale * len(vals)
     q2 = project_zero_sum(q)
-    np.testing.assert_allclose(q2.values, q.values, atol=1e-12 * scale)
+    np.testing.assert_allclose(q2, q, atol=1e-12 * scale)

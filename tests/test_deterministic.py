@@ -12,17 +12,17 @@ from alflb.deterministic import (
     OVERLOADED,
     UNDERLOADED,
     IterationTrace,
+    _lagrangian,
     audit_trace,
     check_balance_convergence,
     designations,
     ip_bruteforce,
-    lagrangian,
     simulate_fixed_scores,
     stable_partition_preserved,
     ubar,
 )
 from alflb.errors import DegenerateGaps, KNotOne, TooLarge
-from alflb.router import route_topk
+from alflb.router import route_topk, topk
 from conftest import random_affinities
 
 TWO_TOKEN = AffinityMatrix(
@@ -41,34 +41,36 @@ def _lagrangian_oracle(g, sel, p, L):
     return total - L * sum(p)
 
 
+def _selection(g, p):
+    """The float 0/1 selection of K=1 routing on g + p."""
+    chosen, _ = topk(g + p, 1)
+    sel = np.zeros(g.shape)
+    np.put_along_axis(sel, chosen, 1.0, axis=1)
+    return sel
+
+
 class TestLagrangian:
     def test_two_token_value(self):
-        out = route_topk(TWO_TOKEN, BiasVector.zeros(2), 1)
-        val = lagrangian(TWO_TOKEN, out.assignment, BiasVector.zeros(2), 1.0)
-        assert val.value == pytest.approx(1.7, abs=1e-15)
-        assert val.affinity_term == pytest.approx(1.7)
-        assert val.bias_penalty_term == 0.0
+        g, p = TWO_TOKEN.values, np.zeros(2)
+        val = _lagrangian(g + p, _selection(g, p), p, 1.0)
+        assert val == pytest.approx(1.7, abs=1e-15)
 
     def test_uniform_bias_cancels_when_balanced_target(self):
-        gamma = random_affinities(12, 4, seed=0)
-        out = route_topk(gamma, BiasVector.zeros(4), 1)
+        g = random_affinities(12, 4, seed=0).values
+        sel = _selection(g, np.zeros(4))
         L = 12 / 4  # E*L = K*T, so the bias terms cancel
-        base = lagrangian(gamma, out.assignment, BiasVector.zeros(4), L).value
+        base = _lagrangian(g, sel, np.zeros(4), L)
         for c in (0.3, -1.7, 42.0):
-            shifted = lagrangian(
-                gamma, out.assignment, BiasVector(np.full(4, c)), L
-            ).value
-            assert shifted == pytest.approx(base, abs=1e-9)
+            p = np.full(4, c)
+            assert _lagrangian(g + p, sel, p, L) == pytest.approx(base, abs=1e-9)
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(1)
-        gamma = random_affinities(15, 5, seed=2)
-        out = route_topk(gamma, BiasVector.zeros(5), 1)
+        g = random_affinities(15, 5, seed=2).values
+        sel = _selection(g, np.zeros(5))
         p = rng.uniform(-0.2, 0.2, size=5)
-        got = lagrangian(gamma, out.assignment, BiasVector(p), 3.0).value
-        want = _lagrangian_oracle(
-            gamma.values, out.assignment.selected, p.tolist(), 3.0
-        )
+        got = _lagrangian(g + p, sel, p, 3.0)
+        want = _lagrangian_oracle(g, sel, p.tolist(), 3.0)
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -309,9 +311,9 @@ def _ip_enumeration_oracle(g, L):
 
 class TestIpBruteforce:
     def test_two_token_example(self):
-        value, assignment = ip_bruteforce(TWO_TOKEN, 1)
+        value, choice = ip_bruteforce(TWO_TOKEN, 1)
         assert value == pytest.approx(1.1, abs=1e-15)
-        assert assignment.selected.tolist() == [[1, 0], [0, 1]]
+        assert choice.tolist() == [0, 1]
 
     def test_all_equal_scores(self):
         gamma = AffinityMatrix(
@@ -322,11 +324,13 @@ class TestIpBruteforce:
 
     def test_matches_permutation_oracle(self):
         gamma = random_affinities(6, 3, seed=13)
-        value, assignment = ip_bruteforce(gamma, 2)
+        value, choice = ip_bruteforce(gamma, 2)
         assert value == pytest.approx(
             _ip_enumeration_oracle(gamma.values, 2), abs=1e-12
         )
-        np.testing.assert_array_equal(assignment.selected.sum(axis=0), 2)
+        assert choice.shape == (6,)
+        np.testing.assert_array_equal(np.bincount(choice, minlength=3), 2)
+        assert gamma.values[np.arange(6), choice].sum() == pytest.approx(value, abs=1e-12)
 
     def test_matches_hungarian_on_duplicated_experts(self):
         # expert k duplicated L times turns the balanced IP into a linear

@@ -4,13 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alflb.core import AffinityMatrix, BiasVector, ProblemDims
-from alflb.errors import DimMismatch, KNotOne, OverflowGuard
-from alflb.router import (
-    RawScoreMatrix,
-    route_topk,
-    softmax_affinities,
-    switching_set,
-)
+from alflb.errors import DimMismatch, OverflowGuard
+from alflb.router import RawScoreMatrix, route_topk, softmax_affinities
 from conftest import random_affinities
 
 
@@ -64,13 +59,13 @@ class TestRouteTopK:
             np.array([[0.9, 0.1], [0.6, 0.4]]),
         )
         out = route_topk(gamma, BiasVector.zeros(2), 1)
-        assert out.alpha().tolist() == [0, 0]
+        assert out.assigned_experts[:, 0].tolist() == [0, 0]
         assert out.loads.counts.tolist() == [2, 0]
         assert not out.tie_flag
 
         # a bias of -0.25 on expert 0 flips only the second token
         out2 = route_topk(gamma, BiasVector(np.array([-0.25, 0.0])), 1)
-        assert out2.alpha().tolist() == [0, 1]
+        assert out2.assigned_experts[:, 0].tolist() == [0, 1]
         assert out2.loads.counts.tolist() == [1, 1]
 
     def test_matches_bruteforce_sort(self):
@@ -90,7 +85,7 @@ class TestRouteTopK:
             np.array([[0.4, 0.4, 0.2]]),
         )
         out = route_topk(gamma, BiasVector.zeros(3), 1)
-        assert out.alpha().tolist() == [0]
+        assert out.assigned_experts[:, 0].tolist() == [0]
         assert out.tie_flag
         assert out.row_tie.tolist() == [True]
 
@@ -136,38 +131,6 @@ class TestRouteTopK:
         gamma = random_affinities(4, 3, seed=9)
         with pytest.raises(DimMismatch):
             route_topk(gamma, BiasVector.zeros(4), 1)
-
-
-class TestSwitchingSet:
-    def test_identical_outcomes_empty(self):
-        gamma = random_affinities(20, 4, seed=10)
-        out = route_topk(gamma, BiasVector.zeros(4), 1)
-        assert switching_set(out, out).size == 0
-
-    def test_constructed_switch(self):
-        gamma = AffinityMatrix(
-            ProblemDims(T=2, E=2, K=1),
-            np.array([[0.9, 0.1], [0.6, 0.4]]),
-        )
-        a = route_topk(gamma, BiasVector.zeros(2), 1)
-        b = route_topk(gamma, BiasVector(np.array([-0.25, 0.0])), 1)
-        assert switching_set(a, b).tolist() == [1]
-
-    def test_matches_elementwise_oracle(self):
-        gamma = random_affinities(60, 6, seed=11)
-        rng = np.random.default_rng(12)
-        a = route_topk(gamma, BiasVector(rng.uniform(-0.05, 0.05, 6)), 1)
-        b = route_topk(gamma, BiasVector(rng.uniform(-0.05, 0.05, 6)), 1)
-        expected = [i for i in range(60) if a.alpha()[i] != b.alpha()[i]]
-        assert switching_set(a, b).tolist() == expected
-
-    def test_requires_k1(self):
-        gamma = random_affinities(10, 4, seed=13, K=2)
-        out = route_topk(gamma, BiasVector.zeros(4), 2)
-        with pytest.raises(KNotOne):
-            switching_set(out, out)
-        with pytest.raises(KNotOne):
-            out.alpha()
 
 
 @given(

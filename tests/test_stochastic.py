@@ -3,8 +3,8 @@ import pytest
 from scipy import integrate
 
 from alflb import stochastic
-from alflb.core import AffinityMatrix, BiasVector, ProblemDims, RandomSource
-from alflb.deterministic import lagrangian
+from alflb.core import BiasVector, RandomSource
+from alflb.deterministic import _lagrangian
 from alflb.distributions import (
     AffinityDistributionSet,
     BetaScore,
@@ -12,7 +12,7 @@ from alflb.distributions import (
     identical,
 )
 from alflb.errors import InvalidRange, NoConvergence
-from alflb.router import route_topk
+from alflb.router import topk
 from alflb.stochastic import (
     EdgeWeights,
     check_gradient_moments,
@@ -35,28 +35,64 @@ def test_sigma_squared_plugin():
     assert sigma_squared(10, 5, 5) == pytest.approx(0.0)  # K=E is deterministic
 
 
+def _routed_lagrangian(shifted, chosen, p, L):
+    """The deterministic Lagrangian of the assignment ``chosen``."""
+    sel = np.zeros(shifted.shape)
+    np.put_along_axis(sel, chosen, 1.0, axis=-1)
+    return _lagrangian(shifted, sel, p, L)
+
+
 class TestOnlineLoss:
     def test_hand_instance(self):
-        gamma = AffinityMatrix(ProblemDims(T=1, E=2, K=1), np.array([[0.9, 0.1]]))
-        p = BiasVector(np.array([0.0, 0.05]))
-        assert online_loss(gamma, p, 1, 0.5) == pytest.approx(0.875, abs=1e-15)
+        p = np.array([0.0, 0.05])
+        chosen, loss = online_loss(np.array([[0.9, 0.1]]) + p, p, 1, 0.5)
+        assert chosen.tolist() == [[0]]
+        assert loss == pytest.approx(0.875, abs=1e-15)
 
     def test_equals_deterministic_lagrangian_k1(self):
         rng = np.random.default_rng(0)
         for seed in range(30):
-            gamma = random_affinities(16, 4, seed=seed)
-            p = BiasVector(rng.uniform(-0.1, 0.1, size=4))
-            got = online_loss(gamma, p, 1, 4.0)
-            out = route_topk(gamma, p, 1)
-            want = lagrangian(gamma, out.assignment, p, 4.0).value
-            assert got == want  # same code path, bitwise
+            p = rng.uniform(-0.1, 0.1, size=4)
+            shifted = random_affinities(16, 4, seed=seed).values + p
+            chosen, got = online_loss(shifted, p, 1, 4.0)
+            want = _routed_lagrangian(shifted, chosen, p, 4.0)
+            assert got == pytest.approx(want, abs=1e-12)
+            np.testing.assert_array_equal(chosen, topk(shifted, 1)[0])
+
+    @pytest.mark.parametrize("E", [3, 5, 8])
+    def test_equals_deterministic_lagrangian_topk(self, E):
+        rng = np.random.default_rng(E)
+        for K in range(2, E):
+            for seed in range(10):
+                p = rng.uniform(-0.2, 0.2, size=E)
+                shifted = random_affinities(4 * E, E, seed=100 * E + seed).values + p
+                L = K * 4.0
+                chosen, got = online_loss(shifted, p, K, L)
+                want = _routed_lagrangian(shifted, chosen, p, L)
+                assert got == pytest.approx(want, abs=1e-12)
+                # the same expert set as the router's ordered Top-K
+                np.testing.assert_array_equal(
+                    np.sort(chosen, axis=-1), np.sort(topk(shifted, K)[0], axis=-1)
+                )
+
+    def test_batched_rows_equal_single_rows(self):
+        rng = np.random.default_rng(3)
+        P = rng.uniform(-0.1, 0.1, size=(5, 6))
+        shifted = rng.uniform(size=(5, 12, 6)) + P[:, None, :]
+        chosen, loss = online_loss(shifted, P, 2, 4.0)
+        assert chosen.shape == (5, 12, 2) and loss.shape == (5,)
+        for r in range(5):
+            c, val = online_loss(shifted[r], P[r], 2, 4.0)
+            np.testing.assert_array_equal(c, chosen[r])
+            assert val == loss[r]
 
     def test_uniform_shift_cancels_at_balanced_target(self):
-        gamma = random_affinities(12, 4, seed=31, K=2)
+        g = random_affinities(12, 4, seed=31, K=2).values
         L = 2 * 12 / 4
-        base = online_loss(gamma, BiasVector.zeros(4), 2, L)
+        _, base = online_loss(g, np.zeros(4), 2, L)
         for c in (0.4, -2.0):
-            val = online_loss(gamma, BiasVector(np.full(4, c)), 2, L)
+            p = np.full(4, c)
+            _, val = online_loss(g + p, p, 2, L)
             assert val == pytest.approx(base, abs=1e-9)
 
 
@@ -290,6 +326,19 @@ class TestExpectedLossMinimizer:
 
 
 class TestRegretExperiment:
+    @pytest.mark.parametrize("K", [1, 2, 3, 5])
+    def test_first_round_at_zero_minimizer_has_no_regret(self, K):
+        # at round 1 the iterate is p = 0 = p*, so the online_loss side and
+        # the value-only partition side must give the same loss exactly
+        ds = identical(BetaScore(2.0, 2.0), 6)
+        rng = RandomSource(14, 7).generator()
+        acct = regret_experiment(
+            ds, 16, K, mu=50.0, p_star=BiasVector.zeros(6),
+            rounds=1, replicas=16, rng=rng,
+        )
+        assert acct.mean_cum_regret[0] == 0.0
+        assert np.all(acct.final_per_replica == 0)
+
     def test_start_at_optimum_gap_near_zero(self):
         ds = identical(BetaScore(2.0, 2.0), 4)
         T, K = 8, 2
