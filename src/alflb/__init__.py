@@ -4,12 +4,10 @@ simulator plus deterministic and stochastic verification labs.
 
 from .core import (
     AffinityMatrix,
-    Assignment,
     BiasVector,
     LoadVector,
     ProblemDims,
     RandomSource,
-    loads_from_assignment,
 )
 from .balancer import ScheduleKind, StepSchedule, project_zero_sum
 from .router import (
@@ -23,7 +21,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffinityMatrix",
-    "Assignment",
     "BiasVector",
     "LoadVector",
     "ProblemDims",
@@ -32,7 +29,6 @@ __all__ = [
     "RoutingOutcome",
     "ScheduleKind",
     "StepSchedule",
-    "loads_from_assignment",
     "project_zero_sum",
     "route_topk",
     "softmax_affinities",

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .balancer import ScheduleKind, StepSchedule
-from .core import BiasVector, ProblemDims, RandomSource
+from .core import ProblemDims, RandomSource
 from .deterministic import (
     audit_trace,
     check_balance_convergence,
@@ -149,6 +149,22 @@ def _in_range(field: str, check, *args):
         raise ValidationError(field, str(exc)) from exc
 
 
+def _seed(value) -> int:
+    """A seed: a JSON integer in [0, 2**64)."""
+    seed = _integer(value, "seed", minimum=0)
+    if seed >= 2**64:
+        raise ValidationError("seed", "must be a 64-bit unsigned integer")
+    return seed
+
+
+def _bias_bound(u: float, T: int, iterations: int, field: str) -> None:
+    """Reject a step size whose biases could overflow.  One dual step moves
+    a bias by at most u * T (for every schedule, |L - A_k| <= T) and the
+    zero-sum projection at most doubles that, so |p_n| <= 2 u T n."""
+    if not math.isfinite(2.0 * u * T * iterations):
+        raise ValidationError(field, "the biases could overflow: 2 u T iterations = inf")
+
+
 def _parse_dims(d) -> ProblemDims:
     d = _object(d, "dims")
     _only_keys(d, ("T", "E", "K"), "dims.")
@@ -238,9 +254,7 @@ def load_config(path) -> ExperimentConfig:
     if kind not in KINDS:
         raise ValidationError("kind", f"must be one of {KINDS}, got {kind!r}")
     _only_keys(raw, _COMMON_KEYS | _KIND_KEYS[kind])
-    seed = _integer(raw.get("seed", 0), "seed", minimum=0)
-    if seed >= 2**64:
-        raise ValidationError("seed", "must be a 64-bit unsigned integer")
+    seed = _seed(raw.get("seed", 0))
 
     params: dict = {}
     if kind in ("deterministic_run", "balance_check", "schedule_compare"):
@@ -248,6 +262,8 @@ def load_config(path) -> ExperimentConfig:
     if kind == "deterministic_run":
         params["schedule"] = _parse_schedule(_need(raw, "schedule"))
         params["iterations"] = _integer(_need(raw, "iterations"), "iterations")
+        _bias_bound(params["schedule"].u, params["dims"].T, params["iterations"],
+                    "schedule.u")
         params["zero_sum"] = _boolean(raw.get("zero_sum", False), "zero_sum")
     elif kind == "balance_check":
         if params["dims"].K != 1:
@@ -267,6 +283,7 @@ def load_config(path) -> ExperimentConfig:
         params["u"] = _real(_need(raw, "u"), "u")
         _in_range("u", StepSchedule, ScheduleKind.CONSTANT, params["u"])
         params["iterations"] = _integer(_need(raw, "iterations"), "iterations")
+        _bias_bound(params["u"], params["dims"].T, params["iterations"], "u")
     elif kind in ("moment_check", "hessian_check", "regret_sweep"):
         params["dist"] = _parse_distributions(_need(raw, "distributions"))
         E = params["dist"].E
@@ -416,10 +433,10 @@ def _balance_one_star(a):
 
 def _run_moment(cfg: ExperimentConfig, out: Path):
     dist: AffinityDistributionSet = cfg.params["dist"]
-    p = BiasVector(cfg.params["bias"])
     rng = RandomSource(cfg.seed, stream=2).generator()
     report = check_gradient_moments(
-        dist, p, cfg.params["K"], cfg.params["T"], cfg.params["replicas"], rng
+        dist, cfg.params["bias"], cfg.params["K"], cfg.params["T"],
+        cfg.params["replicas"], rng,
     )
     _write_csv(out / "moments.csv", {
         "expert": range(dist.E),
@@ -444,7 +461,7 @@ def _run_moment(cfg: ExperimentConfig, out: Path):
 def _run_hessian(cfg: ExperimentConfig, out: Path):
     dist: AffinityDistributionSet = cfg.params["dist"]
     K = cfg.params["K"]
-    p = BiasVector(cfg.params["bias"])
+    p = cfg.params["bias"]
     rng = RandomSource(cfg.seed, stream=3).generator()
     weights = edge_weights_quadrature(dist, p, K)
     rel_errors = hessian_fd_errors(
@@ -494,7 +511,7 @@ def _run_regret(cfg: ExperimentConfig, out: Path):
         "mu_hat": sc.mu,
         "c_hat": sc.c_hat,
         "sigma2": acct.sigma2,
-        "p_star": [float(v) for v in p_star.values],
+        "p_star": p_star.tolist(),
         "checkpoint_verdicts": cp_ok,
         "diam_violation_rounds": acct.diam_violations,
     }
@@ -573,6 +590,8 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg.seed = cfg.raw["seed"] = _seed(args.seed)
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -583,13 +602,6 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            print("config error: seed: must be a 64-bit unsigned integer",
-                  file=sys.stderr)
-            return 2
-        cfg.raw["seed"] = args.seed
-        cfg.seed = args.seed
     try:
         return run(cfg, out_dir=args.out, parallel=args.parallel)
     except Exception:  # 1 means a check failed; a crash must not look like one

@@ -1,4 +1,4 @@
-"""Shared domain types: problem dimensions, affinity/bias/assignment containers,
+"""Shared domain types: problem dimensions, affinity/bias/load containers,
 and the deterministic randomness contract used by every other module.
 
 All containers are immutable value objects (frozen dataclasses holding
@@ -100,30 +100,6 @@ class BiasVector:
 
 
 @dataclass(frozen=True)
-class Assignment:
-    """T x E binary selection matrix with exactly K ones per row."""
-
-    dims: ProblemDims
-    selected: np.ndarray
-
-    def __post_init__(self):
-        sel = np.array(self.selected, dtype=np.int8, copy=True)
-        sel.flags.writeable = False
-        object.__setattr__(self, "selected", sel)
-        if sel.shape != (self.dims.T, self.dims.E):
-            raise DimMismatch(
-                f"assignment shape {sel.shape} != ({self.dims.T}, {self.dims.E})"
-            )
-        if not np.all((sel == 0) | (sel == 1)):
-            raise InvalidRange("assignment entries must be 0/1")
-        rows = sel.sum(axis=1)
-        if not np.all(rows == self.dims.K):
-            raise InvalidRange(
-                f"every row must select exactly K={self.dims.K} experts"
-            )
-
-
-@dataclass(frozen=True)
 class LoadVector:
     """Length-E vector of per-expert token counts."""
 
@@ -142,11 +118,6 @@ class LoadVector:
             raise InvalidRange(
                 f"loads sum to {int(c.sum())}, expected K*T={self.dims.K * self.dims.T}"
             )
-
-
-def loads_from_assignment(x: Assignment) -> LoadVector:
-    """Column sums of the selection matrix."""
-    return LoadVector(x.dims, x.selected.sum(axis=0))
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    AffinityMatrix,
-    Assignment,
-    BiasVector,
-    LoadVector,
-    ProblemDims,
-    loads_from_assignment,
-)
+from .core import AffinityMatrix, BiasVector, LoadVector, ProblemDims
 from .errors import DimMismatch, OverflowGuard
 
 
@@ -47,7 +40,6 @@ class RoutingOutcome:
     shifted-score order (lowest index first among equals).
     """
 
-    assignment: Assignment
     loads: LoadVector
     tie_flag: bool
     assigned_experts: np.ndarray  # (T, K) int array
@@ -107,12 +99,8 @@ def route_topk(gamma: AffinityMatrix, p: BiasVector, K: int) -> RoutingOutcome:
         raise DimMismatch(f"bias length {p.E} != expert count {E}")
     dims = ProblemDims(T=T, E=E, K=K)
     chosen, row_tie = topk(gamma.values + p.values[None, :], K)
-    selected = np.zeros((T, E), dtype=np.int8)
-    np.put_along_axis(selected, chosen, 1, axis=1)
-    assignment = Assignment(dims, selected)
     return RoutingOutcome(
-        assignment=assignment,
-        loads=loads_from_assignment(assignment),
+        loads=LoadVector(dims, np.bincount(chosen.ravel(), minlength=E)),
         tie_flag=bool(row_tie.any()),
         assigned_experts=chosen,
         row_tie=row_tie,

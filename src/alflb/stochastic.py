@@ -16,7 +16,6 @@ from functools import lru_cache
 import numpy as np
 
 from .balancer import project_zero_sum
-from .core import BiasVector
 from .distributions import AffinityDistributionSet
 from .errors import InvalidRange, NoConvergence
 
@@ -24,6 +23,9 @@ QUAD_TOL = 1e-8
 QUAD_BASE_NODES = 256
 QUAD_MAX_DOUBLINGS = 5
 QUAD_BLOCK_NODES = 2048
+MC_BATCH = 1 << 16       # score rows per pi_monte_carlo block
+MOMENT_BATCH = 512       # replicas per check_gradient_moments block
+MINIMIZER_MAX_ITER = 500
 
 
 def sigma_squared(T: int, E: int, K: int) -> float:
@@ -36,6 +38,16 @@ def check_kappa(kappa: float) -> float:
     if not (0.0 < kappa <= 1.0):
         raise InvalidRange(f"kappa must lie in (0, 1], got {kappa}", field="kappa")
     return kappa
+
+
+def _bias(p, E: int) -> np.ndarray:
+    """A bias vector from a caller: a finite float array of shape (E,)."""
+    p = np.asarray(p, dtype=np.float64)
+    if p.shape != (E,):
+        raise InvalidRange(f"bias must have shape ({E},), got {p.shape}")
+    if not np.isfinite(p).all():
+        raise InvalidRange("bias entries must be finite")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -143,55 +155,33 @@ def _leave_one_out_tails(cdf: np.ndarray, K: int):
 # Selection probabilities
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SelectionProbabilities:
-    """Per-expert probability of landing in the Top-K set."""
-
-    pi: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.pi, dtype=np.float64, copy=True)
-        if np.any(v < -1e-9) or np.any(v > 1.0 + 1e-9):
-            raise InvalidRange("selection probabilities must lie in [0, 1]")
-        v = np.clip(v, 0.0, 1.0)
-        v.flags.writeable = False
-        object.__setattr__(self, "pi", v)
-
-    def sum_of_squares(self) -> float:
-        return float(np.square(self.pi).sum())
-
-
 def selection_moments(
-    dist: AffinityDistributionSet, p: BiasVector, K: int, tol: float = QUAD_TOL
-) -> tuple[SelectionProbabilities, float]:
-    """Quadrature (pi(p), F_K(p)) where F_K is the expected routed Top-K
-    value of a single token.
+    dist: AffinityDistributionSet, p: np.ndarray, K: int, tol: float = QUAD_TOL
+) -> tuple[np.ndarray, float]:
+    """Quadrature (pi(p), F_K(p)): the per-expert probabilities (E,) of
+    landing in the Top-K set, and the expected routed Top-K value F_K of a
+    single token.
 
     In the shifted frame w, pi_k = int pdf_k(w - p_k) Q_k(w) dw and expert
     k adds int w pdf_k(w - p_k) Q_k(w) dw to F_K, where Q_k(w) is the
     probability that at most K-1 rivals' shifted scores exceed w.  All 2E
-    integrals share one node set.
+    integrals share one node set.  A pi_k outside [0, 1] by more than 1e-9
+    raises; the rounding within that margin is clipped.
     """
     E = dist.E
-    if p.E != E:
-        raise InvalidRange("bias / distribution count mismatch")
-    pv = p.values
+    p = _bias(p, E)
 
     def f(w: np.ndarray) -> np.ndarray:
-        pdf, cdf = _shifted_densities(dist, pv, w)
+        pdf, cdf = _shifted_densities(dist, p, w)
         base = pdf * _leave_one_out_tails(cdf, K)[0]
         return np.concatenate([base, w * base])
 
-    a, b, cuts = _shifted_frame(dist, pv)
+    a, b, cuts = _shifted_frame(dist, p)
     rows = piecewise_gauss_vec(f, a, b, cuts, tol)
-    return SelectionProbabilities(rows[:E]), float(rows[E:].sum())
-
-
-def pi_quadrature(
-    dist: AffinityDistributionSet, p: BiasVector, K: int, tol: float = QUAD_TOL
-) -> SelectionProbabilities:
-    """Selection probabilities by numerical integration."""
-    return selection_moments(dist, p, K, tol)[0]
+    pi = rows[:E]
+    if np.any(pi < -1e-9) or np.any(pi > 1.0 + 1e-9):
+        raise InvalidRange("selection probabilities must lie in [0, 1]")
+    return np.clip(pi, 0.0, 1.0), float(rows[E:].sum())
 
 
 def _selection_counts(chosen: np.ndarray, E: int) -> np.ndarray:
@@ -218,28 +208,28 @@ def _topk_counts(samples: np.ndarray, p: np.ndarray, K: int) -> np.ndarray:
 
 def pi_monte_carlo(
     dist: AffinityDistributionSet,
-    p: BiasVector,
+    p: np.ndarray,
     K: int,
     samples: int,
     rng: np.random.Generator,
-    batch: int = 1 << 16,
-) -> tuple[SelectionProbabilities, np.ndarray]:
-    """Empirical selection frequencies over fresh score draws, with
-    binomial standard errors.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical selection frequencies (E,) over fresh score draws, with
+    their binomial standard errors (E,).
     """
     if samples < 1000:
         raise InvalidRange("need at least 10^3 samples")
     E = dist.E
+    p = _bias(p, E)
     counts = np.zeros(E, dtype=np.int64)
     done = 0
     while done < samples:
-        m = min(batch, samples - done)
+        m = min(MC_BATCH, samples - done)
         block = dist.sample_matrix(m, rng)
-        counts += _topk_counts(block[None, :, :], p.values, K)[0]
+        counts += _topk_counts(block[None, :, :], p, K)[0]
         done += m
     pi_hat = counts / samples
     se = np.sqrt(pi_hat * (1.0 - pi_hat) / samples)
-    return SelectionProbabilities(pi_hat), se
+    return pi_hat, se
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +275,11 @@ class GradientMomentReport:
 
 def check_gradient_moments(
     dist: AffinityDistributionSet,
-    p: BiasVector,
+    p: np.ndarray,
     K: int,
     T: int,
     replicas: int,
     rng: np.random.Generator,
-    pi: SelectionProbabilities | None = None,
-    batch: int = 512,
 ) -> GradientMomentReport:
     """Monte Carlo check of the mean / variance / second-moment formulas
     against quadrature selection probabilities.  z-scores use the empirical
@@ -299,19 +287,19 @@ def check_gradient_moments(
     """
     E = dist.E
     L = K * T / E
-    if pi is None:
-        pi = pi_quadrature(dist, p, K)
-    grad_mean = T * pi.pi - L
-    sum_sq = pi.sum_of_squares()
+    p = _bias(p, E)
+    pi = selection_moments(dist, p, K)[0]
+    grad_mean = T * pi - L
+    sum_sq = float(np.square(pi).sum())
     expected_var = T * (K - sum_sq)
     expected_second = T * T * (sum_sq - K * K / E) + expected_var
 
     g_all = np.empty((replicas, E))
     done = 0
     while done < replicas:
-        m = min(batch, replicas - done)
+        m = min(MOMENT_BATCH, replicas - done)
         block = np.stack([dist.sample_matrix(T, rng) for _ in range(m)])
-        counts = _topk_counts(block, p.values, K)
+        counts = _topk_counts(block, p, K)
         g_all[done : done + m] = counts - L
         done += m
 
@@ -330,7 +318,7 @@ def check_gradient_moments(
     second_z = (emp_second - expected_second) / second_se
 
     return GradientMomentReport(
-        pi=pi.pi,
+        pi=pi,
         replicas=replicas,
         expected_mean=grad_mean,
         empirical_mean=emp_mean,
@@ -348,48 +336,28 @@ def check_gradient_moments(
 # Hessian edge weights and strong convexity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EdgeWeights:
-    """Symmetric nonnegative pairwise curvature coefficients."""
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.w, dtype=np.float64, copy=True)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidRange("edge weights must be square")
-        if not np.array_equal(m, m.T) or np.any(np.diag(m) != 0.0) or np.any(m < 0.0):
-            raise InvalidRange("edge weights must be symmetric, >= 0, zero diagonal")
-        m.flags.writeable = False
-        object.__setattr__(self, "w", m)
-
-    def quadratic_form(self, delta: np.ndarray) -> float:
-        """sum_{k<l} w_kl (delta_k - delta_l)^2 via the graph Laplacian."""
-        delta = np.asarray(delta, dtype=np.float64)
-        lap = np.diag(self.w.sum(axis=1)) - self.w
-        return float(delta @ lap @ delta)
-
-    def min_offdiag(self) -> float:
-        E = self.w.shape[0]
-        mask = ~np.eye(E, dtype=bool)
-        return float(self.w[mask].min())
+def quadratic_form(w: np.ndarray, delta: np.ndarray) -> float:
+    """sum_{k<l} w_kl (delta_k - delta_l)^2 of edge weights w (E, E), via
+    the graph Laplacian."""
+    lap = np.diag(w.sum(axis=1)) - w
+    return float(delta @ lap @ delta)
 
 
 def edge_weights_quadrature(
-    dist: AffinityDistributionSet, p: BiasVector, K: int, tol: float = QUAD_TOL
-) -> EdgeWeights:
+    dist: AffinityDistributionSet, p: np.ndarray, K: int, tol: float = QUAD_TOL
+) -> np.ndarray:
     """Pairwise Hessian weights w_kl = int phi_k(v-p_k) phi_l(v-p_l)
     B^(K-1)(v) dv, where B^(K-1) is the probability that exactly K-1 of the
-    other experts exceed v.  All E(E-1)/2 integrals share one node set.
+    other experts exceed v, as a read-only symmetric (E, E) array with a
+    zero diagonal and entries >= 0.  All E(E-1)/2 integrals share one node
+    set.
     """
     E = dist.E
-    if p.E != E:
-        raise InvalidRange("bias / distribution count mismatch")
-    pv = p.values
+    p = _bias(p, E)
     rows_k, rows_l = np.triu_indices(E, 1)
 
     def f(w: np.ndarray) -> np.ndarray:
-        pdf, cdf = _shifted_densities(dist, pv, w)
+        pdf, cdf = _shifted_densities(dist, p, w)
         rows = []
         for k in range(E - 1):
             # leaving rival l > k (index l - 1) out of the rivals of k
@@ -397,27 +365,30 @@ def edge_weights_quadrature(
             rows.append(pdf[k] * pdf[k + 1 :] * exactly[k:])
         return np.concatenate(rows)
 
-    a, b, cuts = _shifted_frame(dist, pv)
+    a, b, cuts = _shifted_frame(dist, p)
     vals = np.maximum(piecewise_gauss_vec(f, a, b, cuts, tol), 0.0)
     w = np.zeros((E, E))
     w[rows_k, rows_l] = w[rows_l, rows_k] = vals
-    return EdgeWeights(w)
+    w.flags.writeable = False
+    return w
 
 
 def hessian_fd_errors(
-    dist: AffinityDistributionSet, p: BiasVector, K: int, weights: EdgeWeights,
+    dist: AffinityDistributionSet, p: np.ndarray, K: int, weights: np.ndarray,
     rng: np.random.Generator, directions: int, h: float,
 ) -> np.ndarray:
-    """|q - fd| / max(|fd|, 1e-12) of the Hessian quadratic form q against a
-    central difference fd of pi, along ``directions`` zero-sum unit directions
-    (each one standard-normal draw of length E, centered and normalized)."""
+    """|q - fd| / max(|fd|, 1e-12) of the Hessian quadratic form q of the
+    edge weights against a central difference fd of pi, along
+    ``directions`` zero-sum unit directions (each one standard-normal draw
+    of length E, centered and normalized)."""
+    p = _bias(p, dist.E)
     errors = np.empty(directions)
     for i in range(directions):
         delta = project_zero_sum(rng.standard_normal(dist.E))
         delta /= np.linalg.norm(delta)
-        quad_form = weights.quadratic_form(delta)
-        plus = pi_quadrature(dist, BiasVector(p.values + h * delta), K).pi
-        minus = pi_quadrature(dist, BiasVector(p.values - h * delta), K).pi
+        quad_form = quadratic_form(weights, delta)
+        plus = selection_moments(dist, p + h * delta, K)[0]
+        minus = selection_moments(dist, p - h * delta, K)[0]
         fd = float(delta @ (plus - minus)) / (2.0 * h)
         errors[i] = abs(quad_form - fd) / max(abs(fd), 1e-12)
     return errors
@@ -428,7 +399,6 @@ class StrongConvexityEstimate:
     c_hat: float       # grid minimum of min_{k<l} w_kl (upper bound on the inf)
     mu: float          # T * c_hat * E
     argmin_p: np.ndarray
-    grid_size: int
 
 
 def _domain_grid(E: int, kappa: float, grid_points: int, rng: np.random.Generator):
@@ -478,65 +448,48 @@ def strong_convexity_estimate(
     """
     check_kappa(kappa)
     grid = _domain_grid(dist.E, kappa, grid_points, rng)
+    offdiag = ~np.eye(dist.E, dtype=bool)
     best = math.inf
     best_p = grid[0]
     for q in grid:
-        w = edge_weights_quadrature(dist, BiasVector(q), K, tol)
-        m = w.min_offdiag()
+        m = float(edge_weights_quadrature(dist, q, K, tol)[offdiag].min())
         if m < best:
             best, best_p = m, q
-    return StrongConvexityEstimate(
-        c_hat=best,
-        mu=T * best * dist.E,
-        argmin_p=best_p,
-        grid_size=len(grid),
-    )
+    return StrongConvexityEstimate(c_hat=best, mu=T * best * dist.E, argmin_p=best_p)
 
 
 # ---------------------------------------------------------------------------
 # Expected loss and its minimizer
 # ---------------------------------------------------------------------------
 
-def _expected_loss(
+def expected_loss(
     dist: AffinityDistributionSet, p: np.ndarray, K: int, T: int, L: float
-) -> tuple[SelectionProbabilities, float]:
+) -> tuple[np.ndarray, float]:
     """pi(p) and the expected loss T * F_K(p) - L * sum_k p_k, by quadrature."""
-    pi, value = selection_moments(dist, BiasVector(p), K)
+    p = _bias(p, dist.E)
+    pi, value = selection_moments(dist, p, K)
     return pi, T * value - L * float(p.sum())
 
 
-def expected_loss(
-    dist: AffinityDistributionSet, p: BiasVector, K: int, T: int, L: float
-) -> float:
-    """T * F_K(p) - L * sum_k p_k via quadrature."""
-    return _expected_loss(dist, p.values, K, T, L)[1]
-
-
 def expected_loss_minimizer(
-    dist: AffinityDistributionSet,
-    K: int,
-    T: int,
-    L: float,
-    tolerance: float | None = None,
-    max_iter: int = 500,
-) -> BiasVector:
-    """Projected gradient descent on the expected loss over the zero-sum
-    subspace, using the exact quadrature gradient T pi(p) - L 1.
+    dist: AffinityDistributionSet, K: int, T: int, L: float
+) -> np.ndarray:
+    """The zero-sum minimizer (E,) of the expected loss, by projected
+    gradient descent with the exact quadrature gradient T pi(p) - L 1, to a
+    gradient sup-norm of 1e-6 T.
     """
-    E = dist.E
-    if tolerance is None:
-        tolerance = 1e-6 * T
-    p = np.zeros(E)
-    pi, fval = _expected_loss(dist, p, K, T, L)
+    tolerance = 1e-6 * T
+    p = np.zeros(dist.E)
+    pi, fval = expected_loss(dist, p, K, T, L)
     step = 1.0 / T
-    for _ in range(max_iter):
-        grad_z = project_zero_sum(T * pi.pi - L)
+    for _ in range(MINIMIZER_MAX_ITER):
+        grad_z = project_zero_sum(T * pi - L)
         if np.abs(grad_z).max() <= tolerance:
-            return BiasVector(p)
+            return p
         # backtracking line search with a mild re-expansion on success
         while True:
             cand = project_zero_sum(p - step * grad_z)
-            pi_c, f_cand = _expected_loss(dist, cand, K, T, L)
+            pi_c, f_cand = expected_loss(dist, cand, K, T, L)
             if f_cand <= fval - 0.25 * step * float(grad_z @ grad_z):
                 p, pi, fval = cand, pi_c, f_cand
                 step *= 1.5
@@ -544,9 +497,9 @@ def expected_loss_minimizer(
             step *= 0.5
             if step < 1e-14:
                 raise NoConvergence("line search collapsed")
-    grad_z = project_zero_sum(T * pi.pi - L)
+    grad_z = project_zero_sum(T * pi - L)
     if np.abs(grad_z).max() <= tolerance:
-        return BiasVector(p)
+        return p
     raise NoConvergence(f"gradient sup-norm {np.abs(grad_z).max():.3g} > {tolerance:.3g}")
 
 
@@ -579,7 +532,7 @@ def regret_experiment(
     T: int,
     K: int,
     mu: float,
-    p_star: BiasVector,
+    p_star: np.ndarray,
     rounds: int,
     replicas: int,
     rng: np.random.Generator,
@@ -590,7 +543,7 @@ def regret_experiment(
     """
     E = dist.E
     L = K * T / E
-    ps = p_star.values
+    ps = _bias(p_star, E)
     sig2 = sigma_squared(T, E, K)
 
     P = np.zeros((replicas, E))

@@ -16,10 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from alflb.core import BiasVector
 from alflb.distributions import AffinityDistributionSet
 from alflb.errors import InvalidRange
-from alflb.stochastic import EdgeWeights, SelectionProbabilities
 
 QUAD_TOL = 1e-8
 QUAD_BASE_NODES = 256
@@ -96,28 +94,27 @@ def _selection_kernel(dist: AffinityDistributionSet, p: np.ndarray, K: int, k: i
 
 
 def selection_moments(
-    dist: AffinityDistributionSet, p: BiasVector, K: int, tol: float = QUAD_TOL
-) -> tuple[SelectionProbabilities, float]:
+    dist: AffinityDistributionSet, p: np.ndarray, K: int, tol: float = QUAD_TOL
+) -> tuple[np.ndarray, float]:
     E = dist.E
-    if p.E != E:
+    if np.shape(p) != (E,):
         raise InvalidRange("bias / distribution count mismatch")
     pi = np.empty(E)
     total_value = 0.0
     for k in range(E):
-        f, cuts = _selection_kernel(dist, p.values, K, k)
+        f, cuts = _selection_kernel(dist, p, K, k)
         pi_k, val_k = piecewise_gauss_vec(f, 0.0, 1.0, cuts, tol)
         pi[k] = pi_k
         total_value += val_k
-    return SelectionProbabilities(pi), float(total_value)
+    return pi, float(total_value)
 
 
 def edge_weights_quadrature(
-    dist: AffinityDistributionSet, p: BiasVector, K: int, tol: float = QUAD_TOL
-) -> EdgeWeights:
+    dist: AffinityDistributionSet, p: np.ndarray, K: int, tol: float = QUAD_TOL
+) -> np.ndarray:
     E = dist.E
-    if p.E != E:
+    if np.shape(p) != (E,):
         raise InvalidRange("bias / distribution count mismatch")
-    pv = p.values
     w = np.zeros((E, E))
     for k in range(E):
         for l in range(k + 1, E):
@@ -126,16 +123,16 @@ def edge_weights_quadrature(
                 continue  # not enough rivals: weight is 0
             subsets = list(itertools.combinations(range(len(others)), K - 1))
             dk, dl = dist.dists[k], dist.dists[l]
-            lo = max(dk.support[0] + pv[k], dl.support[0] + pv[l])
-            hi = min(dk.support[1] + pv[k], dl.support[1] + pv[l])
+            lo = max(dk.support[0] + p[k], dl.support[0] + p[l])
+            hi = min(dk.support[1] + p[k], dl.support[1] + p[l])
             if hi <= lo:
                 continue
 
             def f(v: np.ndarray) -> np.ndarray:
-                base = dk.pdf(v - pv[k]) * dl.pdf(v - pv[l])
+                base = dk.pdf(v - p[k]) * dl.pdf(v - p[l])
                 if others:
                     cdfs = np.stack(
-                        [dist.dists[j].cdf(v - pv[j]) for j in others]
+                        [dist.dists[j].cdf(v - p[j]) for j in others]
                     )
                     comp = 1.0 - cdfs
                     b = np.zeros_like(v)
@@ -153,7 +150,7 @@ def edge_weights_quadrature(
             cuts = set()
             for j in range(E):
                 for bp in dist.dists[j].breakpoints():
-                    cuts.add(bp + pv[j])
+                    cuts.add(bp + p[j])
             val = piecewise_gauss_vec(f, lo, hi, cuts, tol)[0]
             w[k, l] = w[l, k] = max(val, 0.0)
-    return EdgeWeights(w)
+    return w

@@ -3,14 +3,14 @@ trace audit.
 
 These are the container-based implementations that ``alflb`` used before the
 raw-array ``topk`` kernel and the shared ``iterate`` loop: every iteration
-builds a validated ``Assignment``, ``LoadVector``, ``BiasVector`` and
-``BalancerState``.  The routing, Lagrangian, switch-record and dual-update
-bodies, the balancer state, the Lagrangian value and the zero-sum projection
-are copied here as well, so the oracle tests compare the fast path against
-code that shares none of its helpers.  The
-per-step identity check, switch-direction check and tie-skipping switch audit
-are the ones that walked the per-step traces before ``audit_trace`` read the
-trace table.
+builds a 0/1 selection matrix, takes its column sums as a validated
+``LoadVector``, and keeps a validated ``BiasVector`` and ``BalancerState``.
+The routing, Lagrangian, switch-record and dual-update bodies, the balancer
+state, the Lagrangian value and the zero-sum projection are copied here as
+well, so the oracle tests compare the fast path against code that shares none
+of its helpers.  The per-step identity check, switch-direction check and
+tie-skipping switch audit are the ones that walked the per-step traces before
+``audit_trace`` read the trace table.
 
 ``iterate_stepwise`` and ``check_balance_convergence_stepwise`` are the lean
 oracle of the blocked ``iterate``: the raw-array loop that routed and stepped
@@ -25,14 +25,7 @@ from itertools import islice
 import numpy as np
 
 from alflb.balancer import ScheduleKind, StepSchedule
-from alflb.core import (
-    AffinityMatrix,
-    Assignment,
-    BiasVector,
-    LoadVector,
-    ProblemDims,
-    loads_from_assignment,
-)
+from alflb.core import AffinityMatrix, BiasVector, LoadVector, ProblemDims
 from alflb.deterministic import BalanceConvergenceReport, designations
 from alflb.errors import DimMismatch, InvalidRange, KNotOne
 from alflb.router import RoutingOutcome, topk
@@ -80,22 +73,28 @@ def route_topk(gamma: AffinityMatrix, p: BiasVector, K: int) -> RoutingOutcome:
     else:
         row_tie = np.zeros(T, dtype=bool)
 
-    selected = np.zeros((T, E), dtype=np.int8)
-    np.put_along_axis(selected, chosen, 1, axis=1)
-    assignment = Assignment(dims, selected)
+    selected = _selection(chosen, E)
+    if not np.all(selected.sum(axis=1) == K):
+        raise InvalidRange(f"every row must select exactly K={K} experts")
     return RoutingOutcome(
-        assignment=assignment,
-        loads=loads_from_assignment(assignment),
+        loads=LoadVector(dims, selected.sum(axis=0)),
         tie_flag=bool(row_tie.any()),
         assigned_experts=chosen,
         row_tie=row_tie,
     )
 
 
+def _selection(chosen: np.ndarray, E: int) -> np.ndarray:
+    """The T x E 0/1 selection matrix of the chosen experts (T, K)."""
+    selected = np.zeros((chosen.shape[0], E), dtype=np.int8)
+    np.put_along_axis(selected, chosen, 1, axis=1)
+    return selected
+
+
 def lagrangian(
-    gamma: AffinityMatrix, x: Assignment, p: BiasVector, L: float
+    gamma: AffinityMatrix, outcome: RoutingOutcome, p: BiasVector, L: float
 ) -> LagrangianValue:
-    sel = x.selected.astype(np.float64)
+    sel = _selection(outcome.assigned_experts, p.E).astype(np.float64)
     affinity_term = float(((gamma.values + p.values[None, :]) * sel).sum())
     bias_penalty_term = float(L * p.values.sum())
     return LagrangianValue(
@@ -191,7 +190,7 @@ def simulate_fixed_scores(
             )
         else:
             switches = ()
-        lag = lagrangian(gamma, outcome.assignment, state.p, L)
+        lag = lagrangian(gamma, outcome, state.p, L)
         trace.steps.append(
             ReferenceStep(
                 n=n,

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from alflb import cli
 from alflb.cli import load_config, main, run
 from alflb.distributions import BetaScore, MixtureScore, UniformScore
 from alflb.errors import ParseError, ValidationError
@@ -271,6 +272,13 @@ HESSIAN_CFG = {
     "K": 1,
     "directions": 2,
 }
+COMPARE_CFG = {
+    "kind": "schedule_compare",
+    "seed": 7,
+    "dims": {"T": 16, "E": 4, "K": 1},
+    "u": 0.01,
+    "iterations": 20,
+}
 UNIFORM = {"type": "uniform", "lo": 0.1, "hi": 0.9}
 MIXTURE = {
     "type": "mixture",
@@ -365,6 +373,13 @@ class TestConfigErrors:
             (HESSIAN_CFG, {"K": 2}, "K"),
             (MOMENT_CFG, _first_distribution({"type": "uniform", "lo": 0.0, "hi": 5e-324}),
              "distributions.0"),
+            # |p_n| <= 2 u T n = 2 * 1e308 * 8 * 5 overflows
+            (DET_CFG, {"dims": {"T": 8, "E": 2, "K": 1},
+                       "schedule": {"kind": "constant", "u": 1e308}, "iterations": 5},
+             "schedule.u"),
+            (DET_CFG, {"schedule": {"kind": "deepseek_sign", "u": 1e306},
+                       "iterations": 10**4}, "schedule.u"),
+            (COMPARE_CFG, {"u": 1e307}, "u"),
         ],
         ids=["negative_u", "string_iterations", "zero_instances", "bool_seed",
              "float_iterations", "beta_shape_below_one", "bias_length_mismatch",
@@ -372,7 +387,9 @@ class TestConfigErrors:
              "string_beta_shape", "bool_beta_shape", "bool_uniform_bound",
              "string_weights", "nan_string_beta_shape", "overflowing_beta_shape",
              "string_components", "number_components", "moment_k_equals_e",
-             "regret_k_equals_e", "hessian_k_equals_e", "nan_pdf_mass"],
+             "regret_k_equals_e", "hessian_k_equals_e", "nan_pdf_mass",
+             "overflowing_constant_step", "overflowing_sign_step",
+             "overflowing_compare_step"],
     )
     def test_exit_two_names_field(self, tmp_path, capsys, recwarn, base, changes, field):
         cfg_path = _write(tmp_path, "bad.json", dict(base, **changes))
@@ -433,16 +450,13 @@ class TestMain:
         assert "config error: --parallel: must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_exit_three_on_crash(self, tmp_path, capsys):
-        # a valid config whose dual step overflows: a crash, not a failed check
-        cfg = {
-            "kind": "deterministic_run",
-            "dims": {"T": 8, "E": 2, "K": 1},
-            "schedule": {"kind": "constant", "u": 1e308},
-            "iterations": 5,
-        }
-        cfg_path = _write(tmp_path, "cfg.json", cfg)
+    def test_exit_three_on_crash(self, tmp_path, capsys, monkeypatch):
+        # an exception in a handler is a crash, not a failed check
+        def crash(cfg, out):
+            raise RuntimeError("planted crash")
+
+        monkeypatch.setitem(cli._HANDLERS, "deterministic_run", crash)
+        cfg_path = _write(tmp_path, "cfg.json", DET_CFG)
         status = main([
             "deterministic-run", "--config", str(cfg_path),
             "--out", str(tmp_path / "out"),
@@ -450,7 +464,18 @@ class TestMain:
         assert status == 3
         err = capsys.readouterr().err
         assert "Traceback" in err
-        assert "InvalidRange: bias entries must be finite" in err
+        assert "RuntimeError: planted crash" in err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_exit_two_on_seed_out_of_range(self, tmp_path, capsys, seed):
+        cfg_path = _write(tmp_path, "cfg.json", DET_CFG)
+        status = main([
+            "deterministic-run", "--config", str(cfg_path),
+            "--seed", seed, "--out", str(tmp_path / "out"),
+        ])
+        assert status == 2
+        assert "config error: seed:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_seed_override(self, tmp_path):
         cfg_path = _write(tmp_path, "cfg.json", DET_CFG)

@@ -5,12 +5,10 @@ from hypothesis import strategies as st
 
 from alflb.core import (
     AffinityMatrix,
-    Assignment,
     BiasVector,
     LoadVector,
     ProblemDims,
     RandomSource,
-    loads_from_assignment,
 )
 from alflb.errors import DimMismatch, InvalidRange, NonDivisible
 
@@ -79,26 +77,14 @@ class TestBiasVector:
 
 
 class TestAssignmentAndLoads:
-    def test_row_sum_enforced(self):
-        dims = ProblemDims(T=2, E=3, K=2)
-        bad = np.array([[1, 1, 0], [1, 0, 0]])
-        with pytest.raises(InvalidRange):
-            Assignment(dims, bad)
-
-    def test_loads_all_on_one_expert(self):
-        dims = ProblemDims(T=4, E=2, K=1)
-        sel = np.zeros((4, 2), dtype=np.int8)
-        sel[:, 0] = 1
-        loads = loads_from_assignment(Assignment(dims, sel))
-        assert loads.counts.tolist() == [4, 0]
-
     def test_loads_match_column_sums_random(self):
+        # the column sums of any K-per-row selection are valid loads
         rng = np.random.default_rng(7)
         dims = ProblemDims(T=40, E=5, K=2)
         sel = np.zeros((40, 5), dtype=np.int8)
         for i in range(40):
             sel[i, rng.choice(5, size=2, replace=False)] = 1
-        loads = loads_from_assignment(Assignment(dims, sel))
+        loads = LoadVector(dims, sel.sum(axis=0))
         np.testing.assert_array_equal(loads.counts, sel.sum(axis=0))
         assert int(loads.counts.sum()) == dims.K * dims.T
 
@@ -129,11 +115,12 @@ class TestRandomSource:
 )
 @settings(max_examples=60, deadline=None)
 def test_assignment_load_consistency_property(T, E, data):
+    # LoadVector accepts the column sums of every K-per-row selection
     K = data.draw(st.integers(min_value=1, max_value=E))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     sel = np.zeros((T, E), dtype=np.int8)
     for i in range(T):
         sel[i, rng.choice(E, size=K, replace=False)] = 1
-    loads = loads_from_assignment(Assignment(ProblemDims(T=T, E=E, K=K), sel))
+    loads = LoadVector(ProblemDims(T=T, E=E, K=K), sel.sum(axis=0))
     assert int(loads.counts.sum()) == K * T
     assert loads.counts.min() >= 0 and loads.counts.max() <= T

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import reference_quadrature as ref
-from alflb.core import BiasVector
 from alflb.distributions import (
     AffinityDistributionSet,
     BetaScore,
@@ -37,11 +36,11 @@ SETS = {
 }
 
 
-def _bias(kind: str, E: int) -> BiasVector:
+def _bias(kind: str, E: int) -> np.ndarray:
     if kind == "zero":
-        return BiasVector.zeros(E)
+        return np.zeros(E)
     q = np.random.default_rng(E).uniform(-0.15, 0.15, size=E)
-    return BiasVector(q - q.mean())
+    return q - q.mean()
 
 
 CASES = [
@@ -59,9 +58,9 @@ def test_matches_enumeration(name, K, bias):
 
     pi, value = selection_moments(dist, p, K)
     pi_ref, value_ref = ref.selection_moments(dist, p, K)
-    np.testing.assert_allclose(pi.pi, pi_ref.pi, rtol=0, atol=ABS_TOL)
+    np.testing.assert_allclose(pi, pi_ref, rtol=0, atol=ABS_TOL)
     assert abs(value - value_ref) <= ABS_TOL
 
     w = edge_weights_quadrature(dist, p, K)
     w_ref = ref.edge_weights_quadrature(dist, p, K)
-    np.testing.assert_allclose(w.w, w_ref.w, rtol=0, atol=ABS_TOL)
+    np.testing.assert_allclose(w, w_ref, rtol=0, atol=ABS_TOL)

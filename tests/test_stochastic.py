@@ -3,7 +3,7 @@ import pytest
 from scipy import integrate
 
 from alflb import stochastic
-from alflb.core import BiasVector, RandomSource
+from alflb.core import RandomSource
 from alflb.deterministic import _lagrangian
 from alflb.distributions import (
     AffinityDistributionSet,
@@ -14,15 +14,16 @@ from alflb.distributions import (
 from alflb.errors import InvalidRange, NoConvergence
 from alflb.router import topk
 from alflb.stochastic import (
-    EdgeWeights,
     check_gradient_moments,
     edge_weights_quadrature,
     expected_loss,
     expected_loss_minimizer,
+    hessian_fd_errors,
     online_loss,
     pi_monte_carlo,
-    pi_quadrature,
+    quadratic_form,
     regret_experiment,
+    selection_moments,
     sigma_squared,
     strong_convexity_estimate,
 )
@@ -96,52 +97,55 @@ class TestOnlineLoss:
             assert val == pytest.approx(base, abs=1e-9)
 
 
+def _pi(dist, p, K, **kw):
+    """The quadrature selection probabilities alone."""
+    return selection_moments(dist, p, K, **kw)[0]
+
+
 class TestPiQuadrature:
     def test_two_identical_uniforms_symmetric(self):
         ds = identical(UniformScore(0.0, 1.0), 2)
-        pi = pi_quadrature(ds, BiasVector.zeros(2), 1)
-        np.testing.assert_allclose(pi.pi, 0.5, atol=1e-8)
+        np.testing.assert_allclose(_pi(ds, np.zeros(2), 1), 0.5, atol=1e-8)
 
     def test_four_identical_betas_topk2(self):
         ds = identical(BetaScore(2.0, 2.0), 4)
-        pi = pi_quadrature(ds, BiasVector.zeros(4), 2)
-        np.testing.assert_allclose(pi.pi, 0.5, atol=1e-8)
+        np.testing.assert_allclose(_pi(ds, np.zeros(4), 2), 0.5, atol=1e-8)
 
     def test_shifted_uniform_analytic(self):
         # P(U + d > U') = 1 - (1-d)^2/2 for two standard uniforms
         ds = identical(UniformScore(0.0, 1.0), 2)
         d = 0.3
-        pi = pi_quadrature(ds, BiasVector(np.array([d, 0.0])), 1)
-        assert pi.pi[0] == pytest.approx(1.0 - (1.0 - d) ** 2 / 2.0, abs=1e-7)
-        assert pi.pi[1] == pytest.approx((1.0 - d) ** 2 / 2.0, abs=1e-7)
+        pi = _pi(ds, np.array([d, 0.0]), 1)
+        assert pi[0] == pytest.approx(1.0 - (1.0 - d) ** 2 / 2.0, abs=1e-7)
+        assert pi[1] == pytest.approx((1.0 - d) ** 2 / 2.0, abs=1e-7)
 
     def test_normalization(self):
         ds = AffinityDistributionSet(
             (BetaScore(2.0, 4.0), UniformScore(0.1, 0.8), BetaScore(3.0, 1.5))
         )
         for K in (1, 2):
-            pi = pi_quadrature(ds, BiasVector(np.array([0.05, 0.0, -0.05])), K)
-            assert abs(pi.pi.sum() - K) <= 1e-6
+            pi = _pi(ds, np.array([0.05, 0.0, -0.05]), K)
+            assert abs(pi.sum() - K) <= 1e-6
 
     def test_matches_monte_carlo(self):
         ds = identical(UniformScore(0.0, 1.0), 3)
-        p = BiasVector(np.array([0.2, 0.0, -0.2]))
-        pi_q = pi_quadrature(ds, p, 1)
+        p = np.array([0.2, 0.0, -0.2])
+        pi_q = _pi(ds, p, 1)
         rng = RandomSource(42, 5).generator()
         pi_mc, se = pi_monte_carlo(ds, p, 1, samples=200_000, rng=rng)
-        assert np.all(np.abs(pi_q.pi - pi_mc.pi) <= 4 * se)
+        assert np.all(np.abs(pi_q - pi_mc) <= 4 * se)
 
     def test_thirty_experts_top_fifteen(self):
         # C(29, <=14) ~ 2.7e8 rival subsets per expert: far beyond subset
         # enumeration, a few recursion steps per node for Poisson-binomial
         E, K = 30, 15
         ds = identical(BetaScore(1.0, 1.0), E)
-        p = BiasVector.zeros(E)
-        pi_q = pi_quadrature(ds, p, K)
-        assert abs(pi_q.pi.sum() - K) <= 1e-9
+        p = np.zeros(E)
+        pi_q = _pi(ds, p, K)
+        assert abs(pi_q.sum() - K) <= 1e-9
         rng = RandomSource(44, 5).generator()
         pi_mc, se = pi_monte_carlo(ds, p, K, samples=100_000, rng=rng)
-        assert np.all(np.abs(pi_q.pi - pi_mc.pi) <= 4 * se)
+        assert np.all(np.abs(pi_q - pi_mc) <= 4 * se)
 
     def test_non_convergence_raises(self, monkeypatch):
         # tol=0 is never met; one doubling keeps the test short (the rules
@@ -149,20 +153,43 @@ class TestPiQuadrature:
         monkeypatch.setattr(stochastic, "QUAD_MAX_DOUBLINGS", 1)
         ds = identical(BetaScore(2.0, 2.0), 3)
         with pytest.raises(NoConvergence):
-            pi_quadrature(ds, BiasVector.zeros(3), 1, tol=0.0)
+            _pi(ds, np.zeros(3), 1, tol=0.0)
+
+    @pytest.mark.parametrize("excess", [1e-6, -1e-6])
+    def test_out_of_range_pi_raises(self, monkeypatch, excess):
+        # pi is range-checked before the clip: a quadrature that strays
+        # past [0, 1] by more than 1e-9 must not be clipped silently
+        E = 3
+        value = 1.0 + excess if excess > 0 else excess
+        monkeypatch.setattr(
+            stochastic, "piecewise_gauss_vec",
+            lambda *args, **kw: np.full(2 * E, value),
+        )
+        ds = identical(BetaScore(2.0, 2.0), E)
+        with pytest.raises(InvalidRange, match="selection probabilities"):
+            selection_moments(ds, np.zeros(E), 1)
+
+    def test_rounding_within_margin_is_clipped(self, monkeypatch):
+        monkeypatch.setattr(
+            stochastic, "piecewise_gauss_vec",
+            lambda *args, **kw: np.array([1.0 + 1e-12, -1e-12, 0.5, 0.0]),
+        )
+        ds = identical(BetaScore(2.0, 2.0), 2)
+        pi, _ = selection_moments(ds, np.zeros(2), 1)
+        assert pi.tolist() == [1.0, 0.0]
 
 
 class TestPiMonteCarlo:
     def test_sum_is_exactly_k(self):
         ds = identical(BetaScore(2.0, 2.0), 5)
         rng = RandomSource(3, 5).generator()
-        pi, _ = pi_monte_carlo(ds, BiasVector.zeros(5), 2, samples=5000, rng=rng)
-        assert pi.pi.sum() == pytest.approx(2.0, abs=1e-12)
+        pi, _ = pi_monte_carlo(ds, np.zeros(5), 2, samples=5000, rng=rng)
+        assert pi.sum() == pytest.approx(2.0, abs=1e-12)
 
     def test_minimum_sample_count(self):
         ds = identical(BetaScore(2.0, 2.0), 2)
         with pytest.raises(InvalidRange):
-            pi_monte_carlo(ds, BiasVector.zeros(2), 1, samples=10,
+            pi_monte_carlo(ds, np.zeros(2), 1, samples=10,
                            rng=np.random.default_rng(0))
 
 
@@ -173,7 +200,7 @@ class TestGradientMoments:
         ds = identical(BetaScore(2.0, 2.0), 4)
         rng = RandomSource(4, 6).generator()
         report = check_gradient_moments(
-            ds, BiasVector.zeros(4), 2, 8, replicas=4000, rng=rng
+            ds, np.zeros(4), 2, 8, replicas=4000, rng=rng
         )
         assert report.expected_var == pytest.approx(8.0, abs=1e-6)
         assert report.expected_second_moment == pytest.approx(8.0, abs=1e-6)
@@ -186,20 +213,22 @@ class TestGradientMoments:
         )
         rng = RandomSource(5, 6).generator()
         report = check_gradient_moments(
-            ds, BiasVector(np.array([0.05, -0.05, 0.0])), 1, 12,
+            ds, np.array([0.05, -0.05, 0.0]), 1, 12,
             replicas=4000, rng=rng,
         )
         assert report.max_abs_z <= 4.0
 
 
 class TestEdgeWeights:
-    def test_container_validation(self):
-        with pytest.raises(InvalidRange):
-            EdgeWeights(np.array([[0.0, 1.0], [2.0, 0.0]]))  # asymmetric
-        with pytest.raises(InvalidRange):
-            EdgeWeights(np.array([[0.5, 1.0], [1.0, 0.0]]))  # diagonal
-        with pytest.raises(InvalidRange):
-            EdgeWeights(np.array([[0.0, -1.0], [-1.0, 0.0]]))  # negative
+    def test_read_only_symmetric_array(self):
+        ds = AffinityDistributionSet(
+            (BetaScore(2.0, 3.0), BetaScore(3.0, 2.0), UniformScore(0.1, 0.9),
+             BetaScore(2.5, 2.5))
+        )
+        w = edge_weights_quadrature(ds, np.array([0.02, -0.01, 0.0, -0.01]), 2)
+        assert w.shape == (4, 4) and not w.flags.writeable
+        assert np.array_equal(w, w.T)
+        assert np.all(np.diag(w) == 0.0) and np.all(w >= 0.0)
 
     def test_quadratic_form_matches_double_loop(self):
         rng = np.random.default_rng(6)
@@ -207,14 +236,13 @@ class TestEdgeWeights:
         m = np.abs(rng.standard_normal((E, E)))
         m = 0.5 * (m + m.T)
         np.fill_diagonal(m, 0.0)
-        w = EdgeWeights(m)
         delta = rng.standard_normal(E)
         want = sum(
             m[k, l] * (delta[k] - delta[l]) ** 2
             for k in range(E)
             for l in range(k + 1, E)
         )
-        assert w.quadratic_form(delta) == pytest.approx(want, abs=1e-12)
+        assert quadratic_form(m, delta) == pytest.approx(want, abs=1e-12)
 
     def test_zero_sum_identity_uniform_weights(self):
         # with all w_kl = 1 the form is sum_{k<l}(d_k-d_l)^2 = E ||d||^2
@@ -222,11 +250,10 @@ class TestEdgeWeights:
         rng = np.random.default_rng(7)
         for E in (2, 3, 5, 8):
             ones = np.ones((E, E)) - np.eye(E)
-            w = EdgeWeights(ones)
             for _ in range(20):
                 d = rng.standard_normal(E)
                 d -= d.mean()
-                lhs = w.quadratic_form(d)
+                lhs = quadratic_form(ones, d)
                 rhs = E * float(d @ d)
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, rhs)
 
@@ -235,20 +262,20 @@ class TestEdgeWeights:
         # w_01 = int phi_0(v - p_0) phi_1(v - p_1) dv
         ds = AffinityDistributionSet((BetaScore(2.0, 2.0), BetaScore(3.0, 1.5)))
         p = np.array([0.1, -0.1])
-        w = edge_weights_quadrature(ds, BiasVector(p), 1)
+        w = edge_weights_quadrature(ds, p, 1)
         want, _ = integrate.quad(
             lambda v: ds.dists[0].pdf(v - p[0]) * ds.dists[1].pdf(v - p[1]),
             p[1], 1.0 + p[1], limit=200,
         )
-        assert w.w[0, 1] == pytest.approx(want, rel=1e-6)
-        assert w.w[0, 1] == w.w[1, 0]
+        assert w[0, 1] == pytest.approx(want, rel=1e-6)
+        assert w[0, 1] == w[1, 0]
 
     def test_finite_difference_identity(self):
         ds = AffinityDistributionSet(
             (BetaScore(2.0, 3.0), BetaScore(2.5, 2.5), BetaScore(3.0, 2.0),
              UniformScore(0.05, 0.95))
         )
-        p = BiasVector(np.array([0.04, -0.02, 0.0, -0.02]))
+        p = np.array([0.04, -0.02, 0.0, -0.02])
         K = 2
         w = edge_weights_quadrature(ds, p, K)
         rng = np.random.default_rng(8)
@@ -257,9 +284,9 @@ class TestEdgeWeights:
             delta = rng.standard_normal(4)
             delta -= delta.mean()
             delta /= np.linalg.norm(delta)
-            quad_form = w.quadratic_form(delta)
-            plus = pi_quadrature(ds, BiasVector(p.values + h * delta), K).pi
-            minus = pi_quadrature(ds, BiasVector(p.values - h * delta), K).pi
+            quad_form = quadratic_form(w, delta)
+            plus = _pi(ds, p + h * delta, K)
+            minus = _pi(ds, p - h * delta, K)
             fd = float(delta @ (plus - minus)) / (2 * h)
             assert quad_form == pytest.approx(fd, rel=1e-3)
 
@@ -269,8 +296,8 @@ class TestStrongConvexity:
         ds = identical(BetaScore(2.0, 2.0), 3)
         rng = np.random.default_rng(9)
         est = strong_convexity_estimate(ds, 1, kappa=1.0, T=8, grid_points=5, rng=rng)
-        w0 = edge_weights_quadrature(ds, BiasVector.zeros(3), 1)
-        assert est.c_hat == pytest.approx(w0.min_offdiag(), abs=1e-12)
+        w0 = edge_weights_quadrature(ds, np.zeros(3), 1)
+        assert est.c_hat == pytest.approx(w0[~np.eye(3, dtype=bool)].min(), abs=1e-12)
         assert est.mu == pytest.approx(8 * est.c_hat * 3)
         np.testing.assert_array_equal(est.argmin_p, 0.0)
 
@@ -291,15 +318,15 @@ class TestExpectedLossMinimizer:
     def test_identical_distributions_give_zero(self):
         ds = identical(BetaScore(2.0, 2.0), 4)
         p_star = expected_loss_minimizer(ds, 2, 8, 4.0)
-        assert np.abs(p_star.values).max() <= 1e-9
+        assert np.abs(p_star).max() <= 1e-9
 
     def test_two_expert_equal_width_uniforms(self):
         # X1 ~ U(0.1, 0.9), X2 ~ U(0.2, 1.0): same width, offset 0.1, so
         # the biases must exactly cancel the offset: p* = (0.05, -0.05)
         ds = AffinityDistributionSet((UniformScore(0.1, 0.9), UniformScore(0.2, 1.0)))
         p_star = expected_loss_minimizer(ds, 1, 8, 4.0)
-        np.testing.assert_allclose(p_star.values, [0.05, -0.05], atol=1e-5)
-        assert abs(p_star.values.sum()) <= 1e-12
+        np.testing.assert_allclose(p_star, [0.05, -0.05], atol=1e-5)
+        assert abs(p_star.sum()) <= 1e-12
 
     def test_first_order_condition(self):
         ds = AffinityDistributionSet(
@@ -308,20 +335,19 @@ class TestExpectedLossMinimizer:
         T, K = 12, 1
         L = K * T / 3
         p_star = expected_loss_minimizer(ds, K, T, L)
-        pi = pi_quadrature(ds, p_star, K)
-        np.testing.assert_allclose(T * pi.pi, L, atol=1e-6 * T)
+        np.testing.assert_allclose(T * _pi(ds, p_star, K), L, atol=1e-6 * T)
 
     def test_minimum_beats_nearby_points(self):
         ds = AffinityDistributionSet((BetaScore(2.0, 4.0), BetaScore(4.0, 2.0)))
         T, K = 8, 1
         p_star = expected_loss_minimizer(ds, K, T, 4.0)
-        f_star = expected_loss(ds, p_star, K, T, 4.0)
+        f_star = expected_loss(ds, p_star, K, T, 4.0)[1]
         rng = np.random.default_rng(11)
         for _ in range(5):
             d = rng.standard_normal(2)
             d -= d.mean()
             d *= 0.05 / np.abs(d).max()
-            f_near = expected_loss(ds, BiasVector(p_star.values + d), K, T, 4.0)
+            f_near = expected_loss(ds, p_star + d, K, T, 4.0)[1]
             assert f_near >= f_star - 1e-9
 
 
@@ -333,7 +359,7 @@ class TestRegretExperiment:
         ds = identical(BetaScore(2.0, 2.0), 6)
         rng = RandomSource(14, 7).generator()
         acct = regret_experiment(
-            ds, 16, K, mu=50.0, p_star=BiasVector.zeros(6),
+            ds, 16, K, mu=50.0, p_star=np.zeros(6),
             rounds=1, replicas=16, rng=rng,
         )
         assert acct.mean_cum_regret[0] == 0.0
@@ -344,7 +370,7 @@ class TestRegretExperiment:
         T, K = 8, 2
         rng = RandomSource(12, 7).generator()
         acct = regret_experiment(
-            ds, T, K, mu=1e6, p_star=BiasVector.zeros(4),
+            ds, T, K, mu=1e6, p_star=np.zeros(4),
             rounds=100, replicas=64, rng=rng,
         )
         mean = float(acct.final_per_replica.mean())
@@ -356,10 +382,46 @@ class TestRegretExperiment:
         ds = identical(BetaScore(2.0, 2.0), 4)
         rng = RandomSource(13, 7).generator()
         acct = regret_experiment(
-            ds, 8, 1, mu=50.0, p_star=BiasVector.zeros(4),
+            ds, 8, 1, mu=50.0, p_star=np.zeros(4),
             rounds=50, replicas=8, rng=rng,
         )
         want = sigma_squared(8, 4, 1) / (2 * 50.0) * (1 + np.log(np.arange(1, 51)))
         np.testing.assert_allclose(acct.bound, want, atol=1e-12)
         assert acct.mean_cum_regret.shape == (50,)
         assert acct.mean_diam.shape == (50,)
+
+
+_BIAS_DS = AffinityDistributionSet(
+    (BetaScore(2.0, 3.0), BetaScore(3.0, 2.0), UniformScore(0.1, 0.9))
+)
+_W3 = np.ones((3, 3)) - np.eye(3)
+# Every public entry that takes a bias, called with that bias.
+_BIAS_ENTRIES = {
+    "selection_moments": lambda p: selection_moments(_BIAS_DS, p, 1),
+    "edge_weights_quadrature": lambda p: edge_weights_quadrature(_BIAS_DS, p, 1),
+    "pi_monte_carlo": lambda p: pi_monte_carlo(
+        _BIAS_DS, p, 1, samples=1000, rng=np.random.default_rng(0)
+    ),
+    "check_gradient_moments": lambda p: check_gradient_moments(
+        _BIAS_DS, p, 1, 8, replicas=10, rng=np.random.default_rng(0)
+    ),
+    "hessian_fd_errors": lambda p: hessian_fd_errors(
+        _BIAS_DS, p, 1, _W3, np.random.default_rng(0), 1, 1e-3
+    ),
+    "expected_loss": lambda p: expected_loss(_BIAS_DS, p, 1, 8, 8 / 3),
+    "regret_experiment": lambda p: regret_experiment(
+        _BIAS_DS, 8, 1, mu=50.0, p_star=p, rounds=1, replicas=2,
+        rng=np.random.default_rng(0),
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_BIAS_ENTRIES))
+@pytest.mark.parametrize(
+    "bad",
+    [[0.0, np.nan, 0.0], [0.0, -np.inf, 0.0], [0.0, 0.0], [0.0, 0.0, 0.0, 0.0]],
+    ids=["nan", "inf", "short", "long"],
+)
+def test_bad_bias_rejected_at_every_entry(entry, bad):
+    with pytest.raises(InvalidRange, match="bias"):
+        _BIAS_ENTRIES[entry](np.array(bad))
