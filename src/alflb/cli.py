@@ -1,11 +1,13 @@
 """Experiment configuration, orchestration and result emission.
 
 Configs are strict JSON: unknown keys are rejected anywhere, since a typo in
-a balancing constant would silently invalidate a theorem check.  Every run
-writes one CSV (through ``_write_csv``, the only code that knows the format)
-plus a JSON summary carrying a reproducibility block (seed, config hash,
-build id) and per-checker verdicts.  The process exits 0 when every enabled
-checker passed, 1 when one failed, 2 on a config error and 3 on a crash.
+a balancing constant would silently invalidate a theorem check.  Each kind's
+keys, with their parsers and defaults, are declared once, in ``_SCHEMA``.
+Every run writes one CSV (through ``_write_csv``, the only code that knows the
+format) plus a JSON summary carrying a reproducibility block (seed, config
+hash, build id) and per-checker verdicts.  The process exits 0 when every
+enabled checker passed, 1 when one failed, 2 on a config error and 3 on a
+crash.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import os
 import sys
 import traceback
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -47,36 +50,9 @@ from .stochastic import (
     strong_convexity_estimate,
 )
 
-KINDS = (
-    "deterministic_run",
-    "balance_check",
-    "moment_check",
-    "hessian_check",
-    "regret_sweep",
-    "schedule_compare",
-)
-
 _SCHEDULE_NAMES = {k.value: k for k in ScheduleKind}
-
-# Allowed keys per experiment kind (beyond the common ones).
-_COMMON_KEYS = {"kind", "seed", "out_dir"}
-_KIND_KEYS = {
-    "deterministic_run": {"dims", "schedule", "iterations", "zero_sum"},
-    "balance_check": {"dims", "u_fraction", "budget", "instances", "score_scale"},
-    "moment_check": {"distributions", "T", "K", "replicas", "bias"},
-    "hessian_check": {"distributions", "K", "bias", "directions", "fd_step"},
-    "regret_sweep": {
-        "distributions", "T", "K", "rounds", "replicas", "kappa",
-        "grid_points", "checkpoints",
-    },
-    "schedule_compare": {"dims", "u", "iterations"},
-}
-# Constructor and parameter keys per distribution type.
-_DISTRIBUTION_TYPES = {
-    "beta": (BetaScore, ("a", "b")),
-    "uniform": (UniformScore, ("lo", "hi")),
-    "mixture": (MixtureScore, ("components", "weights")),
-}
+# The default of a config key that must be given.
+_REQUIRED = object()
 
 
 @dataclass
@@ -93,10 +69,24 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _need(cfg: dict, key: str, path: str = ""):
-    if key not in cfg:
-        raise ValidationError(path + key, "missing")
-    return cfg[key]
+def _parse_keys(d: dict, keys: dict, path: str = "", read=()) -> dict:
+    """The JSON object ``d`` parsed against the key table ``keys``: each key
+    maps to ``(parse, default)``, and its value goes to ``parse(value,
+    dotted field)``.  Only an absent key takes its default, so an explicit
+    null goes to the parser too.  Keys in neither ``keys`` nor ``read`` (the
+    ones the caller reads itself) are rejected."""
+    extra = set(d) - {*keys, *read}
+    if extra:
+        raise ValidationError(path + sorted(extra)[0], "unknown key")
+    out = {}
+    for key, (parse, default) in keys.items():
+        if key in d:
+            out[key] = parse(d[key], path + key)
+        elif default is _REQUIRED:
+            raise ValidationError(path + key, "missing")
+        else:
+            out[key] = default
+    return out
 
 
 def _integer(value, field: str, minimum: int | None = 1) -> int:
@@ -135,10 +125,22 @@ def _object(value, field: str) -> dict:
     return value
 
 
-def _only_keys(d: dict, allowed, path: str = "") -> None:
-    extra = set(d) - set(allowed)
-    if extra:
-        raise ValidationError(path + sorted(extra)[0], "unknown key")
+def _list(value, field: str, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(field, f"must be a list of {what}")
+    return value
+
+
+def _reals(value, field: str) -> tuple[float, ...]:
+    return tuple(
+        _real(x, f"{field}.{i}") for i, x in enumerate(_list(value, field, "numbers"))
+    )
+
+
+def _integers(value, field: str) -> tuple[int, ...]:
+    return tuple(
+        _integer(x, f"{field}.{i}") for i, x in enumerate(_list(value, field, "integers"))
+    )
 
 
 def _in_range(field: str, check, *args):
@@ -165,81 +167,78 @@ def _bias_bound(u: float, T: int, iterations: int, field: str) -> None:
         raise ValidationError(field, "the biases could overflow: 2 u T iterations = inf")
 
 
-def _parse_dims(d) -> ProblemDims:
-    d = _object(d, "dims")
-    _only_keys(d, ("T", "E", "K"), "dims.")
-    T, E, K = (
-        _integer(_need(d, key, "dims."), f"dims.{key}", minimum=None)
-        for key in ("T", "E", "K")
-    )
-    try:
-        return ProblemDims(T=T, E=E, K=K)
-    except InvalidRange as exc:
-        raise ValidationError(f"dims.{exc.field}", str(exc)) from exc
+def _u_fraction(value, field: str) -> float:
+    """u as a fraction of ubar, in (0, 1): theorem 3 assumes u < ubar."""
+    x = _real(value, field, positive=True)
+    if not x < 1.0:
+        raise ValidationError(field, f"must be < 1 (theorem 3 needs u < ubar), got {value}")
+    return x
 
 
-def _parse_schedule(d) -> StepSchedule:
-    d = _object(d, "schedule")
-    _only_keys(d, ("kind", "u"), "schedule.")
-    name = _need(d, "kind", "schedule.")
+def _step_size(value, field: str) -> float:
+    """A constant step size u that ``StepSchedule`` accepts."""
+    return _in_range(field, StepSchedule, ScheduleKind.CONSTANT, _real(value, field)).u
+
+
+def _schedule_kind(name, field: str) -> ScheduleKind:
     if not isinstance(name, str) or name not in _SCHEDULE_NAMES:
-        raise ValidationError("schedule.kind", f"unknown schedule {name!r}")
-    u = _real(_need(d, "u", "schedule."), "schedule.u")
-    return _in_range("schedule.u", StepSchedule, _SCHEDULE_NAMES[name], u)
+        raise ValidationError(field, f"unknown schedule {name!r}")
+    return _SCHEDULE_NAMES[name]
 
 
-def _list(value, field: str, what: str) -> list:
-    if not isinstance(value, list):
-        raise ValidationError(field, f"must be a list of {what}")
-    return value
+_DIMS_KEYS = dict.fromkeys(("T", "E", "K"), (partial(_integer, minimum=None), _REQUIRED))
+_SCHEDULE_KEYS = {"kind": (_schedule_kind, _REQUIRED), "u": (_real, _REQUIRED)}
+
+
+def _parse_dims(d, field: str) -> ProblemDims:
+    dims = _parse_keys(_object(d, field), _DIMS_KEYS, field + ".")
+    try:
+        return ProblemDims(**dims)
+    except InvalidRange as exc:
+        raise ValidationError(f"{field}.{exc.field}", str(exc)) from exc
+
+
+def _parse_schedule(d, field: str) -> StepSchedule:
+    schedule = _parse_keys(_object(d, field), _SCHEDULE_KEYS, field + ".")
+    return _in_range(f"{field}.u", StepSchedule, *schedule.values())
+
+
+def _specs(value, field: str) -> tuple:
+    return tuple(
+        _parse_distribution(spec, f"{field}.{i}")
+        for i, spec in enumerate(_list(value, field, "distribution specs"))
+    )
+
+
+# Constructor and key table per distribution type; a mixture's components
+# are specs themselves.
+_DISTRIBUTION_TYPES = {
+    "beta": (BetaScore, {"a": (_real, _REQUIRED), "b": (_real, _REQUIRED)}),
+    "uniform": (UniformScore, {"lo": (_real, _REQUIRED), "hi": (_real, _REQUIRED)}),
+    "mixture": (MixtureScore, {
+        "components": (_specs, _REQUIRED), "weights": (_reals, _REQUIRED),
+    }),
+}
 
 
 def _parse_distribution(spec, path: str):
-    """One Beta, uniform or mixture score distribution; a mixture's
-    components are specs themselves."""
+    """One Beta, uniform or mixture score distribution."""
     spec = _object(spec, path)
     kind = spec.get("type")
     if not isinstance(kind, str) or kind not in _DISTRIBUTION_TYPES:
         raise ValidationError(f"{path}.type", f"unknown distribution type {kind!r}")
     build, keys = _DISTRIBUTION_TYPES[kind]
-    _only_keys(spec, ("type", *keys), path + ".")
-    values = [_need(spec, key, path + ".") for key in keys]
-    if kind == "mixture":
-        components, weights = values
-        args = (
-            tuple(
-                _parse_distribution(c, f"{path}.components.{j}")
-                for j, c in enumerate(_list(components, f"{path}.components", "specs"))
-            ),
-            tuple(
-                _real(w, f"{path}.weights.{j}")
-                for j, w in enumerate(_list(weights, f"{path}.weights", "numbers"))
-            ),
-        )
-    else:
-        args = [_real(v, f"{path}.{key}") for v, key in zip(values, keys)]
-    return _in_range(path, build, *args)
+    args = _parse_keys(spec, keys, path + ".", read=("type",))
+    return _in_range(path, build, *args.values())
 
 
-def _parse_distributions(specs) -> AffinityDistributionSet:
-    specs = _list(specs, "distributions", "distribution specs")
-    dists = tuple(
-        _parse_distribution(spec, f"distributions.{i}") for i, spec in enumerate(specs)
-    )
-    return _in_range("distributions", AffinityDistributionSet, dists)
-
-
-def _parse_bias(raw: dict, E: int) -> np.ndarray:
-    bias = raw.get("bias", [0.0] * E)
-    if not isinstance(bias, list) or len(bias) != E:
-        raise ValidationError("bias", f"must be a list of {E} numbers")
-    return np.array(
-        [_real(b, f"bias.{k}") for k, b in enumerate(bias)], dtype=np.float64
-    )
+def _parse_distributions(value, field: str) -> AffinityDistributionSet:
+    return _in_range(field, AffinityDistributionSet, _specs(value, field))
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse and strictly validate a JSON experiment config."""
+    """Parse and strictly validate a JSON experiment config: its kind's keys
+    from ``_SCHEMA``, then the rules that join two keys."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -253,69 +252,31 @@ def load_config(path) -> ExperimentConfig:
     kind = raw.get("kind")
     if kind not in KINDS:
         raise ValidationError("kind", f"must be one of {KINDS}, got {kind!r}")
-    _only_keys(raw, _COMMON_KEYS | _KIND_KEYS[kind])
+    params = _parse_keys(raw, _SCHEMA[kind][1], read=("kind", "seed", "out_dir"))
     seed = _seed(raw.get("seed", 0))
 
-    params: dict = {}
-    if kind in ("deterministic_run", "balance_check", "schedule_compare"):
-        params["dims"] = _parse_dims(_need(raw, "dims"))
-    if kind == "deterministic_run":
-        params["schedule"] = _parse_schedule(_need(raw, "schedule"))
-        params["iterations"] = _integer(_need(raw, "iterations"), "iterations")
-        _bias_bound(params["schedule"].u, params["dims"].T, params["iterations"],
-                    "schedule.u")
-        params["zero_sum"] = _boolean(raw.get("zero_sum", False), "zero_sum")
-    elif kind == "balance_check":
+    if kind == "balance_check":
         if params["dims"].K != 1:
             raise ValidationError("dims.K", "balance_check requires K=1")
         if not params["dims"].balanced:
             raise ValidationError("dims", "balance_check requires E to divide K*T")
-        params["u_fraction"] = _real(
-            raw.get("u_fraction", 0.9), "u_fraction", positive=True
-        )
-        budget = raw.get("budget")
-        params["budget"] = None if budget is None else _integer(budget, "budget")
-        params["instances"] = _integer(raw.get("instances", 1), "instances")
-        params["score_scale"] = _real(
-            raw.get("score_scale", 1.0), "score_scale", positive=True
-        )
+    elif kind == "deterministic_run":
+        _bias_bound(params["schedule"].u, params["dims"].T, params["iterations"],
+                    "schedule.u")
     elif kind == "schedule_compare":
-        params["u"] = _real(_need(raw, "u"), "u")
-        _in_range("u", StepSchedule, ScheduleKind.CONSTANT, params["u"])
-        params["iterations"] = _integer(_need(raw, "iterations"), "iterations")
         _bias_bound(params["u"], params["dims"].T, params["iterations"], "u")
-    elif kind in ("moment_check", "hessian_check", "regret_sweep"):
-        params["dist"] = _parse_distributions(_need(raw, "distributions"))
-        E = params["dist"].E
+    else:
+        E = params["distributions"].E
         # With K = E every expert is selected: every gradient is 0 and pi is
         # 1 whatever the bias, so the moment z-scores, the strong-convexity
         # estimate and the Hessian check are all 0/0.
-        params["K"] = _integer(_need(raw, "K"), "K")
         if params["K"] >= E:
             raise ValidationError("K", f"must be <= {E - 1} for {E} distributions")
-        if kind == "moment_check":
-            params["T"] = _integer(_need(raw, "T"), "T")
-            params["replicas"] = _integer(
-                raw.get("replicas", 10_000), "replicas", minimum=2
-            )
-            params["bias"] = _parse_bias(raw, E)
-        elif kind == "hessian_check":
-            params["bias"] = _parse_bias(raw, E)
-            params["directions"] = _integer(raw.get("directions", 20), "directions")
-            params["fd_step"] = _real(raw.get("fd_step", 1e-3), "fd_step", positive=True)
-        else:
-            params["T"] = _integer(_need(raw, "T"), "T")
-            params["rounds"] = _integer(raw.get("rounds", 10_000), "rounds")
-            params["replicas"] = _integer(raw.get("replicas", 32), "replicas")
-            kappa = _real(raw.get("kappa", 0.1), "kappa")
-            params["kappa"] = _in_range("kappa", check_kappa, kappa)
-            params["grid_points"] = _integer(raw.get("grid_points", 200), "grid_points")
-            checkpoints = _list(
-                raw.get("checkpoints", [100, 1000, 10_000]), "checkpoints", "integers"
-            )
-            params["checkpoints"] = [
-                _integer(c, f"checkpoints.{i}") for i, c in enumerate(checkpoints)
-            ]
+        if "bias" in params:
+            bias = (0.0,) * E if params["bias"] is None else params["bias"]
+            if len(bias) != E:
+                raise ValidationError("bias", f"must be a list of {E} numbers")
+            params["bias"] = np.array(bias, dtype=np.float64)
 
     out_dir = raw.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
@@ -432,7 +393,7 @@ def _balance_one_star(a):
 
 
 def _run_moment(cfg: ExperimentConfig, out: Path):
-    dist: AffinityDistributionSet = cfg.params["dist"]
+    dist: AffinityDistributionSet = cfg.params["distributions"]
     rng = RandomSource(cfg.seed, stream=2).generator()
     report = check_gradient_moments(
         dist, cfg.params["bias"], cfg.params["K"], cfg.params["T"],
@@ -459,7 +420,7 @@ def _run_moment(cfg: ExperimentConfig, out: Path):
 
 
 def _run_hessian(cfg: ExperimentConfig, out: Path):
-    dist: AffinityDistributionSet = cfg.params["dist"]
+    dist: AffinityDistributionSet = cfg.params["distributions"]
     K = cfg.params["K"]
     p = cfg.params["bias"]
     rng = RandomSource(cfg.seed, stream=3).generator()
@@ -475,7 +436,7 @@ def _run_hessian(cfg: ExperimentConfig, out: Path):
 
 
 def _run_regret(cfg: ExperimentConfig, out: Path):
-    dist: AffinityDistributionSet = cfg.params["dist"]
+    dist: AffinityDistributionSet = cfg.params["distributions"]
     T, K = cfg.params["T"], cfg.params["K"]
     E = dist.E
     L = K * T / E
@@ -537,23 +498,65 @@ def _run_schedule_compare(cfg: ExperimentConfig, out: Path):
     return {}, {"schedules": [k.value for k in kinds]}
 
 
-_HANDLERS = {
-    "deterministic_run": _run_deterministic,
-    "moment_check": _run_moment,
-    "hessian_check": _run_hessian,
-    "regret_sweep": _run_regret,
-    "schedule_compare": _run_schedule_compare,
+# Each experiment kind: its handler, and its keys beyond "kind", "seed" and
+# "out_dir" as a key table for _parse_keys.  An absent bias stays None here:
+# load_config fills it with zeros once it knows E.
+_SCHEMA = {
+    "deterministic_run": (_run_deterministic, {
+        "dims": (_parse_dims, _REQUIRED),
+        "schedule": (_parse_schedule, _REQUIRED),
+        "iterations": (_integer, _REQUIRED),
+        "zero_sum": (_boolean, False),
+    }),
+    "balance_check": (_run_balance, {
+        "dims": (_parse_dims, _REQUIRED),
+        "u_fraction": (_u_fraction, 0.9),
+        "budget": (lambda v, f: None if v is None else _integer(v, f), None),
+        "instances": (_integer, 1),
+        "score_scale": (partial(_real, positive=True), 1.0),
+    }),
+    "moment_check": (_run_moment, {
+        "distributions": (_parse_distributions, _REQUIRED),
+        "T": (_integer, _REQUIRED),
+        "K": (_integer, _REQUIRED),
+        "replicas": (partial(_integer, minimum=2), 10_000),
+        "bias": (_reals, None),
+    }),
+    "hessian_check": (_run_hessian, {
+        "distributions": (_parse_distributions, _REQUIRED),
+        "K": (_integer, _REQUIRED),
+        "bias": (_reals, None),
+        "directions": (_integer, 20),
+        "fd_step": (partial(_real, positive=True), 1e-3),
+    }),
+    "regret_sweep": (_run_regret, {
+        "distributions": (_parse_distributions, _REQUIRED),
+        "T": (_integer, _REQUIRED),
+        "K": (_integer, _REQUIRED),
+        "rounds": (_integer, 10_000),
+        "replicas": (_integer, 32),
+        "kappa": (lambda v, f: _in_range(f, check_kappa, _real(v, f)), 0.1),
+        "grid_points": (_integer, 200),
+        "checkpoints": (_integers, (100, 1000, 10_000)),
+    }),
+    "schedule_compare": (_run_schedule_compare, {
+        "dims": (_parse_dims, _REQUIRED),
+        "u": (_step_size, _REQUIRED),
+        "iterations": (_integer, _REQUIRED),
+    }),
 }
+KINDS = tuple(_SCHEMA)
 
 
 def run(cfg: ExperimentConfig, out_dir=None, parallel: int = 1) -> int:
     """Execute one experiment; write artifacts; return the exit status."""
     out = Path(out_dir) if out_dir is not None else (cfg.out_dir or Path("."))
     out.mkdir(parents=True, exist_ok=True)
+    handler = _SCHEMA[cfg.kind][0]
     if cfg.kind == "balance_check":
-        verdicts, extra = _run_balance(cfg, out, parallel=parallel)
+        verdicts, extra = handler(cfg, out, parallel=parallel)
     else:
-        verdicts, extra = _HANDLERS[cfg.kind](cfg, out)
+        verdicts, extra = handler(cfg, out)
     summary = {
         "kind": cfg.kind,
         "seed": cfg.seed,

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, stats
 
-from .core import AffinityMatrix, ProblemDims
 from .errors import InvalidRange
 
 PDF_NORMALIZATION_TOL = 1e-6
@@ -180,17 +179,3 @@ class AffinityDistributionSet:
 def identical(dist, E: int) -> AffinityDistributionSet:
     return AffinityDistributionSet(tuple([dist] * E))
 
-
-def sample_affinities(
-    dist: AffinityDistributionSet, dims: ProblemDims, rng: np.random.Generator
-) -> AffinityMatrix:
-    """T x E affinity draw wrapped as an AffinityMatrix.
-
-    Samples are nudged off the exact endpoints to satisfy the strict (0, 1)
-    container invariant; the shift is far below any tolerance in use.
-    """
-    if dims.E != len(dist.dists):
-        raise InvalidRange(f"dims.E={dims.E} != {len(dist.dists)} distributions")
-    values = dist.sample_matrix(dims.T, rng)
-    values = np.clip(values, 1e-15, 1.0 - 1e-15)
-    return AffinityMatrix(dims, values)

@@ -156,7 +156,7 @@ def _leave_one_out_tails(cdf: np.ndarray, K: int):
 # ---------------------------------------------------------------------------
 
 def selection_moments(
-    dist: AffinityDistributionSet, p: np.ndarray, K: int, tol: float = QUAD_TOL
+    dist: AffinityDistributionSet, p: np.ndarray, K: int
 ) -> tuple[np.ndarray, float]:
     """Quadrature (pi(p), F_K(p)): the per-expert probabilities (E,) of
     landing in the Top-K set, and the expected routed Top-K value F_K of a
@@ -177,7 +177,7 @@ def selection_moments(
         return np.concatenate([base, w * base])
 
     a, b, cuts = _shifted_frame(dist, p)
-    rows = piecewise_gauss_vec(f, a, b, cuts, tol)
+    rows = piecewise_gauss_vec(f, a, b, cuts)
     pi = rows[:E]
     if np.any(pi < -1e-9) or np.any(pi > 1.0 + 1e-9):
         raise InvalidRange("selection probabilities must lie in [0, 1]")
@@ -344,7 +344,7 @@ def quadratic_form(w: np.ndarray, delta: np.ndarray) -> float:
 
 
 def edge_weights_quadrature(
-    dist: AffinityDistributionSet, p: np.ndarray, K: int, tol: float = QUAD_TOL
+    dist: AffinityDistributionSet, p: np.ndarray, K: int
 ) -> np.ndarray:
     """Pairwise Hessian weights w_kl = int phi_k(v-p_k) phi_l(v-p_l)
     B^(K-1)(v) dv, where B^(K-1) is the probability that exactly K-1 of the
@@ -366,7 +366,7 @@ def edge_weights_quadrature(
         return np.concatenate(rows)
 
     a, b, cuts = _shifted_frame(dist, p)
-    vals = np.maximum(piecewise_gauss_vec(f, a, b, cuts, tol), 0.0)
+    vals = np.maximum(piecewise_gauss_vec(f, a, b, cuts), 0.0)
     w = np.zeros((E, E))
     w[rows_k, rows_l] = w[rows_l, rows_k] = vals
     w.flags.writeable = False
@@ -440,7 +440,6 @@ def strong_convexity_estimate(
     T: int,
     grid_points: int,
     rng: np.random.Generator,
-    tol: float = QUAD_TOL,
 ) -> StrongConvexityEstimate:
     """Grid scan of the minimum pairwise curvature weight over the zero-sum,
     diameter-limited bias domain.  The result is an upper bound on the true
@@ -452,7 +451,7 @@ def strong_convexity_estimate(
     best = math.inf
     best_p = grid[0]
     for q in grid:
-        m = float(edge_weights_quadrature(dist, q, K, tol)[offdiag].min())
+        m = float(edge_weights_quadrature(dist, q, K)[offdiag].min())
         if m < best:
             best, best_p = m, q
     return StrongConvexityEstimate(c_hat=best, mu=T * best * dist.E, argmin_p=best_p)

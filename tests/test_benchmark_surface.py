@@ -5,7 +5,12 @@ trim of the public surface from breaking the benchmark unnoticed.
 """
 
 import importlib
+import importlib.util
 import inspect
+import json
+from pathlib import Path
+
+import pytest
 
 import alflb.cli
 from alflb.core import BiasVector, RandomSource
@@ -38,3 +43,22 @@ def test_cli_entry_points():
     )
     assert list(inspect.signature(alflb.cli.load_config).parameters) == ["path"]
     assert {"cfg", "out_dir", "parallel"} <= set(inspect.signature(alflb.cli.run).parameters)
+
+
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_benchmark_configs_load(tmp_path, seed):
+    # every config the benchmark generates must pass load_config
+    workloads = _perfbench_workloads()
+    for workload in workloads.WORKLOADS:
+        for name, cfg in workloads.generate(workload, seed).items():
+            path = tmp_path / f"{workload}_{name}.json"
+            path.write_text(json.dumps(cfg))
+            assert alflb.cli.load_config(path).kind == cfg["kind"], path.name

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from alflb import cli
@@ -300,7 +301,8 @@ class TestFromSpec:
 
     def _load(self, tmp_path, spec):
         cfg = dict(MOMENT_CFG, **_first_distribution(spec))
-        return load_config(_write(tmp_path, "spec.json", cfg)).params["dist"].dists[0]
+        params = load_config(_write(tmp_path, "spec.json", cfg)).params
+        return params["distributions"].dists[0]
 
     def test_beta_roundtrip(self, tmp_path):
         d = self._load(tmp_path, {"type": "beta", "a": 2.0, "b": 3.0})
@@ -330,6 +332,46 @@ class TestFromSpec:
         with pytest.raises(ValidationError) as exc:
             self._load(tmp_path, {"type": "uniform", "lo": 0.2})
         assert exc.value.field == "distributions.0.hi"
+
+
+# Each kind's required keys, and the defaults of the others.
+REQUIRED_ONLY = {
+    "deterministic_run": {k: DET_CFG[k] for k in ("kind", "dims", "schedule", "iterations")},
+    "balance_check": {"kind": "balance_check", "dims": BALANCE_CFG["dims"]},
+    "moment_check": {k: MOMENT_CFG[k] for k in ("kind", "distributions", "T", "K")},
+    "hessian_check": {k: HESSIAN_CFG[k] for k in ("kind", "distributions", "K")},
+    "regret_sweep": {k: REGRET_CFG[k] for k in ("kind", "distributions", "T", "K")},
+    "schedule_compare": {k: COMPARE_CFG[k] for k in ("kind", "dims", "u", "iterations")},
+}
+DEFAULTS = {
+    "deterministic_run": {"zero_sum": False},
+    "balance_check": {"u_fraction": 0.9, "budget": None, "instances": 1, "score_scale": 1.0},
+    "moment_check": {"replicas": 10_000, "bias": [0.0, 0.0]},
+    "hessian_check": {"bias": [0.0, 0.0], "directions": 20, "fd_step": 1e-3},
+    "regret_sweep": {
+        "rounds": 10_000, "replicas": 32, "kappa": 0.1, "grid_points": 200,
+        "checkpoints": [100, 1000, 10_000],
+    },
+    "schedule_compare": {},
+}
+
+
+def _assert_exit_two(tmp_path, capsys, cfg, field):
+    """``cfg`` fails to load naming ``field``, and its CLI run exits 2
+    with the field on stderr and writes nothing."""
+    cfg_path = _write(tmp_path, "bad.json", cfg)
+    with pytest.raises(ValidationError) as exc:
+        load_config(cfg_path)
+    assert exc.value.field == field
+    status = main([
+        cfg["kind"].replace("_", "-"), "--config", str(cfg_path),
+        "--out", str(tmp_path / "out"),
+    ])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert f"config error: {field}:" in err
+    assert "Warning" not in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestConfigErrors:
@@ -380,6 +422,9 @@ class TestConfigErrors:
             (DET_CFG, {"schedule": {"kind": "deepseek_sign", "u": 1e306},
                        "iterations": 10**4}, "schedule.u"),
             (COMPARE_CFG, {"u": 1e307}, "u"),
+            # theorem 3 assumes u < ubar
+            (BALANCE_CFG, {"u_fraction": 1.0}, "u_fraction"),
+            (BALANCE_CFG, {"u_fraction": 1e308}, "u_fraction"),
         ],
         ids=["negative_u", "string_iterations", "zero_instances", "bool_seed",
              "float_iterations", "beta_shape_below_one", "bias_length_mismatch",
@@ -389,23 +434,46 @@ class TestConfigErrors:
              "string_components", "number_components", "moment_k_equals_e",
              "regret_k_equals_e", "hessian_k_equals_e", "nan_pdf_mass",
              "overflowing_constant_step", "overflowing_sign_step",
-             "overflowing_compare_step"],
+             "overflowing_compare_step", "u_fraction_one", "u_fraction_huge"],
     )
     def test_exit_two_names_field(self, tmp_path, capsys, recwarn, base, changes, field):
-        cfg_path = _write(tmp_path, "bad.json", dict(base, **changes))
-        with pytest.raises(ValidationError) as exc:
-            load_config(cfg_path)
-        assert exc.value.field == field
-        status = main([
-            base["kind"].replace("_", "-"), "--config", str(cfg_path),
-            "--out", str(tmp_path / "out"),
-        ])
-        assert status == 2
-        err = capsys.readouterr().err
-        assert f"config error: {field}:" in err
-        assert "Warning" not in err
+        _assert_exit_two(tmp_path, capsys, dict(base, **changes), field)
         assert not recwarn.list
-        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "kind,key",
+        [(k, key) for k, cfg in REQUIRED_ONLY.items() for key in cfg if key != "kind"],
+    )
+    def test_missing_required_key(self, tmp_path, capsys, kind, key):
+        cfg = {k: v for k, v in REQUIRED_ONLY[kind].items() if k != key}
+        _assert_exit_two(tmp_path, capsys, cfg, key)
+
+    @pytest.mark.parametrize(
+        "kind,key",
+        [
+            (k, key)
+            for k in REQUIRED_ONLY
+            for key in [*REQUIRED_ONLY[k], *DEFAULTS[k]]
+            if key not in ("kind", "budget")
+        ],
+    )
+    def test_null_rejected(self, tmp_path, capsys, kind, key):
+        # only an absent key takes its default; budget's default is null
+        _assert_exit_two(tmp_path, capsys, dict(REQUIRED_ONLY[kind], **{key: None}), key)
+
+    def test_null_budget_is_the_default(self, tmp_path):
+        cfg = dict(REQUIRED_ONLY["balance_check"], budget=None)
+        assert load_config(_write(tmp_path, "b.json", cfg)).params["budget"] is None
+
+    @pytest.mark.parametrize("kind", list(REQUIRED_ONLY))
+    def test_required_keys_take_defaults(self, tmp_path, kind):
+        params = load_config(_write(tmp_path, "r.json", REQUIRED_ONLY[kind])).params
+        for key, want in DEFAULTS[kind].items():
+            got = params[key]
+            if isinstance(want, list):
+                assert np.asarray(got).dtype == np.asarray(want).dtype
+                got = list(got)
+            assert got == want and type(got) is type(want), key
 
     def test_valid_config_hash_unchanged(self, tmp_path):
         # sha256 of the canonical JSON of DET_CFG, as every release computed it
@@ -455,7 +523,8 @@ class TestMain:
         def crash(cfg, out):
             raise RuntimeError("planted crash")
 
-        monkeypatch.setitem(cli._HANDLERS, "deterministic_run", crash)
+        keys = cli._SCHEMA["deterministic_run"][1]
+        monkeypatch.setitem(cli._SCHEMA, "deterministic_run", (crash, keys))
         cfg_path = _write(tmp_path, "cfg.json", DET_CFG)
         status = main([
             "deterministic-run", "--config", str(cfg_path),

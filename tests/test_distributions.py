@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from alflb.core import ProblemDims, RandomSource
+from alflb.core import RandomSource
 from alflb.distributions import (
     AffinityDistributionSet,
     BetaScore,
     MixtureScore,
     UniformScore,
     identical,
-    sample_affinities,
 )
 from alflb.errors import InvalidRange
 
@@ -93,30 +92,18 @@ class TestDistributionSet:
 class TestSampling:
     def test_column_means_in_ci(self):
         ds = identical(UniformScore(0.2, 0.8), 3)
-        dims = ProblemDims(T=100_000, E=3, K=1)
+        T = 100_000
         rng = RandomSource(0, stream=9).generator()
-        gamma = sample_affinities(ds, dims, rng)
-        se = (0.6 / np.sqrt(12.0)) / np.sqrt(dims.T)
-        assert np.all(np.abs(gamma.values.mean(axis=0) - 0.5) < 4 * se)
-
-    def test_samples_strictly_inside_unit_interval(self):
-        ds = identical(BetaScore(1.0, 6.0), 2)  # piles mass near 0
-        dims = ProblemDims(T=5000, E=2, K=1)
-        rng = RandomSource(1, stream=9).generator()
-        gamma = sample_affinities(ds, dims, rng)
-        assert gamma.values.min() > 0.0 and gamma.values.max() < 1.0
+        values = ds.sample_matrix(T, rng)
+        assert values.shape == (T, 3)
+        se = (0.6 / np.sqrt(12.0)) / np.sqrt(T)
+        assert np.all(np.abs(values.mean(axis=0) - 0.5) < 4 * se)
 
     def test_fixed_seed_reproduces(self):
         ds = AffinityDistributionSet((BetaScore(2.0, 5.0), UniformScore(0.1, 0.7)))
-        dims = ProblemDims(T=64, E=2, K=1)
-        a = sample_affinities(ds, dims, RandomSource(7, 3).generator())
-        b = sample_affinities(ds, dims, RandomSource(7, 3).generator())
-        np.testing.assert_array_equal(a.values, b.values)
-
-    def test_expert_count_mismatch(self):
-        ds = identical(BetaScore(2.0, 2.0), 3)
-        with pytest.raises(InvalidRange):
-            sample_affinities(ds, ProblemDims(T=4, E=2, K=1), np.random.default_rng(0))
+        a = ds.sample_matrix(64, RandomSource(7, 3).generator())
+        b = ds.sample_matrix(64, RandomSource(7, 3).generator())
+        np.testing.assert_array_equal(a, b)
 
     def test_mixture_sampling_hits_both_components(self):
         mix = MixtureScore(

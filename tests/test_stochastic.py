@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -97,9 +99,9 @@ class TestOnlineLoss:
             assert val == pytest.approx(base, abs=1e-9)
 
 
-def _pi(dist, p, K, **kw):
+def _pi(dist, p, K):
     """The quadrature selection probabilities alone."""
-    return selection_moments(dist, p, K, **kw)[0]
+    return selection_moments(dist, p, K)[0]
 
 
 class TestPiQuadrature:
@@ -151,9 +153,13 @@ class TestPiQuadrature:
         # tol=0 is never met; one doubling keeps the test short (the rules
         # of the later doublings take tens of seconds to generate)
         monkeypatch.setattr(stochastic, "QUAD_MAX_DOUBLINGS", 1)
+        monkeypatch.setattr(
+            stochastic, "piecewise_gauss_vec",
+            functools.partial(stochastic.piecewise_gauss_vec, tol=0.0),
+        )
         ds = identical(BetaScore(2.0, 2.0), 3)
         with pytest.raises(NoConvergence):
-            _pi(ds, np.zeros(3), 1, tol=0.0)
+            _pi(ds, np.zeros(3), 1)
 
     @pytest.mark.parametrize("excess", [1e-6, -1e-6])
     def test_out_of_range_pi_raises(self, monkeypatch, excess):
