@@ -3,7 +3,6 @@ simulator plus deterministic and stochastic verification labs.
 """
 
 from .core import (
-    AffinityMatrix,
     BiasVector,
     LoadVector,
     ProblemDims,
@@ -20,7 +19,6 @@ from .router import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffinityMatrix",
     "BiasVector",
     "LoadVector",
     "ProblemDims",

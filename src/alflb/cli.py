@@ -38,7 +38,9 @@ from .deterministic import (
     ubar,
 )
 from .distributions import AffinityDistributionSet, BetaScore, MixtureScore, UniformScore
-from .errors import InvalidRange, ParseError, ValidationError
+from .errors import (
+    DegenerateGaps, DimMismatch, InvalidRange, OverflowGuard, ParseError, ValidationError,
+)
 from .router import RawScoreMatrix, softmax_affinities
 from .stochastic import (
     check_gradient_moments,
@@ -308,7 +310,8 @@ def _write_csv(path: Path, columns: dict) -> None:
 
 def _seeded_affinities(dims: ProblemDims, seed: int, scale: float = 1.0):
     rng = RandomSource(seed, stream=1).generator()
-    raw = RawScoreMatrix(scale * rng.standard_normal((dims.T, dims.E)))
+    with np.errstate(over="ignore"):  # RawScoreMatrix rejects an inf score
+        raw = RawScoreMatrix(scale * rng.standard_normal((dims.T, dims.E)))
     return softmax_affinities(raw)
 
 
@@ -347,8 +350,12 @@ def _run_deterministic(cfg: ExperimentConfig, out: Path):
 def _balance_one(seed: int, dims_tuple: tuple[int, int, int], score_scale: float,
                  u_fraction: float, budget):
     dims = ProblemDims(*dims_tuple)
-    gamma = _seeded_affinities(dims, seed, score_scale)
-    u_bar = ubar(gamma)
+    try:
+        gamma = _seeded_affinities(dims, seed, score_scale)
+        u_bar = ubar(gamma)
+    except (DegenerateGaps, DimMismatch, OverflowGuard) as exc:
+        # the drawn scores decide this, so it cannot be caught at parse time
+        raise ValidationError("score_scale", f"instance seed {seed}: {exc}") from None
     u = u_fraction * u_bar
     if budget is None:
         budget = max(10 * dims.T * dims.E, math.ceil(2.5 / u) + 100)
@@ -607,6 +614,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return run(cfg, out_dir=args.out, parallel=args.parallel)
+    except ValidationError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except Exception:  # 1 means a check failed; a crash must not look like one
         traceback.print_exc()
         return 3

@@ -1,5 +1,6 @@
-"""Shared domain types: problem dimensions, affinity/bias/load containers,
-and the deterministic randomness contract used by every other module.
+"""Shared domain types: problem dimensions, the affinity-matrix check, the
+bias and load containers, and the deterministic randomness contract used by
+every other module.
 
 All containers are immutable value objects (frozen dataclasses holding
 read-only numpy arrays), so they can be shared freely across threads.
@@ -56,22 +57,20 @@ class ProblemDims:
         return self.K * self.T / self.E
 
 
-@dataclass(frozen=True)
-class AffinityMatrix:
-    """T x E matrix of normalized affinity scores, every entry in (0, 1)."""
-
-    dims: ProblemDims
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _readonly(self.values))
-        if self.values.shape != (self.dims.T, self.dims.E):
-            raise DimMismatch(
-                f"affinity shape {self.values.shape} != "
-                f"({self.dims.T}, {self.dims.E})"
-            )
-        if not np.all((self.values > 0.0) & (self.values < 1.0)):
-            raise InvalidRange("affinity entries must lie strictly in (0, 1)")
+def affinity_array(gamma) -> np.ndarray:
+    """A (T, E) affinity matrix as a read-only float64 array, every entry in
+    (0, 1), so no NaN.  A float64 array that is read-only and owns its memory,
+    as this returns, is taken as it is; any other input is copied, so later
+    writes to the caller's array cannot reach the result."""
+    g = gamma
+    if not (isinstance(g, np.ndarray) and g.dtype == np.float64
+            and g.flags.owndata and not g.flags.writeable):
+        g = _readonly(g)
+    if g.ndim != 2:
+        raise DimMismatch(f"affinities must be a (T, E) matrix, got shape {g.shape}")
+    if not np.all((g > 0.0) & (g < 1.0)):
+        raise InvalidRange("affinity entries must lie strictly in (0, 1)")
+    return g
 
 
 @dataclass(frozen=True)
@@ -94,9 +93,6 @@ class BiasVector:
     @property
     def E(self) -> int:
         return self.values.shape[0]
-
-    def diameter(self) -> float:
-        return float(self.values.max() - self.values.min())
 
 
 @dataclass(frozen=True)

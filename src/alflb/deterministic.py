@@ -3,8 +3,9 @@
 Runs the primal-dual iteration on a frozen affinity matrix and audits its
 structural guarantees: the exact change-of-Lagrangian identity, the
 switching-direction and benefit bounds of the sign schedule, the u-bar
-threshold that forbids concurrent same-route switches, the approximate
-balancing guarantee, and a brute-force exact-balancing IP oracle.
+threshold that forbids concurrent same-route switches, and the approximate
+balancing guarantee.  Affinities are (T, E) arrays, checked once at each
+public entry by ``core.affinity_array``.
 """
 
 from __future__ import annotations
@@ -15,17 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balancer import ScheduleKind, StepSchedule, project_zero_sum
-from .core import AffinityMatrix, ProblemDims
-from .errors import DegenerateGaps, InvalidRange, KNotOne, TooLarge
+from .core import ProblemDims, affinity_array
+from .errors import DegenerateGaps, InvalidRange, KNotOne
 from .router import topk
 
-IP_ENUMERATION_GUARD = 10**7
 # Most scores, c * T * E, that one block of ``iterate`` routes at once.
 BLOCK_SCORES = 2**16
-
-
-# Per-expert designation relative to the target load.
-OVERLOADED, BALANCED, UNDERLOADED = 1, 0, -1
 
 
 @dataclass(frozen=True)
@@ -65,7 +61,7 @@ def designations(loads: np.ndarray, L: float) -> np.ndarray:
 
 
 def iterate(
-    gamma: AffinityMatrix,
+    gamma,
     schedule: StepSchedule,
     K: int = 1,
     zero_sum: bool = False,
@@ -86,10 +82,11 @@ def iterate(
     It keeps the rows up to and including the first whose loads differ from
     the guess, so every row it yields is the stepwise row bit for bit.  c
     doubles after a block whose guess held and drops to 1 after a miss, with
-    c*T*E at most ``BLOCK_SCORES``.  The input is validated once, on entry;
-    non-finite biases raise ``InvalidRange`` at the iteration that has them.
+    c*T*E at most ``BLOCK_SCORES``.  The affinities are checked (and copied
+    unless already read-only) before the first block; non-finite biases raise
+    ``InvalidRange`` at the iteration that has them.
     """
-    g = gamma.values
+    g = affinity_array(gamma)
     T, E = g.shape
     L = ProblemDims(T=T, E=E, K=K).target_load
     cap = max(1, BLOCK_SCORES // (T * E))
@@ -154,7 +151,7 @@ def _guessed_biases(p, guess, schedule, L, rows, zero_sum):
 
 
 def simulate_fixed_scores(
-    gamma: AffinityMatrix,
+    gamma,
     schedule: StepSchedule,
     iterations: int,
     K: int = 1,
@@ -166,7 +163,7 @@ def simulate_fixed_scores(
     """
     if iterations < 1:
         raise InvalidRange("need at least one iteration")
-    g = gamma.values
+    g = affinity_array(gamma)
     T, E = g.shape
     L = ProblemDims(T=T, E=E, K=K).target_load
     p_rows = np.empty((iterations, E))
@@ -178,7 +175,7 @@ def simulate_fixed_scores(
 
     a_prev = None  # the assignment of the row before a block
     for n, p, shifted, chosen, loads, row_tie in iterate(
-        gamma, schedule, K, zero_sum, iterations=iterations
+        g, schedule, K, zero_sum, iterations=iterations
     ):
         m = n - 1
         block = slice(m[0], m[-1] + 1)
@@ -255,26 +252,14 @@ def audit_trace(trace: IterationTrace) -> TraceAudit:
     )
 
 
-def stable_partition_preserved(
-    loads_n: np.ndarray, loads_next: np.ndarray, L: float
-) -> bool:
-    """True when a partition (loads >= L | loads <= L) valid at both
-    iterations exists, i.e. no expert strictly crossed the target.
-    """
-    a = np.asarray(loads_n, dtype=np.float64) - L
-    b = np.asarray(loads_next, dtype=np.float64) - L
-    crossed = ((a > 0) & (b < 0)) | ((a < 0) & (b > 0))
-    return not bool(crossed.any())
-
-
-def ubar(gamma: AffinityMatrix) -> float:
+def ubar(gamma) -> float:
     """Half the minimum difference of score gaps over token and expert pairs.
 
     Raises DegenerateGaps when two tokens share an identical gap for some
     expert pair (the threshold would be 0 and the concurrent-switch
     guarantee vacuous).
     """
-    g = gamma.values
+    g = affinity_array(gamma)
     T, E = g.shape
     if T < 2:
         raise InvalidRange("need at least two tokens")
@@ -301,7 +286,7 @@ class BalanceConvergenceReport:
 
 
 def check_balance_convergence(
-    gamma: AffinityMatrix,
+    gamma,
     u: float,
     budget: int | None = None,
     settle_iterations: int = 200,
@@ -313,7 +298,8 @@ def check_balance_convergence(
     stay <= E-1.  After all experts have entered, the run continues for
     ``settle_iterations`` more steps to probe the "remains in range" claim.
     """
-    T, E = gamma.values.shape
+    g = affinity_array(gamma)
+    T, E = g.shape
     L = ProblemDims(T=T, E=E, K=1).L
     if budget is None:
         budget = 10 * T * E
@@ -329,7 +315,7 @@ def check_balance_convergence(
     # settle window (a negative window never ends the run).
     stop = math.inf
     n_run = 0
-    for n, _, _, _, loads, row_tie in iterate(gamma, sched, iterations=budget):
+    for n, _, _, _, loads, row_tie in iterate(g, sched, iterations=budget):
         in_band = (loads >= lo) & (loads <= hi)
         if stop == math.inf:
             new = (entered < 0) & in_band.any(axis=0)
@@ -358,43 +344,3 @@ def check_balance_convergence(
         converged=bool(np.all(entered > 0)),
         any_tie=any_tie,
     )
-
-
-def ip_bruteforce(gamma: AffinityMatrix, L: int) -> tuple[float, np.ndarray]:
-    """Exact maximizer of the routed affinity over exactly-balanced K=1
-    assignments, by depth-first enumeration.  Returns the value and the
-    (T,) expert of each token.
-
-    Guarded: the number of balanced assignments T! / (L!)^E must not exceed
-    IP_ENUMERATION_GUARD.
-    """
-    g = gamma.values
-    T, E = g.shape
-    if T != L * E:
-        raise InvalidRange(f"T={T} must equal L*E={L * E}")
-    count = math.factorial(T) // (math.factorial(L) ** E)
-    if count > IP_ENUMERATION_GUARD:
-        raise TooLarge(f"{count} balanced assignments exceed the guard")
-
-    capacity = [L] * E
-    choice = np.empty(T, dtype=np.int64)
-    best_value = -math.inf
-    best_choice = choice.copy()
-
-    def dfs(i: int, acc: float):
-        nonlocal best_value, best_choice
-        if i == T:
-            if acc > best_value:
-                best_value = acc
-                best_choice = choice.copy()
-            return
-        for k in range(E):
-            if capacity[k] > 0:
-                capacity[k] -= 1
-                choice[i] = k
-                dfs(i + 1, acc + g[i, k])
-                capacity[k] += 1
-
-    dfs(0, 0.0)
-    return best_value, best_choice
-

@@ -174,8 +174,3 @@ class AffinityDistributionSet:
         """Raw T x E sample, column k drawn i.i.d. from distribution k."""
         cols = [d.sample(rng, (T,)) for d in self.dists]
         return np.column_stack(cols)
-
-
-def identical(dist, E: int) -> AffinityDistributionSet:
-    return AffinityDistributionSet(tuple([dist] * E))
-

@@ -38,10 +38,6 @@ class DegenerateGaps(AlflbError):
     """Two tokens share an identical score gap; the u-bar threshold is 0."""
 
 
-class TooLarge(AlflbError):
-    """Instance too large for exhaustive enumeration."""
-
-
 class NoConvergence(AlflbError):
     """A solver or the quadrature's node doublings ran out before tolerance."""
 

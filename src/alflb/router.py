@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AffinityMatrix, BiasVector, LoadVector, ProblemDims
+from .core import BiasVector, LoadVector, ProblemDims, affinity_array
 from .errors import DimMismatch, OverflowGuard
 
 
@@ -46,8 +46,9 @@ class RoutingOutcome:
     row_tie: np.ndarray  # (T,) bool, tie at the K-th selection boundary
 
 
-def softmax_affinities(raw: RawScoreMatrix) -> AffinityMatrix:
-    """Row-softmax with max-subtraction for numerical stability."""
+def softmax_affinities(raw: RawScoreMatrix) -> np.ndarray:
+    """Row-softmax with max-subtraction for numerical stability: a read-only
+    (T, E) affinity matrix, every entry in (0, 1)."""
     v = raw.values
     shifted = v - v.max(axis=1, keepdims=True)
     expv = np.exp(shifted)
@@ -57,8 +58,8 @@ def softmax_affinities(raw: RawScoreMatrix) -> AffinityMatrix:
             "softmax under/overflowed to a degenerate probability; "
             "raw score spread too extreme"
         )
-    T, E = v.shape
-    return AffinityMatrix(ProblemDims(T=T, E=E, K=1), probs)
+    probs.flags.writeable = False
+    return probs
 
 
 def topk(shifted: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
@@ -88,17 +89,18 @@ def topk(shifted: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
     return order[..., :K].copy(), row_tie
 
 
-def route_topk(gamma: AffinityMatrix, p: BiasVector, K: int) -> RoutingOutcome:
+def route_topk(gamma, p: BiasVector, K: int) -> RoutingOutcome:
     """Select, per token, the K experts with the largest gamma_ik + p_k.
 
     Ties at the selection boundary are broken by lowest expert index and
     reported through ``tie_flag`` / ``row_tie``.
     """
-    T, E = gamma.values.shape
+    g = affinity_array(gamma)
+    T, E = g.shape
     if p.E != E:
         raise DimMismatch(f"bias length {p.E} != expert count {E}")
     dims = ProblemDims(T=T, E=E, K=K)
-    chosen, row_tie = topk(gamma.values + p.values[None, :], K)
+    chosen, row_tie = topk(g + p.values[None, :], K)
     return RoutingOutcome(
         loads=LoadVector(dims, np.bincount(chosen.ravel(), minlength=E)),
         tie_flag=bool(row_tie.any()),

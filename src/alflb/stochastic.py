@@ -23,7 +23,6 @@ QUAD_TOL = 1e-8
 QUAD_BASE_NODES = 256
 QUAD_MAX_DOUBLINGS = 5
 QUAD_BLOCK_NODES = 2048
-MC_BATCH = 1 << 16       # score rows per pi_monte_carlo block
 MOMENT_BATCH = 512       # replicas per check_gradient_moments block
 MINIMIZER_MAX_ITER = 500
 
@@ -204,32 +203,6 @@ def _topk_counts(samples: np.ndarray, p: np.ndarray, K: int) -> np.ndarray:
     """Per-expert Top-K membership counts for a (..., T, E) sample block."""
     shifted = samples + p
     return _selection_counts(_topk_set(shifted, K), shifted.shape[-1])
-
-
-def pi_monte_carlo(
-    dist: AffinityDistributionSet,
-    p: np.ndarray,
-    K: int,
-    samples: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical selection frequencies (E,) over fresh score draws, with
-    their binomial standard errors (E,).
-    """
-    if samples < 1000:
-        raise InvalidRange("need at least 10^3 samples")
-    E = dist.E
-    p = _bias(p, E)
-    counts = np.zeros(E, dtype=np.int64)
-    done = 0
-    while done < samples:
-        m = min(MC_BATCH, samples - done)
-        block = dist.sample_matrix(m, rng)
-        counts += _topk_counts(block[None, :, :], p, K)[0]
-        done += m
-    pi_hat = counts / samples
-    se = np.sqrt(pi_hat * (1.0 - pi_hat) / samples)
-    return pi_hat, se
 
 
 # ---------------------------------------------------------------------------

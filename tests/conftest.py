@@ -1,21 +1,8 @@
-import numpy as np
-
-from alflb.core import AffinityMatrix, ProblemDims, RandomSource
+from alflb.core import RandomSource
 from alflb.router import RawScoreMatrix, softmax_affinities
 
 
-def random_affinities(T: int, E: int, seed: int, K: int = 1, scale: float = 1.0):
+def random_affinities(T: int, E: int, seed: int):
     """Softmax of Gaussian raw scores; generic position, no exact ties."""
     rng = RandomSource(seed, stream=1).generator()
-    raw = RawScoreMatrix(scale * rng.standard_normal((T, E)))
-    gamma = softmax_affinities(raw)
-    if K == 1:
-        return gamma
-    return AffinityMatrix(ProblemDims(T=T, E=E, K=K), gamma.values)
-
-
-def dirichlet_affinities(T: int, E: int, seed: int, K: int = 1):
-    rng = np.random.default_rng(seed)
-    vals = rng.dirichlet(np.ones(E), size=T)
-    vals = np.clip(vals, 1e-12, 1.0 - 1e-12)
-    return AffinityMatrix(ProblemDims(T=T, E=E, K=K), vals)
+    return softmax_affinities(RawScoreMatrix(rng.standard_normal((T, E))))

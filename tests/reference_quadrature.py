@@ -7,6 +7,10 @@ own nodes and summing the products over all rival subsets of the right size.
 The piecewise Gauss-Legendre rule is copied as well, so the oracle tests
 compare the fast path against code that shares none of its helpers.  The
 term-budget guard is left out: the oracle only runs on small E.
+
+``pi_monte_carlo`` is the sampled oracle of the selection probabilities:
+Top-K counts over fresh score draws, as criterion 6 compares them with the
+quadrature.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from alflb.errors import InvalidRange
 QUAD_TOL = 1e-8
 QUAD_BASE_NODES = 256
 QUAD_MAX_DOUBLINGS = 5
+MC_BATCH = 1 << 16  # score rows per pi_monte_carlo block
 
 
 @lru_cache(maxsize=32)
@@ -154,3 +159,29 @@ def edge_weights_quadrature(
             val = piecewise_gauss_vec(f, lo, hi, cuts, tol)[0]
             w[k, l] = w[l, k] = max(val, 0.0)
     return w
+
+
+def pi_monte_carlo(
+    dist: AffinityDistributionSet,
+    p: np.ndarray,
+    K: int,
+    samples: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical selection frequencies (E,) over fresh score draws, with
+    their binomial standard errors (E,).
+    """
+    if samples < 1000:
+        raise InvalidRange("need at least 10^3 samples")
+    counts = np.zeros(dist.E, dtype=np.int64)
+    done = 0
+    while done < samples:
+        m = min(MC_BATCH, samples - done)
+        shifted = dist.sample_matrix(m, rng) + p
+        # continuous scores tie with probability 0: any Top-K set will do
+        top = np.argpartition(-shifted, K - 1, axis=-1)[:, :K]
+        counts += np.bincount(top.ravel(), minlength=dist.E)
+        done += m
+    pi_hat = counts / samples
+    se = np.sqrt(pi_hat * (1.0 - pi_hat) / samples)
+    return pi_hat, se

@@ -15,6 +15,11 @@ tie-skipping switch audit are the ones that walked the per-step traces before
 ``iterate_stepwise`` and ``check_balance_convergence_stepwise`` are the lean
 oracle of the blocked ``iterate``: the raw-array loop that routed and stepped
 one iteration at a time, and the balance check that consumed it, unchanged.
+
+``stable_partition_preserved`` and ``balanced_assignment`` are the two
+oracles of the acceptance criteria that ``alflb`` itself never runs: the
+stable-partition test of criterion 4 and the exact balanced optimum of
+criterion 10.
 """
 
 from __future__ import annotations
@@ -23,9 +28,10 @@ from dataclasses import dataclass, field, replace
 from itertools import islice
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from alflb.balancer import ScheduleKind, StepSchedule
-from alflb.core import AffinityMatrix, BiasVector, LoadVector, ProblemDims
+from alflb.core import BiasVector, LoadVector, ProblemDims
 from alflb.deterministic import BalanceConvergenceReport, designations
 from alflb.errors import DimMismatch, InvalidRange, KNotOne
 from alflb.router import RoutingOutcome, topk
@@ -54,13 +60,13 @@ class BalancerState:
     zero_sum: bool = False
 
 
-def route_topk(gamma: AffinityMatrix, p: BiasVector, K: int) -> RoutingOutcome:
-    T, E = gamma.values.shape
+def route_topk(gamma: np.ndarray, p: BiasVector, K: int) -> RoutingOutcome:
+    T, E = gamma.shape
     if p.E != E:
         raise DimMismatch(f"bias length {p.E} != expert count {E}")
     dims = ProblemDims(T=T, E=E, K=K)
 
-    shifted = gamma.values + p.values[None, :]
+    shifted = gamma + p.values[None, :]
     # Stable argsort of the negated scores: descending score, lowest index
     # first among equals.
     order = np.argsort(-shifted, axis=1, kind="stable")
@@ -92,10 +98,10 @@ def _selection(chosen: np.ndarray, E: int) -> np.ndarray:
 
 
 def lagrangian(
-    gamma: AffinityMatrix, outcome: RoutingOutcome, p: BiasVector, L: float
+    gamma: np.ndarray, outcome: RoutingOutcome, p: BiasVector, L: float
 ) -> LagrangianValue:
     sel = _selection(outcome.assigned_experts, p.E).astype(np.float64)
-    affinity_term = float(((gamma.values + p.values[None, :]) * sel).sum())
+    affinity_term = float(((gamma + p.values[None, :]) * sel).sum())
     bias_penalty_term = float(L * p.values.sum())
     return LagrangianValue(
         value=affinity_term - bias_penalty_term,
@@ -105,7 +111,7 @@ def lagrangian(
 
 
 def switching_benefit(
-    gamma: AffinityMatrix,
+    gamma: np.ndarray,
     prev_outcome: RoutingOutcome,
     next_outcome: RoutingOutcome,
     p_next: BiasVector,
@@ -114,7 +120,7 @@ def switching_benefit(
     a_prev = prev_outcome.assigned_experts[:, 0]
     a_next = next_outcome.assigned_experts[:, 0]
     switched = np.flatnonzero(a_prev != a_next)
-    g = gamma.values
+    g = gamma
     records = []
     for i in switched:
         old, new = int(a_prev[i]), int(a_next[i])
@@ -168,13 +174,13 @@ class ReferenceTrace:
 
 
 def simulate_fixed_scores(
-    gamma: AffinityMatrix,
+    gamma: np.ndarray,
     schedule: StepSchedule,
     iterations: int,
     K: int = 1,
     zero_sum: bool = False,
 ) -> ReferenceTrace:
-    T, E = gamma.values.shape
+    T, E = gamma.shape
     dims = ProblemDims(T=T, E=E, K=K)
     L = dims.target_load
     trace = ReferenceTrace(K=K, L=L, schedule=schedule)
@@ -275,12 +281,12 @@ def audit_switches(trace: ReferenceTrace, u: float) -> tuple[int, int]:
 
 
 def check_balance_convergence(
-    gamma: AffinityMatrix,
+    gamma: np.ndarray,
     u: float,
     budget: int | None = None,
     settle_iterations: int = 200,
 ) -> BalanceConvergenceReport:
-    T, E = gamma.values.shape
+    T, E = gamma.shape
     dims = ProblemDims(T=T, E=E, K=1)
     L = dims.L
     if budget is None:
@@ -330,17 +336,17 @@ def check_balance_convergence(
 
 
 def iterate_stepwise(
-    gamma: AffinityMatrix, schedule: StepSchedule, K: int = 1, zero_sum: bool = False
+    gamma: np.ndarray, schedule: StepSchedule, K: int = 1, zero_sum: bool = False
 ):
     """The primal-dual iteration from p = 0 on frozen affinities, without end.
 
     Iteration n routes by Top-K on gamma + p and yields
     ``(n, p, shifted, chosen, loads, row_tie)``; the dual step
     p + eps_n * (L - A), with L = K*T/E and, under ``zero_sum``, minus its
-    mean, is taken when the consumer asks for the next iteration.  The input
-    is validated once, on entry; the loop itself works on raw arrays.
+    mean, is taken when the consumer asks for the next iteration.  The loop
+    works on raw arrays and trusts its caller's affinities.
     """
-    g = gamma.values
+    g = gamma
     T, E = g.shape
     L = ProblemDims(T=T, E=E, K=K).target_load
     p = np.zeros(E)
@@ -363,7 +369,7 @@ def iterate_stepwise(
 
 
 def check_balance_convergence_stepwise(
-    gamma: AffinityMatrix,
+    gamma: np.ndarray,
     u: float,
     budget: int | None = None,
     settle_iterations: int = 200,
@@ -375,7 +381,7 @@ def check_balance_convergence_stepwise(
     stay <= E-1.  After all experts have entered, the run continues for
     ``settle_iterations`` more steps to probe the "remains in range" claim.
     """
-    T, E = gamma.values.shape
+    T, E = gamma.shape
     L = ProblemDims(T=T, E=E, K=1).L
     if budget is None:
         budget = 10 * T * E
@@ -416,3 +422,30 @@ def check_balance_convergence_stepwise(
         converged=bool(np.all(entered > 0)),
         any_tie=any_tie,
     )
+
+
+def stable_partition_preserved(
+    loads_n: np.ndarray, loads_next: np.ndarray, L: float
+) -> bool:
+    """True when a partition (loads >= L | loads <= L) valid at both
+    iterations exists, i.e. no expert strictly crossed the target.
+    """
+    a = np.asarray(loads_n, dtype=np.float64) - L
+    b = np.asarray(loads_next, dtype=np.float64) - L
+    crossed = ((a > 0) & (b < 0)) | ((a < 0) & (b > 0))
+    return not bool(crossed.any())
+
+
+def balanced_assignment(g: np.ndarray, L: int) -> tuple[float, np.ndarray]:
+    """Exact maximizer of the routed affinity over exactly-balanced K=1
+    assignments of a (T, E) matrix with T = L * E.  Returns the value and
+    the (T,) expert of each token.
+
+    Repeating each expert's column L times makes it a linear assignment
+    problem (Kuhn 1955): column c of the repeated matrix is expert c // L.
+    """
+    T, E = g.shape
+    assert T == L * E, f"T={T} must equal L*E={L * E}"
+    rows, cols = linear_sum_assignment(np.repeat(g, L, axis=1), maximize=True)
+    choice = cols // L  # rows come back as 0..T-1
+    return float(g[rows, choice].sum()), choice

@@ -14,10 +14,8 @@ from alflb.deterministic import (
     _lagrangian,
     audit_trace,
     check_balance_convergence,
-    ip_bruteforce,
     iterate,
     simulate_fixed_scores,
-    stable_partition_preserved,
     ubar,
 )
 from alflb.distributions import (
@@ -25,7 +23,6 @@ from alflb.distributions import (
     BetaScore,
     MixtureScore,
     UniformScore,
-    identical,
 )
 from alflb.router import RawScoreMatrix, softmax_affinities
 from alflb.stochastic import (
@@ -34,12 +31,13 @@ from alflb.stochastic import (
     expected_loss_minimizer,
     hessian_fd_errors,
     online_loss,
-    pi_monte_carlo,
     regret_experiment,
     selection_moments,
     sigma_squared,
     strong_convexity_estimate,
 )
+from reference_quadrature import pi_monte_carlo
+from reference_routing import balanced_assignment, stable_partition_preserved
 
 
 def _verdict(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -165,8 +163,8 @@ def test_criterion_3_approximate_balancing():
 # ---------------------------------------------------------------------------
 
 _MOMENT_CONFIGS = [
-    (identical(BetaScore(2.0, 2.0), 4), [0.0] * 4, 2, 8),
-    (identical(UniformScore(0.0, 1.0), 2), [0.1, -0.1], 1, 16),
+    (AffinityDistributionSet((BetaScore(2.0, 2.0),) * 4), [0.0] * 4, 2, 8),
+    (AffinityDistributionSet((UniformScore(0.0, 1.0),) * 2), [0.1, -0.1], 1, 16),
     (AffinityDistributionSet(
         (BetaScore(2.0, 3.0), BetaScore(3.0, 2.0), BetaScore(2.5, 2.5))
     ), [0.0] * 3, 1, 12),
@@ -174,7 +172,7 @@ _MOMENT_CONFIGS = [
         (BetaScore(2.0, 2.5), BetaScore(2.5, 2.0), UniformScore(0.1, 0.9),
          BetaScore(3.0, 3.0), UniformScore(0.2, 0.8))
     ), [0.02, -0.02, 0.0, 0.01, -0.01], 2, 32),
-    (identical(BetaScore(1.5, 3.0), 6), [0.0] * 6, 3, 64),
+    (AffinityDistributionSet((BetaScore(1.5, 3.0),) * 6), [0.0] * 6, 3, 64),
     (AffinityDistributionSet((
         MixtureScore((UniformScore(0.0, 0.4), UniformScore(0.5, 1.0)), (0.5, 0.5)),
         BetaScore(2.0, 2.0),
@@ -214,8 +212,8 @@ def test_criterion_5_gradient_moments():
 
 
 _PI_CONFIGS = [
-    (identical(UniformScore(0.0, 1.0), 3), [0.2, 0.0, -0.2], 1),
-    (identical(BetaScore(2.0, 2.0), 4), [0.0] * 4, 2),
+    (AffinityDistributionSet((UniformScore(0.0, 1.0),) * 3), [0.2, 0.0, -0.2], 1),
+    (AffinityDistributionSet((BetaScore(2.0, 2.0),) * 4), [0.0] * 4, 2),
     (AffinityDistributionSet(
         (BetaScore(2.0, 3.0), BetaScore(3.0, 2.0), UniformScore(0.1, 0.9),
          BetaScore(2.5, 2.5), BetaScore(3.0, 3.0), UniformScore(0.2, 0.8))
@@ -342,7 +340,7 @@ def test_criterion_9_exact_identities():
         L = T / E
         # the regret round's loss against the trace's Lagrangian column, on
         # the one routing
-        shifted = gamma.values + p
+        shifted = gamma + p
         chosen, onl = online_loss(shifted, p, 1, L)
         sel = np.zeros((T, E))
         np.put_along_axis(sel, chosen, 1.0, axis=1)
@@ -396,10 +394,10 @@ def test_criterion_10_ip_oracle():
             balanced = np.flatnonzero((loads == L).all(axis=1))
             if balanced.size:
                 alpha = chosen[balanced[0], :, 0]
-                routed = float(gamma.values[np.arange(T), alpha].sum())
+                routed = float(gamma[np.arange(T), alpha].sum())
                 break
-        value, choice = ip_bruteforce(gamma, L)
-        oracle = _ip_enumeration_oracle(gamma.values, L)
+        value, choice = balanced_assignment(gamma, L)
+        oracle = _ip_enumeration_oracle(gamma, L)
         ip_balanced = (np.bincount(choice, minlength=E) == L).all()
         if (
             routed is None or not ip_balanced or value < routed - 1e-12

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alflb.balancer import ScheduleKind, StepSchedule, project_zero_sum
-from alflb.core import AffinityMatrix, ProblemDims
 from alflb.deterministic import iterate
 from alflb.errors import InvalidRange
 from conftest import random_affinities
@@ -86,7 +85,7 @@ class TestDualUpdate:
         # p_{n+1} = p_n + eps_n (L - A_n); under zero_sum, minus its mean
         sched = StepSchedule(kind, SCHEDULE_U[kind])
         for K in (1, 2):
-            gamma = random_affinities(24, 6, seed=4 + K, K=K)
+            gamma = random_affinities(24, 6, seed=4 + K)
             steps = _biases_and_loads(gamma, sched, 40, K, zero_sum)
             L = K * 24 / 6
             for (n, p, loads), (_, p_next, _) in zip(steps, steps[1:]):
@@ -98,18 +97,15 @@ class TestDualUpdate:
     def test_sign_update_is_exactly_plus_minus_u(self):
         # at p = 0, tokens 0-3 pick expert 0, 4-5 expert 1, 6-8 expert 2
         u = 0.001
-        vals = np.full((9, 3), 0.1)
-        vals[:4, 0] = vals[4:6, 1] = vals[6:, 2] = 0.8
-        gamma = AffinityMatrix(ProblemDims(T=9, E=3, K=1), vals)
+        gamma = np.full((9, 3), 0.1)
+        gamma[:4, 0] = gamma[4:6, 1] = gamma[6:, 2] = 0.8
         steps = _biases_and_loads(gamma, StepSchedule(ScheduleKind.DEEPSEEK_SIGN, u), 2)
         assert steps[0][2].tolist() == [4, 2, 3]
         assert steps[1][1].tolist() == [-u, u, 0.0]
         assert steps[1][0] == 2
 
     def test_balanced_loads_are_a_fixed_point(self):
-        gamma = AffinityMatrix(
-            ProblemDims(T=2, E=2, K=1), np.array([[0.9, 0.1], [0.2, 0.8]])
-        )
+        gamma = np.array([[0.9, 0.1], [0.2, 0.8]])
         for kind in ScheduleKind:
             for zero_sum in (False, True):
                 steps = _biases_and_loads(gamma, StepSchedule(kind, 0.5), 5, 1, zero_sum)

@@ -124,7 +124,7 @@ class TestTraceCsv:
         assert len(rows) == 31
         # p = 0 on the first step: each token adds its largest affinity
         gamma = random_affinities(12, 3, seed=16)
-        assert float(rows[1][1]) == pytest.approx(gamma.values.max(axis=1).sum())
+        assert float(rows[1][1]) == pytest.approx(gamma.max(axis=1).sum())
         assert int(rows[1][4]) == 0  # no switches recorded on the first step
 
 
@@ -438,6 +438,32 @@ class TestConfigErrors:
     )
     def test_exit_two_names_field(self, tmp_path, capsys, recwarn, base, changes, field):
         _assert_exit_two(tmp_path, capsys, dict(base, **changes), field)
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("parallel", ["1", "2"])
+    @pytest.mark.parametrize(
+        "scale", [1e-300, 50.0, 1e308],
+        ids=["degenerate_gaps", "softmax_overflow", "infinite_scores"],
+    )
+    def test_bad_score_scale_exits_two(self, tmp_path, capsys, recwarn, scale, parallel):
+        # The drawn scores decide this, so the config loads; the run names
+        # the field and the instance seed, also from a worker process.
+        cfg_path = _write(tmp_path, "cfg.json", dict(
+            BALANCE_CFG, seed=1, instances=2, score_scale=scale,
+        ))
+        cfg = load_config(cfg_path)
+        assert cfg.params["score_scale"] == scale
+        with pytest.raises(ValidationError) as exc:
+            run(cfg, out_dir=tmp_path / "run", parallel=int(parallel))
+        assert exc.value.field == "score_scale"
+        status = main([
+            "balance-check", "--config", str(cfg_path), "--parallel", parallel,
+            "--out", str(tmp_path / "out"),
+        ])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert "config error: score_scale: instance seed 1:" in err
+        assert "Traceback" not in err and "Warning" not in err
         assert not recwarn.list
 
     @pytest.mark.parametrize(

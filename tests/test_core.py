@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alflb.core import (
-    AffinityMatrix,
     BiasVector,
     LoadVector,
     ProblemDims,
     RandomSource,
+    affinity_array,
 )
 from alflb.errors import DimMismatch, InvalidRange, NonDivisible
 
@@ -44,32 +44,43 @@ class TestProblemDims:
 
 
 class TestAffinityMatrix:
+    """``affinity_array``, the one check of a (T, E) affinity matrix."""
+
     def test_strict_open_interval(self):
-        dims = ProblemDims(T=2, E=2, K=1)
-        with pytest.raises(InvalidRange):
-            AffinityMatrix(dims, np.array([[0.0, 0.5], [0.5, 0.5]]))
-        with pytest.raises(InvalidRange):
-            AffinityMatrix(dims, np.array([[1.0, 0.5], [0.5, 0.5]]))
+        for bad in (0.0, 1.0, np.nan):
+            with pytest.raises(InvalidRange):
+                affinity_array(np.array([[bad, 0.5], [0.5, 0.5]]))
 
     def test_shape_mismatch(self):
-        with pytest.raises(DimMismatch):
-            AffinityMatrix(ProblemDims(T=3, E=2, K=1), np.full((2, 2), 0.5))
+        for shape in ((4,), (2, 2, 2)):
+            with pytest.raises(DimMismatch):
+                affinity_array(np.full(shape, 0.5))
 
     def test_values_read_only(self):
-        gamma = AffinityMatrix(ProblemDims(T=2, E=2, K=1), np.full((2, 2), 0.5))
+        vals = np.full((2, 2), 0.5, dtype=np.float32)
+        gamma = affinity_array(vals)
+        assert gamma.dtype == np.float64
         with pytest.raises(ValueError):
-            gamma.values[0, 0] = 0.9
+            gamma[0, 0] = 0.9
+        vals[0, 0] = 0.9
+        assert gamma[0, 0] == 0.5
+
+    def test_only_writable_or_borrowed_arrays_are_copied(self):
+        gamma = affinity_array(np.full((2, 2), 0.5))
+        assert affinity_array(gamma) is gamma
+        # a read-only view shares its writable base's memory: copied
+        base = np.full((2, 2), 0.5)
+        view = base[:]
+        view.flags.writeable = False
+        assert affinity_array(view) is not view
+        assert affinity_array(base) is not base
 
 
 class TestBiasVector:
     def test_zeros_and_props(self):
         p = BiasVector.zeros(4)
         assert p.E == 4
-        assert p.diameter() == 0.0
-
-    def test_diameter(self):
-        p = BiasVector(np.array([-0.2, 0.1, 0.1]))
-        assert p.diameter() == pytest.approx(0.3)
+        assert not p.values.any()
 
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidRange):

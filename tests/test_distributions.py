@@ -7,7 +7,6 @@ from alflb.distributions import (
     BetaScore,
     MixtureScore,
     UniformScore,
-    identical,
 )
 from alflb.errors import InvalidRange
 
@@ -84,14 +83,10 @@ class TestDistributionSet:
         with pytest.raises(InvalidRange, match="endpoints"):
             AffinityDistributionSet((NanCdf(0.1, 0.9), UniformScore(0.1, 0.9)))
 
-    def test_identical_helper(self):
-        ds = identical(BetaScore(2.0, 2.0), 4)
-        assert ds.E == 4
-
 
 class TestSampling:
     def test_column_means_in_ci(self):
-        ds = identical(UniformScore(0.2, 0.8), 3)
+        ds = AffinityDistributionSet((UniformScore(0.2, 0.8),) * 3)
         T = 100_000
         rng = RandomSource(0, stream=9).generator()
         values = ds.sample_matrix(T, rng)

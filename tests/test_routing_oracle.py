@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import reference_routing as ref
 from alflb.balancer import ScheduleKind, StepSchedule
-from alflb.core import AffinityMatrix, BiasVector, ProblemDims, RandomSource
+from alflb.core import BiasVector, RandomSource
 from alflb.deterministic import (
     BLOCK_SCORES,
     audit_trace,
@@ -48,7 +48,7 @@ def _seeded_affinities(T, E, seed):
 def _grid_affinities(T, E, seed):
     """Affinities on the 1/8 grid, so that routing ties are frequent."""
     rng = np.random.default_rng(seed)
-    return AffinityMatrix(ProblemDims(T=T, E=E, K=1), rng.integers(1, 8, (T, E)) / 8)
+    return rng.integers(1, 8, (T, E)) / 8
 
 
 @st.composite
@@ -66,15 +66,14 @@ def _grid_scores(draw):
 def test_topk_matches_reference_on_tied_grid(scores):
     gamma, bias = scores
     T, E = gamma.shape
-    affinities = AffinityMatrix(ProblemDims(T=T, E=E, K=1), gamma)
     for K in range(1, E + 1):
-        want = ref.route_topk(affinities, BiasVector(bias), K)
+        want = ref.route_topk(gamma, BiasVector(bias), K)
         chosen, row_tie = topk(gamma + bias[None, :], K)
         assert chosen.dtype == np.int64 and chosen.shape == (T, K)
         np.testing.assert_array_equal(chosen, want.assigned_experts)
         np.testing.assert_array_equal(row_tie, want.row_tie)
         # a batch of score matrices is routed matrix by matrix
-        flipped = ref.route_topk(affinities, BiasVector(-bias), K)
+        flipped = ref.route_topk(gamma, BiasVector(-bias), K)
         chosen, row_tie = topk(np.stack((gamma + bias, gamma - bias)), K)
         assert chosen.shape == (2, T, K) and row_tie.shape == (2, T)
         for c, t, w in zip(chosen, row_tie, (want, flipped)):
@@ -186,11 +185,10 @@ def test_blocks_match_stepwise_when_tokens_swap_at_equal_loads():
     # Tokens 4 and 5 sit one ulp from a tie between experts 0 and 1, whose
     # biases rise together, so rounding moves them between the two; at some
     # row inside a block they swap and the loads stay [1, 1, 4].
-    vals = np.full((6, 3), 0.05)
-    vals[:4, 2] = 0.9
+    gamma = np.full((6, 3), 0.05)
+    gamma[:4, 2] = 0.9
     for token, x in ((4, 1 / 3), (5, 0.4)):
-        vals[token, :2] = x, np.nextafter(x, 1.0)
-    gamma = AffinityMatrix(ProblemDims(T=6, E=3, K=1), vals)
+        gamma[token, :2] = x, np.nextafter(x, 1.0)
     sched = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 0.002)
     _assert_blocks_equal(gamma, sched, 200)
     swaps = 0
@@ -244,8 +242,7 @@ def _overflowing_run(run):
 @pytest.mark.parametrize("iterations", [1, 2, 5])
 def test_overflow_raises_at_the_stepwise_iteration(iterations):
     # every token on expert 0: the first dual step is -4e308 = -inf
-    vals = np.tile([0.9, 0.1], (8, 1))
-    gamma = AffinityMatrix(ProblemDims(T=8, E=2, K=1), vals)
+    gamma = np.tile([0.9, 0.1], (8, 1))
     sched = StepSchedule(ScheduleKind.CONSTANT, 1e308)
     with np.errstate(over="ignore"):
         want = _overflowing_run(
@@ -344,8 +341,7 @@ def test_balance_check_matches_stepwise_when_a_load_leaves_the_band():
     # Loads [5, 3] start in the band [3, 5]; tokens 2-4 share one score gap,
     # so they leave expert 0 together at row 11, the last row of the run and
     # not the first of its block, and expert 0 falls to 2.
-    vals = np.array([[0.9, 0.1]] * 2 + [[0.6, 0.4]] * 3 + [[0.1, 0.9]] * 3)
-    gamma = AffinityMatrix(ProblemDims(T=8, E=2, K=1), vals)
+    gamma = np.array([[0.9, 0.1]] * 2 + [[0.6, 0.4]] * 3 + [[0.1, 0.9]] * 3)
     got = check_balance_convergence(gamma, 0.011, budget=11)
     want = ref.check_balance_convergence_stepwise(gamma, 0.011, budget=11)
     assert not want.stayed and want.max_load_step == 3
