@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import sys
 import traceback
 from dataclasses import dataclass, field
@@ -556,14 +557,24 @@ KINDS = tuple(_SCHEMA)
 
 
 def run(cfg: ExperimentConfig, out_dir=None, parallel: int = 1) -> int:
-    """Execute one experiment; write artifacts; return the exit status."""
+    """Execute one experiment; write artifacts; return the exit status.
+
+    A config that fails on its drawn data raises ``ValidationError`` and
+    leaves no output directory, or parent of it, that this run made.
+    """
     out = Path(out_dir) if out_dir is not None else (cfg.out_dir or Path("."))
+    made = next((d for d in (*reversed(out.parents), out) if not d.exists()), None)
     out.mkdir(parents=True, exist_ok=True)
     handler = _SCHEMA[cfg.kind][0]
-    if cfg.kind == "balance_check":
-        verdicts, extra = handler(cfg, out, parallel=parallel)
-    else:
-        verdicts, extra = handler(cfg, out)
+    try:
+        if cfg.kind == "balance_check":
+            verdicts, extra = handler(cfg, out, parallel=parallel)
+        else:
+            verdicts, extra = handler(cfg, out)
+    except ValidationError:
+        if made is not None:
+            shutil.rmtree(made)
+        raise
     summary = {
         "kind": cfg.kind,
         "seed": cfg.seed,

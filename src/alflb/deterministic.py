@@ -18,7 +18,7 @@ import numpy as np
 from .balancer import ScheduleKind, StepSchedule, project_zero_sum
 from .core import ProblemDims, affinity_array
 from .errors import DegenerateGaps, InvalidRange, KNotOne
-from .router import topk
+from .router import lagrangian, loads as count_loads, topk
 
 # Most scores, c * T * E, that one block of ``iterate`` routes at once.
 BLOCK_SCORES = 2**16
@@ -45,14 +45,6 @@ class IterationTrace:
     switches: np.ndarray
     benefit: np.ndarray
     gap_prev: np.ndarray
-
-
-def _lagrangian(shifted: np.ndarray, sel: np.ndarray, p: np.ndarray, L: float):
-    """The Lagrangian sum_{ik} (gamma_ik + p_k) x_ik - L sum_k p_k per
-    leading row: shifted = gamma + p (..., T, E), sel the float 0/1
-    selection matrices x, p (..., E)."""
-    affinity_term = (shifted * sel).reshape(*p.shape[:-1], -1).sum(axis=-1)
-    return affinity_term - L * p.sum(axis=-1)
 
 
 def designations(loads: np.ndarray, L: float) -> np.ndarray:
@@ -106,8 +98,7 @@ def iterate(
             p_rows = _guessed_biases(p, guess, schedule, L, rows, zero_sum)
             shifted = g + p_rows[:, None, :]
             chosen, row_tie = topk(shifted, K)
-        flat = chosen + (E * np.arange(M))[:, None, None]
-        loads = np.bincount(flat.ravel(), minlength=M * E).reshape(M, E)
+        loads = count_loads(chosen, E)
         held = (loads == guess).all(axis=1)
         first_miss = int(held.argmin())
         missed = not held[first_miss]
@@ -180,9 +171,7 @@ def simulate_fixed_scores(
         m = n - 1
         block = slice(m[0], m[-1] + 1)
         p_rows[block], load_rows[block], tie[block] = p, loads, row_tie.any(axis=1)
-        sel = np.zeros(shifted.shape)  # sel[j, t, chosen[j, t]] = 1
-        np.put(sel, chosen + E * np.arange(len(m) * T).reshape(-1, T, 1), 1.0)
-        lag[block] = _lagrangian(shifted, sel, p, L)
+        lag[block] = lagrangian(shifted, chosen, p, L)
         if K == 1:
             a = chosen[:, :, 0]
             a = np.concatenate((a[:1] if a_prev is None else a_prev[None], a))

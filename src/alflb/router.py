@@ -3,7 +3,8 @@
 Affinities are the row-softmax of raw scores; each token then selects the K
 experts with the largest shifted score gamma_ik + p_k.  Ties are broken
 deterministically in favor of the lowest expert index and flagged, so
-downstream theorem checkers can exclude tie iterations.
+downstream theorem checkers can exclude tie iterations.  Both labs count a
+routing's loads and score its Lagrangian with the kernels here.
 """
 
 from __future__ import annotations
@@ -89,6 +90,33 @@ def topk(shifted: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
     return order[..., :K].copy(), row_tie
 
 
+def topk_set(shifted: np.ndarray, K: int) -> np.ndarray:
+    """The indices (..., T, K) of the K largest entries of every row of a
+    (..., T, E) score array, in no set order: sampled continuous scores tie
+    with probability 0, so neither ``topk``'s order nor its tie flags are
+    needed."""
+    return np.argpartition(-shifted, K - 1, axis=-1)[..., :K]
+
+
+def loads(chosen: np.ndarray, E: int) -> np.ndarray:
+    """Per-expert counts (..., E) of a (..., T, K) block of chosen expert
+    indices: the loads of each routing in the block."""
+    lead = chosen.shape[:-2]
+    flat = chosen.reshape(-1, chosen.shape[-2] * chosen.shape[-1])
+    flat = flat + np.arange(flat.shape[0])[:, None] * E
+    return np.bincount(flat.ravel(), minlength=flat.shape[0] * E).reshape(lead + (E,))
+
+
+def lagrangian(
+    shifted: np.ndarray, chosen: np.ndarray, p: np.ndarray, L: float
+) -> np.ndarray:
+    """The Lagrangian sum_{ik} (gamma_ik + p_k) x_ik - L sum_k p_k of each
+    routing: shifted = gamma + p (..., T, E), chosen (..., T, K) the experts
+    x selects, p (..., E).  This is also the online loss f_n of a round."""
+    routed = np.take_along_axis(shifted, chosen, axis=-1).sum(axis=(-2, -1))
+    return routed - L * p.sum(axis=-1)
+
+
 def route_topk(gamma, p: BiasVector, K: int) -> RoutingOutcome:
     """Select, per token, the K experts with the largest gamma_ik + p_k.
 
@@ -102,7 +130,7 @@ def route_topk(gamma, p: BiasVector, K: int) -> RoutingOutcome:
     dims = ProblemDims(T=T, E=E, K=K)
     chosen, row_tie = topk(g + p.values[None, :], K)
     return RoutingOutcome(
-        loads=LoadVector(dims, np.bincount(chosen.ravel(), minlength=E)),
+        loads=LoadVector(dims, loads(chosen, E)),
         tie_flag=bool(row_tie.any()),
         assigned_experts=chosen,
         row_tie=row_tie,

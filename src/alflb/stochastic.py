@@ -18,6 +18,7 @@ import numpy as np
 from .balancer import project_zero_sum
 from .distributions import AffinityDistributionSet
 from .errors import InvalidRange, NoConvergence
+from .router import lagrangian, loads, topk_set
 
 QUAD_TOL = 1e-8
 QUAD_BASE_NODES = 256
@@ -183,44 +184,6 @@ def selection_moments(
     return np.clip(pi, 0.0, 1.0), float(rows[E:].sum())
 
 
-def _selection_counts(chosen: np.ndarray, E: int) -> np.ndarray:
-    """Per-expert counts of a (..., T, K) block of chosen expert indices."""
-    lead = chosen.shape[:-2]
-    flat = chosen.reshape(-1, chosen.shape[-2] * chosen.shape[-1])
-    flat = flat + np.arange(flat.shape[0])[:, None] * E
-    return np.bincount(flat.ravel(), minlength=flat.shape[0] * E).reshape(lead + (E,))
-
-
-def _topk_set(shifted: np.ndarray, K: int) -> np.ndarray:
-    """The indices (..., T, K) of the K largest entries of every row of a
-    (..., T, E) score array, in no set order: sampled continuous scores tie
-    with probability 0, so neither ``router.topk``'s order nor its tie flags
-    are needed."""
-    return np.argpartition(-shifted, K - 1, axis=-1)[..., :K]
-
-
-def _topk_counts(samples: np.ndarray, p: np.ndarray, K: int) -> np.ndarray:
-    """Per-expert Top-K membership counts for a (..., T, E) sample block."""
-    shifted = samples + p
-    return _selection_counts(_topk_set(shifted, K), shifted.shape[-1])
-
-
-# ---------------------------------------------------------------------------
-# Online loss
-# ---------------------------------------------------------------------------
-
-def online_loss(
-    shifted: np.ndarray, p: np.ndarray, K: int, L: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-round loss of shifted scores gamma + p (..., T, E) under biases
-    p (..., E): the Top-K routed shifted-score total minus L * sum_k p_k,
-    which is the Lagrangian of the routed assignment.  Returns the chosen
-    experts (..., T, K) and the loss (...)."""
-    chosen = _topk_set(shifted, K)
-    routed = np.take_along_axis(shifted, chosen, axis=-1).sum(axis=(-2, -1))
-    return chosen, routed - L * p.sum(axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # Gradient moment verification
 # ---------------------------------------------------------------------------
@@ -228,15 +191,12 @@ def online_loss(
 @dataclass(frozen=True)
 class GradientMomentReport:
     pi: np.ndarray
-    replicas: int
     expected_mean: np.ndarray
     empirical_mean: np.ndarray
     mean_z: np.ndarray
     expected_var: float
-    empirical_var: float
     var_z: float
     expected_second_moment: float
-    empirical_second_moment: float
     second_moment_z: float
 
     @property
@@ -272,8 +232,7 @@ def check_gradient_moments(
     while done < replicas:
         m = min(MOMENT_BATCH, replicas - done)
         block = np.stack([dist.sample_matrix(T, rng) for _ in range(m)])
-        counts = _topk_counts(block, p, K)
-        g_all[done : done + m] = counts - L
+        g_all[done : done + m] = loads(topk_set(block + p, K), E) - L
         done += m
 
     emp_mean = g_all.mean(axis=0)
@@ -292,15 +251,12 @@ def check_gradient_moments(
 
     return GradientMomentReport(
         pi=pi,
-        replicas=replicas,
         expected_mean=grad_mean,
         empirical_mean=emp_mean,
         mean_z=mean_z,
         expected_var=expected_var,
-        empirical_var=emp_var,
         var_z=float(var_z),
         expected_second_moment=expected_second,
-        empirical_second_moment=emp_second,
         second_moment_z=float(second_z),
     )
 
@@ -488,8 +444,6 @@ class RegretAccounting:
     """
 
     rounds: int
-    replicas: int
-    mu: float
     sigma2: float
     mean_cum_regret: np.ndarray    # (N,)
     bound: np.ndarray              # (N,) sigma^2/(2 mu) (1 + ln n)
@@ -531,7 +485,9 @@ def regret_experiment(
             [d.sample(rng, (replicas, T)) for d in dist.dists], axis=2
         )
         # one Top-K selection per side: indices for the iterate, values for p*
-        chosen, f_iter = online_loss(block + P[:, None, :], P, K, L)
+        shifted = block + P[:, None, :]
+        chosen = topk_set(shifted, K)
+        f_iter = lagrangian(shifted, chosen, P, L)
         shifted_star = block + ps[None, None, :]
         top_star = -np.partition(-shifted_star, K - 1, axis=2)[:, :, :K]
         f_star = top_star.sum(axis=(1, 2)) - L * ps.sum()
@@ -543,7 +499,7 @@ def regret_experiment(
         if np.any(diams > d_cap):
             diam_violations += 1
 
-        counts = _selection_counts(chosen, E)
+        counts = loads(chosen, E)
         s_proxy[n - 1] = float(np.square(counts / T).sum(axis=1).mean())
         g = counts - L
         P = project_zero_sum(P - g / (mu * n))
@@ -551,8 +507,6 @@ def regret_experiment(
     bound = sig2 / (2.0 * mu) * (1.0 + np.log(np.arange(1, rounds + 1)))
     return RegretAccounting(
         rounds=rounds,
-        replicas=replicas,
-        mu=mu,
         sigma2=sig2,
         mean_cum_regret=mean_cum,
         bound=bound,

@@ -16,6 +16,10 @@ tie-skipping switch audit are the ones that walked the per-step traces before
 oracle of the blocked ``iterate``: the raw-array loop that routed and stepped
 one iteration at a time, and the balance check that consumed it, unchanged.
 
+``dense_lagrangian`` is the Lagrangian as the lab summed it before
+``router.lagrangian`` gathered the routed scores: over a dense float 0/1
+selection matrix, per leading row.
+
 ``stable_partition_preserved`` and ``balanced_assignment`` are the two
 oracles of the acceptance criteria that ``alflb`` itself never runs: the
 stable-partition test of criterion 4 and the exact balanced optimum of
@@ -108,6 +112,18 @@ def lagrangian(
         affinity_term=affinity_term,
         bias_penalty_term=bias_penalty_term,
     )
+
+
+def dense_lagrangian(
+    shifted: np.ndarray, chosen: np.ndarray, p: np.ndarray, L: float
+) -> np.ndarray:
+    """The Lagrangian sum_{ik} (gamma_ik + p_k) x_ik - L sum_k p_k per
+    leading row: shifted = gamma + p (..., T, E), chosen (..., T, K) the
+    experts the 0/1 selection matrices x select, p (..., E)."""
+    sel = np.zeros(shifted.shape)
+    np.put_along_axis(sel, chosen, 1.0, axis=-1)
+    affinity_term = (shifted * sel).reshape(*p.shape[:-1], -1).sum(axis=-1)
+    return affinity_term - L * p.sum(axis=-1)
 
 
 def switching_benefit(

@@ -11,7 +11,6 @@ import pytest
 from alflb.balancer import ScheduleKind, StepSchedule, project_zero_sum
 from alflb.core import RandomSource
 from alflb.deterministic import (
-    _lagrangian,
     audit_trace,
     check_balance_convergence,
     iterate,
@@ -24,20 +23,23 @@ from alflb.distributions import (
     MixtureScore,
     UniformScore,
 )
-from alflb.router import RawScoreMatrix, softmax_affinities
+from alflb.router import RawScoreMatrix, lagrangian, loads, softmax_affinities, topk_set
 from alflb.stochastic import (
     check_gradient_moments,
     edge_weights_quadrature,
     expected_loss_minimizer,
     hessian_fd_errors,
-    online_loss,
     regret_experiment,
     selection_moments,
     sigma_squared,
     strong_convexity_estimate,
 )
 from reference_quadrature import pi_monte_carlo
-from reference_routing import balanced_assignment, stable_partition_preserved
+from reference_routing import (
+    balanced_assignment,
+    dense_lagrangian,
+    stable_partition_preserved,
+)
 
 
 def _verdict(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -338,15 +340,14 @@ def test_criterion_9_exact_identities():
         gamma = _seeded_affinities(T, E, 7000 + s)
         p = rng.uniform(-0.2, 0.2, size=E)
         L = T / E
-        # the regret round's loss against the trace's Lagrangian column, on
-        # the one routing
+        # the routed Lagrangian that scores both the regret round and the
+        # trace, against the dense sum over the selection matrix
         shifted = gamma + p
-        chosen, onl = online_loss(shifted, p, 1, L)
-        sel = np.zeros((T, E))
-        np.put_along_axis(sel, chosen, 1.0, axis=1)
-        det = _lagrangian(shifted, sel, p, L)
+        chosen = topk_set(shifted, 1)
+        onl = lagrangian(shifted, chosen, p, L)
+        det = dense_lagrangian(shifted, chosen, p, L)
         worst_loss = max(worst_loss, abs(float(onl - det)))
-        g = np.bincount(chosen.ravel(), minlength=E) - L
+        g = loads(chosen, E) - L
         worst_grad = max(worst_grad, abs(float(g.sum())))
     worst_proj = 0.0
     for _ in range(100):

@@ -454,7 +454,7 @@ class TestConfigErrors:
         cfg = load_config(cfg_path)
         assert cfg.params["score_scale"] == scale
         with pytest.raises(ValidationError) as exc:
-            run(cfg, out_dir=tmp_path / "run", parallel=int(parallel))
+            run(cfg, out_dir=tmp_path / "run" / "nested", parallel=int(parallel))
         assert exc.value.field == "score_scale"
         status = main([
             "balance-check", "--config", str(cfg_path), "--parallel", parallel,
@@ -465,6 +465,13 @@ class TestConfigErrors:
         assert "config error: score_scale: instance seed 1:" in err
         assert "Traceback" not in err and "Warning" not in err
         assert not recwarn.list
+        # neither run leaves the output directories it made; one that was
+        # already there stays
+        assert not (tmp_path / "run").exists()
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ValidationError):
+            run(cfg, out_dir=tmp_path, parallel=int(parallel))
+        assert (tmp_path / "cfg.json").exists()
 
     @pytest.mark.parametrize(
         "kind,key",
@@ -611,15 +618,15 @@ PINNED_CONFIGS = {
 }
 PINNED_SHA256 = {
     "trace_t50_e4": {
-        "trace.csv": "8aa47891a16cf2b4a9b862b76d8f56bd4592a97c43c40aeccde8ee9039c229c0",
-        "summary.json": "5349aef7937d784a38be5d2eeef9f2f10d2cb408a6e02f94311689b048762e8b",
+        "trace.csv": "1f8923cdbf12f1531229b533f82bb45a5076f3919d3a62941f69245dfe7b8179",
+        "summary.json": "160c4e54d949c5f6272ffcdf025c004938d36bfe94d1004a66ecf6648544533e",
     },
     "trace_t10_e3_zero_sum": {
-        "trace.csv": "97ff3d2818e12d74fbab9992a0e6354563672a3bc23beeb40095b06964030650",
-        "summary.json": "4f6496186fb09049c8d44087fd70d7db472f37e97a28afa5afb50eacabea2f88",
+        "trace.csv": "8f95124178320e392b8beaafd17dff79d8439ec1ac2c3fca6454b8e93c86c9d2",
+        "summary.json": "91701382f51676417f37deaaae0ad897396318aa04ec2436283b31823a6bd64e",
     },
     "trace_k3_t37_e7": {
-        "trace.csv": "614bf8febfb3f764bcd06821d27060dbd718580e32f30d192fc3b15de258d11d",
+        "trace.csv": "2dc7db71212169f9c38c6137387abe9536d7c69026b23b9ef873e11bbd86ab45",
         "summary.json": "cafdeee8a707440033e8f41e48d4b518513fba7cc5ad4590bd2021bafc34b754",
     },
     "compare_k2_t37_e7": {

@@ -8,7 +8,6 @@ from alflb.balancer import ScheduleKind, StepSchedule
 from alflb.core import BiasVector
 from alflb.deterministic import (
     IterationTrace,
-    _lagrangian,
     audit_trace,
     check_balance_convergence,
     designations,
@@ -17,54 +16,47 @@ from alflb.deterministic import (
     ubar,
 )
 from alflb.errors import DegenerateGaps, DimMismatch, InvalidRange, KNotOne
-from alflb.router import route_topk, topk
+from alflb.router import lagrangian, route_topk, topk
 from conftest import random_affinities
 from reference_routing import balanced_assignment, stable_partition_preserved
 
 TWO_TOKEN = np.array([[0.9, 0.1], [0.8, 0.2]])
 
 
-def _lagrangian_oracle(g, sel, p, L):
+def _lagrangian_oracle(g, chosen, p, L):
     """Naive double-loop recomputation."""
-    T, E = g.shape
     total = 0.0
-    for i in range(T):
-        for k in range(E):
-            if sel[i, k]:
-                total += g[i, k] + p[k]
+    for i, experts in enumerate(chosen):
+        for k in experts:
+            total += g[i, k] + p[k]
     return total - L * sum(p)
 
 
-def _selection(g, p):
-    """The float 0/1 selection of K=1 routing on g + p."""
-    chosen, _ = topk(g + p, 1)
-    sel = np.zeros(g.shape)
-    np.put_along_axis(sel, chosen, 1.0, axis=1)
-    return sel
-
-
 class TestLagrangian:
+    """The fixed-score Lagrangian of a K=1 routing, held fixed while the
+    biases move."""
+
     def test_two_token_value(self):
         g, p = TWO_TOKEN, np.zeros(2)
-        val = _lagrangian(g + p, _selection(g, p), p, 1.0)
+        val = lagrangian(g + p, topk(g + p, 1)[0], p, 1.0)
         assert val == pytest.approx(1.7, abs=1e-15)
 
     def test_uniform_bias_cancels_when_balanced_target(self):
         g = random_affinities(12, 4, seed=0)
-        sel = _selection(g, np.zeros(4))
+        chosen = topk(g, 1)[0]
         L = 12 / 4  # E*L = K*T, so the bias terms cancel
-        base = _lagrangian(g, sel, np.zeros(4), L)
+        base = lagrangian(g, chosen, np.zeros(4), L)
         for c in (0.3, -1.7, 42.0):
             p = np.full(4, c)
-            assert _lagrangian(g + p, sel, p, L) == pytest.approx(base, abs=1e-9)
+            assert lagrangian(g + p, chosen, p, L) == pytest.approx(base, abs=1e-9)
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(1)
         g = random_affinities(15, 5, seed=2)
-        sel = _selection(g, np.zeros(5))
+        chosen = topk(g, 1)[0]
         p = rng.uniform(-0.2, 0.2, size=5)
-        got = _lagrangian(g + p, sel, p, 3.0)
-        want = _lagrangian_oracle(g, sel, p.tolist(), 3.0)
+        got = lagrangian(g + p, chosen, p, 3.0)
+        want = _lagrangian_oracle(g, chosen, p.tolist(), 3.0)
         assert got == pytest.approx(want, abs=1e-12)
 
 

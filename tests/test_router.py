@@ -5,8 +5,17 @@ from hypothesis import strategies as st
 
 from alflb.core import BiasVector
 from alflb.errors import DimMismatch, OverflowGuard
-from alflb.router import RawScoreMatrix, route_topk, softmax_affinities
+from alflb.router import (
+    RawScoreMatrix,
+    lagrangian,
+    loads,
+    route_topk,
+    softmax_affinities,
+    topk,
+    topk_set,
+)
 from conftest import random_affinities
+from reference_routing import dense_lagrangian
 
 
 class TestSoftmax:
@@ -125,6 +134,72 @@ class TestRouteTopK:
         gamma = random_affinities(4, 3, seed=9)
         with pytest.raises(DimMismatch):
             route_topk(gamma, BiasVector.zeros(4), 1)
+
+
+class TestLagrangian:
+    """The unordered Top-K set, the loads and the Lagrangian of a routing,
+    which score the regret rounds and the fixed-score trace alike."""
+
+    def test_hand_instance(self):
+        p = np.array([0.0, 0.05])
+        shifted = np.array([[0.9, 0.1]]) + p
+        chosen = topk_set(shifted, 1)
+        assert chosen.tolist() == [[0]]
+        assert lagrangian(shifted, chosen, p, 0.5) == pytest.approx(0.875, abs=1e-15)
+
+    def test_equals_dense_lagrangian_k1(self):
+        rng = np.random.default_rng(0)
+        for seed in range(30):
+            p = rng.uniform(-0.1, 0.1, size=4)
+            shifted = random_affinities(16, 4, seed=seed) + p
+            chosen = topk_set(shifted, 1)
+            got = lagrangian(shifted, chosen, p, 4.0)
+            want = dense_lagrangian(shifted, chosen, p, 4.0)
+            assert got == pytest.approx(want, abs=1e-12)
+            np.testing.assert_array_equal(chosen, topk(shifted, 1)[0])
+
+    @pytest.mark.parametrize("E", [3, 5, 8])
+    def test_equals_dense_lagrangian_topk(self, E):
+        rng = np.random.default_rng(E)
+        for K in range(2, E):
+            for seed in range(10):
+                p = rng.uniform(-0.2, 0.2, size=E)
+                shifted = random_affinities(4 * E, E, seed=100 * E + seed) + p
+                L = K * 4.0
+                chosen = topk_set(shifted, K)
+                got = lagrangian(shifted, chosen, p, L)
+                want = dense_lagrangian(shifted, chosen, p, L)
+                assert got == pytest.approx(want, abs=1e-12)
+                # the same expert set as the router's ordered Top-K
+                np.testing.assert_array_equal(
+                    np.sort(chosen, axis=-1), np.sort(topk(shifted, K)[0], axis=-1)
+                )
+
+    def test_batched_rows_equal_single_rows(self):
+        rng = np.random.default_rng(3)
+        P = rng.uniform(-0.1, 0.1, size=(5, 6))
+        shifted = rng.uniform(size=(5, 12, 6)) + P[:, None, :]
+        chosen = topk_set(shifted, 2)
+        loss = lagrangian(shifted, chosen, P, 4.0)
+        counts = loads(chosen, 6)
+        assert chosen.shape == (5, 12, 2) and loss.shape == (5,)
+        assert counts.shape == (5, 6)
+        for r in range(5):
+            c = topk_set(shifted[r], 2)
+            np.testing.assert_array_equal(c, chosen[r])
+            assert lagrangian(shifted[r], c, P[r], 4.0) == loss[r]
+            # a 2-D block is one routing: its loads are an (E,) array
+            np.testing.assert_array_equal(loads(c, 6), counts[r])
+            np.testing.assert_array_equal(counts[r], np.bincount(c.ravel(), minlength=6))
+
+    def test_uniform_shift_cancels_at_balanced_target(self):
+        g = random_affinities(12, 4, seed=31)
+        L = 2 * 12 / 4
+        base = lagrangian(g, topk_set(g, 2), np.zeros(4), L)
+        for c in (0.4, -2.0):
+            p = np.full(4, c)
+            val = lagrangian(g + p, topk_set(g + p, 2), p, L)
+            assert val == pytest.approx(base, abs=1e-9)
 
 
 @given(

@@ -1,6 +1,10 @@
 """The raw-array Top-K kernel, iteration loop and trace audit against the
-container-based reference in ``reference_routing``.  Every comparison is
-exact: discrete outputs are equal and float outputs are bitwise equal.
+container-based reference in ``reference_routing``.  Discrete outputs are
+equal and float outputs bitwise equal, except the trace's Lagrangian column
+and the identity residuals built from it: the lab gathers the routed scores
+(``router.lagrangian``) where the reference sums a dense selection matrix, so
+the two round differently, within ``LAGRANGIAN_TOL * (1 + |value|)``.  The
+column equals ``router.lagrangian`` on the reference's own rows bit for bit.
 """
 
 import warnings
@@ -24,7 +28,7 @@ from alflb.deterministic import (
     ubar,
 )
 from alflb.errors import InvalidRange
-from alflb.router import RawScoreMatrix, softmax_affinities, topk
+from alflb.router import RawScoreMatrix, lagrangian, softmax_affinities, topk
 
 # Shapes of the criterion-1/2/4 trace suite and of the criterion-3 sweep.
 RUN_DIMS = [(40, 4), (80, 8), (200, 16), (120, 6), (64, 8), (96, 12), (160, 16)]
@@ -38,6 +42,10 @@ SCHEDULE_U = {
     ScheduleKind.INVERSE_SQRT_N: 0.02,
     ScheduleKind.CONSTANT: 0.01,
 }
+# The gathered Lagrangian against the dense sum, relative to 1 + |value|:
+# the largest gap over these schedules, K in {1, 3}, with and without
+# zero_sum, at 300 iterations on RUN_DIMS, is 4.4e-16.
+LAGRANGIAN_TOL = 1e-13
 
 
 def _seeded_affinities(T, E, seed):
@@ -89,8 +97,9 @@ def _switch_bits(token, from_expert, to_expert, benefit, gap_prev):
     )
 
 
-def _assert_traces_equal(got, want):
-    """The trace table, row by row, against the reference's steps."""
+def _assert_traces_equal(gamma, got, want):
+    """The trace table, row by row, against the reference's steps on the
+    affinities ``gamma``."""
     assert got.L == want.L
     assert len(got.lagrangian) == len(want.steps)
     assert got.loads.dtype == want.steps[0].loads.dtype
@@ -112,7 +121,10 @@ def _assert_traces_equal(got, want):
             )
             for r in b.switches
         ]
-        assert float(got.lagrangian[m]).hex() == b.lagrangian.value.hex()
+        value = b.lagrangian.value
+        assert abs(got.lagrangian[m] - value) <= LAGRANGIAN_TOL * (1 + abs(value))
+        routed = lagrangian(gamma + b.p, b.outcome.assigned_experts, b.p, got.L)
+        assert float(got.lagrangian[m]).hex() == float(routed).hex()
 
 
 @pytest.mark.parametrize("K", [1, 3])
@@ -124,7 +136,7 @@ def test_simulate_matches_reference_loop(kind, zero_sum, K):
         gamma = _seeded_affinities(T, E, 1000 + s)
         got = simulate_fixed_scores(gamma, sched, 60, K=K, zero_sum=zero_sum)
         want = ref.simulate_fixed_scores(gamma, sched, 60, K=K, zero_sum=zero_sum)
-        _assert_traces_equal(got, want)
+        _assert_traces_equal(gamma, got, want)
 
 
 @pytest.mark.parametrize("K", [1, 3])
@@ -134,7 +146,7 @@ def test_simulate_matches_reference_loop_with_ties(K):
     got = simulate_fixed_scores(gamma, sched, 80, K=K)
     want = ref.simulate_fixed_scores(gamma, sched, 80, K=K)
     assert any(step.tie_flag for step in want.steps)
-    _assert_traces_equal(got, want)
+    _assert_traces_equal(gamma, got, want)
 
 
 def _assert_blocks_equal(gamma, sched, iterations, K=1, zero_sum=False):
@@ -154,6 +166,7 @@ def _assert_blocks_equal(gamma, sched, iterations, K=1, zero_sum=False):
     assert sum(map(len, blocks)) == iterations
     assert next(stepwise, None) is None
     _assert_traces_equal(
+        gamma,
         simulate_fixed_scores(gamma, sched, iterations, K=K, zero_sum=zero_sum),
         ref.simulate_fixed_scores(gamma, sched, iterations, K=K, zero_sum=zero_sum),
     )
@@ -268,7 +281,8 @@ def _assert_audits_equal(gamma, sched, iterations):
     audit = audit_trace(trace)
     want = ref.simulate_fixed_scores(gamma, sched, iterations)
     residual = ref.check_lagrangian_identity(want)
-    assert audit.identity_residual.tobytes() == residual.tobytes()
+    gap = np.abs(audit.identity_residual - residual)
+    assert (gap <= LAGRANGIAN_TOL * audit.identity_scale).all()
     if sched.kind is ScheduleKind.DEEPSEEK_SIGN:
         assert (audit.switches_audited, audit.switch_violations) == ref.audit_switches(
             want, sched.u

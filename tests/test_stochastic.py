@@ -6,28 +6,24 @@ from scipy import integrate
 
 from alflb import stochastic
 from alflb.core import RandomSource
-from alflb.deterministic import _lagrangian
 from alflb.distributions import (
     AffinityDistributionSet,
     BetaScore,
     UniformScore,
 )
 from alflb.errors import InvalidRange, NoConvergence
-from alflb.router import topk
 from alflb.stochastic import (
     check_gradient_moments,
     edge_weights_quadrature,
     expected_loss,
     expected_loss_minimizer,
     hessian_fd_errors,
-    online_loss,
     quadratic_form,
     regret_experiment,
     selection_moments,
     sigma_squared,
     strong_convexity_estimate,
 )
-from conftest import random_affinities
 from reference_quadrature import pi_monte_carlo
 
 
@@ -35,67 +31,6 @@ def test_sigma_squared_plugin():
     assert sigma_squared(8, 4, 2) == pytest.approx(64.0)
     assert sigma_squared(64, 8, 2) == pytest.approx(6144.0)
     assert sigma_squared(10, 5, 5) == pytest.approx(0.0)  # K=E is deterministic
-
-
-def _routed_lagrangian(shifted, chosen, p, L):
-    """The deterministic Lagrangian of the assignment ``chosen``."""
-    sel = np.zeros(shifted.shape)
-    np.put_along_axis(sel, chosen, 1.0, axis=-1)
-    return _lagrangian(shifted, sel, p, L)
-
-
-class TestOnlineLoss:
-    def test_hand_instance(self):
-        p = np.array([0.0, 0.05])
-        chosen, loss = online_loss(np.array([[0.9, 0.1]]) + p, p, 1, 0.5)
-        assert chosen.tolist() == [[0]]
-        assert loss == pytest.approx(0.875, abs=1e-15)
-
-    def test_equals_deterministic_lagrangian_k1(self):
-        rng = np.random.default_rng(0)
-        for seed in range(30):
-            p = rng.uniform(-0.1, 0.1, size=4)
-            shifted = random_affinities(16, 4, seed=seed) + p
-            chosen, got = online_loss(shifted, p, 1, 4.0)
-            want = _routed_lagrangian(shifted, chosen, p, 4.0)
-            assert got == pytest.approx(want, abs=1e-12)
-            np.testing.assert_array_equal(chosen, topk(shifted, 1)[0])
-
-    @pytest.mark.parametrize("E", [3, 5, 8])
-    def test_equals_deterministic_lagrangian_topk(self, E):
-        rng = np.random.default_rng(E)
-        for K in range(2, E):
-            for seed in range(10):
-                p = rng.uniform(-0.2, 0.2, size=E)
-                shifted = random_affinities(4 * E, E, seed=100 * E + seed) + p
-                L = K * 4.0
-                chosen, got = online_loss(shifted, p, K, L)
-                want = _routed_lagrangian(shifted, chosen, p, L)
-                assert got == pytest.approx(want, abs=1e-12)
-                # the same expert set as the router's ordered Top-K
-                np.testing.assert_array_equal(
-                    np.sort(chosen, axis=-1), np.sort(topk(shifted, K)[0], axis=-1)
-                )
-
-    def test_batched_rows_equal_single_rows(self):
-        rng = np.random.default_rng(3)
-        P = rng.uniform(-0.1, 0.1, size=(5, 6))
-        shifted = rng.uniform(size=(5, 12, 6)) + P[:, None, :]
-        chosen, loss = online_loss(shifted, P, 2, 4.0)
-        assert chosen.shape == (5, 12, 2) and loss.shape == (5,)
-        for r in range(5):
-            c, val = online_loss(shifted[r], P[r], 2, 4.0)
-            np.testing.assert_array_equal(c, chosen[r])
-            assert val == loss[r]
-
-    def test_uniform_shift_cancels_at_balanced_target(self):
-        g = random_affinities(12, 4, seed=31)
-        L = 2 * 12 / 4
-        _, base = online_loss(g, np.zeros(4), 2, L)
-        for c in (0.4, -2.0):
-            p = np.full(4, c)
-            _, val = online_loss(g + p, p, 2, L)
-            assert val == pytest.approx(base, abs=1e-9)
 
 
 def _pi(dist, p, K):
@@ -359,7 +294,7 @@ class TestExpectedLossMinimizer:
 class TestRegretExperiment:
     @pytest.mark.parametrize("K", [1, 2, 3, 5])
     def test_first_round_at_zero_minimizer_has_no_regret(self, K):
-        # at round 1 the iterate is p = 0 = p*, so the online_loss side and
+        # at round 1 the iterate is p = 0 = p*, so the router.lagrangian side and
         # the value-only partition side must give the same loss exactly
         ds = AffinityDistributionSet((BetaScore(2.0, 2.0),) * 6)
         rng = RandomSource(14, 7).generator()
