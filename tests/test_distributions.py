@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from alflb.core import RandomSource
 from alflb.distributions import (
@@ -54,6 +57,59 @@ class TestComponents:
             (UniformScore(0.1, 0.6), UniformScore(0.4, 0.9)), (0.5, 0.5)
         )
         assert mix.breakpoints() == (0.1, 0.4, 0.6, 0.9)
+
+
+class TestBetaOracle:
+    """The closed-form Beta density and the ``betainc`` cdf against
+    ``scipy.stats.beta``, kept here as the oracle.
+
+    Tolerance: the pdf agrees to rtol 1e-12 (the log-space form rounds the
+    log density; the worst gap seen at these points is about 1.1e-13); the cdf
+    is the same function and must agree bit for bit.
+    """
+
+    SHAPES = [(1.0, 1.0), (1.0, 2.5), (2.5, 1.0), (1.01, 1.01), (1.5, 3.0),
+              (2.2, 2.4), (10.0, 50.0)]
+    INSIDE = np.concatenate([[0.0, 1.0, 1e-300, 1e-12, 0.5, 1.0 - 1e-12,
+                              np.nextafter(1.0, 0.0)],
+                             np.linspace(0.0, 1.0, 4097)])
+    OUTSIDE = np.array([-np.inf, -1e6, -1.0, -1e-12, -5e-324,
+                        np.nextafter(1.0, 2.0), 1.0 + 1e-12, 2.0, 1e6, np.inf])
+
+    @pytest.mark.parametrize("a,b", SHAPES)
+    def test_pdf_matches_scipy_stats(self, a, b):
+        got = BetaScore(a, b).pdf(self.INSIDE)
+        want = stats.beta.pdf(self.INSIDE, a, b)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        # the endpoints exactly: 0 where the density vanishes there
+        assert (got[0] == 0.0) == (a > 1.0)
+        assert (got[1] == 0.0) == (b > 1.0)
+
+    @pytest.mark.parametrize("a,b", [(1.01, 1.01), (1.5, 3.0)])
+    def test_pdf_at_the_smallest_subnormal(self, a, b):
+        # scipy.stats flushes the density to 0 at x = 5e-324; the density
+        # there is x^(a-1) / B(a, b) > 0 for these shapes
+        x = 5e-324
+        want = math.exp((a - 1.0) * math.log(x) - math.lgamma(a) - math.lgamma(b)
+                        + math.lgamma(a + b))
+        assert float(BetaScore(a, b).pdf(x)) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("a,b", SHAPES)
+    def test_pdf_is_zero_outside_support(self, a, b):
+        got = BetaScore(a, b).pdf(self.OUTSIDE)
+        assert np.array_equal(got, np.zeros_like(self.OUTSIDE))
+        assert float(BetaScore(a, b).pdf(-0.5)) == 0.0
+
+    @pytest.mark.parametrize("a,b", SHAPES)
+    def test_cdf_is_bit_identical(self, a, b):
+        x = np.concatenate([self.INSIDE, self.OUTSIDE])
+        got = BetaScore(a, b).cdf(x)
+        want = stats.beta.cdf(np.clip(x, 0.0, 1.0), a, b)
+        assert np.array_equal(got, want)
+
+    def test_nan_propagates(self):
+        d = BetaScore(2.0, 3.0)
+        assert np.isnan(d.pdf(np.nan)) and np.isnan(d.cdf(np.nan))
 
 
 class TestDistributionSet:

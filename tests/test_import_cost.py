@@ -1,0 +1,76 @@
+"""What the CLI imports, checked in a fresh interpreter.
+
+The fixed-score lab needs only numpy, and scipy's import alone costs about a
+second of start-up; the stochastic lab needs ``scipy.special`` and
+``scipy.integrate`` but not ``scipy.stats``.  Each case imports ``alflb.cli``
+in a subprocess, so that what pytest and the other tests have imported cannot
+hide a module-level import, then parses and runs small configs of the given
+kinds and reports which scipy modules are loaded.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import alflb
+
+SRC = Path(alflb.__file__).resolve().parent.parent
+
+_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import alflb.cli
+for i, path in enumerate(sys.argv[3:]):
+    status = alflb.cli.run(alflb.cli.load_config(path), out_dir=f"{sys.argv[2]}/{i}")
+    assert status == 0, (path, status)
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+FIXED_SCORE = {
+    "trace": {
+        "kind": "deterministic_run", "seed": 1, "dims": {"T": 16, "E": 4, "K": 1},
+        "schedule": {"kind": "deepseek_sign", "u": 0.001}, "iterations": 20,
+    },
+    "balance": {
+        "kind": "balance_check", "seed": 2, "dims": {"T": 8, "E": 4, "K": 1},
+        "instances": 2,
+    },
+    "compare": {
+        "kind": "schedule_compare", "seed": 3, "dims": {"T": 16, "E": 4, "K": 2},
+        "u": 0.01, "iterations": 20,
+    },
+}
+MOMENT = {
+    "kind": "moment_check", "seed": 4,
+    "distributions": [
+        {"type": "beta", "a": 2.0, "b": 3.0},
+        {"type": "beta", "a": 1.5, "b": 1.5},
+        {"type": "uniform", "lo": 0.1, "hi": 0.9},
+    ],
+    "T": 8, "K": 1, "replicas": 200,
+}
+
+
+def _scipy_modules(tmp_path, configs) -> list[str]:
+    paths = []
+    for name, cfg in configs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        paths.append(str(path))
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBE, str(SRC), str(tmp_path / "out"), *paths],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_fixed_score_kinds_load_no_scipy(tmp_path):
+    assert _scipy_modules(tmp_path, FIXED_SCORE) == []
+
+
+def test_moment_check_loads_no_scipy_stats(tmp_path):
+    loaded = _scipy_modules(tmp_path, {"moment": MOMENT})
+    assert "scipy.special" in loaded  # the probe sees scipy when it is there
+    assert "scipy.stats" not in loaded
