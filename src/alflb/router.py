@@ -71,6 +71,14 @@ def topk(shifted: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
     K-th and the (K+1)-th largest scores are equal.  Leading axes are a batch
     of score matrices, each routed as on its own.  No input checks: this is
     the kernel under ``route_topk`` and the iteration loop.
+
+    For K > 1 the kernel makes K passes of row ``argmax`` over a copy of the
+    scores, masking each pick with -inf before the next pass: K*T*E compares
+    in place of a sort of every row.  ``argmax`` returns the lowest index
+    among equal maxima, so the picks come out in the order of a stable sort
+    by descending score.  Rows that hold NaN or -inf get unspecified picks;
+    such rows come only from overflowed biases, and ``iterate`` never yields
+    them.
     """
     E = shifted.shape[-1]
     if K == 1:
@@ -78,16 +86,24 @@ def topk(shifted: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
         # the maximum is tied where its first and last positions differ
         last = E - 1 - shifted[..., ::-1].argmax(axis=-1)
         return best[..., None], best != last
-    # Stable argsort of the negated scores: descending score, lowest index
-    # first among equals.
-    order = np.argsort(-shifted, axis=-1, kind="stable")
+    work = np.array(shifted, dtype=np.float64, order="C")
+    rows = work.reshape(-1, E)
+    cells = work.reshape(-1)  # both views of the copy, for the masking writes
+    start = np.arange(0, cells.size, E)
+    chosen = np.empty((len(rows), K), dtype=np.int64)
+    for j in range(K):
+        pick = rows.argmax(axis=1)
+        chosen[:, j] = pick
+        at = start + pick
+        kth = cells[at]
+        cells[at] = -np.inf
     if K < E:
-        kth = np.take_along_axis(shifted, order[..., K - 1 : K], axis=-1)
-        nxt = np.take_along_axis(shifted, order[..., K : K + 1], axis=-1)
-        row_tie = (kth == nxt)[..., 0]
+        # one more pass finds the (K+1)-th largest score
+        row_tie = kth == cells[start + rows.argmax(axis=1)]
     else:
-        row_tie = np.zeros(shifted.shape[:-1], dtype=bool)
-    return order[..., :K].copy(), row_tie
+        row_tie = np.zeros(len(rows), dtype=bool)
+    lead = shifted.shape[:-1]
+    return chosen.reshape(lead + (K,)), row_tie.reshape(lead)
 
 
 def topk_set(shifted: np.ndarray, K: int) -> np.ndarray:

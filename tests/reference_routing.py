@@ -16,6 +16,10 @@ tie-skipping switch audit are the ones that walked the per-step traces before
 oracle of the blocked ``iterate``: the raw-array loop that routed and stepped
 one iteration at a time, and the balance check that consumed it, unchanged.
 
+``topk_argsort`` is the ordered Top-K as ``router.topk`` computed it before
+its K masked argmax passes: a stable argsort of every row.  ``route_topk``
+routes with it.
+
 ``dense_lagrangian`` is the Lagrangian as the lab summed it before
 ``router.lagrangian`` gathered the routed scores: over a dense float 0/1
 selection matrix, per leading row.
@@ -64,25 +68,29 @@ class BalancerState:
     zero_sum: bool = False
 
 
+def topk_argsort(shifted: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """``router.topk`` by a stable argsort of every row of a (..., T, E) score
+    array: ``chosen`` (..., T, K) and ``row_tie`` (..., T)."""
+    E = shifted.shape[-1]
+    # Stable argsort of the negated scores: descending score, lowest index
+    # first among equals.
+    order = np.argsort(-shifted, axis=-1, kind="stable")
+    if K < E:
+        kth = np.take_along_axis(shifted, order[..., K - 1 : K], axis=-1)
+        nxt = np.take_along_axis(shifted, order[..., K : K + 1], axis=-1)
+        row_tie = (kth == nxt)[..., 0]
+    else:
+        row_tie = np.zeros(shifted.shape[:-1], dtype=bool)
+    return order[..., :K], row_tie
+
+
 def route_topk(gamma: np.ndarray, p: BiasVector, K: int) -> RoutingOutcome:
     T, E = gamma.shape
     if p.E != E:
         raise DimMismatch(f"bias length {p.E} != expert count {E}")
     dims = ProblemDims(T=T, E=E, K=K)
 
-    shifted = gamma + p.values[None, :]
-    # Stable argsort of the negated scores: descending score, lowest index
-    # first among equals.
-    order = np.argsort(-shifted, axis=1, kind="stable")
-    chosen = order[:, :K]
-
-    if K < E:
-        kth = np.take_along_axis(shifted, order[:, K - 1 : K], axis=1)
-        nxt = np.take_along_axis(shifted, order[:, K : K + 1], axis=1)
-        row_tie = (kth == nxt).ravel()
-    else:
-        row_tie = np.zeros(T, dtype=bool)
-
+    chosen, row_tie = topk_argsort(gamma + p.values[None, :], K)
     selected = _selection(chosen, E)
     if not np.all(selected.sum(axis=1) == K):
         raise InvalidRange(f"every row must select exactly K={K} experts")

@@ -89,6 +89,43 @@ def test_topk_matches_reference_on_tied_grid(scores):
             np.testing.assert_array_equal(t, w.row_tie)
 
 
+def _topk_cases():
+    """(id, scores, K) inputs for ``topk`` against the stable argsort: 1/8-grid
+    scores, so that boundary ties occur, up to E = 64."""
+    rng = np.random.default_rng(14)
+
+    def grid(*shape):
+        return rng.integers(-8, 9, shape) / 8
+
+    cases = [
+        (f"grid_E{E}_K{K}", grid(256, E), K)
+        for E in (8, 16, 33, 64)
+        for K in (2, 8)
+    ]
+    signed_zeros = rng.choice([-0.0, 0.0, -0.125, 0.125], (256, 16))
+    cases += [(f"signed_zeros_K{K}", signed_zeros, K) for K in (2, 8)]
+    cases += [(f"two_batch_axes_K{K}", grid(3, 4, 64, 16), K) for K in (2, 8)]
+    wide = grid(256, 128)
+    cases += [("strided_view", wide[:, ::2], 8), ("transposed_view", wide[:64].T, 8)]
+    cases += [(f"K_equals_E{E}", grid(64, E), E) for E in (2, 9, 64)]
+    return [pytest.param(scores, K, id=name) for name, scores, K in cases]
+
+
+@pytest.mark.parametrize("scores,K", _topk_cases())
+def test_topk_matches_reference_on_wide_shapes(scores, K):
+    before = scores.copy()
+    chosen, row_tie = topk(scores, K)
+    want_chosen, want_tie = ref.topk_argsort(scores, K)
+    assert chosen.dtype == np.int64 and row_tie.dtype == bool
+    assert chosen.shape == scores.shape[:-1] + (K,)
+    assert row_tie.shape == scores.shape[:-1]
+    np.testing.assert_array_equal(chosen, want_chosen)
+    np.testing.assert_array_equal(row_tie, want_tie)
+    # the boundary ties the grid is for occur wherever a boundary exists
+    assert want_tie.any() == (K < scores.shape[-1])
+    assert scores.tobytes() == before.tobytes()
+
+
 def _switch_bits(token, from_expert, to_expert, benefit, gap_prev):
     """One switch with its floats as exact hex."""
     return (
@@ -252,26 +289,39 @@ def _overflowing_run(run):
     return rows, False
 
 
-@pytest.mark.parametrize("iterations", [1, 2, 5])
-def test_overflow_raises_at_the_stepwise_iteration(iterations):
-    # every token on expert 0: the first dual step is -4e308 = -inf
-    gamma = np.tile([0.9, 0.1], (8, 1))
+def _assert_overflow_matches_stepwise(gamma, K, iterations):
+    """``iterate`` under warnings-as-errors yields the stepwise rows of a run
+    whose first dual step overflows, and raises where the stepwise loop does."""
     sched = StepSchedule(ScheduleKind.CONSTANT, 1e308)
     with np.errstate(over="ignore"):
-        want = _overflowing_run(
-            step[0] for step in islice(ref.iterate_stepwise(gamma, sched), iterations)
-        )
+        stepwise = ref.iterate_stepwise(gamma, sched, K)
+        want = _overflowing_run(step[0] for step in islice(stepwise, iterations))
     assert want == ([1], iterations > 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        blocks = iterate(gamma, sched, iterations=iterations)
+        blocks = iterate(gamma, sched, K, iterations=iterations)
         got = _overflowing_run(n for block in blocks for n in block[0])
         assert got == want
         if want[1]:
             with pytest.raises(InvalidRange):
-                simulate_fixed_scores(gamma, sched, iterations)
+                simulate_fixed_scores(gamma, sched, iterations, K)
         else:
-            simulate_fixed_scores(gamma, sched, iterations)
+            simulate_fixed_scores(gamma, sched, iterations, K)
+
+
+@pytest.mark.parametrize("iterations", [1, 2, 5])
+def test_overflow_raises_at_the_stepwise_iteration(iterations):
+    # every token on expert 0: the first dual step is -4e308 = -inf
+    _assert_overflow_matches_stepwise(np.tile([0.9, 0.1], (8, 1)), 1, iterations)
+
+
+@pytest.mark.parametrize("iterations", [1, 2, 5])
+def test_overflow_to_minus_inf_raises_at_the_stepwise_iteration_k2(iterations):
+    # every token on expert 0, half on expert 1 and half on expert 2: with
+    # L = 4 the first dual step is (-2e308, 1e308, 1e308) = (-inf, 1e308,
+    # 1e308), so the second routing masks its picks among real -inf scores
+    gamma = np.repeat([[0.6, 0.3, 0.1], [0.6, 0.1, 0.3]], 3, axis=0)
+    _assert_overflow_matches_stepwise(gamma, 2, iterations)
 
 
 def _assert_audits_equal(gamma, sched, iterations):
