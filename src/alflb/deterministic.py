@@ -22,6 +22,9 @@ from .router import lagrangian, loads as count_loads, topk
 
 # Most scores, c * T * E, that one block of ``iterate`` routes at once.
 BLOCK_SCORES = 2**16
+# Theorem 1 holds when every identity residual is at most this fraction of
+# its scale 1 + |L_m|.
+IDENTITY_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -201,6 +204,17 @@ class TraceAudit:
     switches_audited: int
     switch_violations: int
 
+    @property
+    def identity_holds(self) -> bool:
+        """Theorem 1: every residual <= IDENTITY_RTOL * its scale (a NaN
+        residual fails)."""
+        return bool(np.all(self.identity_residual <= IDENTITY_RTOL * self.identity_scale))
+
+    @property
+    def switches_hold(self) -> bool:
+        """Theorem 2: no audited switch breaks the direction or benefit bounds."""
+        return self.switch_violations == 0
+
 
 def audit_trace(trace: IterationTrace) -> TraceAudit:
     """Audit every transition of a K=1 trace.
@@ -272,6 +286,12 @@ class BalanceConvergenceReport:
     iterations_run: int
     converged: bool                # all experts entered within the budget
     any_tie: bool
+
+    @property
+    def passed(self) -> bool:
+        """Theorem 3: every expert entered the band, none left it, and no
+        load moved by more than E - 1 in one iteration."""
+        return self.converged and self.stayed and self.load_step_ok
 
 
 def check_balance_convergence(

@@ -17,7 +17,7 @@ import numpy as np
 
 from .balancer import project_zero_sum
 from .distributions import AffinityDistributionSet
-from .errors import InvalidRange, NoConvergence
+from .errors import InvalidRange, NoConvergence, ValidationError
 from .router import lagrangian, loads, topk_set
 
 QUAD_TOL = 1e-8
@@ -26,6 +26,16 @@ QUAD_MAX_DOUBLINGS = 5
 QUAD_BLOCK_NODES = 2048
 MOMENT_BATCH = 512       # replicas per check_gradient_moments block
 MINIMIZER_MAX_ITER = 500
+# The verdict rules.  A Monte Carlo moment agrees with its formula when its
+# z-score is at most Z_BOUND in absolute value; the Hessian identity holds
+# when every relative error is at most HESSIAN_RTOL; the regret ratio
+# R_n / (1 + ln n) must not grow from one checkpoint to the next by more
+# than the relative RATIO_SLACK.  NaN fails every rule.
+Z_BOUND = 4.0
+HESSIAN_RTOL = 1e-3
+RATIO_SLACK = 1e-9
+# The default central-difference step of the Hessian check.
+FD_STEP = 1e-3
 
 
 def sigma_squared(T: int, E: int, K: int) -> float:
@@ -206,9 +216,22 @@ class GradientMomentReport:
 
     @property
     def max_abs_z(self) -> float:
-        return float(
-            max(np.abs(self.mean_z).max(), abs(self.var_z), abs(self.second_moment_z))
-        )
+        """The largest |z| of the three moments; NaN if any z is NaN."""
+        return float(np.max(np.abs(
+            np.append(self.mean_z, (self.var_z, self.second_moment_z))
+        )))
+
+    @property
+    def mean_unbiased(self) -> bool:
+        return bool(np.all(np.abs(self.mean_z) <= Z_BOUND))
+
+    @property
+    def variance_formula(self) -> bool:
+        return bool(abs(self.var_z) <= Z_BOUND)
+
+    @property
+    def second_moment_formula(self) -> bool:
+        return bool(abs(self.second_moment_z) <= Z_BOUND)
 
 
 def check_gradient_moments(
@@ -221,7 +244,8 @@ def check_gradient_moments(
 ) -> GradientMomentReport:
     """Monte Carlo check of the mean / variance / second-moment formulas
     against quadrature selection probabilities.  z-scores use the empirical
-    replica spread.
+    replica spread; a spread of 0, where a z-score is undefined, raises
+    ``ValidationError`` on ``replicas``.
     """
     E = dist.E
     L = K * T / E
@@ -242,17 +266,20 @@ def check_gradient_moments(
 
     emp_mean = g_all.mean(axis=0)
     mean_se = g_all.std(axis=0, ddof=1) / math.sqrt(replicas)
-    mean_z = (emp_mean - grad_mean) / mean_se
-
     dev_sq = np.square(g_all - grad_mean).sum(axis=1)
-    emp_var = float(dev_sq.mean())
     var_se = float(dev_sq.std(ddof=1)) / math.sqrt(replicas)
-    var_z = (emp_var - expected_var) / var_se
-
     norm_sq = np.square(g_all).sum(axis=1)
-    emp_second = float(norm_sq.mean())
     second_se = float(norm_sq.std(ddof=1)) / math.sqrt(replicas)
-    second_z = (emp_second - expected_second) / second_se
+    if not (np.all(mean_se > 0.0) and var_se > 0.0 and second_se > 0.0):
+        raise ValidationError(
+            "replicas",
+            f"the {replicas} replicas have a zero spread in a gradient moment, "
+            "so its z-score is undefined",
+        )
+
+    mean_z = (emp_mean - grad_mean) / mean_se
+    var_z = (float(dev_sq.mean()) - expected_var) / var_se
+    second_z = (float(norm_sq.mean()) - expected_second) / second_se
 
     return GradientMomentReport(
         pi=pi,
@@ -326,6 +353,12 @@ def hessian_fd_errors(
         fd = float(delta @ (plus - minus)) / (2.0 * h)
         errors[i] = abs(quad_form - fd) / max(abs(fd), 1e-12)
     return errors
+
+
+def hessian_identity_holds(errors: np.ndarray) -> bool:
+    """The Hessian identity: every relative error of ``hessian_fd_errors``
+    is at most HESSIAN_RTOL (a NaN error fails)."""
+    return bool(np.all(errors <= HESSIAN_RTOL))
 
 
 @dataclass(frozen=True)
@@ -456,6 +489,19 @@ class RegretAccounting:
     s_n_proxy: np.ndarray          # (N,)
     diam_violations: int           # rounds with diam > 1 - kappa
     final_per_replica: np.ndarray  # (R,) cumulative regret at round N
+
+    def checkpoint_verdicts(self, checkpoints) -> tuple[dict[int, bool], bool]:
+        """The logarithmic-regret rule at the 1-based ``checkpoints`` up to
+        ``rounds`` (later ones are skipped): per checkpoint n, whether the
+        mean regret R_n is within the bound; and whether R_n / (1 + ln n)
+        never grows, up to RATIO_SLACK, from one checkpoint to the next."""
+        ns = [n for n in checkpoints if n <= self.rounds]
+        within = {n: bool(self.mean_cum_regret[n - 1] <= self.bound[n - 1]) for n in ns}
+        ratios = [self.mean_cum_regret[n - 1] / (1.0 + math.log(n)) for n in ns]
+        nonincreasing = all(
+            b <= a * (1.0 + RATIO_SLACK) for a, b in zip(ratios, ratios[1:])
+        )
+        return within, nonincreasing
 
 
 def regret_experiment(

@@ -410,6 +410,8 @@ class TestConfigErrors:
             (MOMENT_CFG, _first_distribution(dict(MIXTURE, components=[1, 2])),
              "distributions.0.components.0"),
             (MOMENT_CFG, {"K": 2}, "K"),
+            # T = 1: |g|^2 is a constant, so its z-score is rounding noise
+            (MOMENT_CFG, {"T": 1}, "T"),
             (REGRET_CFG, {"K": 2}, "K"),
             # K = E: every pi is 1 and the finite difference is rounding noise
             (HESSIAN_CFG, {"K": 2}, "K"),
@@ -432,7 +434,7 @@ class TestConfigErrors:
              "string_beta_shape", "bool_beta_shape", "bool_uniform_bound",
              "string_weights", "nan_string_beta_shape", "overflowing_beta_shape",
              "string_components", "number_components", "moment_k_equals_e",
-             "regret_k_equals_e", "hessian_k_equals_e", "nan_pdf_mass",
+             "moment_single_token", "regret_k_equals_e", "hessian_k_equals_e", "nan_pdf_mass",
              "overflowing_constant_step", "overflowing_sign_step",
              "overflowing_compare_step", "u_fraction_one", "u_fraction_huge"],
     )
@@ -472,6 +474,39 @@ class TestConfigErrors:
         with pytest.raises(ValidationError):
             run(cfg, out_dir=tmp_path, parallel=int(parallel))
         assert (tmp_path / "cfg.json").exists()
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            # two replicas that drew the same loads
+            *({"seed": seed, "T": 2, "replicas": 2} for seed in (1, 2, 3, 6)),
+            # expert 0 outscores the others on every draw
+            {"T": 8, "replicas": 1000, "distributions": [
+                {"type": "uniform", "lo": 0.6, "hi": 0.9},
+                {"type": "uniform", "lo": 0.1, "hi": 0.4},
+                {"type": "uniform", "lo": 0.1, "hi": 0.4},
+            ]},
+        ],
+        ids=["seed1", "seed2", "seed3", "seed6", "disjoint_supports"],
+    )
+    def test_zero_replica_spread_exits_two(self, tmp_path, capsys, recwarn, changes):
+        # The draws decide this, so the config loads; a z-score over a zero
+        # spread is undefined, so the run names the field rather than
+        # dividing by zero.
+        three = {"distributions": [*MOMENT_CFG["distributions"], UNIFORM]}
+        cfg_path = _write(tmp_path, "cfg.json", dict(MOMENT_CFG, **three) | changes)
+        with pytest.raises(ValidationError) as exc:
+            run(load_config(cfg_path), out_dir=tmp_path / "run")
+        assert exc.value.field == "replicas"
+        status = main([
+            "moment-check", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+        ])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert "config error: replicas:" in err
+        assert "Traceback" not in err and "Warning" not in err
+        assert not recwarn.list
+        assert not (tmp_path / "run").exists() and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "kind,key",

@@ -7,7 +7,10 @@ import pytest
 from alflb.balancer import ScheduleKind, StepSchedule
 from alflb.core import BiasVector
 from alflb.deterministic import (
+    IDENTITY_RTOL,
+    BalanceConvergenceReport,
     IterationTrace,
+    TraceAudit,
     audit_trace,
     check_balance_convergence,
     designations,
@@ -220,6 +223,41 @@ class TestUbar:
             assert ubar(gamma) == pytest.approx(
                 _ubar_oracle(gamma), abs=1e-15
             )
+
+
+class TestVerdictRules:
+    """A statistic at its threshold passes, the next double above it fails,
+    and NaN fails."""
+
+    @pytest.mark.parametrize("scale", [1.0, 3.7, 1e6])
+    def test_identity_rule(self, scale):
+        def holds(residual):
+            return TraceAudit(np.array([0.0, residual]), np.full(2, scale), 0, 0).identity_holds
+
+        at = IDENTITY_RTOL * scale
+        assert holds(at)
+        assert not holds(np.nextafter(at, np.inf))
+        assert not holds(np.nan)
+
+    def test_identity_rule_without_transitions(self):
+        # a one-iteration trace has no transition to audit
+        assert TraceAudit(np.empty(0), np.empty(0), 0, 0).identity_holds
+
+    @pytest.mark.parametrize("violations,audited", [(0, 0), (0, 5), (1, 5)])
+    def test_switch_rule(self, violations, audited):
+        audit = TraceAudit(np.zeros(1), np.ones(1), audited, violations)
+        assert audit.switches_hold is (violations == 0)
+
+    @pytest.mark.parametrize(
+        "converged,stayed,step_ok", itertools.product((True, False), repeat=3)
+    )
+    def test_balance_rule(self, converged, stayed, step_ok):
+        report = BalanceConvergenceReport(
+            entered_iteration=np.ones(2, dtype=np.int64), stayed=stayed,
+            max_load_step=1, load_step_ok=step_ok, iterations_run=3,
+            converged=converged, any_tie=False,
+        )
+        assert report.passed is (converged and stayed and step_ok)
 
 
 class TestBalanceConvergence:

@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -13,11 +14,17 @@ from alflb.distributions import (
 )
 from alflb.errors import InvalidRange, NoConvergence
 from alflb.stochastic import (
+    HESSIAN_RTOL,
+    RATIO_SLACK,
+    Z_BOUND,
+    GradientMomentReport,
+    RegretAccounting,
     check_gradient_moments,
     edge_weights_quadrature,
     expected_loss,
     expected_loss_minimizer,
     hessian_fd_errors,
+    hessian_identity_holds,
     quadratic_form,
     regret_experiment,
     selection_moments,
@@ -329,6 +336,90 @@ class TestRegretExperiment:
         np.testing.assert_allclose(acct.bound, want, atol=1e-12)
         assert acct.mean_cum_regret.shape == (50,)
         assert acct.mean_diam.shape == (50,)
+
+
+def _above(x: float) -> float:
+    return float(np.nextafter(x, np.inf))
+
+
+def _moment_report(mean_z=(0.0, 0.0), var_z=0.0, second_moment_z=0.0):
+    zeros = np.zeros(2)
+    return GradientMomentReport(
+        pi=zeros, expected_mean=zeros, empirical_mean=zeros, mean_z=np.array(mean_z),
+        expected_var=0.0, var_z=var_z, expected_second_moment=0.0,
+        second_moment_z=second_moment_z,
+    )
+
+
+def _accounting(regret, bound):
+    n = len(regret)
+    return RegretAccounting(
+        rounds=n, sigma2=1.0, mean_cum_regret=np.array(regret, dtype=np.float64),
+        bound=np.array(bound, dtype=np.float64), mean_diam=np.zeros(n),
+        s_n_proxy=np.zeros(n), diam_violations=0, final_per_replica=np.zeros(1),
+    )
+
+
+class TestVerdictRules:
+    """A statistic at its threshold passes, the next double above it fails,
+    and NaN fails."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize(
+        "field,verdict",
+        [("mean_z", "mean_unbiased"), ("var_z", "variance_formula"),
+         ("second_moment_z", "second_moment_formula")],
+    )
+    def test_moment_rules(self, field, verdict, sign):
+        def report(z):
+            return _moment_report(**{field: (0.0, z) if field == "mean_z" else z})
+
+        assert getattr(report(sign * Z_BOUND), verdict)
+        assert not getattr(report(sign * _above(Z_BOUND)), verdict)
+        assert not getattr(report(np.nan), verdict)
+        # the other two verdicts do not read this z
+        others = {"mean_unbiased", "variance_formula", "second_moment_formula"} - {verdict}
+        assert all(getattr(report(np.nan), v) for v in others)
+        assert np.isnan(report(np.nan).max_abs_z)
+        assert report(sign * Z_BOUND).max_abs_z == Z_BOUND
+
+    def test_hessian_rule(self):
+        assert hessian_identity_holds(np.array([0.0, HESSIAN_RTOL]))
+        assert not hessian_identity_holds(np.array([0.0, _above(HESSIAN_RTOL)]))
+        assert not hessian_identity_holds(np.array([np.nan, 0.0]))
+
+    def test_regret_bound_rule(self):
+        for regret, ok in [(2.0, True), (_above(2.0), False), (np.nan, False)]:
+            within, _ = _accounting([1.0, regret], [2.0, 2.0]).checkpoint_verdicts([2])
+            assert within == {2: ok}
+
+    def test_regret_ratio_rule(self):
+        # checkpoint 1 has ratio R_1 / (1 + ln 1) = R_1; the largest R_5 whose
+        # ratio R_5 / (1 + ln 5) is within R_1 (1 + RATIO_SLACK) passes
+        def nonincreasing(r5):
+            return _accounting([1.0, 0, 0, 0, r5], [1e9] * 5).checkpoint_verdicts([1, 5])[1]
+
+        c = 1.0 + math.log(5)
+        r5 = c * (1.0 + RATIO_SLACK)
+        # the rule's own rounding may put the boundary a few doubles away
+        for _ in range(4):
+            if nonincreasing(r5):
+                break
+            r5 = float(np.nextafter(r5, -np.inf))
+        for _ in range(4):
+            if not nonincreasing(_above(r5)):
+                break
+            r5 = _above(r5)
+        assert nonincreasing(r5) and not nonincreasing(_above(r5))
+        # the boundary is R_1 (1 + RATIO_SLACK), above R_1 itself
+        assert 1.0 < r5 / c <= 1.0 + RATIO_SLACK < _above(r5) / c
+        assert not nonincreasing(np.nan)
+
+    def test_regret_rule_skips_checkpoints_past_rounds(self):
+        acct = _accounting([1.0, 1.5, 1.8], [2.0, 2.0, 2.0])
+        within, nonincreasing = acct.checkpoint_verdicts([1, 3, 4, 100])
+        assert within == {1: True, 3: True} and nonincreasing
+        assert acct.checkpoint_verdicts([4, 100]) == ({}, True)
 
 
 _BIAS_DS = AffinityDistributionSet(
