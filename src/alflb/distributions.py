@@ -7,20 +7,94 @@ split at those points.  Beta components (shape parameters >= 1 so the
 density stays bounded), sub-interval uniforms, and finite mixtures of the
 two cover everything the experiments use.
 
-scipy is imported inside the functions that need it (the Beta density and
-cdf, and the mass check of a distribution set), so the fixed-score lab,
-which never builds a score distribution, never loads it.
+The lab's one quadrature rule lives here too: piecewise Gauss-Legendre,
+doubling the nodes per segment until two estimates agree.  A distribution
+set checks each density's mass with it, and ``stochastic`` integrates its
+selection moments and edge weights with it.
+
+Only ``scipy.special`` is used, imported inside the functions that need it
+(the Beta density and cdf, and the Gauss-Legendre nodes), so the fixed-score
+lab, which never builds a score distribution, never loads scipy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidRange
+from .errors import InvalidRange, NoConvergence
 
 PDF_NORMALIZATION_TOL = 1e-6
+# The quadrature rule: _QUAD_BASE_NODES nodes per segment, doubled at most
+# QUAD_MAX_DOUBLINGS times until two successive estimates agree to QUAD_TOL
+# in every component; the integrand sees at most _QUAD_BLOCK_NODES nodes per
+# call, to bound its working set.
+QUAD_TOL = 1e-8
+QUAD_MAX_DOUBLINGS = 5
+_QUAD_BASE_NODES = 256
+_QUAD_BLOCK_NODES = 2048
+
+
+@lru_cache(maxsize=32)
+def _leggauss(n: int):
+    """The n-node Gauss-Legendre rule on [-1, 1].  scipy takes the nodes
+    from the banded (tridiagonal) Jacobi matrix; numpy's ``leggauss`` solves
+    a dense eigenproblem and takes seconds at 4,096 nodes, which a
+    quadrature that does not converge reaches before it raises."""
+    from scipy.special import roots_legendre
+
+    return roots_legendre(n)
+
+
+def _segment_nodes(edges: np.ndarray, n: int):
+    """Gauss-Legendre nodes/weights for every segment, concatenated."""
+    x, w = _leggauss(n)
+    lo = edges[:-1][:, None]
+    hi = edges[1:][:, None]
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (hi + lo) + half * x[None, :]).ravel()
+    weights = (half * w[None, :]).ravel()
+    return nodes, weights
+
+
+def _gauss_legendre(f, a: float, b: float, cuts, tol: float, max_doublings: int):
+    """Integrate a vector-valued integrand f: (m,) -> (c, m) over [a, b],
+    split at the ``cuts`` inside it, by Gauss-Legendre on every segment with
+    the node count doubled until two successive estimates agree to ``tol``.
+
+    Raises ``NoConvergence`` when the doublings run out, and at the first
+    estimate that is not finite, which no doubling can mend.
+    """
+    interior = sorted({c for c in cuts if a < c < b})
+    edges = np.array([a, *interior, b])
+
+    def estimate(n: int) -> np.ndarray:
+        nodes, weights = _segment_nodes(edges, n)
+        est = sum(
+            np.atleast_2d(f(nodes[i : i + _QUAD_BLOCK_NODES]))
+            @ weights[i : i + _QUAD_BLOCK_NODES]
+            for i in range(0, nodes.size, _QUAD_BLOCK_NODES)
+        )
+        if not np.all(np.isfinite(est)):
+            raise NoConvergence(
+                f"quadrature estimate is not finite at {n} nodes per segment"
+            )
+        return est
+
+    n = _QUAD_BASE_NODES
+    prev = estimate(n)
+    for _ in range(max_doublings):
+        n *= 2
+        cur = estimate(n)
+        change = float(np.max(np.abs(cur - prev)))
+        if change < tol:
+            return cur
+        prev = cur
+    raise NoConvergence(
+        f"quadrature moved by {change:.3g} > tol {tol:.3g} at {n} nodes per segment"
+    )
 
 
 @dataclass(frozen=True)
@@ -165,14 +239,12 @@ class AffinityDistributionSet:
     """One score distribution per expert.
 
     Construction verifies support in (0, 1), cdf endpoints, nonnegative pdf
-    and unit normalization (numerically, to 1e-6).
+    and unit normalization (by the quadrature rule, to 1e-6).
     """
 
     dists: tuple
 
     def __post_init__(self):
-        from scipy.integrate import quad
-
         if len(self.dists) < 2:
             raise InvalidRange("need at least two experts")
         grid = np.linspace(0.0, 1.0, 1025)
@@ -186,10 +258,14 @@ class AffinityDistributionSet:
                 raise InvalidRange(f"expert {k}: cdf endpoints not 0 / 1")
             if np.any(d.pdf(grid) < 0.0):
                 raise InvalidRange(f"expert {k}: negative pdf")
-            mass, _ = quad(
-                lambda x: float(d.pdf(x)), 0.0, 1.0,
-                points=sorted(set(d.breakpoints())), limit=200,
-            )
+            try:
+                mass = float(_gauss_legendre(
+                    d.pdf, 0.0, 1.0, d.breakpoints(), QUAD_TOL, QUAD_MAX_DOUBLINGS,
+                )[0])
+            except NoConvergence as exc:
+                raise InvalidRange(
+                    f"expert {k}: pdf mass nan != 1: the quadrature did not converge ({exc})"
+                ) from exc
             if not abs(mass - 1.0) <= PDF_NORMALIZATION_TOL:
                 raise InvalidRange(f"expert {k}: pdf mass {mass} != 1")
 

@@ -11,19 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .balancer import project_zero_sum
-from .distributions import AffinityDistributionSet
+from .distributions import (
+    QUAD_MAX_DOUBLINGS, QUAD_TOL, AffinityDistributionSet, _gauss_legendre,
+)
 from .errors import InvalidRange, NoConvergence, ValidationError
 from .router import lagrangian, loads, topk_set
 
-QUAD_TOL = 1e-8
-QUAD_BASE_NODES = 256
-QUAD_MAX_DOUBLINGS = 5
-QUAD_BLOCK_NODES = 2048
 MOMENT_BATCH = 512       # replicas per check_gradient_moments block
 MINIMIZER_MAX_ITER = 500
 # The verdict rules.  A Monte Carlo moment agrees with its formula when its
@@ -64,60 +61,20 @@ def _bias(p, E: int) -> np.ndarray:
 # Quadrature plumbing
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=32)
-def _leggauss(n: int):
-    """The n-node Gauss-Legendre rule on [-1, 1].  scipy takes the nodes
-    from the banded (tridiagonal) Jacobi matrix; numpy's ``leggauss`` solves
-    a dense eigenproblem and takes seconds at 4,096 nodes, which a
-    quadrature that does not converge reaches before it raises."""
-    from scipy.special import roots_legendre
-
-    return roots_legendre(n)
-
-
-def _segment_nodes(edges: np.ndarray, n: int):
-    """Gauss-Legendre nodes/weights for every segment, concatenated."""
-    x, w = _leggauss(n)
-    lo = edges[:-1][:, None]
-    hi = edges[1:][:, None]
-    half = 0.5 * (hi - lo)
-    nodes = (0.5 * (hi + lo) + half * x[None, :]).ravel()
-    weights = (half * w[None, :]).ravel()
-    return nodes, weights
-
-
 def piecewise_gauss_vec(f, a: float, b: float, cuts=(), tol: float = QUAD_TOL):
     """Integrate a vector-valued integrand f: (m,) -> (c, m) over [a, b].
 
     The interval is split at ``cuts`` (pdf / cdf kinks) and each segment is
-    integrated with Gauss-Legendre, doubling the node count until two
-    successive estimates agree to ``tol`` in every component; raises
-    ``NoConvergence`` when the doublings run out.  ``f`` sees at most
-    ``QUAD_BLOCK_NODES`` nodes per call, to bound its working set.
+    integrated with the lab's Gauss-Legendre rule, doubling the node count
+    at most ``QUAD_MAX_DOUBLINGS`` times until two successive estimates agree
+    to ``tol`` in every component; raises ``NoConvergence`` when the
+    doublings run out or an estimate is not finite.
+
+    The stochastic lab integrates only through this name, and reads
+    ``QUAD_MAX_DOUBLINGS`` here at each call, so replacing or counting it
+    touches neither the rule nor the mass check of a distribution set.
     """
-    interior = sorted({c for c in cuts if a < c < b})
-    edges = np.array([a, *interior, b])
-
-    def estimate(n: int) -> np.ndarray:
-        nodes, weights = _segment_nodes(edges, n)
-        return sum(
-            np.atleast_2d(f(nodes[i : i + QUAD_BLOCK_NODES]))
-            @ weights[i : i + QUAD_BLOCK_NODES]
-            for i in range(0, nodes.size, QUAD_BLOCK_NODES)
-        )
-
-    n = QUAD_BASE_NODES
-    prev = estimate(n)
-    for _ in range(QUAD_MAX_DOUBLINGS):
-        n *= 2
-        cur = estimate(n)
-        change = float(np.max(np.abs(cur - prev)))
-        if change < tol:
-            return cur
-        prev = cur
-    raise NoConvergence(
-        f"quadrature moved by {change:.3g} > tol {tol:.3g} at {n} nodes per segment"
-    )
+    return _gauss_legendre(f, a, b, cuts, tol, QUAD_MAX_DOUBLINGS)
 
 
 def _shifted_frame(dist: AffinityDistributionSet, p: np.ndarray):
@@ -180,8 +137,8 @@ def selection_moments(
     In the shifted frame w, pi_k = int pdf_k(w - p_k) Q_k(w) dw and expert
     k adds int w pdf_k(w - p_k) Q_k(w) dw to F_K, where Q_k(w) is the
     probability that at most K-1 rivals' shifted scores exceed w.  All 2E
-    integrals share one node set.  A pi_k outside [0, 1] by more than 1e-9
-    raises; the rounding within that margin is clipped.
+    integrals share one node set.  A pi_k outside [0, 1] by more than 1e-9,
+    or NaN, raises; the rounding within that margin is clipped.
     """
     E = dist.E
     p = _bias(p, E)
@@ -194,7 +151,7 @@ def selection_moments(
     a, b, cuts = _shifted_frame(dist, p)
     rows = piecewise_gauss_vec(f, a, b, cuts)
     pi = rows[:E]
-    if np.any(pi < -1e-9) or np.any(pi > 1.0 + 1e-9):
+    if not np.all((pi >= -1e-9) & (pi <= 1.0 + 1e-9)):
         raise InvalidRange("selection probabilities must lie in [0, 1]")
     return np.clip(pi, 0.0, 1.0), float(rows[E:].sum())
 

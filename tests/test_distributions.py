@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from alflb import distributions
 from alflb.core import RandomSource
 from alflb.distributions import (
     AffinityDistributionSet,
@@ -122,7 +123,6 @@ class TestDistributionSet:
         with pytest.raises(InvalidRange):
             AffinityDistributionSet((BetaScore(2.0, 2.0),))
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_nan_pdf_mass_rejected(self):
         class NanPdf(UniformScore):
             def pdf(self, x):
@@ -130,6 +130,13 @@ class TestDistributionSet:
 
         with pytest.raises(InvalidRange, match="mass nan"):
             AffinityDistributionSet((NanPdf(0.1, 0.9), UniformScore(0.1, 0.9)))
+
+    def test_unconverged_mass_rejected(self, monkeypatch):
+        # the full rule gives up on this spike too, after 8,192 nodes; one
+        # doubling keeps the test short
+        monkeypatch.setattr(distributions, "QUAD_MAX_DOUBLINGS", 1)
+        with pytest.raises(InvalidRange, match="mass nan != 1: the quadrature did not converge"):
+            AffinityDistributionSet((BetaScore(1e6, 1e6), BetaScore(2.0, 2.0)))
 
     def test_nan_cdf_endpoint_rejected(self):
         class NanCdf(UniformScore):

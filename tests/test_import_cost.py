@@ -1,11 +1,12 @@
 """What the CLI imports, checked in a fresh interpreter.
 
 The fixed-score lab needs only numpy, and scipy's import alone costs about a
-second of start-up; the stochastic lab needs ``scipy.special`` and
-``scipy.integrate`` but not ``scipy.stats``.  Each case imports ``alflb.cli``
-in a subprocess, so that what pytest and the other tests have imported cannot
-hide a module-level import, then parses and runs small configs of the given
-kinds and reports which scipy modules are loaded.
+second of start-up; the stochastic lab needs ``scipy.special`` alone, not
+``scipy.stats``, nor ``scipy.integrate`` and the ``scipy.optimize`` it pulls
+in.  Each case imports ``alflb.cli`` in a subprocess, so that what pytest and
+the other tests have imported cannot hide a module-level import, then parses
+and runs small configs of the given kinds and reports which scipy modules are
+loaded.
 """
 
 import json
@@ -50,6 +51,22 @@ MOMENT = {
     ],
     "T": 8, "K": 1, "replicas": 200,
 }
+STOCHASTIC = {
+    "moment": MOMENT,
+    "hessian": {
+        "kind": "hessian_check", "seed": 5,
+        "distributions": MOMENT["distributions"], "K": 1, "directions": 2,
+    },
+    "regret": {
+        "kind": "regret_sweep", "seed": 6,
+        "distributions": [
+            {"type": "beta", "a": 2.0, "b": 2.5},
+            {"type": "beta", "a": 2.1, "b": 2.4},
+        ],
+        "T": 8, "K": 1, "kappa": 0.8, "rounds": 100, "replicas": 4,
+        "grid_points": 6, "checkpoints": [10, 100],
+    },
+}
 
 
 def _scipy_modules(tmp_path, configs) -> list[str]:
@@ -74,3 +91,10 @@ def test_moment_check_loads_no_scipy_stats(tmp_path):
     loaded = _scipy_modules(tmp_path, {"moment": MOMENT})
     assert "scipy.special" in loaded  # the probe sees scipy when it is there
     assert "scipy.stats" not in loaded
+
+
+def test_stochastic_kinds_load_only_scipy_special(tmp_path):
+    loaded = _scipy_modules(tmp_path, STOCHASTIC)
+    assert "scipy.special" in loaded
+    assert "scipy.integrate" not in loaded
+    assert "scipy.optimize" not in loaded

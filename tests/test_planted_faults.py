@@ -99,3 +99,9 @@ def test_nan_selection_probability_fails_criterion_6(monkeypatch):
 
     monkeypatch.setattr(acceptance, "selection_moments", planted)
     _fails(6, acceptance.test_criterion_6_pi_quadrature_vs_monte_carlo)
+
+
+def test_nan_lagrangian_fails_criterion_9(monkeypatch):
+    acceptance.test_criterion_9_exact_identities()
+    monkeypatch.setattr(acceptance, "lagrangian", lambda *args: np.nan)
+    _fails(9, acceptance.test_criterion_9_exact_identities)

@@ -92,7 +92,8 @@ class TestPiQuadrature:
 
     def test_non_convergence_raises(self, monkeypatch):
         # tol=0 is never met; one doubling keeps the test short (the rules
-        # of the later doublings take tens of seconds to generate)
+        # of the last two doublings, 4,096 and 8,192 nodes, take about 3 s
+        # to generate)
         monkeypatch.setattr(stochastic, "QUAD_MAX_DOUBLINGS", 1)
         monkeypatch.setattr(
             stochastic, "piecewise_gauss_vec",
@@ -102,10 +103,24 @@ class TestPiQuadrature:
         with pytest.raises(NoConvergence):
             _pi(ds, np.zeros(3), 1)
 
-    @pytest.mark.parametrize("excess", [1e-6, -1e-6])
+    def test_non_finite_estimate_raises_at_once(self):
+        # no doubling can mend a NaN: the rule stops at its first estimate,
+        # one integrand call on a single segment of 256 nodes
+        calls = []
+
+        def f(w):
+            calls.append(w.size)
+            return np.full(w.shape, np.nan)
+
+        with pytest.raises(NoConvergence, match="not finite"):
+            stochastic.piecewise_gauss_vec(f, 0.0, 1.0)
+        assert calls == [256]
+
+    @pytest.mark.parametrize("excess", [1e-6, -1e-6, np.nan])
     def test_out_of_range_pi_raises(self, monkeypatch, excess):
         # pi is range-checked before the clip: a quadrature that strays
-        # past [0, 1] by more than 1e-9 must not be clipped silently
+        # past [0, 1] by more than 1e-9, or a NaN, must not be clipped
+        # silently
         E = 3
         value = 1.0 + excess if excess > 0 else excess
         monkeypatch.setattr(
