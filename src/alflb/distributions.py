@@ -273,7 +273,7 @@ class AffinityDistributionSet:
     def E(self) -> int:
         return len(self.dists)
 
-    def sample_matrix(self, T: int, rng: np.random.Generator) -> np.ndarray:
-        """Raw T x E sample, column k drawn i.i.d. from distribution k."""
-        cols = [d.sample(rng, (T,)) for d in self.dists]
-        return np.column_stack(cols)
+    def sample_matrix(self, size, rng: np.random.Generator) -> np.ndarray:
+        """Raw (*size, E) sample: one ``sample(rng, size)`` call per expert,
+        expert 0 first, so column k is i.i.d. from distribution k."""
+        return np.stack([d.sample(rng, size) for d in self.dists], axis=-1)

@@ -202,7 +202,8 @@ def check_gradient_moments(
     """Monte Carlo check of the mean / variance / second-moment formulas
     against quadrature selection probabilities.  z-scores use the empirical
     replica spread; a spread of 0, where a z-score is undefined, raises
-    ``ValidationError`` on ``replicas``.
+    ``ValidationError`` on ``replicas``.  Replicas are drawn MOMENT_BATCH at
+    a time, each block expert by expert, so the draws depend on MOMENT_BATCH.
     """
     E = dist.E
     L = K * T / E
@@ -217,7 +218,7 @@ def check_gradient_moments(
     done = 0
     while done < replicas:
         m = min(MOMENT_BATCH, replicas - done)
-        block = np.stack([dist.sample_matrix(T, rng) for _ in range(m)])
+        block = dist.sample_matrix((m, T), rng)
         g_all[done : done + m] = loads(topk_set(block + p, K), E) - L
         done += m
 
@@ -489,9 +490,7 @@ def regret_experiment(
     d_cap = 1.0 - kappa
 
     for n in range(1, rounds + 1):
-        block = np.stack(
-            [d.sample(rng, (replicas, T)) for d in dist.dists], axis=2
-        )
+        block = dist.sample_matrix((replicas, T), rng)
         # one Top-K selection per side: indices for the iterate, values for p*
         shifted = block + P[:, None, :]
         chosen = topk_set(shifted, K)

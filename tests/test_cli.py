@@ -478,8 +478,9 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "changes",
         [
-            # two replicas that drew the same loads
-            *({"seed": seed, "T": 2, "replicas": 2} for seed in (1, 2, 3, 6)),
+            # two replicas that drew the same loads (seeds picked for the
+            # block-by-block, expert-by-expert draw order)
+            *({"seed": seed, "T": 2, "replicas": 2} for seed in (1, 2, 4, 6)),
             # expert 0 outscores the others on every draw
             {"T": 8, "replicas": 1000, "distributions": [
                 {"type": "uniform", "lo": 0.6, "hi": 0.9},
@@ -487,7 +488,7 @@ class TestConfigErrors:
                 {"type": "uniform", "lo": 0.1, "hi": 0.4},
             ]},
         ],
-        ids=["seed1", "seed2", "seed3", "seed6", "disjoint_supports"],
+        ids=["seed1", "seed2", "seed4", "seed6", "disjoint_supports"],
     )
     def test_zero_replica_spread_exits_two(self, tmp_path, capsys, recwarn, changes):
         # The draws decide this, so the config loads; a z-score over a zero
@@ -625,9 +626,11 @@ class TestMain:
         assert summary["seed"] == 99
 
 
-# Five configs off the benchmark's shapes: a non-integer L (T=50, E=4 and
+# Eight configs off the benchmark's shapes: a non-integer L (T=50, E=4 and
 # T=10, E=3 under zero_sum), K > 1 traces and comparisons with odd T and E,
-# and a three-instance balance check.
+# a three-instance balance check, and one run of each stochastic kind on a
+# Beta, a uniform and a mixture expert (the moment check over two replica
+# blocks: 600 replicas against MOMENT_BATCH = 512).
 PINNED_CONFIGS = {
     "trace_t50_e4": {
         "kind": "deterministic_run", "seed": 4, "dims": {"T": 50, "E": 4, "K": 1},
@@ -649,6 +652,22 @@ PINNED_CONFIGS = {
     "balance_3_instances": {
         "kind": "balance_check", "seed": 9, "dims": {"T": 16, "E": 4, "K": 1},
         "instances": 3,
+    },
+    "moment_mixed_e3k1": {
+        "kind": "moment_check", "seed": 12,
+        "distributions": [*MOMENT_CFG["distributions"], MIXTURE],
+        "T": 6, "K": 1, "replicas": 600, "bias": [0.02, -0.01, -0.01],
+    },
+    "hessian_mixed_e3k1": {
+        "kind": "hessian_check", "seed": 13,
+        "distributions": [*MOMENT_CFG["distributions"], MIXTURE],
+        "K": 1, "directions": 3,
+    },
+    "regret_mixed_e3k1": {
+        "kind": "regret_sweep", "seed": 14,
+        "distributions": [*REGRET_CFG["distributions"], MIXTURE],
+        "T": 8, "K": 1, "kappa": 0.8, "grid_points": 6, "rounds": 100,
+        "replicas": 8, "checkpoints": [10, 100],
     },
 }
 PINNED_SHA256 = {
@@ -672,6 +691,18 @@ PINNED_SHA256 = {
     "balance_3_instances": {
         "balance.csv": "18cd3d5d6f81f18282a37297dfaa8a9d08662375b8a8ac4b0d04b71d293dcb4d",
         "summary.json": "071ba540ce0a1ca6b665ededa942d0f51e5e2ecd6c44b1e4bdbbae2714dfbb80",
+    },
+    "moment_mixed_e3k1": {
+        "moments.csv": "a645c854c67e4d0d86dc2ec2d645d5bd0184eefb26366c66e475254ac0634311",
+        "summary.json": "83f578fde4e26ed4a9d4c248b75221d0cb3142b97252d9f4aa909ca1c05e79ac",
+    },
+    "hessian_mixed_e3k1": {
+        "hessian.csv": "7c772757ebd0308d4f360b735a74035cf12b3083100f2468d641ffd7340f5b12",
+        "summary.json": "bca4aa1e64948880e324603b02cb3c930d2a873f593a3c6dadabc53ab4c249fd",
+    },
+    "regret_mixed_e3k1": {
+        "regret.csv": "3b1dffc615e1ad86c4b7b2192e2faf67e04c91093547814dec467bd589d7e576",
+        "summary.json": "d3f44249dd84ebbdc911a4887d5a3ef1fc75150314f1217cb9deb79c365921fb",
     },
 }
 

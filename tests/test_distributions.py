@@ -163,6 +163,27 @@ class TestSampling:
         b = ds.sample_matrix(64, RandomSource(7, 3).generator())
         np.testing.assert_array_equal(a, b)
 
+    def test_draw_order_is_expert_by_expert(self):
+        # one sample(rng, size) call per expert, expert 0 first, stacked on
+        # the last axis; an int size gives the old column_stack of (T,) draws
+        ds = AffinityDistributionSet((
+            MixtureScore((UniformScore(0.0, 0.4), BetaScore(3.0, 2.0)), (0.3, 0.7)),
+            BetaScore(2.0, 5.0),
+            UniformScore(0.1, 0.7),
+        ))
+        m, T = 5, 7
+        got = ds.sample_matrix((m, T), RandomSource(7, 3).generator())
+        rng = RandomSource(7, 3).generator()
+        want = np.stack([d.sample(rng, (m, T)) for d in ds.dists], axis=-1)
+        assert got.shape == (m, T, 3)
+        np.testing.assert_array_equal(got, want)
+
+        got = ds.sample_matrix(T, RandomSource(8, 3).generator())
+        rng = RandomSource(8, 3).generator()
+        want = np.column_stack([d.sample(rng, (T,)) for d in ds.dists])
+        assert got.shape == (T, 3)
+        np.testing.assert_array_equal(got, want)
+
     def test_mixture_sampling_hits_both_components(self):
         mix = MixtureScore(
             (UniformScore(0.0, 0.3), UniformScore(0.7, 1.0)), (0.5, 0.5)

@@ -1,12 +1,14 @@
 """Planted faults: an acceptance criterion must fail on a lab output that
 breaks its guarantee.
 
-Each test first runs a criterion on a small input and sees it pass, then
-monkeypatches one lab function, under the name the acceptance module calls
-it by, to put a NaN into the statistic the criterion judges, and sees the
+Most tests first run a criterion on a small input and see it pass, then
+monkeypatch one lab function, under the name the acceptance module calls
+it by, to put a NaN into the statistic the criterion judges, and see the
 criterion fail.  A NaN compares false with every bound, so a rule that lets
 one through has dropped it before the comparison (Python's ``max(0.0, nan)``
-is ``0.0``).
+is ``0.0``).  The last two plant a wrong formula rather than a NaN: a dual
+update with the wrong sign (criterion 1) and a bias shifted on the
+quadrature side of the moment check only (criterion 5).
 """
 
 import dataclasses
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 import test_acceptance as acceptance
+from alflb import stochastic
 from alflb.balancer import ScheduleKind, StepSchedule
 from alflb.deterministic import audit_trace, simulate_fixed_scores
 from alflb.stochastic import (
@@ -33,8 +36,7 @@ def _first_nan(values: np.ndarray) -> np.ndarray:
     return out
 
 
-@pytest.fixture(scope="module")
-def small_suite():
+def _small_suite():
     """One sign-schedule trace in which switches happen, and one 1/n trace."""
     gamma = acceptance._seeded_affinities(40, 4, 1000)
     return [
@@ -42,6 +44,11 @@ def small_suite():
         for sched in (StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 0.001),
                       StepSchedule(ScheduleKind.INVERSE_N, 1.0))
     ]
+
+
+@pytest.fixture(scope="module")
+def small_suite():
+    return _small_suite()
 
 
 @pytest.mark.parametrize("number", [1, 2])
@@ -105,3 +112,42 @@ def test_nan_lagrangian_fails_criterion_9(monkeypatch):
     acceptance.test_criterion_9_exact_identities()
     monkeypatch.setattr(acceptance, "lagrangian", lambda *args: np.nan)
     _fails(9, acceptance.test_criterion_9_exact_identities)
+
+
+def test_flipped_dual_update_fails_criterion_1(monkeypatch, small_suite):
+    # gradient ascent on the bias: the Lagrangian then moves by the switch
+    # benefits plus the penalty, so each residual is twice the penalty; the
+    # worst residual / scale was 9.09 (the 1/n trace; 2.45e-3 on the sign
+    # trace) against IDENTITY_RTOL = 1e-9
+    acceptance.test_criterion_1_lagrangian_identity(small_suite)
+    bias_delta = StepSchedule.bias_delta
+    monkeypatch.setattr(
+        StepSchedule, "bias_delta", lambda self, *args: -bias_delta(self, *args)
+    )
+    planted = _small_suite()
+    audits = [audit_trace(trace) for _, trace in planted]
+    assert min(acceptance._worst_relative_residual([a]) for a in audits) > 1e-3
+    _fails(1, lambda: acceptance.test_criterion_1_lagrangian_identity(planted))
+
+
+# The smallest shift of expert 0's bias, on the grid 0.001, 0.002, 0.003,
+# 0.005, 0.01, 0.02, that criterion 5 catches at 10^4 replicas: 0.001 passes
+# (max |z| 2.53), 0.002 fails (max |z| 4.91 against Z_BOUND = 4).
+BIAS_SHIFT_PASSES, BIAS_SHIFT_CAUGHT = 0.001, 0.002
+
+
+def test_quadrature_bias_shift_fails_criterion_5(monkeypatch):
+    def shifted(delta):
+        def planted(dist, p, K):
+            q = np.array(p, dtype=np.float64)
+            q[0] += delta
+            return selection_moments(dist, q, K)
+
+        return planted
+
+    # check_gradient_moments looks selection_moments up in its own module,
+    # so only the quadrature side of the check sees the shift
+    monkeypatch.setattr(stochastic, "selection_moments", shifted(BIAS_SHIFT_PASSES))
+    acceptance.test_criterion_5_gradient_moments()
+    monkeypatch.setattr(stochastic, "selection_moments", shifted(BIAS_SHIFT_CAUGHT))
+    _fails(5, acceptance.test_criterion_5_gradient_moments)
