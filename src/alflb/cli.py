@@ -453,10 +453,18 @@ def _run_regret(cfg: ExperimentConfig, out: Path):
     rng = RandomSource(cfg.seed, stream=4).generator()
     sc = strong_convexity_estimate(dist, K, kappa, T, cfg.params["grid_points"], rng)
     p_star = expected_loss_minimizer(dist, K, T, L)
-    acct = regret_experiment(
-        dist, T, K, sc.mu, p_star, cfg.params["rounds"], cfg.params["replicas"],
-        rng, kappa=kappa,
-    )
+    try:
+        acct = regret_experiment(
+            dist, T, K, sc.mu, p_star, cfg.params["rounds"], cfg.params["replicas"],
+            rng, kappa=kappa,
+        )
+    except InvalidRange as exc:
+        if exc.field != "mu":
+            raise
+        # the grid found a zero curvature weight in the domain kappa allows
+        raise ValidationError(
+            "kappa", f"the bias domain is not strongly convex: {exc}"
+        ) from exc
     _write_csv(out / "regret.csv", {
         "n": range(1, acct.rounds + 1),
         "mean_regret": acct.mean_cum_regret,

@@ -22,6 +22,8 @@ from .router import lagrangian, loads as count_loads, topk
 
 # Most scores, c * T * E, that one block of ``iterate`` routes at once.
 BLOCK_SCORES = 2**16
+# Most chosen cells, rows * T * K, that ``simulate_fixed_scores`` scores at once.
+SCORE_CELLS = 2**13
 # Theorem 1 holds when every identity residual is at most this fraction of
 # its scale 1 + |L_m|.
 IDENTITY_RTOL = 1e-9
@@ -36,6 +38,9 @@ class IterationTrace:
     ``switches`` has one row (row, token, from, to) per token whose expert
     changed from row - 1 to row (K=1 only, in token order); ``benefit`` is its
     shifted-score gain under the new biases, ``gap_prev`` under the old ones.
+    ``simulate_fixed_scores`` builds the table from the run's N*T*K chosen
+    experts, one byte each for E <= 256 and two up to 65,536, and the table
+    does not keep them.
     """
 
     K: int
@@ -106,20 +111,20 @@ def iterate(
         first_miss = int(held.argmin())
         missed = not held[first_miss]
         keep = first_miss + 1 if missed else M
-        finite = np.isfinite(p_rows[:keep]).all(axis=1)
-        first_bad = int(finite.argmin())
-        if not finite[first_bad]:
-            keep = first_bad
+        overflow = False
+        if not np.isfinite(p_rows).all():  # cut before the first non-finite kept row
+            finite = np.isfinite(p_rows[:keep]).all(axis=1)
+            if not finite.all():
+                overflow, keep = True, int(finite.argmin())
+        if keep < M:
+            rows, p_rows, shifted = rows[:keep], p_rows[:keep], shifted[:keep]
+            chosen, loads, row_tie = chosen[:keep], loads[:keep], row_tie[:keep]
         # A consumer's in-place change must not reach the next dual step.
-        p_rows, loads = p_rows[:keep], loads[:keep]
         p_rows.flags.writeable = False
         loads.flags.writeable = False
         if keep:
-            yield (
-                rows[:keep], p_rows, shifted[:keep], chosen[:keep], loads,
-                row_tie[:keep],
-            )
-        if not finite[first_bad]:
+            yield rows, p_rows, shifted, chosen, loads, row_tie
+        if overflow:
             raise InvalidRange("bias entries must be finite")
         n += keep
         guess = loads[-1]
@@ -153,7 +158,15 @@ def simulate_fixed_scores(
 ) -> IterationTrace:
     """Run the primal-dual iteration from p = 0 on frozen affinities.
 
-    Switches are only recorded for K=1; for K > 1 the switch table is empty.
+    The loop over ``iterate``'s blocks only stores each row's biases, loads,
+    tie flag and chosen experts, the experts in the smallest unsigned type
+    that holds E - 1: O(N*T*K) bytes, N*T*K for E <= 256.  After the loop,
+    the Lagrangian column (``router.lagrangian``) and the switch table (each
+    row's experts against the row before) are computed from that store in
+    chunks of at most ``SCORE_CELLS`` chosen cells; each adds the same floats
+    in the same order as a computation per block would, so the columns are
+    the same bits.  Switches are only recorded for K=1; for K > 1 the switch
+    table is empty.
     """
     if iterations < 1:
         raise InvalidRange("need at least one iteration")
@@ -162,25 +175,33 @@ def simulate_fixed_scores(
     L = ProblemDims(T=T, E=E, K=K).target_load
     p_rows = np.empty((iterations, E))
     load_rows = np.empty((iterations, E), dtype=np.int64)
-    lag = np.empty(iterations)
     tie = np.empty(iterations, dtype=bool)
-    # per block: the row, token, old and new expert of each switch
-    switched = [np.empty((4, 0), dtype=np.int64)]
-
-    a_prev = None  # the assignment of the row before a block
-    for n, p, shifted, chosen, loads, row_tie in iterate(
+    # Each block's chosen experts, joined after the loop: one (N, T, K) array
+    # held through the loop splits the heap space that the loop's (T, E)
+    # temporaries reuse, which raised the peak resident set of repeated
+    # 4096 x 64 traces by 1.8 MiB.
+    compact, blocks = np.min_scalar_type(E - 1), []
+    for n, p, _, chosen, loads, row_tie in iterate(
         g, schedule, K, zero_sum, iterations=iterations
     ):
-        m = n - 1
-        block = slice(m[0], m[-1] + 1)
+        block = slice(n[0] - 1, n[-1])
         p_rows[block], load_rows[block], tie[block] = p, loads, row_tie.any(axis=1)
-        lag[block] = lagrangian(shifted, chosen, p, L)
+        blocks.append(chosen.astype(compact))
+    assigned = np.concatenate(blocks)
+    del blocks
+
+    lag = np.empty(iterations)
+    # per chunk: the row, token, old and new expert of each switch
+    switched = [np.empty((4, 0), dtype=np.int64)]
+    step = max(1, SCORE_CELLS // (T * K))
+    for m in range(0, iterations, step):
+        chunk = slice(m, m + step)
+        lag[chunk] = lagrangian(g, assigned[chunk], p_rows[chunk], L)
         if K == 1:
-            a = chosen[:, :, 0]
-            a = np.concatenate((a[:1] if a_prev is None else a_prev[None], a))
+            # the rows of the chunk against the row before each; row 0 has none
+            a = assigned[max(m - 1, 0):m + step, :, 0]
             r, i = np.nonzero(a[1:] != a[:-1])
-            switched.append(np.array((m[r], i, a[r, i], a[r + 1, i])))
-            a_prev = a[-1]
+            switched.append(np.array((r + max(m, 1), i, a[r, i], a[r + 1, i])))
 
     row, i, old, new = np.concatenate(switched, axis=1)
     switches = np.column_stack((row, i, old, new))

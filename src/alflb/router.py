@@ -119,18 +119,26 @@ def loads(chosen: np.ndarray, E: int) -> np.ndarray:
     indices: the loads of each routing in the block."""
     lead = chosen.shape[:-2]
     flat = chosen.reshape(-1, chosen.shape[-2] * chosen.shape[-1])
-    flat = flat + np.arange(flat.shape[0])[:, None] * E
+    if len(flat) > 1:  # count routing j's experts from j * E on
+        flat = flat + np.arange(0, len(flat) * E, E)[:, None]
     return np.bincount(flat.ravel(), minlength=flat.shape[0] * E).reshape(lead + (E,))
 
 
 def lagrangian(
-    shifted: np.ndarray, chosen: np.ndarray, p: np.ndarray, L: float
+    gamma: np.ndarray, chosen: np.ndarray, p: np.ndarray, L: float
 ) -> np.ndarray:
     """The Lagrangian sum_{ik} (gamma_ik + p_k) x_ik - L sum_k p_k of each
-    routing: shifted = gamma + p (..., T, E), chosen (..., T, K) the experts
-    x selects, p (..., E).  This is also the online loss f_n of a round."""
-    routed = np.take_along_axis(shifted, chosen, axis=-1).sum(axis=(-2, -1))
-    return routed - L * p.sum(axis=-1)
+    routing: gamma the scores (..., T, E), chosen (..., T, K) the experts x
+    selects, p (..., E) the biases.  The leading axes of all three
+    broadcast, so one (T, E) matrix scores a block of routings.  Only the
+    chosen cells are added, each as gamma_ik + p_k, the same add as the
+    cell of gamma + p.  This is also the online loss f_n of a round."""
+    E = gamma.shape[-1]
+    # the chosen cells' flat indices: row r of gamma, or of p, starts at r * E
+    cells = chosen + np.arange(0, gamma.size, E).reshape(gamma.shape[:-1] + (1,))
+    biases = chosen + np.arange(0, p.size, E).reshape(p.shape[:-1] + (1, 1))
+    routed = np.take(gamma, cells) + np.take(p, biases)
+    return routed.sum(axis=(-2, -1)) - L * p.sum(axis=-1)
 
 
 def route_topk(gamma, p: BiasVector, K: int) -> RoutingOutcome:

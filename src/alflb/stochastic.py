@@ -475,7 +475,15 @@ def regret_experiment(
 ) -> RegretAccounting:
     """Projected online gradient descent with step 1/(mu n), paired against
     the fixed minimizer on the same sampled batches.
+
+    Raises InvalidRange when mu is not finite or not > 0: the step and the
+    bound divide by it.
     """
+    if not (math.isfinite(mu) and mu > 0.0):
+        raise InvalidRange(
+            f"the strong-convexity constant mu must be finite and > 0, got {mu}",
+            field="mu",
+        )
     E = dist.E
     L = K * T / E
     ps = _bias(p_star, E)
@@ -494,7 +502,7 @@ def regret_experiment(
         # one Top-K selection per side: indices for the iterate, values for p*
         shifted = block + P[:, None, :]
         chosen = topk_set(shifted, K)
-        f_iter = lagrangian(shifted, chosen, P, L)
+        f_iter = lagrangian(block, chosen, P, L)
         shifted_star = block + ps[None, None, :]
         top_star = -np.partition(-shifted_star, K - 1, axis=2)[:, :, :K]
         f_star = top_star.sum(axis=(1, 2)) - L * ps.sum()

@@ -92,9 +92,10 @@ def _worst_relative_residual(audits) -> float:
 def test_criterion_1_lagrangian_identity(run_suite):
     assert deterministic.IDENTITY_RTOL == 1e-9
     audits = [audit_trace(trace) for _, trace in run_suite]
+    iters = "/".join(map(str, sorted({len(t.lagrangian) for _, t in run_suite})))
     _verdict(
         1, "lagrangian identity", all(a.identity_holds for a in audits),
-        f"{len(run_suite)} runs x 500 iters, "
+        f"{len(run_suite)} runs x {iters} iters, "
         f"worst residual {_worst_relative_residual(audits):.2e}",
     )
 
@@ -351,7 +352,7 @@ def test_criterion_9_exact_identities():
         # trace, against the dense sum over the selection matrix
         shifted = gamma + p
         chosen = topk_set(shifted, 1)
-        onl = lagrangian(shifted, chosen, p, L)
+        onl = lagrangian(gamma, chosen, p, L)
         det = dense_lagrangian(shifted, chosen, p, L)
         loss_gaps.append(abs(float(onl - det)))
         g = loads(chosen, E) - L

@@ -509,6 +509,28 @@ class TestConfigErrors:
         assert not recwarn.list
         assert not (tmp_path / "run").exists() and not (tmp_path / "out").exists()
 
+    def test_zero_strong_convexity_exits_two(self, tmp_path, capsys, recwarn):
+        # The grid decides this, so the config loads: at seed 14 a grid point
+        # puts the uniform expert's whole support below the Beta's, the
+        # estimate is mu = 0 and no 1/(mu n) step exists, so the run names
+        # kappa, the margin that sets the domain, rather than dividing by zero.
+        cfg_path = _write(tmp_path, "cfg.json", dict(
+            REGRET_CFG, seed=14, grid_points=20,
+            distributions=[{"type": "beta", "a": 2.0, "b": 3.0}, UNIFORM, MIXTURE],
+        ))
+        with pytest.raises(ValidationError) as exc:
+            run(load_config(cfg_path), out_dir=tmp_path / "run" / "nested")
+        assert exc.value.field == "kappa"
+        status = main([
+            "regret-sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+        ])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert "config error: kappa:" in err and "mu must be finite and > 0" in err
+        assert "Traceback" not in err and "Warning" not in err
+        assert not recwarn.list
+        assert not (tmp_path / "run").exists() and not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "kind,key",
         [(k, key) for k, cfg in REQUIRED_ONLY.items() for key in cfg if key != "kind"],

@@ -41,7 +41,7 @@ class TestLagrangian:
 
     def test_two_token_value(self):
         g, p = TWO_TOKEN, np.zeros(2)
-        val = lagrangian(g + p, topk(g + p, 1)[0], p, 1.0)
+        val = lagrangian(g, topk(g + p, 1)[0], p, 1.0)
         assert val == pytest.approx(1.7, abs=1e-15)
 
     def test_uniform_bias_cancels_when_balanced_target(self):
@@ -51,14 +51,14 @@ class TestLagrangian:
         base = lagrangian(g, chosen, np.zeros(4), L)
         for c in (0.3, -1.7, 42.0):
             p = np.full(4, c)
-            assert lagrangian(g + p, chosen, p, L) == pytest.approx(base, abs=1e-9)
+            assert lagrangian(g, chosen, p, L) == pytest.approx(base, abs=1e-9)
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(1)
         g = random_affinities(15, 5, seed=2)
         chosen = topk(g, 1)[0]
         p = rng.uniform(-0.2, 0.2, size=5)
-        got = lagrangian(g + p, chosen, p, 3.0)
+        got = lagrangian(g, chosen, p, 3.0)
         want = _lagrangian_oracle(g, chosen, p.tolist(), 3.0)
         assert got == pytest.approx(want, abs=1e-12)
 

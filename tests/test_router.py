@@ -142,18 +142,19 @@ class TestLagrangian:
 
     def test_hand_instance(self):
         p = np.array([0.0, 0.05])
-        shifted = np.array([[0.9, 0.1]]) + p
-        chosen = topk_set(shifted, 1)
+        gamma = np.array([[0.9, 0.1]])
+        chosen = topk_set(gamma + p, 1)
         assert chosen.tolist() == [[0]]
-        assert lagrangian(shifted, chosen, p, 0.5) == pytest.approx(0.875, abs=1e-15)
+        assert lagrangian(gamma, chosen, p, 0.5) == pytest.approx(0.875, abs=1e-15)
 
     def test_equals_dense_lagrangian_k1(self):
         rng = np.random.default_rng(0)
         for seed in range(30):
             p = rng.uniform(-0.1, 0.1, size=4)
-            shifted = random_affinities(16, 4, seed=seed) + p
+            g = random_affinities(16, 4, seed=seed)
+            shifted = g + p
             chosen = topk_set(shifted, 1)
-            got = lagrangian(shifted, chosen, p, 4.0)
+            got = lagrangian(g, chosen, p, 4.0)
             want = dense_lagrangian(shifted, chosen, p, 4.0)
             assert got == pytest.approx(want, abs=1e-12)
             np.testing.assert_array_equal(chosen, topk(shifted, 1)[0])
@@ -164,10 +165,11 @@ class TestLagrangian:
         for K in range(2, E):
             for seed in range(10):
                 p = rng.uniform(-0.2, 0.2, size=E)
-                shifted = random_affinities(4 * E, E, seed=100 * E + seed) + p
+                g = random_affinities(4 * E, E, seed=100 * E + seed)
+                shifted = g + p
                 L = K * 4.0
                 chosen = topk_set(shifted, K)
-                got = lagrangian(shifted, chosen, p, L)
+                got = lagrangian(g, chosen, p, L)
                 want = dense_lagrangian(shifted, chosen, p, L)
                 assert got == pytest.approx(want, abs=1e-12)
                 # the same expert set as the router's ordered Top-K
@@ -178,16 +180,17 @@ class TestLagrangian:
     def test_batched_rows_equal_single_rows(self):
         rng = np.random.default_rng(3)
         P = rng.uniform(-0.1, 0.1, size=(5, 6))
-        shifted = rng.uniform(size=(5, 12, 6)) + P[:, None, :]
+        scores = rng.uniform(size=(5, 12, 6))
+        shifted = scores + P[:, None, :]
         chosen = topk_set(shifted, 2)
-        loss = lagrangian(shifted, chosen, P, 4.0)
+        loss = lagrangian(scores, chosen, P, 4.0)
         counts = loads(chosen, 6)
         assert chosen.shape == (5, 12, 2) and loss.shape == (5,)
         assert counts.shape == (5, 6)
         for r in range(5):
             c = topk_set(shifted[r], 2)
             np.testing.assert_array_equal(c, chosen[r])
-            assert lagrangian(shifted[r], c, P[r], 4.0) == loss[r]
+            assert lagrangian(scores[r], c, P[r], 4.0) == loss[r]
             # a 2-D block is one routing: its loads are an (E,) array
             np.testing.assert_array_equal(loads(c, 6), counts[r])
             np.testing.assert_array_equal(counts[r], np.bincount(c.ravel(), minlength=6))
@@ -198,7 +201,7 @@ class TestLagrangian:
         base = lagrangian(g, topk_set(g, 2), np.zeros(4), L)
         for c in (0.4, -2.0):
             p = np.full(4, c)
-            val = lagrangian(g + p, topk_set(g + p, 2), p, L)
+            val = lagrangian(g, topk_set(g + p, 2), p, L)
             assert val == pytest.approx(base, abs=1e-9)
 
 

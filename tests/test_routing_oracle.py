@@ -4,7 +4,9 @@ equal and float outputs bitwise equal, except the trace's Lagrangian column
 and the identity residuals built from it: the lab gathers the routed scores
 (``router.lagrangian``) where the reference sums a dense selection matrix, so
 the two round differently, within ``LAGRANGIAN_TOL * (1 + |value|)``.  The
-column equals ``router.lagrangian`` on the reference's own rows bit for bit.
+column equals ``router.lagrangian`` on the reference's own rows bit for bit,
+and the trace's Lagrangian column and switch table equal, bit for bit, what a
+loop over ``iterate``'s blocks computes from the shifted scores it yields.
 """
 
 import warnings
@@ -16,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_routing as ref
+from alflb import deterministic
 from alflb.balancer import ScheduleKind, StepSchedule
-from alflb.core import BiasVector, RandomSource
+from alflb.core import BiasVector, ProblemDims, RandomSource
 from alflb.deterministic import (
     BLOCK_SCORES,
     audit_trace,
@@ -160,8 +163,57 @@ def _assert_traces_equal(gamma, got, want):
         ]
         value = b.lagrangian.value
         assert abs(got.lagrangian[m] - value) <= LAGRANGIAN_TOL * (1 + abs(value))
-        routed = lagrangian(gamma + b.p, b.outcome.assigned_experts, b.p, got.L)
+        routed = lagrangian(gamma, b.outcome.assigned_experts, b.p, got.L)
         assert float(got.lagrangian[m]).hex() == float(routed).hex()
+
+
+def _per_block_bookkeeping(gamma, sched, iterations, K=1, zero_sum=False):
+    """The trace's Lagrangian column and switch table as a loop over
+    ``iterate``'s blocks computes them: per block, the chosen cells of the
+    yielded shifted scores gamma + p summed, and the assignment diffed
+    against the row before the block, each switch's benefit and earlier gap
+    read off the shifted scores of its row and of the row before."""
+    L = ProblemDims(T=gamma.shape[0], E=gamma.shape[1], K=K).target_load
+    lag, switches, benefit, gap_prev = [], [np.empty((0, 4), np.int64)], [], []
+    prev = None  # the assignment and shifted scores of the row before a block
+    for n, p, shifted, chosen, _, _ in iterate(
+        gamma, sched, K, zero_sum, iterations=iterations
+    ):
+        routed = np.take_along_axis(shifted, chosen, axis=-1)
+        lag.append(routed.sum(axis=(-2, -1)) - L * p.sum(axis=-1))
+        if K != 1:
+            continue
+        a, s = chosen[:, :, 0], shifted
+        if prev is None:
+            prev = a[0], s[0]
+        a, s = np.concatenate((prev[0][None], a)), np.concatenate((prev[1][None], s))
+        r, i = np.nonzero(a[1:] != a[:-1])
+        old, new = a[r, i], a[r + 1, i]
+        switches.append(np.column_stack((n[r] - 1, i, old, new)))
+        benefit.append(s[r + 1, i, new] - s[r + 1, i, old])
+        gap_prev.append(s[r, i, new] - s[r, i, old])
+        prev = a[-1], s[-1]
+    return (
+        np.concatenate(lag), np.concatenate(switches),
+        np.concatenate(benefit or [np.empty(0)]),
+        np.concatenate(gap_prev or [np.empty(0)]),
+    )
+
+
+def _assert_bookkeeping_equal(gamma, sched, iterations, K=1, zero_sum=False):
+    """``simulate_fixed_scores``' Lagrangian column, switch table, benefits
+    and earlier gaps equal the per-block computation bit for bit; returns
+    the trace."""
+    trace = simulate_fixed_scores(gamma, sched, iterations, K=K, zero_sum=zero_sum)
+    lag, switches, benefit, gap_prev = _per_block_bookkeeping(
+        gamma, sched, iterations, K, zero_sum
+    )
+    assert trace.lagrangian.tobytes() == lag.tobytes()
+    assert trace.switches.dtype == np.int64 and trace.switches.shape == switches.shape
+    np.testing.assert_array_equal(trace.switches, switches)
+    assert trace.benefit.tobytes() == benefit.tobytes()
+    assert trace.gap_prev.tobytes() == gap_prev.tobytes()
+    return trace
 
 
 @pytest.mark.parametrize("K", [1, 3])
@@ -171,7 +223,7 @@ def test_simulate_matches_reference_loop(kind, zero_sum, K):
     sched = StepSchedule(kind, SCHEDULE_U[kind])
     for s, (T, E) in enumerate(RUN_DIMS):
         gamma = _seeded_affinities(T, E, 1000 + s)
-        got = simulate_fixed_scores(gamma, sched, 60, K=K, zero_sum=zero_sum)
+        got = _assert_bookkeeping_equal(gamma, sched, 60, K=K, zero_sum=zero_sum)
         want = ref.simulate_fixed_scores(gamma, sched, 60, K=K, zero_sum=zero_sum)
         _assert_traces_equal(gamma, got, want)
 
@@ -180,7 +232,7 @@ def test_simulate_matches_reference_loop(kind, zero_sum, K):
 def test_simulate_matches_reference_loop_with_ties(K):
     gamma = _grid_affinities(24, 4, seed=5)
     sched = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 1 / 16)
-    got = simulate_fixed_scores(gamma, sched, 80, K=K)
+    got = _assert_bookkeeping_equal(gamma, sched, 80, K=K)
     want = ref.simulate_fixed_scores(gamma, sched, 80, K=K)
     assert any(step.tie_flag for step in want.steps)
     _assert_traces_equal(gamma, got, want)
@@ -204,7 +256,7 @@ def _assert_blocks_equal(gamma, sched, iterations, K=1, zero_sum=False):
     assert next(stepwise, None) is None
     _assert_traces_equal(
         gamma,
-        simulate_fixed_scores(gamma, sched, iterations, K=K, zero_sum=zero_sum),
+        _assert_bookkeeping_equal(gamma, sched, iterations, K=K, zero_sum=zero_sum),
         ref.simulate_fixed_scores(gamma, sched, iterations, K=K, zero_sum=zero_sum),
     )
     return blocks
@@ -262,9 +314,38 @@ def test_blocks_are_single_rows_above_the_block_cap():
     T, E = BLOCK_SCORES // 64 + 1, 64
     # u so small that the loads never change: only the cap keeps blocks short
     sched = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 1e-12)
-    blocks = _assert_blocks_equal(_seeded_affinities(T, E, 5), sched, 6)
-    assert [len(b) for b in blocks] == [1] * 6
-    assert all((b == blocks[0]).all() for b in blocks)
+    for K in (1, 3):
+        blocks = _assert_blocks_equal(_seeded_affinities(T, E, 5), sched, 6, K=K)
+        assert [len(b) for b in blocks] == [1] * 6
+        assert all((b == blocks[0]).all() for b in blocks)
+
+
+@pytest.mark.parametrize("K", [1, 3])
+@pytest.mark.parametrize("E", [256, 257])
+def test_trace_holds_the_highest_expert_index(E, K):
+    # E = 256 is the widest expert count whose indices fit one byte.  Every
+    # other token prefers the last expert, whose bias the sign schedule then
+    # lowers until tokens leave it, and raises until they come back, so
+    # index E - 1 is stored, diffed and switched to and from.
+    gamma = np.array(_seeded_affinities(16, E, 40 + K))
+    gamma[::2, E - 1] = 0.5
+    sched = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 0.05)
+    _assert_blocks_equal(gamma, sched, 40, K=K)
+    trace = simulate_fixed_scores(gamma, sched, 40, K=K)
+    if K == 1:
+        assert (trace.switches[:, 2] == E - 1).any()
+        assert (trace.switches[:, 3] == E - 1).any()
+
+
+@pytest.mark.parametrize("K", [1, 3])
+def test_bookkeeping_across_score_chunks(monkeypatch, K):
+    # chunks of three rows: switches fall on the first row of many chunks
+    T, E = 40, 4
+    monkeypatch.setattr(deterministic, "SCORE_CELLS", 3 * T * K)
+    sched = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 1e-3)
+    trace = _assert_bookkeeping_equal(_seeded_affinities(T, E, 1000), sched, 300, K=K)
+    if K == 1:
+        assert (trace.switches[:, 0] % 3 == 0).any()
 
 
 @pytest.mark.parametrize("kind", list(ScheduleKind))

@@ -352,6 +352,17 @@ class TestRegretExperiment:
         assert acct.mean_cum_regret.shape == (50,)
         assert acct.mean_diam.shape == (50,)
 
+    @pytest.mark.parametrize("mu", [0.0, -1.0, np.nan, np.inf])
+    def test_mu_not_finite_and_positive_raises(self, mu):
+        # the step 1/(mu n) and the bound sigma^2 / (2 mu) divide by it
+        ds = AffinityDistributionSet((BetaScore(2.0, 2.0),) * 4)
+        with pytest.raises(InvalidRange, match="mu must be finite and > 0") as exc:
+            regret_experiment(
+                ds, 8, 1, mu=mu, p_star=np.zeros(4), rounds=1, replicas=2,
+                rng=np.random.default_rng(0),
+            )
+        assert exc.value.field == "mu"
+
 
 def _above(x: float) -> float:
     return float(np.nextafter(x, np.inf))
