@@ -74,8 +74,9 @@ def iterate(
     p_{n+1} = p_n + eps_n * (L - A_n), with L = K*T/E and, under
     ``zero_sum``, minus its mean.  Each yield is a block of M >= 1
     consecutive iterations ``(n, p, shifted, chosen, loads, row_tie)`` of
-    shapes (M,), (M, E), (M, T, E), (M, T, K), (M, E) and (M, T); the blocks
-    run through iterations 1..``iterations`` in order.
+    shapes (M,), (M, E), (M, T, E), (M, T, K), (M, E) and (M, T), each
+    token's K experts in ascending expert index; the blocks run through
+    iterations 1..``iterations`` in order.
 
     A block guesses that the loads of its rows equal the last known loads,
     builds up to c rows of biases from that guess and routes them at once.
@@ -83,7 +84,9 @@ def iterate(
     the guess, so every row it yields is the stepwise row bit for bit.  c
     doubles after a block whose guess held and drops to 1 after a miss, with
     c*T*E at most ``BLOCK_SCORES``.  The affinities are checked (and copied
-    unless already read-only) before the first block; non-finite biases raise
+    unless already read-only) before the first block.  A block's biases are
+    checked before it routes, and only the rows before the first non-finite
+    one are routed, so ``topk`` never sees NaN; non-finite biases raise
     ``InvalidRange`` at the iteration that has them.
     """
     g = affinity_array(gamma)
@@ -95,36 +98,38 @@ def iterate(
     n, c = 1, 1
     while n <= iterations:
         rows = np.arange(n, n + min(c, iterations - n + 1))
-        M = len(rows)
-        # An exact row that overflows raises InvalidRange below, at its own
-        # iteration; a guessed row past a miss is thrown away, overflow or not.
         with np.errstate(over="ignore", invalid="ignore"):
             if n > 1:  # the dual step from the last row of the previous block
                 p = p_rows[-1] + schedule.bias_delta(guess, L, n - 1)
                 if zero_sum:
                     p = project_zero_sum(p)
             p_rows = _guessed_biases(p, guess, schedule, L, rows, zero_sum)
-            shifted = g + p_rows[:, None, :]
-            chosen, row_tie = topk(shifted, K)
+        # Only the rows before the first non-finite one are routed.  The first
+        # row of a block is exact, so a non-finite one raises here; a later one
+        # raises after the yield if every routed row held, and is thrown away
+        # with the other guessed rows past a miss otherwise.
+        overflow = not np.isfinite(p_rows).all()
+        if overflow:
+            finite = int(np.isfinite(p_rows).all(axis=1).argmin())
+            if not finite:
+                raise InvalidRange("bias entries must be finite")
+            rows, p_rows = rows[:finite], p_rows[:finite]
+        M = len(rows)
+        shifted = g + p_rows[:, None, :]
+        chosen, row_tie = topk(shifted, K)
         loads = count_loads(chosen, E)
         held = (loads == guess).all(axis=1)
         first_miss = int(held.argmin())
         missed = not held[first_miss]
         keep = first_miss + 1 if missed else M
-        overflow = False
-        if not np.isfinite(p_rows).all():  # cut before the first non-finite kept row
-            finite = np.isfinite(p_rows[:keep]).all(axis=1)
-            if not finite.all():
-                overflow, keep = True, int(finite.argmin())
         if keep < M:
             rows, p_rows, shifted = rows[:keep], p_rows[:keep], shifted[:keep]
             chosen, loads, row_tie = chosen[:keep], loads[:keep], row_tie[:keep]
         # A consumer's in-place change must not reach the next dual step.
         p_rows.flags.writeable = False
         loads.flags.writeable = False
-        if keep:
-            yield rows, p_rows, shifted, chosen, loads, row_tie
-        if overflow:
+        yield rows, p_rows, shifted, chosen, loads, row_tie
+        if overflow and not missed:
             raise InvalidRange("bias entries must be finite")
         n += keep
         guess = loads[-1]

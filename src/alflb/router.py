@@ -37,8 +37,8 @@ class RawScoreMatrix:
 class RoutingOutcome:
     """Result of one Top-K routing pass.
 
-    assigned_experts[i] lists token i's selected experts in decreasing
-    shifted-score order (lowest index first among equals).
+    assigned_experts[i] lists token i's selected experts in ascending
+    expert index (the lowest indices among equal scores at the boundary).
     """
 
     loads: LoadVector
@@ -66,19 +66,17 @@ def softmax_affinities(raw: RawScoreMatrix) -> np.ndarray:
 def topk(shifted: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
     """Per row of a (..., T, E) score array, the indices of the K largest entries.
 
-    Returns ``chosen`` (..., T, K) int64 in decreasing-score order, lowest
-    index first among equals, and ``row_tie`` (..., T) bool, true where the
-    K-th and the (K+1)-th largest scores are equal.  Leading axes are a batch
-    of score matrices, each routed as on its own.  No input checks: this is
-    the kernel under ``route_topk`` and the iteration loop.
+    Returns ``chosen`` (..., T, K) int64 in ascending expert index, and
+    ``row_tie`` (..., T) bool, true where the K-th and the (K+1)-th largest
+    scores are equal; on such a tie the lowest indices among the equal
+    scores are chosen.  Leading axes are a batch of score matrices, each
+    routed as on its own.  No input checks: this is the kernel under
+    ``route_topk`` and the iteration loop, and the scores must not hold NaN.
 
-    For K > 1 the kernel makes K passes of row ``argmax`` over a copy of the
-    scores, masking each pick with -inf before the next pass: K*T*E compares
-    in place of a sort of every row.  ``argmax`` returns the lowest index
-    among equal maxima, so the picks come out in the order of a stable sort
-    by descending score.  Rows that hold NaN or -inf get unspecified picks;
-    such rows come only from overflowed biases, and ``iterate`` never yields
-    them.
+    For K > 1 the kernel sorts every row once: its K-th and (K+1)-th largest
+    entries give the tie flag, and the chosen set is every cell at or above
+    the K-th, cut to the lowest indices only on tied rows.  Loads and the
+    Lagrangian depend only on the set, so no score order is kept.
     """
     E = shifted.shape[-1]
     if K == 1:
@@ -86,30 +84,34 @@ def topk(shifted: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
         # the maximum is tied where its first and last positions differ
         last = E - 1 - shifted[..., ::-1].argmax(axis=-1)
         return best[..., None], best != last
-    work = np.array(shifted, dtype=np.float64, order="C")
-    rows = work.reshape(-1, E)
-    cells = work.reshape(-1)  # both views of the copy, for the masking writes
-    start = np.arange(0, cells.size, E)
-    chosen = np.empty((len(rows), K), dtype=np.int64)
-    for j in range(K):
-        pick = rows.argmax(axis=1)
-        chosen[:, j] = pick
-        at = start + pick
-        kth = cells[at]
-        cells[at] = -np.inf
+    lead = shifted.shape[:-1]
+    rows = shifted.reshape(-1, E)
+    ranked = np.sort(rows, axis=1)
+    kth = ranked[:, E - K, None]
+    taken = rows >= kth
     if K < E:
-        # one more pass finds the (K+1)-th largest score
-        row_tie = kth == cells[start + rows.argmax(axis=1)]
+        row_tie = kth[:, 0] == ranked[:, E - K - 1]
+        tied = np.flatnonzero(row_tie)
+        if tied.size:  # keep the lowest indices among cells at the K-th score
+            at = rows[tied] == kth[tied]
+            cells, count = np.flatnonzero(at), np.count_nonzero(at, axis=1)
+            room = np.count_nonzero(ranked[tied, E - K:] == kth[tied], axis=1)
+            # each such cell's rank in its row, in index order, from one flat
+            # list: cheaper than a cumulative sum over the whole rows
+            rank = np.arange(len(cells)) - np.repeat(np.cumsum(count) - count, count)
+            at.reshape(-1)[cells[rank < np.repeat(room, count)]] = False
+            taken[tied] &= ~at  # clears the equal cells past the room
     else:
         row_tie = np.zeros(len(rows), dtype=bool)
-    lead = shifted.shape[:-1]
+    # each row holds K cells, read out in row-major order
+    chosen = np.flatnonzero(taken).reshape(-1, K) % E
     return chosen.reshape(lead + (K,)), row_tie.reshape(lead)
 
 
 def topk_set(shifted: np.ndarray, K: int) -> np.ndarray:
     """The indices (..., T, K) of the K largest entries of every row of a
     (..., T, E) score array, in no set order: sampled continuous scores tie
-    with probability 0, so neither ``topk``'s order nor its tie flags are
+    with probability 0, so neither ``topk``'s tie rule nor its tie flags are
     needed."""
     return np.argpartition(-shifted, K - 1, axis=-1)[..., :K]
 

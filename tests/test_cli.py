@@ -702,7 +702,7 @@ PINNED_SHA256 = {
         "summary.json": "91701382f51676417f37deaaae0ad897396318aa04ec2436283b31823a6bd64e",
     },
     "trace_k3_t37_e7": {
-        "trace.csv": "2dc7db71212169f9c38c6137387abe9536d7c69026b23b9ef873e11bbd86ab45",
+        "trace.csv": "be162b682c13e3f45a0229d890c8d26bc13a14c3a1d9fecadaa5de2194d91e8e",
         "summary.json": "cafdeee8a707440033e8f41e48d4b518513fba7cc5ad4590bd2021bafc34b754",
     },
     "compare_k2_t37_e7": {

@@ -1,12 +1,16 @@
 """The raw-array Top-K kernel, iteration loop and trace audit against the
 container-based reference in ``reference_routing``.  Discrete outputs are
-equal and float outputs bitwise equal, except the trace's Lagrangian column
-and the identity residuals built from it: the lab gathers the routed scores
+equal and float outputs bitwise equal.  The reference lists each token's
+experts in decreasing score order and ``topk`` in ascending expert index, so
+``chosen`` is compared with the reference's sorted along its last axis.  The
+exceptions to bitwise equality are the trace's Lagrangian column and the
+identity residuals built from it: the lab gathers the routed scores
 (``router.lagrangian``) where the reference sums a dense selection matrix, so
 the two round differently, within ``LAGRANGIAN_TOL * (1 + |value|)``.  The
-column equals ``router.lagrangian`` on the reference's own rows bit for bit,
-and the trace's Lagrangian column and switch table equal, bit for bit, what a
-loop over ``iterate``'s blocks computes from the shifted scores it yields.
+column equals ``router.lagrangian`` on the reference's own rows, taken in
+index order, bit for bit, and the trace's Lagrangian column and switch table
+equal, bit for bit, what a loop over ``iterate``'s blocks computes from the
+shifted scores it yields.
 """
 
 import warnings
@@ -81,14 +85,14 @@ def test_topk_matches_reference_on_tied_grid(scores):
         want = ref.route_topk(gamma, BiasVector(bias), K)
         chosen, row_tie = topk(gamma + bias[None, :], K)
         assert chosen.dtype == np.int64 and chosen.shape == (T, K)
-        np.testing.assert_array_equal(chosen, want.assigned_experts)
+        np.testing.assert_array_equal(chosen, np.sort(want.assigned_experts, axis=-1))
         np.testing.assert_array_equal(row_tie, want.row_tie)
         # a batch of score matrices is routed matrix by matrix
         flipped = ref.route_topk(gamma, BiasVector(-bias), K)
         chosen, row_tie = topk(np.stack((gamma + bias, gamma - bias)), K)
         assert chosen.shape == (2, T, K) and row_tie.shape == (2, T)
         for c, t, w in zip(chosen, row_tie, (want, flipped)):
-            np.testing.assert_array_equal(c, w.assigned_experts)
+            np.testing.assert_array_equal(c, np.sort(w.assigned_experts, axis=-1))
             np.testing.assert_array_equal(t, w.row_tie)
 
 
@@ -122,11 +126,24 @@ def test_topk_matches_reference_on_wide_shapes(scores, K):
     assert chosen.dtype == np.int64 and row_tie.dtype == bool
     assert chosen.shape == scores.shape[:-1] + (K,)
     assert row_tie.shape == scores.shape[:-1]
-    np.testing.assert_array_equal(chosen, want_chosen)
+    np.testing.assert_array_equal(chosen, np.sort(want_chosen, axis=-1))
     np.testing.assert_array_equal(row_tie, want_tie)
     # the boundary ties the grid is for occur wherever a boundary exists
     assert want_tie.any() == (K < scores.shape[-1])
     assert scores.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("E", [2, 3, 8, 64])
+@pytest.mark.parametrize("grid", [True, False], ids=["tied", "normal"])
+def test_topk_lists_experts_in_ascending_index(grid, E):
+    rng = np.random.default_rng(E)
+    if grid:
+        scores = rng.integers(-8, 9, (128, E)) / 8
+    else:
+        scores = rng.standard_normal((128, E))
+    for K in sorted({2, E - 1, E}):
+        chosen, _ = topk(scores, K)
+        assert (np.diff(chosen, axis=-1) > 0).all()
 
 
 def _switch_bits(token, from_expert, to_expert, benefit, gap_prev):
@@ -163,7 +180,9 @@ def _assert_traces_equal(gamma, got, want):
         ]
         value = b.lagrangian.value
         assert abs(got.lagrangian[m] - value) <= LAGRANGIAN_TOL * (1 + abs(value))
-        routed = lagrangian(gamma, b.outcome.assigned_experts, b.p, got.L)
+        # the reference's experts in index order, as the lab adds them
+        in_index_order = np.sort(b.outcome.assigned_experts, axis=-1)
+        routed = lagrangian(gamma, in_index_order, b.p, got.L)
         assert float(got.lagrangian[m]).hex() == float(routed).hex()
 
 
@@ -370,24 +389,25 @@ def _overflowing_run(run):
     return rows, False
 
 
-def _assert_overflow_matches_stepwise(gamma, K, iterations):
+def _assert_overflow_matches_stepwise(gamma, K, iterations, zero_sum=False):
     """``iterate`` under warnings-as-errors yields the stepwise rows of a run
-    whose first dual step overflows, and raises where the stepwise loop does."""
+    whose first dual step overflows, and raises where the stepwise loop does,
+    with no other exception on the way."""
     sched = StepSchedule(ScheduleKind.CONSTANT, 1e308)
-    with np.errstate(over="ignore"):
-        stepwise = ref.iterate_stepwise(gamma, sched, K)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stepwise = ref.iterate_stepwise(gamma, sched, K, zero_sum)
         want = _overflowing_run(step[0] for step in islice(stepwise, iterations))
     assert want == ([1], iterations > 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        blocks = iterate(gamma, sched, K, iterations=iterations)
+        blocks = iterate(gamma, sched, K, zero_sum, iterations=iterations)
         got = _overflowing_run(n for block in blocks for n in block[0])
         assert got == want
         if want[1]:
             with pytest.raises(InvalidRange):
-                simulate_fixed_scores(gamma, sched, iterations, K)
+                simulate_fixed_scores(gamma, sched, iterations, K, zero_sum)
         else:
-            simulate_fixed_scores(gamma, sched, iterations, K)
+            simulate_fixed_scores(gamma, sched, iterations, K, zero_sum)
 
 
 @pytest.mark.parametrize("iterations", [1, 2, 5])
@@ -400,9 +420,19 @@ def test_overflow_raises_at_the_stepwise_iteration(iterations):
 def test_overflow_to_minus_inf_raises_at_the_stepwise_iteration_k2(iterations):
     # every token on expert 0, half on expert 1 and half on expert 2: with
     # L = 4 the first dual step is (-2e308, 1e308, 1e308) = (-inf, 1e308,
-    # 1e308), so the second routing masks its picks among real -inf scores
+    # 1e308), biases that are never routed
     gamma = np.repeat([[0.6, 0.3, 0.1], [0.6, 0.1, 0.3]], 3, axis=0)
     _assert_overflow_matches_stepwise(gamma, 2, iterations)
+
+
+@pytest.mark.parametrize("iterations", [1, 2, 5])
+def test_overflow_to_nan_raises_at_the_stepwise_iteration_k3(iterations):
+    # every token on experts 0-2: with L = 6 the first dual step is
+    # (-2e308, -2e308, -2e308, 6e308) = (-inf, -inf, -inf, inf), and the
+    # zero-sum projection subtracts its NaN mean, so every bias is NaN; a
+    # NaN row that reached topk would not hold K cells at or above its K-th
+    gamma = np.tile([0.3, 0.3, 0.3, 0.1], (8, 1))
+    _assert_overflow_matches_stepwise(gamma, 3, iterations, zero_sum=True)
 
 
 def _assert_audits_equal(gamma, sched, iterations):

@@ -1,7 +1,8 @@
-"""Per-call cost of the ordered Top-K kernel ``router.topk``.
+"""Per-call cost of the Top-K kernel ``router.topk``.
 
 Times ``router.topk`` at a fixed set of (T, E, K) shapes, plus ``topk`` and
-``router.topk_set`` at the regret round's batched shape, and writes the
+``router.topk_set`` at the batched shapes of a regret round and of a moment
+check block, and ``topk`` on tied scores at (2048, 64, 8), and writes the
 median microseconds per call to a JSON file.  With ``--parent CHECKOUT`` the
 same harness also times the alflb under ``CHECKOUT/src``, so the file holds a
 before/after pair from one machine.  Each case is timed in a fresh
@@ -11,8 +12,12 @@ order, so slow drifts of the host fall on both columns alike.
 
     python tools/bench_topk.py --parent ../alflb-parent --out BENCH_topk.json
 
-The scores are standard normal draws (seed 0), so rows do not tie.  This is
-not part of the test suite or of ``perfbench``.
+The scores are standard normal draws (seed 0), so rows do not tie, except in
+the tied case: scores on the 1/8 grid from -1 to 1 (seed 0), where about
+three rows in four tie at the K-th score and take ``topk``'s tie fix-up.  No
+benchmark workload routes tied scores today (their affinities are softmaxes
+of normal draws), so that case puts the cost of the tie path on record only.
+This is not part of the test suite or of ``perfbench``.
 """
 
 from __future__ import annotations
@@ -34,9 +39,14 @@ TOPK_SHAPES = [
 ]
 # the regret round of acceptance criterion 8: 32 replicas, T = 64, E = 8, K = 2
 REGRET_SHAPE = (32, 64, 8, 2)
-CASES = [("topk", s) for s in TOPK_SHAPES + [REGRET_SHAPE]] + [
-    ("topk_set", REGRET_SHAPE)
-]
+# one moment-check block: MOMENT_BATCH = 512 replicas, T = 24, E = 3, K = 2
+MOMENT_SHAPE = (512, 24, 3, 2)
+# (kernel, shape, scores): "normal" draws or "tied" 1/8-grid values
+CASES = (
+    [("topk", s, "normal") for s in TOPK_SHAPES + [REGRET_SHAPE, MOMENT_SHAPE]]
+    + [("topk_set", s, "normal") for s in (REGRET_SHAPE, MOMENT_SHAPE)]
+    + [("topk", (2048, 64, 8), "tied")]
+)
 CALLS_PER_RUN = 20
 RUNS_PER_ROUND = 10
 ROUNDS = 5  # RUNS_PER_ROUND * ROUNDS samples per cell
@@ -50,9 +60,13 @@ def measure(case: int) -> list[float]:
 
     from alflb import router
 
-    kernel, (*dims, K) = CASES[case]
+    kernel, (*dims, K), kind = CASES[case]
     fn = getattr(router, kernel)
-    scores = np.random.default_rng(0).standard_normal(dims)
+    rng = np.random.default_rng(0)
+    if kind == "tied":
+        scores = rng.integers(-8, 9, dims) / 8
+    else:
+        scores = rng.standard_normal(dims)
     fn(scores, K)  # warm-up
     samples = []
     for _ in range(RUNS_PER_ROUND):
@@ -113,8 +127,8 @@ def main(argv=None) -> int:
     import numpy as np
 
     rows = []
-    for case, (kernel, (*dims, K)) in enumerate(CASES):
-        row = {"kernel": kernel, "shape": dims, "K": K}
+    for case, (kernel, (*dims, K), kind) in enumerate(CASES):
+        row = {"kernel": kernel, "shape": dims, "K": K, "scores": kind}
         for column in sources:
             row[column] = round(statistics.median(samples[column][case]), 1)
         if "parent" in row:
@@ -122,7 +136,8 @@ def main(argv=None) -> int:
         rows.append(row)
     report = {
         "what": "median µs per call of router.topk (and router.topk_set at "
-                "the regret shape) on standard normal scores",
+                "the regret and moment shapes) on standard normal scores, and "
+                "of router.topk on tied 1/8-grid scores",
         "samples_per_cell": RUNS_PER_ROUND * ROUNDS,
         "calls_per_sample": CALLS_PER_RUN,
         "machine": {
