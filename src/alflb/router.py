@@ -70,8 +70,10 @@ def topk(shifted: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
     ``row_tie`` (..., T) bool, true where the K-th and the (K+1)-th largest
     scores are equal; on such a tie the lowest indices among the equal
     scores are chosen.  Leading axes are a batch of score matrices, each
-    routed as on its own.  No input checks: this is the kernel under
-    ``route_topk`` and the iteration loop, and the scores must not hold NaN.
+    routed as on its own.  No input checks: this is the one Top-K kernel of
+    the package, under ``route_topk``, ``deterministic.iterate``, and both
+    sides of a regret round and the moment check in ``stochastic``; the
+    scores must not hold NaN.
 
     For K > 1 the kernel sorts every row once: its K-th and (K+1)-th largest
     entries give the tie flag, and the chosen set is every cell at or above
@@ -108,14 +110,6 @@ def topk(shifted: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
     return chosen.reshape(lead + (K,)), row_tie.reshape(lead)
 
 
-def topk_set(shifted: np.ndarray, K: int) -> np.ndarray:
-    """The indices (..., T, K) of the K largest entries of every row of a
-    (..., T, E) score array, in no set order: sampled continuous scores tie
-    with probability 0, so neither ``topk``'s tie rule nor its tie flags are
-    needed."""
-    return np.argpartition(-shifted, K - 1, axis=-1)[..., :K]
-
-
 def loads(chosen: np.ndarray, E: int) -> np.ndarray:
     """Per-expert counts (..., E) of a (..., T, K) block of chosen expert
     indices: the loads of each routing in the block."""
@@ -134,7 +128,8 @@ def lagrangian(
     selects, p (..., E) the biases.  The leading axes of all three
     broadcast, so one (T, E) matrix scores a block of routings.  Only the
     chosen cells are added, each as gamma_ik + p_k, the same add as the
-    cell of gamma + p.  This is also the online loss f_n of a round."""
+    cell of gamma + p.  It scores both sides of a regret round: the online
+    loss f_n at the iterate and f* at the fixed minimizer."""
     E = gamma.shape[-1]
     # the chosen cells' flat indices: row r of gamma, or of p, starts at r * E
     cells = chosen + np.arange(0, gamma.size, E).reshape(gamma.shape[:-1] + (1,))

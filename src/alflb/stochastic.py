@@ -19,7 +19,7 @@ from .distributions import (
     QUAD_MAX_DOUBLINGS, QUAD_TOL, AffinityDistributionSet, _gauss_legendre,
 )
 from .errors import InvalidRange, NoConvergence, ValidationError
-from .router import lagrangian, loads, topk_set
+from .router import lagrangian, loads, topk
 
 MOMENT_BATCH = 512       # replicas per check_gradient_moments block
 MINIMIZER_MAX_ITER = 500
@@ -219,7 +219,7 @@ def check_gradient_moments(
     while done < replicas:
         m = min(MOMENT_BATCH, replicas - done)
         block = dist.sample_matrix((m, T), rng)
-        g_all[done : done + m] = loads(topk_set(block + p, K), E) - L
+        g_all[done : done + m] = loads(topk(block + p, K)[0], E) - L
         done += m
 
     emp_mean = g_all.mean(axis=0)
@@ -499,13 +499,11 @@ def regret_experiment(
 
     for n in range(1, rounds + 1):
         block = dist.sample_matrix((replicas, T), rng)
-        # one Top-K selection per side: indices for the iterate, values for p*
-        shifted = block + P[:, None, :]
-        chosen = topk_set(shifted, K)
+        # both sides route by one kernel and score by one Lagrangian, so
+        # their cells add in the same order
+        chosen = topk(block + P[:, None, :], K)[0]
         f_iter = lagrangian(block, chosen, P, L)
-        shifted_star = block + ps[None, None, :]
-        top_star = -np.partition(-shifted_star, K - 1, axis=2)[:, :, :K]
-        f_star = top_star.sum(axis=(1, 2)) - L * ps.sum()
+        f_star = lagrangian(block, topk(block + ps, K)[0], ps, L)
 
         cum += f_iter - f_star
         mean_cum[n - 1] = cum.mean()

@@ -12,7 +12,6 @@ from alflb.router import (
     route_topk,
     softmax_affinities,
     topk,
-    topk_set,
 )
 from conftest import random_affinities
 from reference_routing import dense_lagrangian
@@ -138,13 +137,13 @@ class TestRouteTopK:
 
 
 class TestLagrangian:
-    """The unordered Top-K set, the loads and the Lagrangian of a routing,
-    which score the regret rounds and the fixed-score trace alike."""
+    """The Top-K set, the loads and the Lagrangian of a routing, which
+    score the regret rounds and the fixed-score trace alike."""
 
     def test_hand_instance(self):
         p = np.array([0.0, 0.05])
         gamma = np.array([[0.9, 0.1]])
-        chosen = topk_set(gamma + p, 1)
+        chosen = topk(gamma + p, 1)[0]
         assert chosen.tolist() == [[0]]
         assert lagrangian(gamma, chosen, p, 0.5) == pytest.approx(0.875, abs=1e-15)
 
@@ -154,11 +153,11 @@ class TestLagrangian:
             p = rng.uniform(-0.1, 0.1, size=4)
             g = random_affinities(16, 4, seed=seed)
             shifted = g + p
-            chosen = topk_set(shifted, 1)
+            chosen = topk(shifted, 1)[0]
             got = lagrangian(g, chosen, p, 4.0)
             want = dense_lagrangian(shifted, chosen, p, 4.0)
             assert got == pytest.approx(want, abs=1e-12)
-            np.testing.assert_array_equal(chosen, topk(shifted, 1)[0])
+            np.testing.assert_array_equal(chosen[:, 0], shifted.argmax(axis=-1))
 
     @pytest.mark.parametrize("E", [3, 5, 8])
     def test_equals_dense_lagrangian_topk(self, E):
@@ -169,27 +168,26 @@ class TestLagrangian:
                 g = random_affinities(4 * E, E, seed=100 * E + seed)
                 shifted = g + p
                 L = K * 4.0
-                chosen = topk_set(shifted, K)
+                chosen = topk(shifted, K)[0]
                 got = lagrangian(g, chosen, p, L)
                 want = dense_lagrangian(shifted, chosen, p, L)
                 assert got == pytest.approx(want, abs=1e-12)
-                # the same expert set as the router's ordered Top-K
-                np.testing.assert_array_equal(
-                    np.sort(chosen, axis=-1), np.sort(topk(shifted, K)[0], axis=-1)
-                )
+                # the same expert set as an independent partition
+                top = np.argpartition(-shifted, K - 1, axis=-1)[..., :K]
+                np.testing.assert_array_equal(chosen, np.sort(top, axis=-1))
 
     def test_batched_rows_equal_single_rows(self):
         rng = np.random.default_rng(3)
         P = rng.uniform(-0.1, 0.1, size=(5, 6))
         scores = rng.uniform(size=(5, 12, 6))
         shifted = scores + P[:, None, :]
-        chosen = topk_set(shifted, 2)
+        chosen = topk(shifted, 2)[0]
         loss = lagrangian(scores, chosen, P, 4.0)
         counts = loads(chosen, 6)
         assert chosen.shape == (5, 12, 2) and loss.shape == (5,)
         assert counts.shape == (5, 6)
         for r in range(5):
-            c = topk_set(shifted[r], 2)
+            c = topk(shifted[r], 2)[0]
             np.testing.assert_array_equal(c, chosen[r])
             assert lagrangian(scores[r], c, P[r], 4.0) == loss[r]
             # a 2-D block is one routing: its loads are an (E,) array
@@ -199,10 +197,10 @@ class TestLagrangian:
     def test_uniform_shift_cancels_at_balanced_target(self):
         g = random_affinities(12, 4, seed=31)
         L = 2 * 12 / 4
-        base = lagrangian(g, topk_set(g, 2), np.zeros(4), L)
+        base = lagrangian(g, topk(g, 2)[0], np.zeros(4), L)
         for c in (0.4, -2.0):
             p = np.full(4, c)
-            val = lagrangian(g, topk_set(g + p, 2), p, L)
+            val = lagrangian(g, topk(g + p, 2)[0], p, L)
             assert val == pytest.approx(base, abs=1e-9)
 
 

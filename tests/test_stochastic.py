@@ -316,8 +316,9 @@ class TestExpectedLossMinimizer:
 class TestRegretExperiment:
     @pytest.mark.parametrize("K", [1, 2, 3, 5])
     def test_first_round_at_zero_minimizer_has_no_regret(self, K):
-        # at round 1 the iterate is p = 0 = p*, so the router.lagrangian side and
-        # the value-only partition side must give the same loss exactly
+        # at round 1 the iterate is p = 0 = p*, and both sides route by
+        # router.topk and score by router.lagrangian, so they give the same
+        # loss exactly
         ds = AffinityDistributionSet((BetaScore(2.0, 2.0),) * 6)
         rng = RandomSource(14, 7).generator()
         acct = regret_experiment(
@@ -326,6 +327,39 @@ class TestRegretExperiment:
         )
         assert acct.mean_cum_regret[0] == 0.0
         assert np.all(acct.final_per_replica == 0)
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 5])
+    def test_f_star_equals_value_only_partition(self, K, monkeypatch):
+        # f* of each round, scored by router.lagrangian on router.topk's set,
+        # against the sum of the K largest shifted scores read off a value
+        # partition: the same cells added in another order, so equal to
+        # 1e-14 * (1 + |f*|) for K > 1 and exactly for K = 1
+        calls = []
+        stochastic_lagrangian = stochastic.lagrangian
+
+        def recording(gamma, chosen, p, L):
+            f = stochastic_lagrangian(gamma, chosen, p, L)
+            calls.append((gamma, p, L, f))
+            return f
+
+        monkeypatch.setattr(stochastic, "lagrangian", recording)
+        ds = AffinityDistributionSet(
+            (BetaScore(2.0, 2.0), UniformScore(0.1, 0.9), BetaScore(2.0, 5.0)) * 2
+        )
+        p_star = np.array([0.05, -0.02, 0.1, -0.08, 0.0, -0.05])
+        regret_experiment(
+            ds, 24, K, mu=50.0, p_star=p_star,
+            rounds=3, replicas=16, rng=RandomSource(15, 7).generator(),
+        )
+        star = [(g, p, L, f) for g, p, L, f in calls if p.ndim == 1]
+        assert len(star) == 3
+        for block, ps, L, f_star in star:
+            top = -np.partition(-(block + ps), K - 1, axis=2)[:, :, :K]
+            want = top.sum(axis=(1, 2)) - L * ps.sum()
+            if K == 1:
+                np.testing.assert_array_equal(f_star, want)
+            else:
+                assert np.all(np.abs(f_star - want) <= 1e-14 * (1.0 + np.abs(want)))
 
     def test_start_at_optimum_gap_near_zero(self):
         ds = AffinityDistributionSet((BetaScore(2.0, 2.0),) * 4)

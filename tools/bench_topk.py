@@ -1,14 +1,14 @@
 """Per-call cost of the Top-K kernel ``router.topk``.
 
-Times ``router.topk`` at a fixed set of (T, E, K) shapes, plus ``topk`` and
-``router.topk_set`` at the batched shapes of a regret round and of a moment
-check block, and ``topk`` on tied scores at (2048, 64, 8), and writes the
-median microseconds per call to a JSON file.  With ``--parent CHECKOUT`` the
-same harness also times the alflb under ``CHECKOUT/src``, so the file holds a
-before/after pair from one machine.  Each case is timed in a fresh
-interpreter, so no case inherits the allocator state another case left
-behind, ``ROUNDS`` times per checkout, the two checkouts in alternating
-order, so slow drifts of the host fall on both columns alike.
+Times ``router.topk`` at a fixed set of (T, E, K) shapes, at the batched
+shapes of a regret round and of a moment check block, and on tied scores at
+(2048, 64, 8), and writes the median and quartiles of microseconds per call
+to a JSON file.  With ``--parent CHECKOUT`` the same harness also times the
+alflb under ``CHECKOUT/src``, so the file holds a before/after pair from one
+machine.  Each case is timed in a fresh interpreter, so no case inherits the
+allocator state another case left behind, ``ROUNDS`` times per checkout, the
+two checkouts in alternating order, so slow drifts of the host fall on both
+columns alike.
 
     python tools/bench_topk.py --parent ../alflb-parent --out BENCH_topk.json
 
@@ -26,11 +26,12 @@ import argparse
 import json
 import os
 import platform
-import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+from bench_simulate import _summary
 
 # (leading axes..., T, E, K) for router.topk
 TOPK_SHAPES = [
@@ -41,11 +42,10 @@ TOPK_SHAPES = [
 REGRET_SHAPE = (32, 64, 8, 2)
 # one moment-check block: MOMENT_BATCH = 512 replicas, T = 24, E = 3, K = 2
 MOMENT_SHAPE = (512, 24, 3, 2)
-# (kernel, shape, scores): "normal" draws or "tied" 1/8-grid values
+# (shape, scores): "normal" draws or "tied" 1/8-grid values
 CASES = (
-    [("topk", s, "normal") for s in TOPK_SHAPES + [REGRET_SHAPE, MOMENT_SHAPE]]
-    + [("topk_set", s, "normal") for s in (REGRET_SHAPE, MOMENT_SHAPE)]
-    + [("topk", (2048, 64, 8), "tied")]
+    [(s, "normal") for s in TOPK_SHAPES + [REGRET_SHAPE, MOMENT_SHAPE]]
+    + [((2048, 64, 8), "tied")]
 )
 CALLS_PER_RUN = 20
 RUNS_PER_ROUND = 10
@@ -60,19 +60,18 @@ def measure(case: int) -> list[float]:
 
     from alflb import router
 
-    kernel, (*dims, K), kind = CASES[case]
-    fn = getattr(router, kernel)
+    (*dims, K), kind = CASES[case]
     rng = np.random.default_rng(0)
     if kind == "tied":
         scores = rng.integers(-8, 9, dims) / 8
     else:
         scores = rng.standard_normal(dims)
-    fn(scores, K)  # warm-up
+    router.topk(scores, K)  # warm-up
     samples = []
     for _ in range(RUNS_PER_ROUND):
         t0 = time.perf_counter()
         for _ in range(CALLS_PER_RUN):
-            fn(scores, K)
+            router.topk(scores, K)
         samples.append((time.perf_counter() - t0) / CALLS_PER_RUN * 1e6)
     return samples
 
@@ -127,17 +126,18 @@ def main(argv=None) -> int:
     import numpy as np
 
     rows = []
-    for case, (kernel, (*dims, K), kind) in enumerate(CASES):
-        row = {"kernel": kernel, "shape": dims, "K": K, "scores": kind}
+    for case, ((*dims, K), kind) in enumerate(CASES):
+        row = {"shape": dims, "K": K, "scores": kind}
         for column in sources:
-            row[column] = round(statistics.median(samples[column][case]), 1)
+            row[column] = _summary(samples[column][case])
         if "parent" in row:
-            row["change_over_parent"] = round(row["change"] / row["parent"], 3)
+            row["change_over_parent"] = round(
+                row["change"]["median"] / row["parent"]["median"], 3
+            )
         rows.append(row)
     report = {
-        "what": "median µs per call of router.topk (and router.topk_set at "
-                "the regret and moment shapes) on standard normal scores, and "
-                "of router.topk on tied 1/8-grid scores",
+        "what": "µs per call of router.topk on standard normal scores, and "
+                "on tied 1/8-grid scores",
         "samples_per_cell": RUNS_PER_ROUND * ROUNDS,
         "calls_per_sample": CALLS_PER_RUN,
         "machine": {
