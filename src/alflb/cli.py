@@ -389,16 +389,12 @@ def _run_balance(cfg: ExperimentConfig, out: Path, parallel: int = 1):
     workers = min(parallel, instances, os.cpu_count() or 1)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_balance_one_star, args))
+            rows = list(pool.map(_balance_one, *zip(*args)))
     else:
         rows = [_balance_one(*a) for a in args]
     _write_csv(out / "balance.csv", {key: [r[key] for r in rows] for key in rows[0]})
     verdicts = {"theorem3": all(r["pass"] for r in rows)}
     return verdicts, {"instances": instances, "failures": [r["seed"] for r in rows if not r["pass"]]}
-
-
-def _balance_one_star(a):
-    return _balance_one(*a)
 
 
 def _run_moment(cfg: ExperimentConfig, out: Path):

@@ -473,8 +473,13 @@ def regret_experiment(
     rng: np.random.Generator,
     kappa: float = 0.1,
 ) -> RegretAccounting:
-    """Projected online gradient descent with step 1/(mu n), paired against
-    the fixed minimizer on the same sampled batches.
+    """Online gradient descent with step 1/(mu n), paired against the fixed
+    minimizer on the same sampled batches.
+
+    Each step projects the biases onto the zero-sum subspace only, not onto
+    the domain of diameter at most 1 - kappa where ``mu`` holds; a round
+    whose iterate leaves that domain in any replica is only counted in
+    ``diam_violations``.
 
     Raises InvalidRange when mu is not finite or not > 0: the step and the
     bound divide by it.

@@ -173,8 +173,8 @@ class TestRunBalance:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, args):
-                return map(fn, args)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)

@@ -1,13 +1,17 @@
-"""The harnesses under ``tools/`` still import what they name from ``alflb``.
+"""The tools under ``tools/`` still import what they name.
 
 The tools are not run by the test suite, so a name deleted from ``src/``
 would otherwise break them silently.  Each ``from alflb.<module> import
 <name>`` must resolve to an attribute of the module, and each ``<module>.<name>``
-read on a module bound by ``from alflb import <module>`` must exist.
+read on a module bound by ``from alflb import <module>`` must exist.  Each
+tool must also start and print its help, which runs its imports of other
+tools (``harness``).
 """
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +53,14 @@ def test_tool_imports_resolve(tool):
         if not hasattr(importlib.import_module(module), name)
     )
     assert not missing, f"{tool.name} reads names alflb does not have: {missing}"
+
+
+@pytest.mark.parametrize(
+    "tool", [t for t in TOOLS if t.name != "harness.py"], ids=lambda p: p.name
+)
+def test_tool_prints_help(tool):
+    proc = subprocess.run(
+        [sys.executable, str(tool), "--help"], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "--parent" in proc.stdout
