@@ -40,7 +40,8 @@ from .deterministic import (
 )
 from .distributions import AffinityDistributionSet, BetaScore, MixtureScore, UniformScore
 from .errors import (
-    DegenerateGaps, DimMismatch, InvalidRange, OverflowGuard, ParseError, ValidationError,
+    DegenerateGaps, DimMismatch, InvalidRange, NoConvergence, OverflowGuard, ParseError,
+    ValidationError,
 )
 from .router import RawScoreMatrix, softmax_affinities
 from .stochastic import (
@@ -149,10 +150,12 @@ def _integers(value, field: str) -> tuple[int, ...]:
 
 
 def _in_range(field: str, check, *args):
-    """Apply a range rule the library owns, as a ValidationError on ``field``."""
+    """Apply a range rule the library owns, as a ValidationError on ``field``.
+    ``NoConvergence`` counts as one: ``BetaScore`` raises it for shapes whose
+    cdf needs too many continued-fraction terms."""
     try:
         return check(*args)
-    except InvalidRange as exc:
+    except (InvalidRange, NoConvergence) as exc:
         raise ValidationError(field, str(exc)) from exc
 
 

@@ -12,13 +12,15 @@ doubling the nodes per segment until two estimates agree.  A distribution
 set checks each density's mass with it, and ``stochastic`` integrates its
 selection moments and edge weights with it.
 
-Only ``scipy.special`` is used, imported inside the functions that need it
-(the Beta density and cdf, and the Gauss-Legendre nodes), so the fixed-score
-lab, which never builds a score distribution, never loads scipy.
+Everything here is numpy and ``math``: the Gauss-Legendre nodes come from
+Newton's method on the Legendre recurrence, ln B(a, b) from ``math.lgamma``,
+and the Beta cdf from its continued fraction, so no part of the lab loads
+scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,17 +37,68 @@ QUAD_TOL = 1e-8
 QUAD_MAX_DOUBLINGS = 5
 _QUAD_BASE_NODES = 256
 _QUAD_BLOCK_NODES = 2048
+# Newton's method stops once no node moves by more than _EPS; from
+# Tricomi's guesses it takes 3 steps at 256 to 8,192 nodes.
+_EPS = float(np.finfo(np.float64).eps)
+_NEWTON_MAX_STEPS = 10
+# The Beta cdf's continued fraction gives up beyond _CF_MAX_TERMS terms per
+# side.  Beta(1e6, 1e6), far past what the quadrature can integrate, needs
+# 1,053.
+_CF_MAX_TERMS = 10_000
+
+
+def _legendre(n: int, x: np.ndarray):
+    """P_n(x) and P_{n-1}(x), n >= 1, by the three-term recurrence
+    (k + 1) P_{k+1} = (2k + 1) x P_k - k P_{k-1}."""
+    prev, cur = np.ones_like(x), x.copy()
+    tmp = np.empty_like(x)
+    for k in range(1, n):
+        np.multiply(x, cur, out=tmp)
+        tmp *= (2 * k + 1) / (k + 1)
+        prev *= k / (k + 1)
+        np.subtract(tmp, prev, out=prev)
+        prev, cur = cur, prev
+    return cur, prev
 
 
 @lru_cache(maxsize=32)
 def _leggauss(n: int):
-    """The n-node Gauss-Legendre rule on [-1, 1].  scipy takes the nodes
-    from the banded (tridiagonal) Jacobi matrix; numpy's ``leggauss`` solves
-    a dense eigenproblem and takes seconds at 4,096 nodes, which a
-    quadrature that does not converge reaches before it raises."""
-    from scipy.special import roots_legendre
+    """The n-node Gauss-Legendre rule on [-1, 1], nodes ascending.
 
-    return roots_legendre(n)
+    Newton's method on P_n, evaluated by the three-term recurrence, from
+    Tricomi's initial guesses (Hale & Townsend 2013, SIAM J. Sci. Comput.
+    35), for the nonnegative nodes only: the rule is symmetric, so the
+    negative half is their mirror image.  A node leaves the iteration once
+    its step is at most ``_EPS``.  Each weight is 2 / ((1 - x^2) P_n'(x)^2),
+    and the weights are rescaled to sum to exactly 2, as Hale and Townsend
+    do.  The nodes match ``scipy.special.roots_legendre``'s to 2.2e-16 up to
+    8,192 nodes; 8,192 nodes take about 0.17 s on a 2-vCPU Xeon.
+    """
+    m = n // 2
+    k = np.arange(1, m + 1)
+    theta = np.pi * (4 * k - 1) / (4 * n + 2)
+    x = (1.0 - (n - 1) / (8.0 * n**3)
+         - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * n**4)) * np.cos(theta)
+    if n % 2:
+        x = np.append(x, 0.0)  # P_n(0) = 0 exactly for odd n
+    deriv = np.empty_like(x)
+    todo = np.arange(x.size)
+    for _ in range(_NEWTON_MAX_STEPS):
+        xt = x[todo]
+        pn, pm = _legendre(n, xt)
+        d = n * (pm - xt * pn) / (1.0 - xt * xt)  # P_n'(xt)
+        step = pn / d
+        x[todo] = xt - step
+        deriv[todo] = d
+        todo = todo[np.abs(step) > _EPS]
+        if not todo.size:
+            break
+    else:
+        raise NoConvergence(f"Newton's method for {n} Gauss-Legendre nodes did not converge")
+    w = 2.0 / ((1.0 - x * x) * deriv * deriv)
+    nodes = np.concatenate([-x[:m], x[m:], x[:m][::-1]])
+    weights = np.concatenate([w[:m], w[m:], w[:m][::-1]])
+    return nodes, weights * (2.0 / weights.sum())
 
 
 def _segment_nodes(edges: np.ndarray, n: int):
@@ -97,9 +150,73 @@ def _gauss_legendre(f, a: float, b: float, cuts, tol: float, max_doublings: int)
     )
 
 
+def _cf_coefficients(a: float, b: float) -> tuple[float, ...]:
+    """The coefficients c_1, ..., c_n of the continued fraction
+    I_x(a, b) = x^a (1 - x)^b / (a B(a, b)) / (1 + c_1 x / (1 + c_2 x / ...))
+    (Numerical Recipes, 3rd ed., section 6.4), last first.
+
+    c_1 = -(a + b) / (a + 1), c_2m = m (b - m) / ((a + 2m - 1)(a + 2m)) and
+    c_2m+1 = -(a + m)(a + b + m) / ((a + 2m)(a + 2m + 1)).  The depth n is
+    where a forward modified-Lentz pass at x* = (a + 1) / (a + b + 2), the
+    point of its side where the fraction converges slowest, moves by at most
+    ``_EPS``; it takes O(sqrt(max(a, b))) terms.  Raises ``NoConvergence``
+    past ``_CF_MAX_TERMS`` terms.
+    """
+    x = (a + 1.0) / (a + b + 2.0)
+    coeffs = [-(a + b) / (a + 1.0)]
+    d = 1.0 / _nonzero(1.0 + coeffs[0] * x)
+    c = 1.0
+    m = 0
+    while len(coeffs) < _CF_MAX_TERMS:
+        m += 1
+        coeffs.append(m * (b - m) / ((a + 2 * m - 1.0) * (a + 2 * m)))
+        coeffs.append(-(a + m) * (a + b + m) / ((a + 2 * m) * (a + 2 * m + 1.0)))
+        for cj in coeffs[-2:]:
+            d = 1.0 / _nonzero(1.0 + cj * x * d)
+            c = _nonzero(1.0 + cj * x / c)
+            delta = c * d
+        if abs(delta - 1.0) <= _EPS:
+            return tuple(reversed(coeffs))
+    raise NoConvergence(
+        f"the Beta({a}, {b}) cdf's continued fraction needs more than {_CF_MAX_TERMS} terms"
+    )
+
+
+def _nonzero(v: float) -> float:
+    """Lentz's guard: v, or 1e-300 where |v| is smaller."""
+    return 1e-300 if abs(v) < 1e-300 else v
+
+
+def _continued_fraction(backward: tuple[float, ...], y: np.ndarray) -> np.ndarray:
+    """1 + c_1 y / (1 + c_2 y / (... (1 + c_n y))), evaluated from the last
+    term back, in place: each term is one divide, multiply and add."""
+    t = np.ones_like(y)
+    for c in backward:
+        np.divide(y, t, out=t)
+        np.multiply(t, c, out=t)
+        np.add(t, 1.0, out=t)
+    return t
+
+
+@lru_cache(maxsize=256)
+def _beta_terms(a: float, b: float):
+    """ln B(a, b) and the continued-fraction coefficients of I_x(a, b) below
+    x* = (a + 1) / (a + b + 2) and of I_{1-x}(b, a) above it."""
+    try:
+        ln_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    except OverflowError:  # a shape above about 2.5e305
+        raise InvalidRange(f"ln B({a}, {b}) overflows a float") from None
+    return ln_beta, _cf_coefficients(a, b), _cf_coefficients(b, a)
+
+
 @dataclass(frozen=True)
 class BetaScore:
-    """Beta(a, b) affinity scores; a, b >= 1 keeps the density bounded."""
+    """Beta(a, b) affinity scores; a, b >= 1 keeps the density bounded.
+
+    Construction also picks the cdf's continued-fraction depths.  It raises
+    ``NoConvergence`` for shapes that need more than ``_CF_MAX_TERMS`` terms,
+    and ``InvalidRange`` where ln B(a, b) overflows.
+    """
 
     a: float
     b: float
@@ -107,35 +224,56 @@ class BetaScore:
     def __post_init__(self):
         if self.a < 1.0 or self.b < 1.0:
             raise InvalidRange("beta shapes must be >= 1 for a bounded density")
+        _beta_terms(self.a, self.b)
 
     def pdf(self, x):
         """x^(a-1) (1-x)^(b-1) / B(a, b) on [0, 1], in log space, and 0
-        outside it; a NaN argument gives NaN.
+        outside it; a NaN argument gives NaN.  A shape of exactly 1 drops its
+        log term, so the density at 0 (a = 1) or 1 (b = 1) is finite and not
+        exp(0 * -inf).
 
-        Within 1e-12 relative of scipy's generic Beta density for shapes up to
-        100 (about 6e-13 at worst, in the far tails).  The log form loses
-        digits as the shapes grow: it differs by about 7e-10 relative at
-        a = b = 1e5 and 1.4e-9 at 1e6, still far inside the 1e-6 mass
-        tolerance of a distribution set.
+        Within 1e-12 relative of ``scipy.stats.beta.pdf`` for shapes up to
+        100 (8.2e-13 at worst over 400 random shape pairs, in the far
+        tails).  The log form loses
+        digits as the shapes grow, about 1e-9 relative at a = b = 1e6, still
+        far inside the 1e-6 mass tolerance of a distribution set.
         """
-        from scipy import special
-
         x = np.asarray(x, dtype=np.float64)
         a, b = self.a, self.b
         with np.errstate(invalid="ignore", divide="ignore"):
-            log_pdf = (
-                special.xlogy(a - 1.0, x) + special.xlog1py(b - 1.0, -x)
-                - special.betaln(a, b)
-            )
+            log_pdf = 0.0 * x - _beta_terms(a, b)[0]  # 0 * x keeps a NaN x NaN
+            if a != 1.0:
+                log_pdf = log_pdf + (a - 1.0) * np.log(x)
+            if b != 1.0:
+                log_pdf = log_pdf + (b - 1.0) * np.log1p(-x)
             return np.where((x < 0.0) | (x > 1.0), 0.0, np.exp(log_pdf))
 
     def cdf(self, x):
-        """The regularized incomplete beta function I_x(a, b), x clipped to
-        [0, 1]."""
-        from scipy import special
+        """The regularized incomplete beta function I_x(a, b): exactly 0 for
+        x <= 0 and 1 for x >= 1, NaN for NaN.
 
+        Inside (0, 1), with r = x^a (1 - x)^b / B(a, b) = exp(a log x +
+        b log1p(-x) - ln B): r / (a t) below x* = (a + 1) / (a + b + 2) and
+        1 - r / (b t') above it, where t and t' are the continued fractions of
+        ``_cf_coefficients`` for (a, b) at x and for (b, a) at 1 - x, each at
+        the fixed depth picked for its side.  Largest absolute difference from
+        ``scipy.stats.beta.cdf``: 1.8e-15 for shapes up to 3, 7.2e-14 up to
+        50, 9.3e-13 at (1e3, 1e3) and 3.3e-10 at (1e5, 1e5); the rounding of
+        r's exponent grows with the shapes.
+        """
+        ln_beta, lower, upper = _beta_terms(self.a, self.b)
+        a, b = self.a, self.b
         x = np.asarray(x, dtype=np.float64)
-        return special.betainc(self.a, self.b, np.clip(x, 0.0, 1.0))
+        out = np.asarray(np.clip(x, 0.0, 1.0))  # 0-d stays an array
+        inside = (out > 0.0) & (out < 1.0)
+        v = out[inside]
+        r = np.exp(a * np.log(v) + b * np.log1p(-v) - ln_beta)
+        below = v < (a + 1.0) / (a + b + 2.0)
+        above = ~below
+        r[below] /= a * _continued_fraction(lower, v[below])
+        r[above] = 1.0 - r[above] / (b * _continued_fraction(upper, 1.0 - v[above]))
+        out[inside] = r
+        return out
 
     def sample(self, rng: np.random.Generator, size):
         return rng.beta(self.a, self.b, size=size)

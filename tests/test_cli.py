@@ -405,6 +405,12 @@ class TestConfigErrors:
              "distributions.0.a"),
             (MOMENT_CFG, _first_distribution({"type": "beta", "a": 1e400, "b": 3.0}),
              "distributions.0.a"),
+            # the cdf's continued fraction needs more than 10,000 terms
+            (MOMENT_CFG, _first_distribution({"type": "beta", "a": 1e12, "b": 1e12}),
+             "distributions.0"),
+            # ln B(a, b) overflows
+            (MOMENT_CFG, _first_distribution({"type": "beta", "a": 1e306, "b": 1.0}),
+             "distributions.0"),
             (MOMENT_CFG, _first_distribution(dict(MIXTURE, components="ab")),
              "distributions.0.components"),
             (MOMENT_CFG, _first_distribution(dict(MIXTURE, components=[1, 2])),
@@ -433,6 +439,7 @@ class TestConfigErrors:
              "single_expert", "unknown_dims_key", "kappa_above_one",
              "string_beta_shape", "bool_beta_shape", "bool_uniform_bound",
              "string_weights", "nan_string_beta_shape", "overflowing_beta_shape",
+             "beta_cdf_too_many_terms", "beta_ln_b_overflows",
              "string_components", "number_components", "moment_k_equals_e",
              "moment_single_token", "regret_k_equals_e", "hessian_k_equals_e", "nan_pdf_mass",
              "overflowing_constant_step", "overflowing_sign_step",
@@ -715,16 +722,16 @@ PINNED_SHA256 = {
         "summary.json": "071ba540ce0a1ca6b665ededa942d0f51e5e2ecd6c44b1e4bdbbae2714dfbb80",
     },
     "moment_mixed_e3k1": {
-        "moments.csv": "a645c854c67e4d0d86dc2ec2d645d5bd0184eefb26366c66e475254ac0634311",
-        "summary.json": "83f578fde4e26ed4a9d4c248b75221d0cb3142b97252d9f4aa909ca1c05e79ac",
+        "moments.csv": "8f3b38d253afa9d13b95aaedf5ecacddf22beba74fc3e7c50cbbe1fb9709115d",
+        "summary.json": "1cecf6bb53085ece8ca7d40fedaf13481f636ab475663270acc0ae876dc00285",
     },
     "hessian_mixed_e3k1": {
-        "hessian.csv": "7c772757ebd0308d4f360b735a74035cf12b3083100f2468d641ffd7340f5b12",
-        "summary.json": "bca4aa1e64948880e324603b02cb3c930d2a873f593a3c6dadabc53ab4c249fd",
+        "hessian.csv": "16c75de7b2fd341781785e9f2b6c2e34cfa234fd7ee3df4b8baf5816ade15f9c",
+        "summary.json": "17c1faece5de0b6ae009f78c713dc82171b22d4190ca9c1a4ce60c48ef8f04e1",
     },
     "regret_mixed_e3k1": {
-        "regret.csv": "3b1dffc615e1ad86c4b7b2192e2faf67e04c91093547814dec467bd589d7e576",
-        "summary.json": "d3f44249dd84ebbdc911a4887d5a3ef1fc75150314f1217cb9deb79c365921fb",
+        "regret.csv": "5bcdcce07dbdd6f579eff5fba2d4a689f1c53f73691a017832e4a0b49335494e",
+        "summary.json": "b6c3f4cb40867dd378d04778c27d9a4e434c67e9f29fa03fde11930c5b57b805",
     },
 }
 

@@ -1,4 +1,5 @@
-"""Cost of score sampling in the stochastic lab.
+"""Cost of score sampling, the Beta cdf and the quadrature nodes in the
+stochastic lab.
 
 Times one ``stochastic.check_gradient_moments`` call (10^4 replicas) on each
 of the benchmark's two moment sets, and one round of
@@ -6,7 +7,10 @@ of the benchmark's two moment sets, and one round of
 the time spent in the score distributions' ``sample`` methods and the rest of
 the round.  The configs are those of ``perfbench/workloads.py``'s
 ``stochastic`` workload at benchmark seed 1, loaded through
-``alflb.cli.load_config``.  It runs through the shared driver of
+``alflb.cli.load_config``.  It also times one ``BetaScore.cdf`` call on 2,048
+points of [0, 1] at four shape pairs, and building the 8,192-node
+Gauss-Legendre rule (``distributions._leggauss``, uncached), the largest the
+quadrature asks for.  It runs through the shared driver of
 ``tools/harness.py`` (``--parent CHECKOUT`` times a second checkout beside
 this one).
 
@@ -27,11 +31,19 @@ import harness
 
 MOMENT_CASES = ["moment_mixed_e5k2", "moment_mixture_e3k2"]
 REGRET_CASE = "regret_e8k2"
-CELLS = [{"case": name} for name in MOMENT_CASES + [REGRET_CASE]]
+CDF_SHAPES = [(2.0, 2.5), (2.2, 2.4), (3.0, 3.0), (10.0, 50.0)]
+CDF_POINTS = 2048
+LEGGAUSS_NODES = 8192
+CELLS = ([{"case": name} for name in MOMENT_CASES + [REGRET_CASE]]
+         + [{"case": "beta_cdf", "a": a, "b": b} for a, b in CDF_SHAPES]
+         + [{"case": "leggauss", "n": LEGGAUSS_NODES}])
 BENCH_SEED = 1
 MOMENT_RUNS = 4       # check_gradient_moments calls per child, after a warm-up
 REGRET_ROUNDS = 100   # regret rounds per sample
 REGRET_RUNS = 4       # samples per child, after a warm-up
+CDF_CALLS = 200       # cdf calls per sample
+CDF_RUNS = 5          # samples per child, after a warm-up
+LEGGAUSS_RUNS = 3     # rules built per child, after a warm-up
 
 
 def _config(name: str):
@@ -118,8 +130,44 @@ def _regret_samples(cfg) -> dict[str, list[float]]:
     return out
 
 
+def _cdf_samples(a: float, b: float) -> dict[str, list[float]]:
+    """µs per ``BetaScore(a, b).cdf`` call on ``CDF_POINTS`` points."""
+    import numpy as np
+
+    from alflb.distributions import BetaScore
+
+    d = BetaScore(a, b)
+    x = np.linspace(0.0, 1.0, CDF_POINTS)
+    d.cdf(x)  # a warm-up: the first call may load what the cdf needs
+    samples = []
+    for _ in range(CDF_RUNS):
+        t0 = time.perf_counter()
+        for _ in range(CDF_CALLS):
+            d.cdf(x)
+        samples.append((time.perf_counter() - t0) / CDF_CALLS * 1e6)
+    return {"call_us": samples}
+
+
+def _leggauss_samples(n: int) -> dict[str, list[float]]:
+    """s to build the n-node rule, past ``_leggauss``'s cache."""
+    from alflb.distributions import _leggauss
+
+    build = _leggauss.__wrapped__
+    build(256)  # a warm-up: the first call may load what the rule needs
+    samples = []
+    for _ in range(LEGGAUSS_RUNS):
+        t0 = time.perf_counter()
+        build(n)
+        samples.append(time.perf_counter() - t0)
+    return {"build_s": samples}
+
+
 def measure(cell: dict) -> dict[str, list[float]]:
     """The samples of ``cell`` for the alflb on ``sys.path``."""
+    if cell["case"] == "beta_cdf":
+        return _cdf_samples(cell["a"], cell["b"])
+    if cell["case"] == "leggauss":
+        return _leggauss_samples(cell["n"])
     cfg = _config(cell["case"])
     return _moment_samples(cfg) if cell["case"] in MOMENT_CASES else _regret_samples(cfg)
 
@@ -129,8 +177,10 @@ if __name__ == "__main__":
         CELLS, measure, script=__file__, doc=__doc__, out="BENCH_sampling.json",
         header={
             "what": "s per check_gradient_moments call (10^4 replicas) on the "
-                    "benchmark's moment sets, and µs per regret round on its "
-                    "regret config, split into sample() time and the rest",
+                    "benchmark's moment sets; µs per regret round on its "
+                    "regret config, split into sample() time and the rest; "
+                    "µs per BetaScore.cdf call on 2,048 points of [0, 1]; s "
+                    "to build the 8,192-node Gauss-Legendre rule",
             "benchmark_seed": BENCH_SEED,
             "regret_rounds_per_sample": REGRET_ROUNDS,
         },
