@@ -8,9 +8,10 @@ density stays bounded), sub-interval uniforms, and finite mixtures of the
 two cover everything the experiments use.
 
 The lab's one quadrature rule lives here too: piecewise Gauss-Legendre,
-doubling the nodes per segment until two estimates agree.  A distribution
-set checks each density's mass with it, and ``stochastic`` integrates its
-selection moments and edge weights with it.
+with nodes per segment in proportion to the square root of its width, all
+doubled until two estimates agree.  A distribution set checks each
+density's mass with it, and ``stochastic`` integrates its selection moments
+and edge weights with it.
 
 Everything here is numpy and ``math``: the Gauss-Legendre nodes come from
 Newton's method on the Legendre recurrence, ln B(a, b) from ``math.lgamma``,
@@ -29,10 +30,11 @@ import numpy as np
 from .errors import InvalidRange, NoConvergence
 
 PDF_NORMALIZATION_TOL = 1e-6
-# The quadrature rule: _QUAD_BASE_NODES nodes per segment, doubled at most
-# QUAD_MAX_DOUBLINGS times until two successive estimates agree to QUAD_TOL
-# in every component; the integrand sees at most _QUAD_BLOCK_NODES nodes per
-# call, to bound its working set.
+# The quadrature rule: _QUAD_BASE_NODES nodes for a segment as wide as the
+# whole interval, and fewer, down to a 32nd, for narrower ones
+# (_segment_counts); doubled at most QUAD_MAX_DOUBLINGS times until two
+# successive estimates agree to QUAD_TOL in every component.  The integrand
+# sees at most _QUAD_BLOCK_NODES nodes per call, to bound its working set.
 QUAD_TOL = 1e-8
 QUAD_MAX_DOUBLINGS = 5
 _QUAD_BASE_NODES = 256
@@ -101,21 +103,49 @@ def _leggauss(n: int):
     return nodes, weights * (2.0 / weights.sum())
 
 
+def _segment_counts(edges: np.ndarray, n: int) -> list[int]:
+    """Nodes per segment of ``edges`` at n nodes for the whole interval
+    [a, b]: a segment of width h gets the power of two at or above
+    n sqrt(h / (b - a)), and never fewer than n / 32.
+
+    Every cut is where some density has an |x - c|^alpha endpoint
+    singularity, at which an m-node Gauss-Legendre rule errs by about
+    C h^(alpha+1) m^(-2 alpha - 2); m ~ sqrt(h) keeps each segment at the
+    longest one's error whatever alpha is.  For a power of two n, a single
+    segment (a zero-width one too) gets exactly n, no segment more than n,
+    and every count doubles with n.
+    """
+    total = float(edges[-1] - edges[0])
+    if not total > 0.0:
+        return [n] * (edges.size - 1)
+    counts = []
+    for h in np.diff(edges).tolist():
+        target = n * math.sqrt(h / total)
+        m = max(n // 32, 1)
+        while m < target:
+            m *= 2
+        counts.append(m)
+    return counts
+
+
 def _segment_nodes(edges: np.ndarray, n: int):
-    """Gauss-Legendre nodes/weights for every segment, concatenated."""
-    x, w = _leggauss(n)
-    lo = edges[:-1][:, None]
-    hi = edges[1:][:, None]
-    half = 0.5 * (hi - lo)
-    nodes = (0.5 * (hi + lo) + half * x[None, :]).ravel()
-    weights = (half * w[None, :]).ravel()
+    """Gauss-Legendre nodes/weights for every segment, concatenated in
+    segment order, with ``_segment_counts(edges, n)`` nodes per segment."""
+    counts = _segment_counts(edges, n)
+    rules = [_leggauss(m) for m in counts]
+    lo, hi = edges[:-1], edges[1:]
+    half = np.repeat(0.5 * (hi - lo), counts)
+    nodes = np.repeat(0.5 * (hi + lo), counts) + half * np.concatenate([x for x, _ in rules])
+    weights = half * np.concatenate([w for _, w in rules])
     return nodes, weights
 
 
 def _gauss_legendre(f, a: float, b: float, cuts, tol: float, max_doublings: int):
     """Integrate a vector-valued integrand f: (m,) -> (c, m) over [a, b],
-    split at the ``cuts`` inside it, by Gauss-Legendre on every segment with
-    the node count doubled until two successive estimates agree to ``tol``.
+    split at the ``cuts`` inside it, by Gauss-Legendre on every segment.
+    It starts from ``_QUAD_BASE_NODES`` nodes for the whole width, spread
+    over the segments by ``_segment_counts``, and doubles every segment's
+    count until two successive estimates agree to ``tol``.
 
     Raises ``NoConvergence`` when the doublings run out, and at the first
     estimate that is not finite, which no doubling can mend.
@@ -132,7 +162,7 @@ def _gauss_legendre(f, a: float, b: float, cuts, tol: float, max_doublings: int)
         )
         if not np.all(np.isfinite(est)):
             raise NoConvergence(
-                f"quadrature estimate is not finite at {n} nodes per segment"
+                f"quadrature estimate is not finite at {n} nodes per full-width segment"
             )
         return est
 
@@ -146,7 +176,8 @@ def _gauss_legendre(f, a: float, b: float, cuts, tol: float, max_doublings: int)
             return cur
         prev = cur
     raise NoConvergence(
-        f"quadrature moved by {change:.3g} > tol {tol:.3g} at {n} nodes per segment"
+        f"quadrature moved by {change:.3g} > tol {tol:.3g} "
+        f"at {n} nodes per full-width segment"
     )
 
 

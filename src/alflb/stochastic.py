@@ -65,10 +65,12 @@ def piecewise_gauss_vec(f, a: float, b: float, cuts=(), tol: float = QUAD_TOL):
     """Integrate a vector-valued integrand f: (m,) -> (c, m) over [a, b].
 
     The interval is split at ``cuts`` (pdf / cdf kinks) and each segment is
-    integrated with the lab's Gauss-Legendre rule, doubling the node count
-    at most ``QUAD_MAX_DOUBLINGS`` times until two successive estimates agree
-    to ``tol`` in every component; raises ``NoConvergence`` when the
-    doublings run out or an estimate is not finite.
+    integrated with the lab's Gauss-Legendre rule, with nodes per segment
+    in proportion to the square root of its width
+    (``distributions._segment_counts``), every count doubled at most
+    ``QUAD_MAX_DOUBLINGS`` times until two successive estimates agree to
+    ``tol`` in every component; raises ``NoConvergence`` when the doublings
+    run out or an estimate is not finite.
 
     The stochastic lab integrates only through this name, and reads
     ``QUAD_MAX_DOUBLINGS`` here at each call, so replacing or counting it

@@ -722,16 +722,16 @@ PINNED_SHA256 = {
         "summary.json": "071ba540ce0a1ca6b665ededa942d0f51e5e2ecd6c44b1e4bdbbae2714dfbb80",
     },
     "moment_mixed_e3k1": {
-        "moments.csv": "8f3b38d253afa9d13b95aaedf5ecacddf22beba74fc3e7c50cbbe1fb9709115d",
-        "summary.json": "1cecf6bb53085ece8ca7d40fedaf13481f636ab475663270acc0ae876dc00285",
+        "moments.csv": "b4cfef0a3bf0059fcf6c7ac01a82ac82c384516c7548edc3403b04a621a685f7",
+        "summary.json": "3cc0630c4cac2108433e3199ae8a001bcc19c47765934d95bf4b0ed844e8b130",
     },
     "hessian_mixed_e3k1": {
-        "hessian.csv": "16c75de7b2fd341781785e9f2b6c2e34cfa234fd7ee3df4b8baf5816ade15f9c",
-        "summary.json": "17c1faece5de0b6ae009f78c713dc82171b22d4190ca9c1a4ce60c48ef8f04e1",
+        "hessian.csv": "d372ef46ed36f5b1c40b45e682e00edbd73ade54475ebfafef4e086ae00edcd7",
+        "summary.json": "3d1db0629a7f4485aa4ee97729150e6ea7fea48b4e66dfa38e549ab293f43ed9",
     },
     "regret_mixed_e3k1": {
-        "regret.csv": "5bcdcce07dbdd6f579eff5fba2d4a689f1c53f73691a017832e4a0b49335494e",
-        "summary.json": "b6c3f4cb40867dd378d04778c27d9a4e434c67e9f29fa03fde11930c5b57b805",
+        "regret.csv": "b978255924034e2457ddb3ed0d00ae7a6df0e17206626146f7b783645ec790b1",
+        "summary.json": "52b3a0b2a448ca2914a7d8df156fa5eeedddb91ac9635cb2fa4743b22ee07fee",
     },
 }
 

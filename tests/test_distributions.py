@@ -207,7 +207,7 @@ class TestGaussLegendre:
     exactly for every k <= 2n - 1 (here to 8 eps; the worst seen is 9.2e-16,
     at 8,192 nodes) and sum to 2."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 256, 512, 8192])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 32, 64, 128, 256, 512, 8192])
     def test_nodes_match_roots_legendre(self, n):
         x, w = distributions._leggauss(n)
         want, _ = roots_legendre(n)
@@ -217,7 +217,7 @@ class TestGaussLegendre:
         assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
         assert (n % 2 == 1) == (0.0 in x)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 256, 512, 8192])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 32, 64, 128, 256, 512, 8192])
     def test_weights_integrate_every_monomial_of_degree_below_2n(self, n):
         x, w = distributions._leggauss(n)
         assert abs(w.sum() - 2.0) <= 2 * EPS
@@ -226,6 +226,89 @@ class TestGaussLegendre:
             exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
             assert abs(w @ power - exact) <= 8 * EPS, k
             power *= x
+
+
+def _edges(seed: int, slivers: float) -> np.ndarray:
+    """[a, b] cut at a few random points and, around each, at +- ``slivers``,
+    as the shifted frame of the stochastic lab cuts at p_j and p_j + 1."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-0.5, 0.5)
+    b = a + rng.uniform(0.5, 1.5)
+    centers = rng.uniform(a + 0.05, b - 0.05, size=3)
+    cuts = np.concatenate([centers, centers - slivers, centers + slivers])
+    return np.array([a, *sorted({c for c in cuts if a < c < b}), b])
+
+
+class TestSegmentAllocation:
+    """``_segment_counts``: a segment of width h of [a, b] gets the power of
+    two at or above n sqrt(h / (b - a)) nodes, and at least n / 32."""
+
+    @pytest.mark.parametrize("n", [256, 512, 8192])
+    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (-0.3, 1.2), (0.25, 0.2500001)])
+    def test_one_segment_keeps_n_nodes(self, n, a, b):
+        edges = np.array([a, b])
+        assert distributions._segment_counts(edges, n) == [n]
+        x, w = distributions._leggauss(n)
+        half = 0.5 * (b - a)
+        nodes, weights = distributions._segment_nodes(edges, n)
+        assert np.array_equal(nodes, 0.5 * (b + a) + half * x)
+        assert np.array_equal(weights, half * w)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("slivers", [1e-2, 1e-3, 1e-9])
+    def test_counts_follow_the_square_root_of_the_width(self, seed, slivers):
+        edges = _edges(seed, slivers)
+        share = np.diff(edges) / (edges[-1] - edges[0])
+        n = 256
+        counts = np.array(distributions._segment_counts(edges, n))
+        for _ in range(distributions.QUAD_MAX_DOUBLINGS):
+            target = n * np.sqrt(share)
+            assert np.all((counts & (counts - 1)) == 0)  # powers of two
+            assert np.all((counts >= n // 32) & (counts <= n))
+            assert np.all(counts >= target)
+            # the smallest such power of two
+            assert np.all((counts == n // 32) | (counts / 2 < target))
+            n *= 2
+            doubled = np.array(distributions._segment_counts(edges, n))
+            assert np.array_equal(doubled, 2 * counts)
+            counts = doubled
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_nodes_fill_their_segments(self, seed):
+        edges = _edges(seed, 1e-3)
+        counts = distributions._segment_counts(edges, 512)
+        nodes, weights = distributions._segment_nodes(edges, 512)
+        assert nodes.size == weights.size == sum(counts)
+        start = 0
+        for lo, hi, m in zip(edges[:-1], edges[1:], counts):
+            seg = slice(start, start + m)
+            assert np.all((nodes[seg] > lo) & (nodes[seg] < hi))
+            assert abs(weights[seg].sum() - (hi - lo)) <= 4 * EPS * (hi - lo)
+            start += m
+
+    def test_zero_width_interval_integrates_to_zeros(self):
+        def f(x):
+            return np.stack([np.ones_like(x), x])
+
+        with np.errstate(all="raise"):
+            got = distributions._gauss_legendre(
+                f, 0.3, 0.3, (0.3,), distributions.QUAD_TOL,
+                distributions.QUAD_MAX_DOUBLINGS,
+            )
+        assert np.array_equal(got, np.zeros(2))
+
+    @pytest.mark.parametrize("c", [0.2, 0.4, 0.77])
+    def test_endpoint_singularity_between_sliver_cuts(self, c):
+        # |x - c|^1.5 has an endpoint singularity at c on both sides; the
+        # cuts at c +- 0.01 leave two slivers beside it.  Nodes in
+        # proportion to the width miss the closed form by 1.4e-12, the
+        # square-root rule by about 1.4e-15.
+        got = distributions._gauss_legendre(
+            lambda x: np.abs(x - c) ** 1.5, 0.0, 1.0, (c - 0.01, c, c + 0.01),
+            distributions.QUAD_TOL, distributions.QUAD_MAX_DOUBLINGS,
+        )[0]
+        exact = (c**2.5 + (1.0 - c) ** 2.5) / 2.5
+        assert abs(got - exact) <= 1e-12
 
 
 class TestDistributionSet:

@@ -6,9 +6,11 @@ monkeypatch one lab function, under the name the acceptance module calls
 it by, to put a NaN into the statistic the criterion judges, and see the
 criterion fail.  A NaN compares false with every bound, so a rule that lets
 one through has dropped it before the comparison (Python's ``max(0.0, nan)``
-is ``0.0``).  The last two plant a wrong formula rather than a NaN: a dual
-update with the wrong sign (criterion 1) and a bias shifted on the
-quadrature side of the moment check only (criterion 5).
+is ``0.0``).  The last three plant a wrong formula rather than a NaN: a
+dual update with the wrong sign (criterion 1), a bias shifted on the
+quadrature side of the moment check only (criterion 5), and quadrature
+nodes spread over the segments in proportion to their width, which the
+1e-12 comparison with the enumeration oracle must catch.
 """
 
 import dataclasses
@@ -17,7 +19,8 @@ import numpy as np
 import pytest
 
 import test_acceptance as acceptance
-from alflb import stochastic
+import test_quadrature_oracle as oracle
+from alflb import distributions, stochastic
 from alflb.balancer import ScheduleKind, StepSchedule
 from alflb.deterministic import audit_trace, simulate_fixed_scores
 from alflb.stochastic import (
@@ -151,3 +154,24 @@ def test_quadrature_bias_shift_fails_criterion_5(monkeypatch):
     acceptance.test_criterion_5_gradient_moments()
     monkeypatch.setattr(stochastic, "selection_moments", shifted(BIAS_SHIFT_CAUGHT))
     _fails(5, acceptance.test_criterion_5_gradient_moments)
+
+
+def test_linear_node_allocation_fails_the_quadrature_oracle(monkeypatch):
+    # the power of two at or above n h / (b - a) nodes per segment, with the
+    # same n / 32 floor: the slivers between the cuts beside a Beta
+    # density's endpoints get too few, and pi, F_K or w_kl misses the
+    # reference by 3.6e-11 against its abs 1e-12
+    def linear(edges, n):
+        counts = []
+        for h in np.diff(edges):
+            m = n // 32
+            while m < n * h / (edges[-1] - edges[0]):
+                m *= 2
+            counts.append(m)
+        return counts
+
+    case = ("beta", 1, "random_zero_sum")
+    oracle.test_matches_enumeration(*case)
+    monkeypatch.setattr(distributions, "_segment_counts", linear)
+    with pytest.raises(AssertionError):
+        oracle.test_matches_enumeration(*case)

@@ -8,11 +8,16 @@ the time spent in the score distributions' ``sample`` methods and the rest of
 the round.  The configs are those of ``perfbench/workloads.py``'s
 ``stochastic`` workload at benchmark seed 1, loaded through
 ``alflb.cli.load_config``.  It also times one ``BetaScore.cdf`` call on 2,048
-points of [0, 1] at four shape pairs, and building the 8,192-node
+points of [0, 1] at four shape pairs, building the 8,192-node
 Gauss-Legendre rule (``distributions._leggauss``, uncached), the largest the
-quadrature asks for.  It runs through the shared driver of
-``tools/harness.py`` (``--parent CHECKOUT`` times a second checkout beside
-this one).
+quadrature asks for, and one ``stochastic.selection_moments`` and one
+``stochastic.edge_weights_quadrature`` call at two biases: the regret
+config's expected-loss minimizer p*, and the benchmark Hessian set's bias
+p + h delta along the first direction its check draws.  Beside each of
+those two times it reports the nodes of the rule's first estimate (every
+doubling doubles them) and the number of estimates in the call.  It runs
+through the shared driver of ``tools/harness.py`` (``--parent CHECKOUT``
+times a second checkout beside this one).
 
     python tools/bench_sampling.py --parent ../alflb-parent --out BENCH_sampling.json
 
@@ -31,12 +36,16 @@ import harness
 
 MOMENT_CASES = ["moment_mixed_e5k2", "moment_mixture_e3k2"]
 REGRET_CASE = "regret_e8k2"
+HESSIAN_CASE = "hessian_e8k3"
+QUAD_FUNCTIONS = ["selection_moments", "edge_weights_quadrature"]
 CDF_SHAPES = [(2.0, 2.5), (2.2, 2.4), (3.0, 3.0), (10.0, 50.0)]
 CDF_POINTS = 2048
 LEGGAUSS_NODES = 8192
 CELLS = ([{"case": name} for name in MOMENT_CASES + [REGRET_CASE]]
          + [{"case": "beta_cdf", "a": a, "b": b} for a, b in CDF_SHAPES]
-         + [{"case": "leggauss", "n": LEGGAUSS_NODES}])
+         + [{"case": "leggauss", "n": LEGGAUSS_NODES}]
+         + [{"case": "quadrature", "config": name, "function": function}
+            for name in (REGRET_CASE, HESSIAN_CASE) for function in QUAD_FUNCTIONS])
 BENCH_SEED = 1
 MOMENT_RUNS = 4       # check_gradient_moments calls per child, after a warm-up
 REGRET_ROUNDS = 100   # regret rounds per sample
@@ -44,6 +53,8 @@ REGRET_RUNS = 4       # samples per child, after a warm-up
 CDF_CALLS = 200       # cdf calls per sample
 CDF_RUNS = 5          # samples per child, after a warm-up
 LEGGAUSS_RUNS = 3     # rules built per child, after a warm-up
+QUAD_CALLS = 10       # quadrature calls per sample
+QUAD_RUNS = 5         # samples per child, after a warm-up
 
 
 def _config(name: str):
@@ -162,12 +173,66 @@ def _leggauss_samples(n: int) -> dict[str, list[float]]:
     return {"build_s": samples}
 
 
+def _quadrature_bias(name: str, cfg):
+    """The bias the quadrature cell of config ``name`` integrates at: p* of
+    the regret config, or p + h delta of the Hessian config, delta being the
+    first zero-sum unit direction ``hessian_fd_errors`` draws."""
+    import numpy as np
+
+    from alflb.balancer import project_zero_sum
+    from alflb.core import RandomSource
+    from alflb.stochastic import expected_loss_minimizer
+
+    params = cfg.params
+    dist, K = params["distributions"], params["K"]
+    if name == REGRET_CASE:
+        return expected_loss_minimizer(dist, K, params["T"], K * params["T"] / dist.E)
+    rng = RandomSource(cfg.seed, stream=3).generator()
+    delta = project_zero_sum(rng.standard_normal(dist.E))
+    delta /= np.linalg.norm(delta)
+    return np.asarray(params["bias"]) + params["fd_step"] * delta
+
+
+def _quadrature_samples(name: str, function: str) -> dict[str, list[float]]:
+    """ms per ``function`` call at the bias of ``_quadrature_bias``, and the
+    nodes of the first estimate and the estimates in one call."""
+    from alflb import distributions, stochastic
+
+    cfg = _config(name)
+    dist, K = cfg.params["distributions"], cfg.params["K"]
+    p = _quadrature_bias(name, cfg)
+    call = getattr(stochastic, function)
+    sizes = []
+    segment_nodes = distributions._segment_nodes
+
+    def counted(edges, n):
+        nodes, weights = segment_nodes(edges, n)
+        sizes.append(nodes.size)
+        return nodes, weights
+
+    distributions._segment_nodes = counted
+    try:
+        call(dist, p, K)  # a warm-up, which also counts the nodes
+    finally:
+        distributions._segment_nodes = segment_nodes
+    out = {"call_ms": [], "nodes_per_estimate": [float(sizes[0])],
+           "estimates": [float(len(sizes))]}
+    for _ in range(QUAD_RUNS):
+        t0 = time.perf_counter()
+        for _ in range(QUAD_CALLS):
+            call(dist, p, K)
+        out["call_ms"].append((time.perf_counter() - t0) / QUAD_CALLS * 1e3)
+    return out
+
+
 def measure(cell: dict) -> dict[str, list[float]]:
     """The samples of ``cell`` for the alflb on ``sys.path``."""
     if cell["case"] == "beta_cdf":
         return _cdf_samples(cell["a"], cell["b"])
     if cell["case"] == "leggauss":
         return _leggauss_samples(cell["n"])
+    if cell["case"] == "quadrature":
+        return _quadrature_samples(cell["config"], cell["function"])
     cfg = _config(cell["case"])
     return _moment_samples(cfg) if cell["case"] in MOMENT_CASES else _regret_samples(cfg)
 
@@ -180,7 +245,11 @@ if __name__ == "__main__":
                     "benchmark's moment sets; µs per regret round on its "
                     "regret config, split into sample() time and the rest; "
                     "µs per BetaScore.cdf call on 2,048 points of [0, 1]; s "
-                    "to build the 8,192-node Gauss-Legendre rule",
+                    "to build the 8,192-node Gauss-Legendre rule; ms per "
+                    "selection_moments and edge_weights_quadrature call at "
+                    "the regret config's p* and at the Hessian set's "
+                    "p + h delta, with the nodes of the rule's first "
+                    "estimate and the estimates per call",
             "benchmark_seed": BENCH_SEED,
             "regret_rounds_per_sample": REGRET_ROUNDS,
         },
