@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balancer import ScheduleKind, StepSchedule, project_zero_sum
+from .balancer import ScheduleKind, StepSchedule
 from .core import ProblemDims, affinity_array
 from .errors import DegenerateGaps, InvalidRange, KNotOne
 from .router import lagrangian, loads as count_loads, topk
@@ -27,6 +27,9 @@ SCORE_CELLS = 2**13
 # Theorem 1 holds when every identity residual is at most this fraction of
 # its scale 1 + |L_m|.
 IDENTITY_RTOL = 1e-9
+# Iterations that ``check_balance_convergence`` runs after every expert has
+# entered the band, to probe the "remains in range" claim.
+SETTLE_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -64,19 +67,17 @@ def iterate(
     gamma,
     schedule: StepSchedule,
     K: int = 1,
-    zero_sum: bool = False,
     *,
     iterations: int,
 ):
     """The primal-dual iteration from p = 0 on frozen affinities, in blocks.
 
     Iteration n routes by Top-K on gamma + p_n, then takes the dual step
-    p_{n+1} = p_n + eps_n * (L - A_n), with L = K*T/E and, under
-    ``zero_sum``, minus its mean.  Each yield is a block of M >= 1
-    consecutive iterations ``(n, p, shifted, chosen, loads, row_tie)`` of
-    shapes (M,), (M, E), (M, T, E), (M, T, K), (M, E) and (M, T), each
-    token's K experts in ascending expert index; the blocks run through
-    iterations 1..``iterations`` in order.
+    p_{n+1} = p_n + eps_n * (L - A_n), with L = K*T/E and no projection.
+    Each yield is a block of M >= 1 consecutive iterations
+    ``(n, p, chosen, loads, row_tie)`` of shapes (M,), (M, E), (M, T, K),
+    (M, E) and (M, T), each token's K experts in ascending expert index; the
+    blocks run through iterations 1..``iterations`` in order.
 
     A block guesses that the loads of its rows equal the last known loads,
     builds up to c rows of biases from that guess and routes them at once.
@@ -101,9 +102,7 @@ def iterate(
         with np.errstate(over="ignore", invalid="ignore"):
             if n > 1:  # the dual step from the last row of the previous block
                 p = p_rows[-1] + schedule.bias_delta(guess, L, n - 1)
-                if zero_sum:
-                    p = project_zero_sum(p)
-            p_rows = _guessed_biases(p, guess, schedule, L, rows, zero_sum)
+            p_rows = _guessed_biases(p, guess, schedule, L, rows)
         # Only the rows before the first non-finite one are routed.  The first
         # row of a block is exact, so a non-finite one raises here; a later one
         # raises after the yield if every routed row held, and is thrown away
@@ -115,20 +114,19 @@ def iterate(
                 raise InvalidRange("bias entries must be finite")
             rows, p_rows = rows[:finite], p_rows[:finite]
         M = len(rows)
-        shifted = g + p_rows[:, None, :]
-        chosen, row_tie = topk(shifted, K)
+        chosen, row_tie = topk(g + p_rows[:, None, :], K)
         loads = count_loads(chosen, E)
         held = (loads == guess).all(axis=1)
         first_miss = int(held.argmin())
         missed = not held[first_miss]
         keep = first_miss + 1 if missed else M
         if keep < M:
-            rows, p_rows, shifted = rows[:keep], p_rows[:keep], shifted[:keep]
+            rows, p_rows = rows[:keep], p_rows[:keep]
             chosen, loads, row_tie = chosen[:keep], loads[:keep], row_tie[:keep]
         # A consumer's in-place change must not reach the next dual step.
         p_rows.flags.writeable = False
         loads.flags.writeable = False
-        yield rows, p_rows, shifted, chosen, loads, row_tie
+        yield rows, p_rows, chosen, loads, row_tie
         if overflow and not missed:
             raise InvalidRange("bias entries must be finite")
         n += keep
@@ -136,7 +134,7 @@ def iterate(
         c = 1 if missed else min(2 * c, cap)
 
 
-def _guessed_biases(p, guess, schedule, L, rows, zero_sum):
+def _guessed_biases(p, guess, schedule, L, rows):
     """The biases of iterations ``rows`` from p, exact at rows[0], if every
     load from rows[0] on equals ``guess``: the stepwise adds, bit for bit."""
     if len(rows) == 1:
@@ -144,14 +142,8 @@ def _guessed_biases(p, guess, schedule, L, rows, zero_sum):
     steps = schedule.bias_delta(
         np.broadcast_to(guess, (len(rows) - 1, len(p))), L, rows[:-1, None]
     )
-    if not zero_sum:
-        # cumsum adds row by row, in the order of the stepwise loop
-        return np.cumsum(np.vstack((p, steps)), axis=0)
-    out = np.empty((len(rows), len(p)))
-    out[0] = p
-    for j, step in enumerate(steps):
-        out[j + 1] = project_zero_sum(out[j] + step)
-    return out
+    # cumsum adds row by row, in the order of the stepwise loop
+    return np.cumsum(np.vstack((p, steps)), axis=0)
 
 
 def simulate_fixed_scores(
@@ -159,7 +151,6 @@ def simulate_fixed_scores(
     schedule: StepSchedule,
     iterations: int,
     K: int = 1,
-    zero_sum: bool = False,
 ) -> IterationTrace:
     """Run the primal-dual iteration from p = 0 on frozen affinities.
 
@@ -186,9 +177,7 @@ def simulate_fixed_scores(
     # temporaries reuse, which raised the peak resident set of repeated
     # 4096 x 64 traces by 1.8 MiB.
     compact, blocks = np.min_scalar_type(E - 1), []
-    for n, p, _, chosen, loads, row_tie in iterate(
-        g, schedule, K, zero_sum, iterations=iterations
-    ):
+    for n, p, chosen, loads, row_tie in iterate(g, schedule, K, iterations=iterations):
         block = slice(n[0] - 1, n[-1])
         p_rows[block], load_rows[block], tie[block] = p, loads, row_tie.any(axis=1)
         blocks.append(chosen.astype(compact))
@@ -324,22 +313,24 @@ def check_balance_convergence(
     gamma,
     u: float,
     budget: int | None = None,
-    settle_iterations: int = 200,
 ) -> BalanceConvergenceReport:
     """Run the sign schedule (K=1) and audit the approximate-balancing band.
 
     Each expert load must enter [L-(E-1), L+(E-1)] within ``budget``
     iterations and never leave afterwards; per-iteration load changes must
     stay <= E-1.  After all experts have entered, the run continues for
-    ``settle_iterations`` more steps to probe the "remains in range" claim.
+    ``SETTLE_ITERATIONS`` more steps to probe the "remains in range" claim.
+    The default budget is max(10*T*E, ceil(2.5/u) + 100): in ceil(2.5/u)
+    steps of u a bias moves by 2.5, more than the width of the (0, 1) range
+    that affinities lie in.
     """
     g = affinity_array(gamma)
     T, E = g.shape
     L = ProblemDims(T=T, E=E, K=1).L
-    if budget is None:
-        budget = 10 * T * E
-    lo, hi = L - (E - 1), L + (E - 1)
     sched = StepSchedule(kind=ScheduleKind.DEEPSEEK_SIGN, u=u)
+    if budget is None:
+        budget = max(10 * T * E, math.ceil(2.5 / u) + 100)
+    lo, hi = L - (E - 1), L + (E - 1)
 
     entered = np.full(E, -1, dtype=np.int64)
     stayed = True
@@ -347,16 +338,16 @@ def check_balance_convergence(
     any_tie = False
     prev_loads = None
     # The last iteration to run: once all have entered, the one after the
-    # settle window (a negative window never ends the run).
+    # settle window.
     stop = math.inf
     n_run = 0
-    for n, _, _, _, loads, row_tie in iterate(g, sched, iterations=budget):
+    for n, _, _, loads, row_tie in iterate(g, sched, iterations=budget):
         in_band = (loads >= lo) & (loads <= hi)
         if stop == math.inf:
             new = (entered < 0) & in_band.any(axis=0)
             entered[new] = n[in_band.argmax(axis=0)[new]]
-            if (entered > 0).all() and settle_iterations >= 0:
-                stop = int(entered.max()) + settle_iterations + 1
+            if (entered > 0).all():
+                stop = int(entered.max()) + SETTLE_ITERATIONS + 1
         run = int(np.searchsorted(n, stop, side="right"))
         n, loads, in_band = n[:run], loads[:run], in_band[:run]
         # an expert entered at an earlier row and is out of the band now

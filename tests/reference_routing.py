@@ -6,8 +6,7 @@ raw-array ``topk`` kernel and the shared ``iterate`` loop: every iteration
 builds a 0/1 selection matrix, takes its column sums as a validated
 ``LoadVector``, and keeps a validated ``BiasVector`` and ``BalancerState``.
 The routing, Lagrangian, switch-record and dual-update bodies, the balancer
-state, the Lagrangian value and the zero-sum projection are copied here as
-well, so the oracle tests compare the fast path against code that shares none
+state and the Lagrangian value are copied here as well, so the oracle tests compare the fast path against code that shares none
 of its helpers.  The per-step identity check, switch-direction check and
 tie-skipping switch audit are the ones that walked the per-step traces before
 ``audit_trace`` read the trace table.
@@ -44,6 +43,9 @@ from alflb.deterministic import BalanceConvergenceReport, designations
 from alflb.errors import DimMismatch, InvalidRange, KNotOne
 from alflb.router import RoutingOutcome, topk
 
+# Iterations the balance checks run after every expert has entered the band.
+SETTLE_ITERATIONS = 200
+
 
 @dataclass(frozen=True)
 class SwitchRecord:
@@ -65,7 +67,6 @@ class LagrangianValue:
 class BalancerState:
     p: BiasVector
     iteration: int = 1
-    zero_sum: bool = False
 
 
 def topk_argsort(shifted: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
@@ -169,8 +170,6 @@ def dual_update(
         raise DimMismatch("loads / bias length mismatch")
     delta = sched.bias_delta(loads.counts, L, state.iteration)
     new_p = BiasVector(state.p.values + delta)
-    if state.zero_sum:
-        new_p = BiasVector(new_p.values - new_p.values.mean())
     return replace(state, p=new_p, iteration=state.iteration + 1)
 
 
@@ -202,14 +201,13 @@ def simulate_fixed_scores(
     schedule: StepSchedule,
     iterations: int,
     K: int = 1,
-    zero_sum: bool = False,
 ) -> ReferenceTrace:
     T, E = gamma.shape
     dims = ProblemDims(T=T, E=E, K=K)
     L = dims.target_load
     trace = ReferenceTrace(K=K, L=L, schedule=schedule)
 
-    state = BalancerState(p=BiasVector.zeros(E), iteration=1, zero_sum=zero_sum)
+    state = BalancerState(p=BiasVector.zeros(E), iteration=1)
     prev_outcome: RoutingOutcome | None = None
     prev_p: BiasVector | None = None
     for n in range(1, iterations + 1):
@@ -305,16 +303,11 @@ def audit_switches(trace: ReferenceTrace, u: float) -> tuple[int, int]:
 
 
 def check_balance_convergence(
-    gamma: np.ndarray,
-    u: float,
-    budget: int | None = None,
-    settle_iterations: int = 200,
+    gamma: np.ndarray, u: float, budget: int
 ) -> BalanceConvergenceReport:
     T, E = gamma.shape
     dims = ProblemDims(T=T, E=E, K=1)
     L = dims.L
-    if budget is None:
-        budget = 10 * T * E
     lo, hi = L - (E - 1), L + (E - 1)
     sched = StepSchedule(kind=ScheduleKind.DEEPSEEK_SIGN, u=u)
 
@@ -342,7 +335,7 @@ def check_balance_convergence(
         prev_loads = loads
         if np.all(entered > 0):
             if settle_left is None:
-                settle_left = settle_iterations
+                settle_left = SETTLE_ITERATIONS
             elif settle_left == 0:
                 break
             else:
@@ -359,15 +352,12 @@ def check_balance_convergence(
     )
 
 
-def iterate_stepwise(
-    gamma: np.ndarray, schedule: StepSchedule, K: int = 1, zero_sum: bool = False
-):
+def iterate_stepwise(gamma: np.ndarray, schedule: StepSchedule, K: int = 1):
     """The primal-dual iteration from p = 0 on frozen affinities, without end.
 
     Iteration n routes by Top-K on gamma + p and yields
-    ``(n, p, shifted, chosen, loads, row_tie)``; the dual step
-    p + eps_n * (L - A), with L = K*T/E and, under ``zero_sum``, minus its
-    mean, is taken when the consumer asks for the next iteration.  The loop
+    ``(n, p, chosen, loads, row_tie)``; the dual step p + eps_n * (L - A),
+    with L = K*T/E, is taken when the consumer asks for the next iteration.  The loop
     works on raw arrays and trusts its caller's affinities.
     """
     g = gamma
@@ -376,39 +366,31 @@ def iterate_stepwise(
     p = np.zeros(E)
     n = 1
     while True:
-        shifted = g + p
-        chosen, row_tie = topk(shifted, K)
+        chosen, row_tie = topk(g + p, K)
         loads = np.bincount(chosen.ravel(), minlength=E)
         # Steps keep p and loads; the next dual step must not see a
         # consumer's in-place change.
         p.flags.writeable = False
         loads.flags.writeable = False
-        yield n, p, shifted, chosen, loads, row_tie
+        yield n, p, chosen, loads, row_tie
         p = p + schedule.bias_delta(loads, L, n)
-        if zero_sum:
-            p = p - p.mean()
         if not np.isfinite(p).all():
             raise InvalidRange("bias entries must be finite")
         n += 1
 
 
 def check_balance_convergence_stepwise(
-    gamma: np.ndarray,
-    u: float,
-    budget: int | None = None,
-    settle_iterations: int = 200,
+    gamma: np.ndarray, u: float, budget: int
 ) -> BalanceConvergenceReport:
     """Run the sign schedule (K=1) and audit the approximate-balancing band.
 
     Each expert load must enter [L-(E-1), L+(E-1)] within ``budget``
     iterations and never leave afterwards; per-iteration load changes must
     stay <= E-1.  After all experts have entered, the run continues for
-    ``settle_iterations`` more steps to probe the "remains in range" claim.
+    ``SETTLE_ITERATIONS`` more steps to probe the "remains in range" claim.
     """
     T, E = gamma.shape
     L = ProblemDims(T=T, E=E, K=1).L
-    if budget is None:
-        budget = 10 * T * E
     lo, hi = L - (E - 1), L + (E - 1)
     sched = StepSchedule(kind=ScheduleKind.DEEPSEEK_SIGN, u=u)
 
@@ -419,7 +401,7 @@ def check_balance_convergence_stepwise(
     prev_loads: np.ndarray | None = None
     settle_left: int | None = None
     n = 0
-    for n, _, _, _, loads, row_tie in islice(
+    for n, _, _, loads, row_tie in islice(
         iterate_stepwise(gamma, sched), max(budget, 0)
     ):
         any_tie = any_tie or bool(row_tie.any())
@@ -432,7 +414,7 @@ def check_balance_convergence_stepwise(
         if settle_left is None:
             entered[(entered < 0) & in_band] = n
             if (entered > 0).all():
-                settle_left = settle_iterations
+                settle_left = SETTLE_ITERATIONS
         elif settle_left == 0:
             break
         else:

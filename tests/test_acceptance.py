@@ -403,7 +403,7 @@ def test_criterion_10_ip_oracle():
         sched = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, u)
         budget = max(10 * T * E, math.ceil(2.0 / u))
         routed = None
-        for _, _, _, chosen, loads, _ in iterate(gamma, sched, iterations=budget):
+        for _, _, chosen, loads, _ in iterate(gamma, sched, iterations=budget):
             balanced = np.flatnonzero((loads == L).all(axis=1))
             if balanced.size:
                 alpha = chosen[balanced[0], :, 0]

@@ -16,14 +16,12 @@ SCHEDULE_U = {
 }
 
 
-def _biases_and_loads(gamma, sched, iterations, K=1, zero_sum=False):
+def _biases_and_loads(gamma, sched, iterations, K=1):
     """(n, p_n, loads_n) of the first ``iterations`` iterations of ``iterate``,
     one tuple per row of its blocks."""
     return [
         step
-        for n, p, _, _, loads, _ in iterate(
-            gamma, sched, K, zero_sum, iterations=iterations
-        )
+        for n, p, _, loads, _ in iterate(gamma, sched, K, iterations=iterations)
         for step in zip(n, p, loads)
     ]
 
@@ -79,19 +77,16 @@ class TestStepSchedule:
 class TestDualUpdate:
     """The dual step that ``iterate`` takes between two routings."""
 
-    @pytest.mark.parametrize("zero_sum", [False, True], ids=["plain", "zero_sum"])
     @pytest.mark.parametrize("kind", list(ScheduleKind), ids=lambda k: k.value)
-    def test_step_is_the_schedule_rule_bit_for_bit(self, kind, zero_sum):
-        # p_{n+1} = p_n + eps_n (L - A_n); under zero_sum, minus its mean
+    def test_step_is_the_schedule_rule_bit_for_bit(self, kind):
+        # p_{n+1} = p_n + eps_n (L - A_n), with no projection
         sched = StepSchedule(kind, SCHEDULE_U[kind])
         for K in (1, 2):
             gamma = random_affinities(24, 6, seed=4 + K)
-            steps = _biases_and_loads(gamma, sched, 40, K, zero_sum)
+            steps = _biases_and_loads(gamma, sched, 40, K)
             L = K * 24 / 6
             for (n, p, loads), (_, p_next, _) in zip(steps, steps[1:]):
                 want = p + sched.bias_delta(loads, L, n)
-                if zero_sum:
-                    want = want - want.mean()
                 assert p_next.tobytes() == want.tobytes()
 
     def test_sign_update_is_exactly_plus_minus_u(self):
@@ -107,18 +102,9 @@ class TestDualUpdate:
     def test_balanced_loads_are_a_fixed_point(self):
         gamma = np.array([[0.9, 0.1], [0.2, 0.8]])
         for kind in ScheduleKind:
-            for zero_sum in (False, True):
-                steps = _biases_and_loads(gamma, StepSchedule(kind, 0.5), 5, 1, zero_sum)
-                for _, p, loads in steps:
-                    assert loads.tolist() == [1, 1]
-                    assert p.tolist() == [0.0, 0.0]
-
-    def test_zero_sum_mode_projects_every_step(self):
-        gamma = random_affinities(12, 4, seed=0)
-        for kind in ScheduleKind:
-            sched = StepSchedule(kind, SCHEDULE_U[kind])
-            for _, p, _ in _biases_and_loads(gamma, sched, 25, zero_sum=True):
-                assert abs(p.sum()) <= 1e-12
+            for _, p, loads in _biases_and_loads(gamma, StepSchedule(kind, 0.5), 5):
+                assert loads.tolist() == [1, 1]
+                assert p.tolist() == [0.0, 0.0]
 
     def test_homogeneous_updates_preserve_zero_sum_without_projection(self):
         # the update is eps * (L - A) and sum(L - A) = 0 exactly

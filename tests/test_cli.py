@@ -344,7 +344,7 @@ REQUIRED_ONLY = {
     "schedule_compare": {k: COMPARE_CFG[k] for k in ("kind", "dims", "u", "iterations")},
 }
 DEFAULTS = {
-    "deterministic_run": {"zero_sum": False},
+    "deterministic_run": {},
     "balance_check": {"u_fraction": 0.9, "budget": None, "instances": 1, "score_scale": 1.0},
     "moment_check": {"replicas": 10_000, "bias": [0.0, 0.0]},
     "hessian_check": {"bias": [0.0, 0.0], "directions": 20, "fd_step": 1e-3},
@@ -392,6 +392,8 @@ class TestConfigErrors:
             (MOMENT_CFG, {"bias": [0.0, 0.0, 0.0]}, "bias"),
             (DET_CFG, {"dims": {"T": 16, "E": 1, "K": 1}}, "dims.E"),
             (DET_CFG, {"dims": {"T": 16, "E": 4, "K": 1, "L": 4}}, "dims.L"),
+            # the dual step has no zero-sum projection to switch on
+            (DET_CFG, {"zero_sum": True}, "zero_sum"),
             (REGRET_CFG, {"kappa": 2.0}, "kappa"),
             (MOMENT_CFG, _first_distribution({"type": "beta", "a": "2.5", "b": 3.0}),
              "distributions.0.a"),
@@ -436,7 +438,8 @@ class TestConfigErrors:
         ],
         ids=["negative_u", "string_iterations", "zero_instances", "bool_seed",
              "float_iterations", "beta_shape_below_one", "bias_length_mismatch",
-             "single_expert", "unknown_dims_key", "kappa_above_one",
+             "single_expert", "unknown_dims_key", "unknown_zero_sum_key",
+             "kappa_above_one",
              "string_beta_shape", "bool_beta_shape", "bool_uniform_bound",
              "string_weights", "nan_string_beta_shape", "overflowing_beta_shape",
              "beta_cdf_too_many_terms", "beta_ln_b_overflows",
@@ -656,7 +659,7 @@ class TestMain:
 
 
 # Eight configs off the benchmark's shapes: a non-integer L (T=50, E=4 and
-# T=10, E=3 under zero_sum), K > 1 traces and comparisons with odd T and E,
+# T=10, E=3), K > 1 traces and comparisons with odd T and E,
 # a three-instance balance check, and one run of each stochastic kind on a
 # Beta, a uniform and a mixture expert (the moment check over two replica
 # blocks: 600 replicas against MOMENT_BATCH = 512).
@@ -665,10 +668,9 @@ PINNED_CONFIGS = {
         "kind": "deterministic_run", "seed": 4, "dims": {"T": 50, "E": 4, "K": 1},
         "schedule": {"kind": "deepseek_sign", "u": 0.002}, "iterations": 40,
     },
-    "trace_t10_e3_zero_sum": {
+    "trace_t10_e3": {
         "kind": "deterministic_run", "seed": 5, "dims": {"T": 10, "E": 3, "K": 1},
         "schedule": {"kind": "inverse_sqrt_n", "u": 0.05}, "iterations": 30,
-        "zero_sum": True,
     },
     "trace_k3_t37_e7": {
         "kind": "deterministic_run", "seed": 6, "dims": {"T": 37, "E": 7, "K": 3},
@@ -704,9 +706,9 @@ PINNED_SHA256 = {
         "trace.csv": "1f8923cdbf12f1531229b533f82bb45a5076f3919d3a62941f69245dfe7b8179",
         "summary.json": "160c4e54d949c5f6272ffcdf025c004938d36bfe94d1004a66ecf6648544533e",
     },
-    "trace_t10_e3_zero_sum": {
-        "trace.csv": "8f95124178320e392b8beaafd17dff79d8439ec1ac2c3fca6454b8e93c86c9d2",
-        "summary.json": "91701382f51676417f37deaaae0ad897396318aa04ec2436283b31823a6bd64e",
+    "trace_t10_e3": {
+        "trace.csv": "662b37873c9f403b05345bfbf5c0dd3dc16d40bf3f483a2623f7484c3b4cec1b",
+        "summary.json": "9ddbca062f65189925fcf1c01af6e6932a7662dfa22091bb245afb9fc7afee34",
     },
     "trace_k3_t37_e7": {
         "trace.csv": "be162b682c13e3f45a0229d890c8d26bc13a14c3a1d9fecadaa5de2194d91e8e",

@@ -263,9 +263,11 @@ class TestVerdictRules:
 class TestBalanceConvergence:
     def test_already_balanced_start(self):
         gamma = np.array([[0.9, 0.1], [0.2, 0.8]])
-        report = check_balance_convergence(gamma, u=0.01, settle_iterations=20)
+        report = check_balance_convergence(gamma, u=0.01)
         assert report.converged and report.stayed
         assert report.entered_iteration.tolist() == [1, 1]
+        # entered at row 1, then the 200-row settle window and the row after it
+        assert report.iterations_run == 202
 
     @pytest.mark.parametrize("budget", [0, -3])
     def test_empty_budget_runs_nothing(self, budget):
@@ -274,6 +276,16 @@ class TestBalanceConvergence:
         assert report.iterations_run == 0
         assert not report.converged
         assert report.entered_iteration.tolist() == [-1, -1]
+
+    @pytest.mark.parametrize("u,budget", [(0.01, 350), (0.1, 160)])
+    def test_default_budget(self, u, budget):
+        # Eight identical tokens always share one expert, so the loads (8, 0)
+        # never enter [3, 5] and the run takes the whole default budget,
+        # max(10*T*E, ceil(2.5/u) + 100).
+        gamma = np.tile([0.6, 0.4], (8, 1))
+        report = check_balance_convergence(gamma, u)
+        assert not report.converged
+        assert report.iterations_run == budget
 
     def test_adversarial_start_converges(self):
         # every token prefers expert 0; distinct per-expert slopes keep all
@@ -285,9 +297,7 @@ class TestBalanceConvergence:
         gamma = base[None, :] + idx * step[None, :]
         u_bar = ubar(gamma)
         budget = max(10 * T * E, math.ceil(1.0 / u_bar))
-        report = check_balance_convergence(
-            gamma, u=0.9 * u_bar, budget=budget, settle_iterations=100
-        )
+        report = check_balance_convergence(gamma, u=0.9 * u_bar, budget=budget)
         first = route_topk(gamma, BiasVector.zeros(E), 1)
         assert first.loads.counts.tolist() == [16, 0, 0, 0]
         assert report.converged and report.stayed and report.load_step_ok

@@ -219,3 +219,43 @@ def test_route_shift_invariance_property(seed, T, E, shift):
     a = route_topk(gamma, BiasVector(p), K)
     b = route_topk(gamma, BiasVector(p + shift), K)
     np.testing.assert_array_equal(a.assigned_experts, b.assigned_experts)
+
+
+@st.composite
+def _scores_biases_and_shift(draw):
+    """(gamma, p, c, K) with 1 <= K <= E - 1: affinities and biases either
+    continuous or on the 1/8 and 1/16 grids, where boundary ties are
+    common, and a common bias shift c."""
+    T, E = draw(st.integers(2, 12)), draw(st.integers(2, 7))
+    if draw(st.booleans()):
+        cell = st.integers(1, 7).map(lambda j: j / 8)
+        bias = st.integers(-16, 16).map(lambda j: j / 16)
+    else:
+        cell, bias = st.floats(1e-3, 1 - 1e-3), st.floats(-1.0, 1.0)
+    gamma = np.array(draw(st.lists(cell, min_size=T * E, max_size=T * E)))
+    p = np.array(draw(st.lists(bias, min_size=E, max_size=E)))
+    c = draw(st.floats(-5.0, 5.0))
+    return gamma.reshape(T, E), p, c, draw(st.integers(1, E - 1))
+
+
+@given(_scores_biases_and_shift())
+@settings(max_examples=200, deadline=None)
+def test_common_bias_shift_keeps_topk_and_lagrangian(case):
+    # Why a zero-sum projection of the dual step changes no output: moving
+    # every bias by c keeps each token's Top-K set, and at L = K*T/E the
+    # Lagrangian changes by c*K*T - L*E*c = 0.  Rows whose K-th and (K+1)-th
+    # scores lie within ``margin`` of each other may round either way, and
+    # shift the Lagrangian by at most K * margin each.
+    gamma, p, c, K = case
+    T, E = gamma.shape
+    L = K * T / E
+    margin = 8 * np.finfo(float).eps * (1 + np.abs(p).max() + abs(c))
+    scores = gamma + p
+    chosen, _ = topk(scores, K)
+    shifted, _ = topk(gamma + (p + c), K)
+    ranked = np.sort(scores, axis=-1)
+    clear = ranked[:, E - K] - ranked[:, E - K - 1] > margin
+    np.testing.assert_array_equal(shifted[clear], chosen[clear])
+    got = lagrangian(gamma, shifted, p + c, L)
+    want = lagrangian(gamma, chosen, p, L)
+    assert abs(got - want) <= 4 * T * K * margin
