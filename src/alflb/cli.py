@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import csv
 import hashlib
 import json
 import math
@@ -293,19 +292,18 @@ def load_config(path) -> ExperimentConfig:
 
 def _write_csv(path: Path, columns: dict) -> None:
     """A header row of the column names, then one row per index of the
-    equal-length columns: numpy float columns as ``.17g``, every other cell
-    as ``csv`` writes it."""
-    cells = []
+    equal-length columns, CRLF-ended as ``csv.writer`` ends them: numpy float
+    columns as ``.17g``, every other cell as ``str``.  Names and cells are
+    numbers, bools or plain names, which ``csv`` would not quote either."""
+    cells, formats = [], []
     for col in columns.values():
-        if isinstance(col, np.ndarray):
-            is_float, col = col.dtype.kind == "f", col.tolist()
-            if is_float:
-                col = [format(x, ".17g") for x in col]
-        cells.append(col)
+        is_float = isinstance(col, np.ndarray) and col.dtype.kind == "f"
+        formats.append("%.17g" if is_float else "%s")
+        cells.append(col.tolist() if isinstance(col, np.ndarray) else col)
+    row = ",".join(formats) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(zip(*cells, strict=True))
+        fh.write(",".join(columns) + "\r\n")
+        fh.writelines(row % cell for cell in zip(*cells, strict=True))
 
 
 def _seeded_affinities(dims: ProblemDims, seed: int, scale: float = 1.0):

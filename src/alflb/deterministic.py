@@ -89,6 +89,15 @@ def iterate(
     checked before it routes, and only the rows before the first non-finite
     one are routed, so ``topk`` never sees NaN; non-finite biases raise
     ``InvalidRange`` at the iteration that has them.
+
+    A block of M >= 2 rows is first certified: if, for every token, the
+    lowest of gamma + lo over the experts it chose at the last row before
+    the block is above the highest of gamma + hi over the others, lo and hi
+    the least and greatest of each expert's biases over the block, then no
+    row can change a Top-K set or tie at its boundary.  Such a block makes
+    no ``topk`` call: its ``chosen`` and ``loads`` are that row's, broadcast
+    over the block, and ``row_tie`` is all false.  The biases, experts and
+    loads a block yields are read-only.
     """
     g = affinity_array(gamma)
     T, E = g.shape
@@ -114,8 +123,13 @@ def iterate(
                 raise InvalidRange("bias entries must be finite")
             rows, p_rows = rows[:finite], p_rows[:finite]
         M = len(rows)
-        chosen, row_tie = topk(g + p_rows[:, None, :], K)
-        loads = count_loads(chosen, E)
+        if M > 1 and _certified(g, last, p_rows):
+            chosen = np.broadcast_to(last, (M, T, K))
+            loads = np.broadcast_to(guess, (M, E))
+            row_tie = np.zeros((M, T), dtype=bool)
+        else:
+            chosen, row_tie = topk(g + p_rows[:, None, :], K)
+            loads = count_loads(chosen, E)
         held = (loads == guess).all(axis=1)
         first_miss = int(held.argmin())
         missed = not held[first_miss]
@@ -123,15 +137,29 @@ def iterate(
         if keep < M:
             rows, p_rows = rows[:keep], p_rows[:keep]
             chosen, loads, row_tie = chosen[:keep], loads[:keep], row_tie[:keep]
-        # A consumer's in-place change must not reach the next dual step.
-        p_rows.flags.writeable = False
-        loads.flags.writeable = False
+        # A consumer's in-place change must not reach the next block.
+        for a in (p_rows, chosen, loads):
+            a.flags.writeable = False
         yield rows, p_rows, chosen, loads, row_tie
         if overflow and not missed:
             raise InvalidRange("bias entries must be finite")
         n += keep
-        guess = loads[-1]
+        last, guess = chosen[-1], loads[-1]
         c = 1 if missed else min(2 * c, cap)
+
+
+def _certified(g, last, p_rows):
+    """Whether every row of biases ``p_rows`` routes each token i to its set
+    ``last[i]`` with no boundary tie: the lowest of g + lo over the set is
+    above the highest of g + hi off it, lo and hi the least and greatest bias
+    of each expert over the rows.  A rounded sum g + p is monotone in p, so
+    each row's scores lie between those at lo and at hi.  With K = E nothing
+    is off the set, its highest is -inf, and every block holds."""
+    cells = last + np.arange(0, g.size, g.shape[1])[:, None]  # flat, C order
+    low = np.take(g + p_rows.min(axis=0), cells).min(axis=1)
+    high = g + p_rows.max(axis=0)
+    high.put(cells, -np.inf)
+    return bool((low > high.max(axis=1)).all())
 
 
 def _guessed_biases(p, guess, schedule, L, rows):

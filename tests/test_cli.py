@@ -752,3 +752,30 @@ class TestArtifactBytes:
             for path in (tmp_path / "out").iterdir()
         }
         assert got == PINNED_SHA256[name]
+
+    def test_csv_writer_matches_csv_module(self, tmp_path):
+        # the writer against csv.writer with every float cell of a numpy
+        # column formatted as .17g, on the floats whose text is special
+        floats = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1])
+        columns = {
+            "n": range(1, 8),
+            "value": floats,
+            "count": np.arange(7, dtype=np.int64) - 3,
+            "flag": np.array([True, False] * 3 + [True]),
+            "ratio": [1 / 3, -0.0, 2.5, 1e-300, float("inf"), 7.0, -1.5],
+            "ok": [True, False, True, True, False, False, True],
+            "seed": [np.int64(2**40), np.int32(-5), 0, 1, 2, 3, 4],
+        }
+        cli._write_csv(tmp_path / "fast.csv", columns)
+        with open(tmp_path / "slow.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            cells = [
+                [format(x, ".17g") for x in col.tolist()] if col is floats
+                else col.tolist() if isinstance(col, np.ndarray) else col
+                for col in columns.values()
+            ]
+            writer.writerows(zip(*cells))
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
+        with pytest.raises(ValueError):
+            cli._write_csv(tmp_path / "short.csv", {"a": range(3), "b": floats})

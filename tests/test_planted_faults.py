@@ -6,11 +6,13 @@ monkeypatch one lab function, under the name the acceptance module calls
 it by, to put a NaN into the statistic the criterion judges, and see the
 criterion fail.  A NaN compares false with every bound, so a rule that lets
 one through has dropped it before the comparison (Python's ``max(0.0, nan)``
-is ``0.0``).  The last three plant a wrong formula rather than a NaN: a
+is ``0.0``).  The last five plant a wrong formula rather than a NaN: a
 dual update with the wrong sign (criterion 1), a bias shifted on the
-quadrature side of the moment check only (criterion 5), and quadrature
-nodes spread over the segments in proportion to their width, which the
-1e-12 comparison with the enumeration oracle must catch.
+quadrature side of the moment check only (criterion 5), quadrature nodes
+spread over the segments in proportion to their width, which the 1e-12
+comparison with the enumeration oracle must catch, and two wrong
+certificates of an unrouted ``iterate`` block, which the stepwise routing
+oracle must catch.
 """
 
 import dataclasses
@@ -20,7 +22,8 @@ import pytest
 
 import test_acceptance as acceptance
 import test_quadrature_oracle as oracle
-from alflb import distributions, stochastic
+import test_routing_oracle as routing_oracle
+from alflb import deterministic, distributions, stochastic
 from alflb.balancer import ScheduleKind, StepSchedule
 from alflb.deterministic import audit_trace, simulate_fixed_scores
 from alflb.stochastic import (
@@ -175,3 +178,39 @@ def test_linear_node_allocation_fails_the_quadrature_oracle(monkeypatch):
     monkeypatch.setattr(distributions, "_segment_counts", linear)
     with pytest.raises(AssertionError):
         oracle.test_matches_enumeration(*case)
+
+
+# The fewest iterations at which the stepwise routing oracle catches each
+# wrong certificate below on the 40 x 4 sign-schedule run (u = 1e-3) whose
+# loads change inside blocks: both pass at 19 iterations and fail at 20.
+CERTIFICATE_PASSES, CERTIFICATE_CAUGHT = 19, 20
+_exact_certificate = deterministic._certified
+
+
+def _first_row_certificate(g, last, p_rows):
+    # the bias range of the block's first row only
+    return _exact_certificate(g, last, p_rows[:1])
+
+
+def _swapped_certificate(g, last, p_rows):
+    # the chosen experts at the highest biases, the others at the lowest
+    cells = last + np.arange(0, g.size, g.shape[1])[:, None]
+    low = np.take(g + p_rows.max(axis=0), cells).min(axis=1)
+    high = g + p_rows.min(axis=0)
+    high.put(cells, -np.inf)
+    return bool((low > high.max(axis=1)).all())
+
+
+@pytest.mark.parametrize("plant", [_first_row_certificate, _swapped_certificate])
+def test_wrong_block_certificate_fails_the_routing_oracle(monkeypatch, plant):
+    gamma = routing_oracle._seeded_affinities(40, 4, 1000)
+    sched = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 1e-3)
+
+    def oracle_at(iterations):
+        routing_oracle._assert_rows_equal_stepwise(gamma, sched, iterations)
+
+    oracle_at(CERTIFICATE_CAUGHT)
+    monkeypatch.setattr(deterministic, "_certified", plant)
+    oracle_at(CERTIFICATE_PASSES)
+    with pytest.raises(AssertionError):
+        oracle_at(CERTIFICATE_CAUGHT)

@@ -294,15 +294,14 @@ def test_simulate_matches_reference_loop_with_ties(K):
     _assert_traces_equal(gamma, got, want)
 
 
-def _assert_blocks_equal(gamma, sched, iterations, K=1):
+def _assert_rows_equal_stepwise(gamma, sched, iterations, K=1):
     """Every row of the blocked ``iterate`` against the stepwise oracle, bit
-    for bit, and the trace against the container reference; returns the
-    blocks' loads."""
+    for bit; returns the blocks' loads."""
     stepwise = islice(ref.iterate_stepwise(gamma, sched, K), iterations)
     blocks = []
     for block in iterate(gamma, sched, K, iterations=iterations):
-        n, p, _, loads, _ = block
-        assert not p.flags.writeable and not loads.flags.writeable
+        n, p, chosen, loads, _ = block
+        assert not any(a.flags.writeable for a in (p, chosen, loads))
         for got, want in zip(zip(*block), stepwise):
             assert got[0] == want[0]
             for a, b in zip(got[1:], want[1:]):
@@ -310,6 +309,14 @@ def _assert_blocks_equal(gamma, sched, iterations, K=1):
         blocks.append(loads)
     assert sum(map(len, blocks)) == iterations
     assert next(stepwise, None) is None
+    return blocks
+
+
+def _assert_blocks_equal(gamma, sched, iterations, K=1):
+    """Every row of the blocked ``iterate`` against the stepwise oracle, bit
+    for bit, and the trace against the container reference; returns the
+    blocks' loads."""
+    blocks = _assert_rows_equal_stepwise(gamma, sched, iterations, K)
     _assert_traces_equal(
         gamma,
         _assert_bookkeeping_equal(gamma, sched, iterations, K=K),
@@ -318,13 +325,79 @@ def _assert_blocks_equal(gamma, sched, iterations, K=1):
     return blocks
 
 
-def test_blocks_match_stepwise_on_plateau():
-    # the benchmark's plateau: routing changes a few times in 2,500 iterations
+def _routed_rows(monkeypatch):
+    """A list that counts, from now on, the rows ``iterate`` hands to
+    ``topk``: one entry per call."""
+    calls, real = [], deterministic.topk
+
+    def counting(shifted, K):
+        calls.append(len(shifted))
+        return real(shifted, K)
+
+    monkeypatch.setattr(deterministic, "topk", counting)
+    return calls
+
+
+def test_blocks_match_stepwise_on_plateau(monkeypatch):
+    # the benchmark's plateau: routing changes a few times in 2,500
+    # iterations, and the blocks past those changes are certified unrouted
     gamma = _seeded_affinities(64, 4, 77)
-    blocks = _assert_blocks_equal(
-        gamma, StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 1e-6), 2_500
-    )
+    sched = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 1e-6)
+    blocks = _assert_blocks_equal(gamma, sched, 2_500)
     assert len(blocks) < 100 and max(map(len, blocks)) == BLOCK_SCORES // (64 * 4)
+    routed = _routed_rows(monkeypatch)
+    list(iterate(gamma, sched, iterations=2_500))
+    # rows 1 and 2, the 256-row block that holds the one routing change (at
+    # row 2,119) and the row after it: 259 rows in four calls
+    assert len(routed) == 4 and sum(routed) < 0.11 * 2_500
+
+
+def _grid_plateau_affinities(T, E, seed):
+    """Affinities on the 1/8 grid with one largest entry per row, 1/8 above
+    the next: ties fall below the K = 1 boundary."""
+    g = np.random.default_rng(seed).integers(1, 7, (T, E)) / 8
+    g[np.arange(T), g.argmax(axis=1)] += 1 / 8
+    return g
+
+
+@pytest.mark.parametrize(
+    "affinities,E,K",
+    [
+        (_seeded_affinities, 4, 2),
+        (_seeded_affinities, 8, 3),
+        (_grid_plateau_affinities, 4, 1),
+    ],
+    ids=["K2", "K3", "tied_grid"],
+)
+def test_blocks_match_stepwise_on_plateaus(monkeypatch, affinities, E, K):
+    gamma = affinities(64, E, 78)
+    sched = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 1e-6)
+    blocks = _assert_blocks_equal(gamma, sched, 1_000, K=K)
+    assert max(map(len, blocks)) == BLOCK_SCORES // (64 * E)
+    routed = _routed_rows(monkeypatch)
+    list(iterate(gamma, sched, K, iterations=1_000))
+    assert sum(routed) < 0.15 * 1_000
+
+
+@st.composite
+def _plateau_runs(draw):
+    """Affinities (softmax of normal scores, or on the 1/8 grid), K <= E, a
+    schedule and its u in [1e-7, 1e-2]."""
+    T, E = draw(st.integers(2, 40)), draw(st.integers(2, 8))
+    affinities = draw(st.sampled_from(
+        [_seeded_affinities, _grid_affinities, _grid_plateau_affinities]
+    ))
+    gamma = affinities(T, E, draw(st.integers(0, 2**16)))
+    u = 10.0 ** draw(st.floats(-7, -2))
+    sched = StepSchedule(draw(st.sampled_from(list(ScheduleKind))), u)
+    return gamma, sched, draw(st.integers(1, E))
+
+
+@given(_plateau_runs())
+@settings(max_examples=60, deadline=None)
+def test_blocks_match_stepwise_on_random_runs(run):
+    gamma, sched, K = run
+    _assert_rows_equal_stepwise(gamma, sched, 300, K=K)
 
 
 def test_blocks_match_stepwise_when_loads_change_inside_a_block():

@@ -9,8 +9,10 @@ CHECKOUT`` times a second checkout beside this one).
     python tools/bench_simulate.py --parent ../alflb-parent --out BENCH_simulate.json
 
 The affinities are the row-softmax of standard normal scores (seed 0) and
-the schedule is the sign schedule with u = 1e-3, as in the benchmark's trace
-configs.  This is not part of the test suite or of ``perfbench``.
+the schedule is the sign schedule with each cell's u: 1e-3 as in the
+benchmark's trace configs, or 1e-6 as in its plateau configs, where routing
+changes a few times in 2,500 iterations.  This is not part of the test suite
+or of ``perfbench``.
 """
 
 from __future__ import annotations
@@ -20,16 +22,18 @@ import time
 
 import harness
 
-# (T, E, K, iterations): the small_lab trace shapes at its 150 iterations, a
-# K = 3 shape, and the two large_trace shapes, where every block is one row
+# (T, E, K, iterations, u): the small_lab trace shapes at its 150 iterations,
+# a K = 3 shape, the two large_trace shapes, where every block is one row,
+# and two plateaus, the small_lab one and a K = 3 one
 CASES = [
-    (40, 4, 1, 150), (80, 8, 1, 150), (200, 16, 1, 150), (37, 7, 3, 150),
-    (4096, 64, 1, 20), (2048, 64, 8, 20),
+    (40, 4, 1, 150, 1e-3), (80, 8, 1, 150, 1e-3), (200, 16, 1, 150, 1e-3),
+    (37, 7, 3, 150, 1e-3), (4096, 64, 1, 20, 1e-3), (2048, 64, 8, 20, 1e-3),
+    (64, 4, 1, 2500, 1e-6), (64, 8, 3, 2500, 1e-6),
 ]
 FUNCTIONS = ("simulate_fixed_scores", "iterate")
 CELLS = [
-    {"function": name, "T": T, "E": E, "K": K, "iterations": N}
-    for T, E, K, N in CASES for name in FUNCTIONS
+    {"function": name, "T": T, "E": E, "K": K, "iterations": N, "u": u}
+    for T, E, K, N, u in CASES for name in FUNCTIONS
 ]
 RUNS_PER_ROUND = 10
 
@@ -45,7 +49,7 @@ def measure(cell: dict) -> dict[str, list[float]]:
     T, E, K, N = cell["T"], cell["E"], cell["K"], cell["iterations"]
     raw = RawScoreMatrix(np.random.default_rng(0).standard_normal((T, E)))
     gamma = softmax_affinities(raw)
-    sched = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 1e-3)
+    sched = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, cell["u"])
     fn = {
         "simulate_fixed_scores": lambda: simulate_fixed_scores(gamma, sched, N, K),
         "iterate": lambda: sum(1 for _ in iterate(gamma, sched, K, iterations=N)),
@@ -65,6 +69,7 @@ if __name__ == "__main__":
         header={
             "what": "µs per iteration row of deterministic.simulate_fixed_scores "
                     "and of a bare pass over deterministic.iterate's blocks, "
-                    "sign schedule u = 1e-3, softmax of standard normal scores",
+                    "sign schedule at each cell's u, softmax of standard normal "
+                    "scores",
         },
     ))
