@@ -1,4 +1,4 @@
-"""Step-size schedules of the dual bias update, and the zero-sum projection.
+"""Step-size schedules, the overflow rule of a run, and the zero-sum projection.
 
 The update itself, p + eps_n * (L - A), runs inside ``deterministic.iterate``.
 """
@@ -70,6 +70,23 @@ class StepSchedule:
         if self.kind is ScheduleKind.DEEPSEEK_SIGN:
             return self.u * np.abs(gap).sum(axis=-1)
         return self.scalar_step(n) * np.square(gap).sum(axis=-1)
+
+
+def check_overflow_bound(u: float, K: int, T: int, iterations: int) -> None:
+    """Reject a run when 16 K T max(1, u T iterations) could reach 2^1024.
+
+    A step of size at most u moves a bias by at most u T (|L - A_k| <= T),
+    so |p_n| <= P := u T iterations.  With M = max(1, P), a row's Lagrangian
+    is at most K T (1 + P) + L E P <= 3KTM, its quadratic penalty
+    u T sum_k |A_k - L| <= 2KTM (its sum of squares is at most 2KT^2), its
+    switch benefits T (1 + 2P) <= 3TM, and an identity residual 11KTM; the
+    factor 16/11 covers rounding.  Each factor enters through its log2, so
+    no config integer becomes a float (a threshold such as 2^1024 / (16 u)
+    is inf for u < 1/16 and would admit every iteration count).
+    """
+    growth = math.log2(u) + math.log2(T) + math.log2(max(iterations, 1))
+    if 4 + math.log2(K) + math.log2(T) + max(0.0, growth) >= 1024:
+        raise InvalidRange("the run could overflow: 16 K T max(1, u T n) >= 2^1024")
 
 
 def project_zero_sum(p: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .balancer import ScheduleKind, StepSchedule
+from .balancer import ScheduleKind, StepSchedule, check_overflow_bound
 from .core import ProblemDims, RandomSource
 from .deterministic import (
     audit_trace,
@@ -160,14 +160,6 @@ def _seed(value) -> int:
     return seed
 
 
-def _bias_bound(u: float, T: int, iterations: int, field: str) -> None:
-    """Reject a step size whose biases could overflow.  One dual step moves
-    a bias by at most u * T (for every schedule, |L - A_k| <= T), so
-    |p_n| <= u T n; the check keeps a factor 2 of headroom over that."""
-    if not math.isfinite(2.0 * u * T * iterations):
-        raise ValidationError(field, "the biases could overflow: 2 u T iterations = inf")
-
-
 def _u_fraction(value, field: str) -> float:
     """u as a fraction of ubar, in (0, 1): theorem 3 assumes u < ubar."""
     x = _real(value, field, positive=True)
@@ -256,16 +248,21 @@ def load_config(path) -> ExperimentConfig:
     params = _parse_keys(raw, _SCHEMA[kind][1], read=("kind", "seed", "out_dir"))
     seed = _seed(raw.get("seed", 0))
 
+    dims = params.get("dims")
     if kind == "balance_check":
-        if params["dims"].K != 1:
+        if dims.K != 1:
             raise ValidationError("dims.K", "balance_check requires K=1")
-        if not params["dims"].balanced:
+        if not dims.balanced:
             raise ValidationError("dims", "balance_check requires E to divide K*T")
+        if params["budget"] is not None:
+            # every instance runs with u < ubar < 1
+            _in_range("budget", check_overflow_bound, 1.0, 1, dims.T, params["budget"])
     elif kind == "deterministic_run":
-        _bias_bound(params["schedule"].u, params["dims"].T, params["iterations"],
-                    "schedule.u")
+        _in_range("schedule.u", check_overflow_bound, params["schedule"].u, dims.K,
+                  dims.T, params["iterations"])
     elif kind == "schedule_compare":
-        _bias_bound(params["u"], params["dims"].T, params["iterations"], "u")
+        _in_range("u", check_overflow_bound, params["u"], dims.K, dims.T,
+                  params["iterations"])
     else:
         E = params["distributions"].E
         # With K = E every expert is selected: every gradient is 0 and pi is

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balancer import ScheduleKind, StepSchedule
+from .balancer import ScheduleKind, StepSchedule, check_overflow_bound
 from .core import ProblemDims, affinity_array
 from .errors import DegenerateGaps, InvalidRange, KNotOne
 from .router import lagrangian, loads as count_loads, topk
@@ -84,11 +84,9 @@ def iterate(
     It keeps the rows up to and including the first whose loads differ from
     the guess, so every row it yields is the stepwise row bit for bit.  c
     doubles after a block whose guess held and drops to 1 after a miss, with
-    c*T*E at most ``BLOCK_SCORES``.  The affinities are checked (and copied
-    unless already read-only) before the first block.  A block's biases are
-    checked before it routes, and only the rows before the first non-finite
-    one are routed, so ``topk`` never sees NaN; non-finite biases raise
-    ``InvalidRange`` at the iteration that has them.
+    c*T*E at most ``BLOCK_SCORES``.  Before the first block the affinities
+    are checked (and copied unless already read-only), and so is the run,
+    by ``balancer.check_overflow_bound``.
 
     A block of M >= 2 rows is first certified: if, for every token, the
     lowest of gamma + lo over the experts it chose at the last row before
@@ -102,26 +100,16 @@ def iterate(
     g = affinity_array(gamma)
     T, E = g.shape
     L = ProblemDims(T=T, E=E, K=K).target_load
+    check_overflow_bound(schedule.u, K, T, iterations)
     cap = max(1, BLOCK_SCORES // (T * E))
     p = np.zeros(E)
     guess = np.full(E, -1)  # no load is negative, so the first block misses
     n, c = 1, 1
     while n <= iterations:
         rows = np.arange(n, n + min(c, iterations - n + 1))
-        with np.errstate(over="ignore", invalid="ignore"):
-            if n > 1:  # the dual step from the last row of the previous block
-                p = p_rows[-1] + schedule.bias_delta(guess, L, n - 1)
-            p_rows = _guessed_biases(p, guess, schedule, L, rows)
-        # Only the rows before the first non-finite one are routed.  The first
-        # row of a block is exact, so a non-finite one raises here; a later one
-        # raises after the yield if every routed row held, and is thrown away
-        # with the other guessed rows past a miss otherwise.
-        overflow = not np.isfinite(p_rows).all()
-        if overflow:
-            finite = int(np.isfinite(p_rows).all(axis=1).argmin())
-            if not finite:
-                raise InvalidRange("bias entries must be finite")
-            rows, p_rows = rows[:finite], p_rows[:finite]
+        if n > 1:  # the dual step from the last row of the previous block
+            p = p_rows[-1] + schedule.bias_delta(guess, L, n - 1)
+        p_rows = _guessed_biases(p, guess, schedule, L, rows)
         M = len(rows)
         if M > 1 and _certified(g, last, p_rows):
             chosen = np.broadcast_to(last, (M, T, K))
@@ -141,8 +129,6 @@ def iterate(
         for a in (p_rows, chosen, loads):
             a.flags.writeable = False
         yield rows, p_rows, chosen, loads, row_tie
-        if overflow and not missed:
-            raise InvalidRange("bias entries must be finite")
         n += keep
         last, guess = chosen[-1], loads[-1]
         c = 1 if missed else min(2 * c, cap)
@@ -350,7 +336,8 @@ def check_balance_convergence(
     ``SETTLE_ITERATIONS`` more steps to probe the "remains in range" claim.
     The default budget is max(10*T*E, ceil(2.5/u) + 100): in ceil(2.5/u)
     steps of u a bias moves by 2.5, more than the width of the (0, 1) range
-    that affinities lie in.
+    that affinities lie in.  ``iterate`` checks u and the budget against
+    ``balancer.check_overflow_bound``; the CLI checks a budget at u = 1.
     """
     g = affinity_array(gamma)
     T, E = g.shape

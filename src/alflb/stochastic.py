@@ -325,7 +325,6 @@ def hessian_identity_holds(errors: np.ndarray) -> bool:
 class StrongConvexityEstimate:
     c_hat: float       # grid minimum of min_{k<l} w_kl (upper bound on the inf)
     mu: float          # T * c_hat * E
-    argmin_p: np.ndarray
 
 
 def _domain_grid(E: int, kappa: float, grid_points: int, rng: np.random.Generator):
@@ -376,12 +375,9 @@ def strong_convexity_estimate(
     grid = _domain_grid(dist.E, kappa, grid_points, rng)
     offdiag = ~np.eye(dist.E, dtype=bool)
     best = math.inf
-    best_p = grid[0]
     for q in grid:
-        m = float(edge_weights_quadrature(dist, q, K)[offdiag].min())
-        if m < best:
-            best, best_p = m, q
-    return StrongConvexityEstimate(c_hat=best, mu=T * best * dist.E, argmin_p=best_p)
+        best = min(best, float(edge_weights_quadrature(dist, q, K)[offdiag].min()))
+    return StrongConvexityEstimate(c_hat=best, mu=T * best * dist.E)
 
 
 # ---------------------------------------------------------------------------

@@ -374,8 +374,6 @@ def iterate_stepwise(gamma: np.ndarray, schedule: StepSchedule, K: int = 1):
         loads.flags.writeable = False
         yield n, p, chosen, loads, row_tie
         p = p + schedule.bias_delta(loads, L, n)
-        if not np.isfinite(p).all():
-            raise InvalidRange("bias entries must be finite")
         n += 1
 
 

@@ -425,13 +425,23 @@ class TestConfigErrors:
             (HESSIAN_CFG, {"K": 2}, "K"),
             (MOMENT_CFG, _first_distribution({"type": "uniform", "lo": 0.0, "hi": 5e-324}),
              "distributions.0"),
-            # |p_n| <= 2 u T n = 2 * 1e308 * 8 * 5 overflows
+            # 16 K T max(1, u T n) = 16 * 8 * 1e308 * 8 * 5 overflows
             (DET_CFG, {"dims": {"T": 8, "E": 2, "K": 1},
                        "schedule": {"kind": "constant", "u": 1e308}, "iterations": 5},
              "schedule.u"),
             (DET_CFG, {"schedule": {"kind": "deepseek_sign", "u": 1e306},
                        "iterations": 10**4}, "schedule.u"),
             (COMPARE_CFG, {"u": 1e307}, "u"),
+            # 2 u T n = 1.3e308 is finite, but the Lagrangian is not
+            (DET_CFG, {"dims": {"T": 64, "E": 2, "K": 1},
+                       "schedule": {"kind": "constant", "u": 2e305}, "iterations": 5},
+             "schedule.u"),
+            # integers no double holds
+            (DET_CFG, {"iterations": 10**400}, "schedule.u"),
+            (COMPARE_CFG, {"iterations": 10**400}, "u"),
+            (DET_CFG, {"dims": {"T": 10**400, "E": 4, "K": 1}}, "schedule.u"),
+            (COMPARE_CFG, {"dims": {"T": 10**400, "E": 4, "K": 1}}, "u"),
+            (BALANCE_CFG, {"budget": 10**400}, "budget"),
             # theorem 3 assumes u < ubar
             (BALANCE_CFG, {"u_fraction": 1.0}, "u_fraction"),
             (BALANCE_CFG, {"u_fraction": 1e308}, "u_fraction"),
@@ -446,7 +456,10 @@ class TestConfigErrors:
              "string_components", "number_components", "moment_k_equals_e",
              "moment_single_token", "regret_k_equals_e", "hessian_k_equals_e", "nan_pdf_mass",
              "overflowing_constant_step", "overflowing_sign_step",
-             "overflowing_compare_step", "u_fraction_one", "u_fraction_huge"],
+             "overflowing_compare_step", "overflowing_lagrangian",
+             "huge_iterations", "huge_compare_iterations", "huge_token_count",
+             "huge_compare_token_count", "huge_budget",
+             "u_fraction_one", "u_fraction_huge"],
     )
     def test_exit_two_names_field(self, tmp_path, capsys, recwarn, base, changes, field):
         _assert_exit_two(tmp_path, capsys, dict(base, **changes), field)

@@ -1,10 +1,12 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from alflb.balancer import ScheduleKind, StepSchedule
+from alflb import deterministic
+from alflb.balancer import ScheduleKind, StepSchedule, check_overflow_bound
 from alflb.core import BiasVector
 from alflb.deterministic import (
     IDENTITY_RTOL,
@@ -410,3 +412,79 @@ def test_caller_writes_do_not_reach_later_blocks():
     for got, want in zip(touched, untouched):
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _admitted(u, K, T, iterations):
+    try:
+        check_overflow_bound(u, K, T, iterations)
+    except InvalidRange:
+        return False
+    return True
+
+
+def _largest_admitted_u(K, T, iterations):
+    """The largest double u that ``check_overflow_bound`` admits, by
+    bisection over the bit patterns of the positive doubles, which are in
+    the order of their values."""
+    def double(bits):
+        return float(np.int64(bits).view(np.float64))
+
+    lo, hi = 1, int(np.float64(np.finfo(float).max).view(np.int64))
+    assert _admitted(double(lo), K, T, iterations)
+    assert not _admitted(double(hi), K, T, iterations)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _admitted(double(mid), K, T, iterations) else (lo, mid)
+    return double(lo)
+
+
+# Each entry point that runs the dual step, on a run the overflow rule rejects.
+_OVERFLOWING_RUNS = {
+    "iterate": lambda g: next(
+        iterate(g, StepSchedule(ScheduleKind.CONSTANT, 1e308), iterations=5)
+    ),
+    "simulate_fixed_scores": lambda g: simulate_fixed_scores(
+        g, StepSchedule(ScheduleKind.CONSTANT, 1e308), 5
+    ),
+    "check_balance_convergence": lambda g: check_balance_convergence(g, 1e308),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_OVERFLOWING_RUNS))
+def test_overflow_rule_raises_before_routing(monkeypatch, entry):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return topk(*args)
+
+    monkeypatch.setattr(deterministic, "topk", counted)
+    with pytest.raises(InvalidRange, match="could overflow"):
+        _OVERFLOWING_RUNS[entry](np.tile([0.9, 0.1], (8, 1)))
+    assert not calls
+
+
+@pytest.mark.parametrize("kind", list(ScheduleKind))
+def test_runs_at_the_overflow_rule_stay_finite(kind):
+    # Every token starts on the same K experts, so the first dual step is
+    # as large as the loads allow: |L - A_k| = T - L on the chosen experts.
+    T, E = 8, 4
+    gamma = np.tile([0.9, 0.7, 0.5, 0.3], (T, 1))
+    for K, iterations in itertools.product((1, 2, 3), (1, 2, 5)):
+        u = _largest_admitted_u(K, T, iterations)
+        with pytest.raises(InvalidRange, match="could overflow"):
+            simulate_fixed_scores(
+                gamma, StepSchedule(kind, np.nextafter(u, np.inf)), iterations, K
+            )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = simulate_fixed_scores(gamma, StepSchedule(kind, u), iterations, K)
+            columns = [trace.p, trace.loads, trace.lagrangian, trace.tie,
+                       trace.switches, trace.benefit, trace.gap_prev]
+            if K == 1:
+                audit = audit_trace(trace)
+                columns += [audit.identity_residual, audit.identity_scale]
+        # the biases of iteration 1 are 0; later ones are near the rule's bound
+        assert iterations == 1 or np.abs(trace.p).max() > 1e300
+        for c in columns:
+            assert np.isfinite(c).all()

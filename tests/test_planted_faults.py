@@ -6,16 +6,20 @@ monkeypatch one lab function, under the name the acceptance module calls
 it by, to put a NaN into the statistic the criterion judges, and see the
 criterion fail.  A NaN compares false with every bound, so a rule that lets
 one through has dropped it before the comparison (Python's ``max(0.0, nan)``
-is ``0.0``).  The last five plant a wrong formula rather than a NaN: a
+is ``0.0``).  The last six plant a wrong formula rather than a NaN: a
 dual update with the wrong sign (criterion 1), a bias shifted on the
 quadrature side of the moment check only (criterion 5), quadrature nodes
 spread over the segments in proportion to their width, which the 1e-12
-comparison with the enumeration oracle must catch, and two wrong
+comparison with the enumeration oracle must catch, two wrong
 certificates of an unrouted ``iterate`` block, which the stepwise routing
-oracle must catch.
+oracle must catch, and an overflow rule that bounds only the biases, under
+which a config that ``balancer.check_overflow_bound`` rejects reaches a NaN
+identity residual.
 """
 
 import dataclasses
+import json
+import math
 
 import numpy as np
 import pytest
@@ -23,9 +27,10 @@ import pytest
 import test_acceptance as acceptance
 import test_quadrature_oracle as oracle
 import test_routing_oracle as routing_oracle
-from alflb import deterministic, distributions, stochastic
+from alflb import cli, deterministic, distributions, stochastic
 from alflb.balancer import ScheduleKind, StepSchedule
 from alflb.deterministic import audit_trace, simulate_fixed_scores
+from alflb.errors import InvalidRange, ValidationError
 from alflb.stochastic import (
     check_gradient_moments, hessian_fd_errors, selection_moments,
 )
@@ -214,3 +219,28 @@ def test_wrong_block_certificate_fails_the_routing_oracle(monkeypatch, plant):
     oracle_at(CERTIFICATE_PASSES)
     with pytest.raises(AssertionError):
         oracle_at(CERTIFICATE_CAUGHT)
+
+
+def _product_bound(u, K, T, iterations):
+    # 2 u T n bounds the biases only, not the Lagrangian a row adds them into
+    if not math.isfinite(2.0 * u * T * iterations):
+        raise InvalidRange("the biases could overflow")
+
+
+def test_bias_only_overflow_rule_lets_a_nan_residual_through(monkeypatch, tmp_path):
+    # 2 u T n = 1.28e308 is finite, but a row's Lagrangian of 64 biases is not
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "kind": "deterministic_run", "dims": {"T": 64, "E": 2, "K": 1},
+        "schedule": {"kind": "constant", "u": 2e305}, "iterations": 5,
+    }))
+    with pytest.raises(ValidationError, match="could overflow"):
+        cli.load_config(path)
+    monkeypatch.setattr(cli, "check_overflow_bound", _product_bound)
+    monkeypatch.setattr(deterministic, "check_overflow_bound", _product_bound)
+    with np.errstate(all="ignore"):
+        status = cli.main(["deterministic-run", "--config", str(path),
+                           "--out", str(tmp_path / "out")])
+    assert status == 1
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert math.isnan(summary["max_identity_residual"])

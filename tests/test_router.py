@@ -109,15 +109,6 @@ class TestRouteTopK:
         assert out.loads.counts.tolist() == [10] * 4
         assert not out.tie_flag
 
-    def test_uniform_bias_shift_is_noop(self):
-        gamma = random_affinities(30, 6, seed=6)
-        rng = np.random.default_rng(7)
-        p = rng.uniform(-0.2, 0.2, size=6)
-        out_a = route_topk(gamma, BiasVector(p), 2)
-        out_b = route_topk(gamma, BiasVector(p + 3.7), 2)
-        np.testing.assert_array_equal(out_a.assigned_experts, out_b.assigned_experts)
-        np.testing.assert_array_equal(out_a.loads.counts, out_b.loads.counts)
-
     def test_raising_bias_keeps_selection(self):
         # once selected, an expert stays selected when only its bias goes up
         gamma = random_affinities(30, 5, seed=8)
@@ -194,36 +185,10 @@ class TestLagrangian:
             np.testing.assert_array_equal(loads(c, 6), counts[r])
             np.testing.assert_array_equal(counts[r], np.bincount(c.ravel(), minlength=6))
 
-    def test_uniform_shift_cancels_at_balanced_target(self):
-        g = random_affinities(12, 4, seed=31)
-        L = 2 * 12 / 4
-        base = lagrangian(g, topk(g, 2)[0], np.zeros(4), L)
-        for c in (0.4, -2.0):
-            p = np.full(4, c)
-            val = lagrangian(g, topk(g + p, 2)[0], p, L)
-            assert val == pytest.approx(base, abs=1e-9)
-
-
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    T=st.integers(2, 25),
-    E=st.integers(2, 7),
-    shift=st.floats(-5.0, 5.0, allow_nan=False),
-)
-@settings(max_examples=50, deadline=None)
-def test_route_shift_invariance_property(seed, T, E, shift):
-    gamma = random_affinities(T, E, seed=seed)
-    rng = np.random.default_rng(seed)
-    K = int(rng.integers(1, E + 1))
-    p = rng.uniform(-0.3, 0.3, size=E)
-    a = route_topk(gamma, BiasVector(p), K)
-    b = route_topk(gamma, BiasVector(p + shift), K)
-    np.testing.assert_array_equal(a.assigned_experts, b.assigned_experts)
-
 
 @st.composite
 def _scores_biases_and_shift(draw):
-    """(gamma, p, c, K) with 1 <= K <= E - 1: affinities and biases either
+    """(gamma, p, c, K) with 1 <= K <= E: affinities and biases either
     continuous or on the 1/8 and 1/16 grids, where boundary ties are
     common, and a common bias shift c."""
     T, E = draw(st.integers(2, 12)), draw(st.integers(2, 7))
@@ -235,7 +200,7 @@ def _scores_biases_and_shift(draw):
     gamma = np.array(draw(st.lists(cell, min_size=T * E, max_size=T * E)))
     p = np.array(draw(st.lists(bias, min_size=E, max_size=E)))
     c = draw(st.floats(-5.0, 5.0))
-    return gamma.reshape(T, E), p, c, draw(st.integers(1, E - 1))
+    return gamma.reshape(T, E), p, c, draw(st.integers(1, E))
 
 
 @given(_scores_biases_and_shift())
@@ -253,8 +218,10 @@ def test_common_bias_shift_keeps_topk_and_lagrangian(case):
     scores = gamma + p
     chosen, _ = topk(scores, K)
     shifted, _ = topk(gamma + (p + c), K)
-    ranked = np.sort(scores, axis=-1)
-    clear = ranked[:, E - K] - ranked[:, E - K - 1] > margin
+    # each row's scores in descending order, then -inf: with K = E no
+    # expert is left out and every row is clear
+    ranked = -np.sort(-np.column_stack((scores, np.full(T, -np.inf))), axis=-1)
+    clear = ranked[:, K - 1] - ranked[:, K] > margin
     np.testing.assert_array_equal(shifted[clear], chosen[clear])
     got = lagrangian(gamma, shifted, p + c, L)
     want = lagrangian(gamma, chosen, p, L)

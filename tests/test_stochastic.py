@@ -261,7 +261,6 @@ class TestStrongConvexity:
         w0 = edge_weights_quadrature(ds, np.zeros(3), 1)
         assert est.c_hat == pytest.approx(w0[~np.eye(3, dtype=bool)].min(), abs=1e-12)
         assert est.mu == pytest.approx(8 * est.c_hat * 3)
-        np.testing.assert_array_equal(est.argmin_p, 0.0)
 
     def test_positive_for_positive_densities(self):
         ds = AffinityDistributionSet((BetaScore(1.5, 1.5),) * 3)
