@@ -2,32 +2,18 @@
 simulator plus deterministic and stochastic verification labs.
 """
 
-from .core import (
-    BiasVector,
-    LoadVector,
-    ProblemDims,
-    RandomSource,
-)
+from .core import ProblemDims, RandomSource
 from .balancer import ScheduleKind, StepSchedule, project_zero_sum
-from .router import (
-    RawScoreMatrix,
-    RoutingOutcome,
-    route_topk,
-    softmax_affinities,
-)
+from .router import RawScoreMatrix, softmax_affinities
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BiasVector",
-    "LoadVector",
     "ProblemDims",
     "RandomSource",
     "RawScoreMatrix",
-    "RoutingOutcome",
     "ScheduleKind",
     "StepSchedule",
     "project_zero_sum",
-    "route_topk",
     "softmax_affinities",
 ]

@@ -168,11 +168,6 @@ def _u_fraction(value, field: str) -> float:
     return x
 
 
-def _step_size(value, field: str) -> float:
-    """A constant step size u that ``StepSchedule`` accepts."""
-    return _in_range(field, StepSchedule, ScheduleKind.CONSTANT, _real(value, field)).u
-
-
 def _schedule_kind(name, field: str) -> ScheduleKind:
     if not isinstance(name, str) or name not in _SCHEDULE_NAMES:
         raise ValidationError(field, f"unknown schedule {name!r}")
@@ -257,12 +252,15 @@ def load_config(path) -> ExperimentConfig:
         if params["budget"] is not None:
             # every instance runs with u < ubar < 1
             _in_range("budget", check_overflow_bound, 1.0, 1, dims.T, params["budget"])
-    elif kind == "deterministic_run":
-        _in_range("schedule.u", check_overflow_bound, params["schedule"].u, dims.K,
-                  dims.T, params["iterations"])
-    elif kind == "schedule_compare":
-        _in_range("u", check_overflow_bound, params["u"], dims.K, dims.T,
-                  params["iterations"])
+    elif kind in ("deterministic_run", "schedule_compare"):
+        u_field, u = (("schedule.u", params["schedule"].u) if kind == "deterministic_run"
+                      else ("u", params["u"]))
+        iterations = params["iterations"]
+        _in_range(u_field, check_overflow_bound, u, dims.K, dims.T, iterations)
+        # the most rows of an (iterations, E) float64 column numpy can address
+        most = np.iinfo(np.intp).max // (8 * dims.E)
+        if iterations > most:
+            raise ValidationError("iterations", f"must be <= {most} for E = {dims.E}")
     else:
         E = params["distributions"].E
         # With K = E every expert is selected: every gradient is 0 and pi is
@@ -349,7 +347,11 @@ def _balance_one(seed: int, dims_tuple: tuple[int, int, int], score_scale: float
         # the drawn scores decide this, so it cannot be caught at parse time
         raise ValidationError("score_scale", f"instance seed {seed}: {exc}") from None
     u = u_fraction * u_bar
-    report = check_balance_convergence(gamma, u, budget=budget)
+    try:
+        report = check_balance_convergence(gamma, u, budget=budget)
+    except InvalidRange as exc:
+        # u underflows to 0 or 2.5 / u overflows; the budget is checked at u = 1
+        raise ValidationError("u_fraction", f"instance seed {seed}: {exc}") from None
     return {
         "seed": seed,
         "u": u,
@@ -533,7 +535,7 @@ _SCHEMA = {
     }),
     "schedule_compare": (_run_schedule_compare, {
         "dims": (_parse_dims, _REQUIRED),
-        "u": (_step_size, _REQUIRED),
+        "u": (partial(_real, positive=True), _REQUIRED),
         "iterations": (_integer, _REQUIRED),
     }),
 }

@@ -1,7 +1,8 @@
 """Shared domain types: problem dimensions, the affinity-matrix check and
 the deterministic randomness contract, used by every other module, and the
 bias and load containers, which back only ``router.route_topk``, kept for
-the benchmark's screen in ``perfbench/workloads.py``.
+the benchmark's screen in ``perfbench/workloads.py``, which imports them from
+here: the package does not re-export them.
 
 All containers are immutable value objects (frozen dataclasses holding
 read-only numpy arrays), so they can be shared freely across threads.

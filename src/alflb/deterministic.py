@@ -22,7 +22,8 @@ from .router import lagrangian, loads as count_loads, topk
 
 # Most scores, c * T * E, that one block of ``iterate`` routes at once.
 BLOCK_SCORES = 2**16
-# Most chosen cells, rows * T * K, that ``simulate_fixed_scores`` scores at once.
+# Most chosen cells, rows * T * K, whose Lagrangian ``simulate_fixed_scores``
+# scores at once: the gather makes 8-byte index and value temporaries per cell.
 SCORE_CELLS = 2**13
 # Theorem 1 holds when every identity residual is at most this fraction of
 # its scale 1 + |L_m|.
@@ -171,11 +172,12 @@ def simulate_fixed_scores(
     The loop over ``iterate``'s blocks only stores each row's biases, loads,
     tie flag and chosen experts, the experts in the smallest unsigned type
     that holds E - 1: O(N*T*K) bytes, N*T*K for E <= 256.  After the loop,
-    the Lagrangian column (``router.lagrangian``) and the switch table (each
-    row's experts against the row before) are computed from that store in
-    chunks of at most ``SCORE_CELLS`` chosen cells; each adds the same floats
-    in the same order as a computation per block would, so the columns are
-    the same bits.  Switches are only recorded for K=1; for K > 1 the switch
+    the Lagrangian column (``router.lagrangian``) is computed from that store
+    in chunks of at most ``SCORE_CELLS`` chosen cells; each adds the same
+    floats in the same order as a computation per block would, so the column
+    is the same bits.  The switch table comes from one diff of each row's
+    experts against the row before, whose (N - 1, T) mask is one byte per
+    token-row.  Switches are only recorded for K=1; for K > 1 the switch
     table is empty.
     """
     if iterations < 1:
@@ -199,20 +201,16 @@ def simulate_fixed_scores(
     del blocks
 
     lag = np.empty(iterations)
-    # per chunk: the row, token, old and new expert of each switch
-    switched = [np.empty((4, 0), dtype=np.int64)]
     step = max(1, SCORE_CELLS // (T * K))
     for m in range(0, iterations, step):
         chunk = slice(m, m + step)
         lag[chunk] = lagrangian(g, assigned[chunk], p_rows[chunk], L)
-        if K == 1:
-            # the rows of the chunk against the row before each; row 0 has none
-            a = assigned[max(m - 1, 0):m + step, :, 0]
-            r, i = np.nonzero(a[1:] != a[:-1])
-            switched.append(np.array((r + max(m, 1), i, a[r, i], a[r + 1, i])))
 
-    row, i, old, new = np.concatenate(switched, axis=1)
-    switches = np.column_stack((row, i, old, new))
+    # each row against the row before; for K > 1 one row, so no switch
+    a = assigned[:iterations if K == 1 else 1, :, 0]
+    r, i = np.nonzero(a[1:] != a[:-1])
+    switches = np.column_stack((r + 1, i, a[r, i], a[r + 1, i]))
+    row, i, old, new = switches.T
     # the shifted-score gain of each switch under the new and the old biases
     benefit = (g[i, new] + p_rows[row, new]) - (g[i, old] + p_rows[row, old])
     gap_prev = (g[i, new] + p_rows[row - 1, new]) - (g[i, old] + p_rows[row - 1, old])
@@ -336,7 +334,8 @@ def check_balance_convergence(
     ``SETTLE_ITERATIONS`` more steps to probe the "remains in range" claim.
     The default budget is max(10*T*E, ceil(2.5/u) + 100): in ceil(2.5/u)
     steps of u a bias moves by 2.5, more than the width of the (0, 1) range
-    that affinities lie in.  ``iterate`` checks u and the budget against
+    that affinities lie in; a u so small that 2.5/u is not finite raises
+    InvalidRange.  ``iterate`` checks u and the budget against
     ``balancer.check_overflow_bound``; the CLI checks a budget at u = 1.
     """
     g = affinity_array(gamma)
@@ -344,6 +343,8 @@ def check_balance_convergence(
     L = ProblemDims(T=T, E=E, K=1).L
     sched = StepSchedule(kind=ScheduleKind.DEEPSEEK_SIGN, u=u)
     if budget is None:
+        if not math.isfinite(2.5 / u):
+            raise InvalidRange(f"the default budget ceil(2.5 / u) is not finite at u = {u}")
         budget = max(10 * T * E, math.ceil(2.5 / u) + 100)
     lo, hi = L - (E - 1), L + (E - 1)
 

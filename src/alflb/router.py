@@ -77,8 +77,9 @@ def topk(shifted: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
 
     For K > 1 the kernel sorts every row once: its K-th and (K+1)-th largest
     entries give the tie flag, and the chosen set is every cell at or above
-    the K-th, cut to the lowest indices only on tied rows.  Loads and the
-    Lagrangian depend only on the set, so no score order is kept.
+    the K-th.  A tied row instead takes the first K cells of a stable argsort
+    of its negated scores, which lists equal scores in index order.  Loads
+    and the Lagrangian depend only on the set, so no score order is kept.
     """
     E = shifted.shape[-1]
     if K == 1:
@@ -94,15 +95,10 @@ def topk(shifted: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
     if K < E:
         row_tie = kth[:, 0] == ranked[:, E - K - 1]
         tied = np.flatnonzero(row_tie)
-        if tied.size:  # keep the lowest indices among cells at the K-th score
-            at = rows[tied] == kth[tied]
-            cells, count = np.flatnonzero(at), np.count_nonzero(at, axis=1)
-            room = np.count_nonzero(ranked[tied, E - K:] == kth[tied], axis=1)
-            # each such cell's rank in its row, in index order, from one flat
-            # list: cheaper than a cumulative sum over the whole rows
-            rank = np.arange(len(cells)) - np.repeat(np.cumsum(count) - count, count)
-            at.reshape(-1)[cells[rank < np.repeat(room, count)]] = False
-            taken[tied] &= ~at  # clears the equal cells past the room
+        if tied.size:  # a stable sort keeps equal scores in index order
+            taken[tied] = False
+            first = np.argsort(-rows[tied], axis=1, kind="stable")[:, :K]
+            taken[tied[:, None], first] = True
     else:
         row_tie = np.zeros(len(rows), dtype=bool)
     # each row holds K cells, read out in row-major order

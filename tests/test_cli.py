@@ -374,6 +374,35 @@ def _assert_exit_two(tmp_path, capsys, cfg, field):
     assert not (tmp_path / "out").exists()
 
 
+def _assert_instance_exits_two(tmp_path, capsys, field, value, seed, parallel):
+    """A two-instance ``balance_check`` from ``seed`` with ``field`` set to
+    ``value`` loads, but its run raises, and its CLI run exits 2, naming the
+    field and the instance seed, without a traceback."""
+    cfg_path = _write(tmp_path, "cfg.json", dict(
+        BALANCE_CFG, seed=seed, instances=2, **{field: value},
+    ))
+    cfg = load_config(cfg_path)
+    assert cfg.params[field] == value
+    with pytest.raises(ValidationError) as exc:
+        run(cfg, out_dir=tmp_path / "run" / "nested", parallel=int(parallel))
+    assert exc.value.field == field
+    status = main([
+        "balance-check", "--config", str(cfg_path), "--parallel", parallel,
+        "--out", str(tmp_path / "out"),
+    ])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert f"config error: {field}: instance seed {seed}:" in err
+    assert "Traceback" not in err and "Warning" not in err
+    # neither run leaves the output directories it made; one that was
+    # already there stays
+    assert not (tmp_path / "run").exists()
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ValidationError):
+        run(cfg, out_dir=tmp_path, parallel=int(parallel))
+    assert (tmp_path / "cfg.json").exists()
+
+
 class TestConfigErrors:
     """A bad config exits 2 (not 1, the code of a failed check) and names the
     dotted field; valid configs keep their hash."""
@@ -442,6 +471,14 @@ class TestConfigErrors:
             (DET_CFG, {"dims": {"T": 10**400, "E": 4, "K": 1}}, "schedule.u"),
             (COMPARE_CFG, {"dims": {"T": 10**400, "E": 4, "K": 1}}, "u"),
             (BALANCE_CFG, {"budget": 10**400}, "budget"),
+            # the overflow rule admits these, but no (iterations, E) float64
+            # column can be shaped
+            (DET_CFG, {"dims": {"T": 8, "E": 2, "K": 1},
+                       "schedule": {"kind": "constant", "u": 1e-300}, "iterations": 10**30},
+             "iterations"),
+            (COMPARE_CFG, {"dims": {"T": 8, "E": 2, "K": 1}, "u": 1e-300,
+                           "iterations": 10**30}, "iterations"),
+            (COMPARE_CFG, {"u": 0}, "u"),
             # theorem 3 assumes u < ubar
             (BALANCE_CFG, {"u_fraction": 1.0}, "u_fraction"),
             (BALANCE_CFG, {"u_fraction": 1e308}, "u_fraction"),
@@ -459,6 +496,7 @@ class TestConfigErrors:
              "overflowing_compare_step", "overflowing_lagrangian",
              "huge_iterations", "huge_compare_iterations", "huge_token_count",
              "huge_compare_token_count", "huge_budget",
+             "unshapeable_iterations", "unshapeable_compare_iterations", "zero_compare_u",
              "u_fraction_one", "u_fraction_huge"],
     )
     def test_exit_two_names_field(self, tmp_path, capsys, recwarn, base, changes, field):
@@ -473,30 +511,18 @@ class TestConfigErrors:
     def test_bad_score_scale_exits_two(self, tmp_path, capsys, recwarn, scale, parallel):
         # The drawn scores decide this, so the config loads; the run names
         # the field and the instance seed, also from a worker process.
-        cfg_path = _write(tmp_path, "cfg.json", dict(
-            BALANCE_CFG, seed=1, instances=2, score_scale=scale,
-        ))
-        cfg = load_config(cfg_path)
-        assert cfg.params["score_scale"] == scale
-        with pytest.raises(ValidationError) as exc:
-            run(cfg, out_dir=tmp_path / "run" / "nested", parallel=int(parallel))
-        assert exc.value.field == "score_scale"
-        status = main([
-            "balance-check", "--config", str(cfg_path), "--parallel", parallel,
-            "--out", str(tmp_path / "out"),
-        ])
-        assert status == 2
-        err = capsys.readouterr().err
-        assert "config error: score_scale: instance seed 1:" in err
-        assert "Traceback" not in err and "Warning" not in err
+        _assert_instance_exits_two(tmp_path, capsys, "score_scale", scale, 1, parallel)
         assert not recwarn.list
-        # neither run leaves the output directories it made; one that was
-        # already there stays
-        assert not (tmp_path / "run").exists()
-        assert not (tmp_path / "out").exists()
-        with pytest.raises(ValidationError):
-            run(cfg, out_dir=tmp_path, parallel=int(parallel))
-        assert (tmp_path / "cfg.json").exists()
+
+    @pytest.mark.parametrize("parallel", ["1", "2"])
+    @pytest.mark.parametrize(
+        "fraction", [1e-320, 1e-306], ids=["u_underflows", "default_budget_overflows"],
+    )
+    def test_tiny_u_fraction_exits_two(self, tmp_path, capsys, recwarn, fraction, parallel):
+        # u = fraction * ubar, with ubar about 8.49e-6 at seed 3, is 0 or
+        # about 8.5e-312; then 2.5 / u, the default budget's step count, is inf
+        _assert_instance_exits_two(tmp_path, capsys, "u_fraction", fraction, 3, parallel)
+        assert not recwarn.list
 
     @pytest.mark.parametrize(
         "changes",

@@ -289,6 +289,13 @@ class TestBalanceConvergence:
         assert not report.converged
         assert report.iterations_run == budget
 
+    @pytest.mark.parametrize("u", [8.5e-312, 5e-324])
+    def test_default_budget_past_a_double_raises(self, u):
+        # 2.5 / u is inf, so ceil(2.5 / u) has no integer value
+        gamma = np.array([[0.9, 0.1], [0.2, 0.8]])
+        with pytest.raises(InvalidRange, match="default budget"):
+            check_balance_convergence(gamma, u)
+
     def test_adversarial_start_converges(self):
         # every token prefers expert 0; distinct per-expert slopes keep all
         # score-gap differences comfortably apart so ubar is not microscopic

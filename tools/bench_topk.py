@@ -10,9 +10,10 @@ this one).
 
 The scores are standard normal draws (seed 0), so rows do not tie, except in
 the tied case: scores on the 1/8 grid from -1 to 1 (seed 0), where about
-three rows in four tie at the K-th score and take ``topk``'s tie fix-up.  No
-benchmark workload routes tied scores today (their affinities are softmaxes
-of normal draws), so that case puts the cost of the tie path on record only.
+three rows in four tie at the K-th score, so ``topk`` picks their cells by a
+stable argsort of each tied row.  No benchmark workload routes a tied row
+today (their affinities are softmaxes of normal draws), so that case puts the
+cost of the tie path on record only.
 This is not part of the test suite or of ``perfbench``.
 """
 
