@@ -546,12 +546,21 @@ def run(cfg: ExperimentConfig, out_dir=None, parallel: int = 1) -> int:
     """Execute one experiment; write artifacts; return the exit status.
 
     A config that fails on its drawn data raises ``ValidationError`` and
-    leaves no output directory, or parent of it, that this run made.
+    leaves no output directory, or parent of it, that this run made.  Any
+    other exception is a crash: the run writes a ``summary.json`` that says
+    so, with the exception's ``error`` type and message in place of
+    ``verdicts``, and re-raises.
     """
     out = Path(out_dir) if out_dir is not None else (cfg.out_dir or Path("."))
     made = next((d for d in (*reversed(out.parents), out) if not d.exists()), None)
     out.mkdir(parents=True, exist_ok=True)
     handler = _SCHEMA[cfg.kind][0]
+    summary = {
+        "kind": cfg.kind,
+        "seed": cfg.seed,
+        "config_hash": cfg.config_hash,
+        "build": __version__,
+    }
     try:
         if cfg.kind == "balance_check":
             verdicts, extra = handler(cfg, out, parallel=parallel)
@@ -561,18 +570,19 @@ def run(cfg: ExperimentConfig, out_dir=None, parallel: int = 1) -> int:
         if made is not None:
             shutil.rmtree(made)
         raise
-    summary = {
-        "kind": cfg.kind,
-        "seed": cfg.seed,
-        "config_hash": cfg.config_hash,
-        "build": __version__,
-        "verdicts": {k: bool(v) for k, v in verdicts.items()},
-        **extra,
-    }
+    except Exception as exc:
+        summary["error"] = {"type": type(exc).__name__, "message": str(exc)}
+        _write_summary(out, summary)
+        raise
+    summary["verdicts"] = {k: bool(v) for k, v in verdicts.items()}
+    _write_summary(out, {**summary, **extra})
+    return 0 if all(verdicts.values()) else 1
+
+
+def _write_summary(out: Path, summary: dict) -> None:
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return 0 if all(verdicts.values()) else 1
 
 
 def main(argv=None) -> int:

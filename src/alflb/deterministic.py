@@ -1,7 +1,8 @@
-"""Fixed-score (K=1) analysis lab.
+"""Fixed-score analysis lab.
 
-Runs the primal-dual iteration on a frozen affinity matrix and audits its
-structural guarantees: the exact change-of-Lagrangian identity, the
+Runs the primal-dual iteration on a frozen affinity matrix for any K
+(``iterate``, ``simulate_fixed_scores``) and audits the structural
+guarantees of the K = 1 case: the exact change-of-Lagrangian identity, the
 switching-direction and benefit bounds of the sign schedule, the u-bar
 threshold that forbids concurrent same-route switches, and the approximate
 balancing guarantee.  Affinities are (T, E) arrays, checked once at each
@@ -22,6 +23,14 @@ from .router import lagrangian, loads as count_loads, topk
 
 # Most scores, c * T * E, that one block of ``iterate`` routes at once.
 BLOCK_SCORES = 2**16
+# The rounding slack of the token certificate of ``iterate``, in units of
+# 1 + max |p|: 16 times the unit roundoff 2^-53 (see ``_token_rows``).
+ROUTE_SLACK = 2.0**-49
+# The share of uncertified tokens above which a one-row block of ``iterate``
+# routes every token again, which renews every margin; below it, routing
+# only those tokens is cheaper (measured at 4096 x 64, K = 1 and 2048 x 64,
+# K = 8, in CHANGES.md).
+ROUTE_ALL_SHARE = 0.5
 # Most chosen cells, rows * T * K, whose Lagrangian ``simulate_fixed_scores``
 # scores at once: the gather makes 8-byte index and value temporaries per cell.
 SCORE_CELLS = 2**13
@@ -97,12 +106,20 @@ def iterate(
     no ``topk`` call: its ``chosen`` and ``loads`` are that row's, broadcast
     over the block, and ``row_tie`` is all false.  The biases, experts and
     loads a block yields are read-only.
+
+    When c is capped at 1 (T*E > ``BLOCK_SCORES`` / 2), every block is one
+    row, and the rows are certified token by token instead
+    (``_token_rows``): only the tokens whose Top-K set or tie the bias
+    drift since their last routing may have changed go through ``topk``.
     """
     g = affinity_array(gamma)
     T, E = g.shape
     L = ProblemDims(T=T, E=E, K=K).target_load
     check_overflow_bound(schedule.u, K, T, iterations)
     cap = max(1, BLOCK_SCORES // (T * E))
+    if cap == 1:
+        yield from _token_rows(g, schedule, K, L, iterations)
+        return
     p = np.zeros(E)
     guess = np.full(E, -1)  # no load is negative, so the first block misses
     n, c = 1, 1
@@ -147,6 +164,67 @@ def _certified(g, last, p_rows):
     high = g + p_rows.max(axis=0)
     high.put(cells, -np.inf)
     return bool((low > high.max(axis=1)).all())
+
+
+def _token_rows(g, schedule, K, L, iterations):
+    """``iterate`` as one-row blocks, routing only the tokens that may move.
+
+    A full routing keeps each token's margin m, its K-th largest shifted
+    score minus its (K+1)-th (``topk``'s margin; +inf when K = E).  If a
+    row's biases move by Delta, a token's scores move by Delta too, and its
+    margin falls by at most max_j Delta_j - min_j Delta_j, the step spread.
+    So the running sum S of the spreads bounds the drift of every token:
+    one routed when the sum was S_i still has its set, and no tie, while
+    m > (S - S_i) + s.  Only the other tokens go through ``topk``, on their
+    own rows of gamma + p, the same adds as a full row; the loads change by
+    the counts of their new sets minus their old ones.  When more than
+    ``ROUTE_ALL_SHARE`` of the tokens are uncertified, every token is routed
+    and every margin renewed.
+
+    The slack covers the rounding, with P the largest |p_j| of any row so
+    far: every shifted score is at most 1 + P in size, affinities lying in
+    (0, 1).  Where the test m > (S - S_i) + s can hold, S - S_i < m <=
+    2 (1 + P), and against exact arithmetic it errs by at most 2^-52 (1 + P)
+    in each of five places: the margin's two scores when it was taken, the
+    same two now, the margin's subtraction, S - S_i and its sum with s.  So
+    s = ``ROUTE_SLACK`` (1 + P) = 2^-49 (1 + P) covers them.  Each row adds
+    to S its rounded step spread plus ``ROUTE_SLACK`` (1 + P + S), which
+    covers the rounding of p + step (2^-53 P per bias), of the spread and of
+    the sum S itself; so S - S_i bounds the true drift.
+    """
+    T, E = g.shape
+    p = np.zeros(E)
+    reach = drift = 0.0  # P and S
+    for n in range(1, iterations + 1):
+        if n > 1:
+            step = schedule.bias_delta(loads, L, n - 1)
+            p = p + step
+            reach = max(reach, float(np.abs(p).max()))
+            drift += float(step.max() - step.min()) + ROUTE_SLACK * (1.0 + reach + drift)
+            moved = _uncertified(margin, since, drift, ROUTE_SLACK * (1.0 + reach))
+        if n == 1 or np.count_nonzero(moved) > ROUTE_ALL_SHARE * T:
+            chosen, row_tie, margin = topk(g + p, K, margin=True)
+            loads = count_loads(chosen, E)
+            since = np.full(T, drift)  # S_i of every token
+        else:
+            row_tie = np.zeros(T, dtype=bool)
+            i = np.flatnonzero(moved)
+            if i.size:
+                new, row_tie[i], margin[i] = topk(g[i] + p, K, margin=True)
+                loads = loads + count_loads(new, E) - count_loads(chosen[i], E)
+                chosen = chosen.copy()
+                chosen[i], since[i] = new, drift
+        # the carried margins and S_i are never yielded, and a yielded array
+        # is never written again
+        for a in (p, chosen, loads):
+            a.flags.writeable = False
+        yield np.array([n]), p[None], chosen[None], loads[None], row_tie[None]
+
+
+def _uncertified(margin, since, drift, slack):
+    """The tokens whose Top-K set or boundary tie may differ from their last
+    routing: margin <= (S - S_i) + s, with ``drift`` = S and ``since`` = S_i."""
+    return margin <= (drift - since) + slack
 
 
 def _guessed_biases(p, guess, schedule, L, rows):

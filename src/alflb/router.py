@@ -63,7 +63,7 @@ def softmax_affinities(raw: RawScoreMatrix) -> np.ndarray:
     return probs
 
 
-def topk(shifted: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
+def topk(shifted: np.ndarray, K: int, *, margin: bool = False) -> tuple[np.ndarray, ...]:
     """Per row of a (..., T, E) score array, the indices of the K largest entries.
 
     Returns ``chosen`` (..., T, K) int64 in ascending expert index, and
@@ -80,30 +80,43 @@ def topk(shifted: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
     the K-th.  A tied row instead takes the first K cells of a stable argsort
     of its negated scores, which lists equal scores in index order.  Loads
     and the Lagrangian depend only on the set, so no score order is kept.
+
+    With ``margin`` a third array (..., T) is returned: the K-th largest
+    score minus the (K+1)-th, as rounded doubles, 0 exactly where the row
+    is tied and +inf when K = E.  For K > 1 it is the difference of the two
+    sorted entries the tie flag compares; for K = 1 it costs one more pass,
+    the maximum of a copy of the scores with each row's largest set to -inf.
     """
     E = shifted.shape[-1]
-    if K == 1:
+    if K == 1 and not margin:
         best = shifted.argmax(axis=-1)
         # the maximum is tied where its first and last positions differ
         last = E - 1 - shifted[..., ::-1].argmax(axis=-1)
         return best[..., None], best != last
     lead = shifted.shape[:-1]
     rows = shifted.reshape(-1, E)
+    if K == 1:
+        best = rows.argmax(axis=1)
+        cells = best + np.arange(0, rows.size, E)
+        rest = rows.copy()
+        rest.put(cells, -np.inf)
+        gap = (rows.take(cells) - rest.max(axis=1)).reshape(lead)
+        return best.reshape(lead + (1,)), gap == 0, gap
     ranked = np.sort(rows, axis=1)
-    kth = ranked[:, E - K, None]
-    taken = rows >= kth
-    if K < E:
-        row_tie = kth[:, 0] == ranked[:, E - K - 1]
-        tied = np.flatnonzero(row_tie)
-        if tied.size:  # a stable sort keeps equal scores in index order
-            taken[tied] = False
-            first = np.argsort(-rows[tied], axis=1, kind="stable")[:, :K]
-            taken[tied[:, None], first] = True
-    else:
-        row_tie = np.zeros(len(rows), dtype=bool)
+    kth = ranked[:, E - K]
+    # the (K+1)-th largest; with K = E there is none, so no tie
+    nxt = ranked[:, E - K - 1] if K < E else np.full(len(rows), -np.inf)
+    row_tie = kth == nxt
+    taken = rows >= kth[:, None]
+    tied = np.flatnonzero(row_tie)
+    if tied.size:  # a stable sort keeps equal scores in index order
+        taken[tied] = False
+        first = np.argsort(-rows[tied], axis=1, kind="stable")[:, :K]
+        taken[tied[:, None], first] = True
     # each row holds K cells, read out in row-major order
     chosen = np.flatnonzero(taken).reshape(-1, K) % E
-    return chosen.reshape(lead + (K,)), row_tie.reshape(lead)
+    out = chosen.reshape(lead + (K,)), row_tie.reshape(lead)
+    return out + ((kth - nxt).reshape(lead),) if margin else out
 
 
 def loads(chosen: np.ndarray, E: int) -> np.ndarray:

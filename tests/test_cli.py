@@ -674,6 +674,15 @@ class TestMain:
         err = capsys.readouterr().err
         assert "Traceback" in err
         assert "RuntimeError: planted crash" in err
+        # the run leaves a summary that names the crash and has no verdicts
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        cfg = load_config(cfg_path)
+        assert summary == {
+            "kind": "deterministic_run", "seed": cfg.seed,
+            "config_hash": cfg.config_hash, "build": cli.__version__,
+            "error": {"type": "RuntimeError", "message": "planted crash"},
+        }
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["summary.json"]
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_exit_two_on_seed_out_of_range(self, tmp_path, capsys, seed):

@@ -402,15 +402,27 @@ def test_bad_affinities_rejected_at_every_entry(entry, bad, error):
         _AFFINITY_ENTRIES[entry](np.array(bad))
 
 
-def test_caller_writes_do_not_reach_later_blocks():
-    # iterate routes its own copy: overwriting the caller's array between
-    # blocks changes nothing that the later blocks yield
+def _assert_reader_isolation(monkeypatch, one_row):
+    """iterate routes its own copy: overwriting the caller's array between
+    blocks changes nothing that the later blocks yield, and a yielded array
+    is never written again.  With ``one_row`` (BLOCK_SCORES = 1) every
+    block is one row and carries chosen experts and margins from row to
+    row, routing only the tokens they do not certify."""
+    if one_row:
+        monkeypatch.setattr(deterministic, "BLOCK_SCORES", 1)
     gamma = random_affinities(40, 4, seed=6).copy()
-    untouched = [
-        [np.array(a) for a in block]
-        for block in iterate(gamma.copy(), _SIGN, iterations=300)
-    ]
+    routed, real = [], deterministic.topk
+
+    def counting(shifted, K, **kwargs):
+        routed.append(shifted.size // shifted.shape[-1])
+        return real(shifted, K, **kwargs)
+
+    monkeypatch.setattr(deterministic, "topk", counting)
+    kept = list(iterate(gamma.copy(), _SIGN, iterations=300))
+    untouched = [[np.array(a) for a in block] for block in kept]
     assert len(untouched) > 2
+    if one_row:  # some rows route a few tokens, some none
+        assert len(untouched) == 300 and len(routed) < 300 and min(routed) < 40
     blocks = iterate(gamma, _SIGN, iterations=300)
     touched = [[np.array(a) for a in next(blocks)]]
     gamma[:] = gamma[:, ::-1]
@@ -419,6 +431,21 @@ def test_caller_writes_do_not_reach_later_blocks():
     for got, want in zip(touched, untouched):
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    # the yielded arrays themselves, kept to the end of the run, hold what
+    # they held when yielded: no later row wrote to one, so none aliases the
+    # state the loop carries on; the biases, experts and loads are read-only
+    for block, want in zip(kept, untouched):
+        assert not any(a.flags.writeable for a in block[1:4])
+        for a, b in zip(block, want):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_caller_writes_do_not_reach_later_blocks(monkeypatch):
+    _assert_reader_isolation(monkeypatch, one_row=False)
+
+
+def test_caller_writes_do_not_reach_later_one_row_blocks(monkeypatch):
+    _assert_reader_isolation(monkeypatch, one_row=True)
 
 
 def _admitted(u, K, T, iterations):
@@ -461,9 +488,9 @@ _OVERFLOWING_RUNS = {
 def test_overflow_rule_raises_before_routing(monkeypatch, entry):
     calls = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return topk(*args)
+        return topk(*args, **kwargs)
 
     monkeypatch.setattr(deterministic, "topk", counted)
     with pytest.raises(InvalidRange, match="could overflow"):

@@ -6,13 +6,14 @@ monkeypatch one lab function, under the name the acceptance module calls
 it by, to put a NaN into the statistic the criterion judges, and see the
 criterion fail.  A NaN compares false with every bound, so a rule that lets
 one through has dropped it before the comparison (Python's ``max(0.0, nan)``
-is ``0.0``).  The last six plant a wrong formula rather than a NaN: a
+is ``0.0``).  The last eight plant a wrong formula rather than a NaN: a
 dual update with the wrong sign (criterion 1), a bias shifted on the
 quadrature side of the moment check only (criterion 5), quadrature nodes
 spread over the segments in proportion to their width, which the 1e-12
 comparison with the enumeration oracle must catch, two wrong
-certificates of an unrouted ``iterate`` block, which the stepwise routing
-oracle must catch, and an overflow rule that bounds only the biases, under
+certificates of an unrouted ``iterate`` block and two of the per-token
+certificate of its one-row blocks, which the stepwise routing oracle must
+catch, and an overflow rule that bounds only the biases, under
 which a config that ``balancer.check_overflow_bound`` rejects reaches a NaN
 identity residual.
 """
@@ -219,6 +220,51 @@ def test_wrong_block_certificate_fails_the_routing_oracle(monkeypatch, plant):
     oracle_at(CERTIFICATE_PASSES)
     with pytest.raises(AssertionError):
         oracle_at(CERTIFICATE_CAUGHT)
+
+
+# The fewest iterations at which the stepwise routing oracle catches each
+# wrong token certificate below, with every block one row (BLOCK_SCORES =
+# 1), on the tied 24 x 6 1/8-grid run with the sign schedule at u = 1/48,
+# whose biases round: no rounding slack passes at 6 and fails at 7, a drift
+# bound of the last step's spread alone passes at 5 and fails at 6.
+SLACK_PASSES, SLACK_CAUGHT = 6, 7
+LAST_STEP_PASSES, LAST_STEP_CAUGHT = 5, 6
+
+
+def _zero_slack(monkeypatch):
+    monkeypatch.setattr(deterministic, "ROUTE_SLACK", 0.0)
+
+
+def _last_step_drift(monkeypatch):
+    # each token's drift is taken as the spread of the step into this row,
+    # not the sum of the spreads since it was routed
+    last = [0.0]
+
+    def planted(margin, since, drift, slack):
+        step, last[0] = drift - last[0], drift
+        return margin <= step + slack
+
+    monkeypatch.setattr(deterministic, "_uncertified", planted)
+
+
+@pytest.mark.parametrize("plant,passes,caught", [
+    pytest.param(_zero_slack, SLACK_PASSES, SLACK_CAUGHT, id="zero_slack"),
+    pytest.param(_last_step_drift, LAST_STEP_PASSES, LAST_STEP_CAUGHT, id="last_step"),
+])
+def test_wrong_token_certificate_fails_the_routing_oracle(monkeypatch, plant, passes, caught):
+    monkeypatch.setattr(deterministic, "BLOCK_SCORES", 1)
+    gamma = routing_oracle._grid_affinities(24, 6, 1)
+    sched = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 1 / 48)
+
+    def oracle_at(iterations):
+        routing_oracle._assert_rows_equal_stepwise(gamma, sched, iterations)
+
+    oracle_at(caught)
+    plant(monkeypatch)  # a fresh plant per run: the last-step one keeps state
+    oracle_at(passes)
+    plant(monkeypatch)
+    with pytest.raises(AssertionError):
+        oracle_at(caught)
 
 
 def _product_bound(u, K, T, iterations):

@@ -92,6 +92,7 @@ def test_topk_matches_reference_on_tied_grid(scores):
         for c, t, w in zip(chosen, row_tie, (want, flipped)):
             np.testing.assert_array_equal(c, np.sort(w.assigned_experts, axis=-1))
             np.testing.assert_array_equal(t, w.row_tie)
+        _assert_margins_match(gamma + bias[None, :], K)
 
 
 def _topk_cases():
@@ -107,12 +108,13 @@ def _topk_cases():
         for E in (8, 16, 33, 64)
         for K in (2, 8)
     ]
+    cases += [(f"grid_E{E}_K1", grid(256, E), 1) for E in (2, 7, 64)]
     signed_zeros = rng.choice([-0.0, 0.0, -0.125, 0.125], (256, 16))
     cases += [(f"signed_zeros_K{K}", signed_zeros, K) for K in (2, 8)]
     cases += [(f"two_batch_axes_K{K}", grid(3, 4, 64, 16), K) for K in (2, 8)]
     wide = grid(256, 128)
     cases += [("strided_view", wide[:, ::2], 8), ("transposed_view", wide[:64].T, 8)]
-    cases += [(f"K_equals_E{E}", grid(64, E), E) for E in (2, 9, 64)]
+    cases += [(f"K_equals_E{E}", grid(64, E), E) for E in (1, 2, 9, 64)]
     return [pytest.param(scores, K, id=name) for name, scores, K in cases]
 
 
@@ -128,7 +130,28 @@ def test_topk_matches_reference_on_wide_shapes(scores, K):
     np.testing.assert_array_equal(row_tie, want_tie)
     # the boundary ties the grid is for occur wherever a boundary exists
     assert want_tie.any() == (K < scores.shape[-1])
+    _assert_margins_match(scores, K)
     assert scores.tobytes() == before.tobytes()
+
+
+def _assert_margins_match(scores, K):
+    """``topk`` with ``margin``: the sets and tie flags it gives without,
+    and the K-th largest score minus the (K+1)-th, as a descending sort
+    orders them (+inf when K = E), 0 exactly on a tie; for K = 1 also on
+    each row reversed, which moves its first maximum."""
+    for s in (scores, scores[..., ::-1]) if K == 1 else (scores,):
+        chosen, row_tie = topk(s, K)
+        got_chosen, got_tie, gap = topk(s, K, margin=True)
+        np.testing.assert_array_equal(got_chosen, chosen)
+        np.testing.assert_array_equal(got_tie, row_tie)
+        assert gap.dtype == np.float64 and gap.shape == row_tie.shape
+        E = s.shape[-1]
+        if K < E:
+            ranked = -np.sort(-s, axis=-1)
+            np.testing.assert_array_equal(gap, ranked[..., K - 1] - ranked[..., K])
+        else:
+            assert (gap == np.inf).all()
+        np.testing.assert_array_equal(gap == 0, row_tie)
 
 
 @pytest.mark.parametrize("E", [2, 3, 8, 64])
@@ -325,12 +348,13 @@ def _assert_blocks_equal(gamma, sched, iterations, K=1):
 
 def _routed_rows(monkeypatch):
     """A list that counts, from now on, the rows ``iterate`` hands to
-    ``topk``: one entry per call."""
+    ``topk``: one entry per call, the rows of a guessed block or the tokens
+    of a one-row block."""
     calls, real = [], deterministic.topk
 
-    def counting(shifted, K):
+    def counting(shifted, K, **kwargs):
         calls.append(len(shifted))
-        return real(shifted, K)
+        return real(shifted, K, **kwargs)
 
     monkeypatch.setattr(deterministic, "topk", counting)
     return calls
@@ -481,6 +505,84 @@ def test_blocks_match_stepwise_for_every_schedule(kind):
     for K in (1, 3):
         blocks = _assert_blocks_equal(_seeded_affinities(40, 4, 1000 + K), sched, 400, K=K)
         assert max(map(len, blocks)) > 1
+
+
+@given(_plateau_runs())
+@settings(max_examples=60, deadline=None)
+def test_token_rows_match_stepwise_on_random_runs(run):
+    # BLOCK_SCORES = 1 caps every block at one row, so these small shapes
+    # take the token certificate
+    gamma, sched, K = run
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(deterministic, "BLOCK_SCORES", 1)
+        _assert_rows_equal_stepwise(gamma, sched, 300, K=K)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 8])
+def test_token_rows_match_stepwise_on_tied_grid(monkeypatch, K):
+    # 1/8-grid scores (for K = 1 with the largest 1/8 above the rest, since
+    # a tied token is never certified), u = 1/16, which keeps every sum
+    # exact, and u = 1/384, which rounds the biases and moves them slowly
+    monkeypatch.setattr(deterministic, "BLOCK_SCORES", 1)
+    affinities = _grid_plateau_affinities if K == 1 else _grid_affinities
+    gamma = affinities(48, 12, K)
+    routed = []
+    ties = 0
+    for u in (1 / 16, 1 / 384):
+        sched = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, u)
+        _assert_blocks_equal(gamma, sched, 150, K=K)
+        with monkeypatch.context() as mp:
+            calls = _routed_rows(mp)
+            ties += sum(int(tie.sum()) for *_, tie in iterate(gamma, sched, K, iterations=150))
+        routed += calls
+    # rows that route some tokens and certify the rest, and tied tokens
+    assert any(0 < n < 48 for n in routed) and ties > 0
+
+
+@pytest.mark.parametrize(
+    "affinities,E,K",
+    [
+        (_seeded_affinities, 4, 2),
+        (_seeded_affinities, 8, 3),
+        (_grid_plateau_affinities, 4, 1),
+    ],
+    ids=["K2", "K3", "tied_grid"],
+)
+def test_token_rows_match_stepwise_on_plateaus(monkeypatch, affinities, E, K):
+    monkeypatch.setattr(deterministic, "BLOCK_SCORES", 1)
+    gamma = affinities(64, E, 78)
+    sched = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 1e-6)
+    blocks = _assert_blocks_equal(gamma, sched, 1_000, K=K)
+    assert list(map(len, blocks)) == [1] * 1_000
+    routed = _routed_rows(monkeypatch)
+    list(iterate(gamma, sched, K, iterations=1_000))
+    # the first row routes all 64 tokens, later rows only those near a tie
+    assert routed[0] == 64 and sum(routed) < 0.02 * 64 * 1_000
+
+
+def _large_cases():
+    """The benchmark's large shapes, whose blocks are one row at the real
+    ``BLOCK_SCORES``, and a tied 1/8 grid of that size, each at 100 rows."""
+    sign = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 1e-3)
+    cases = [("trace_4096x64_k1", (4096, 64), sign, 1)]
+    cases += [
+        (f"compare_2048x64_k8_{kind.value}", (2048, 64), StepSchedule(kind, 1e-3), 8)
+        for kind in (ScheduleKind.DEEPSEEK_SIGN, ScheduleKind.INVERSE_N,
+                     ScheduleKind.INVERSE_SQRT_N)
+    ]
+    cases += [(f"grid_1024x64_k{K}", "grid", StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 1 / 48), K)
+              for K in (1, 8)]
+    return [pytest.param(*case[1:], id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("shape,sched,K", _large_cases())
+def test_token_rows_match_stepwise_at_large_shapes(monkeypatch, shape, sched, K):
+    if shape == "grid":
+        gamma = _grid_affinities(1024, 64, seed=K)
+    else:
+        gamma = _seeded_affinities(*shape, 1)
+    assert 2 * gamma.size > BLOCK_SCORES  # every block is one row
+    _assert_rows_equal_stepwise(gamma, sched, 100, K=K)
 
 
 def _assert_audits_equal(gamma, sched, iterations):

@@ -4,7 +4,10 @@ Times ``simulate_fixed_scores`` and, beside it, a bare pass over the blocks
 of ``deterministic.iterate`` (the routing and dual update without the
 trace's bookkeeping) at a fixed set of (T, E, K) shapes, in µs per iteration
 row, through the shared driver of ``tools/harness.py`` (``--parent
-CHECKOUT`` times a second checkout beside this one).
+CHECKOUT`` times a second checkout beside this one).  Each cell also counts
+``token_rows_routed``, the token-rows per iteration row that ``iterate``
+hands to its Top-K kernel, on one untimed pass with ``deterministic.topk``
+wrapped; T means every token of every row is routed.
 
     python tools/bench_simulate.py --parent ../alflb-parent --out BENCH_simulate.json
 
@@ -23,11 +26,11 @@ import time
 import harness
 
 # (T, E, K, iterations, u): the small_lab trace shapes at its 150 iterations,
-# a K = 3 shape, the two large_trace shapes, where every block is one row,
-# and two plateaus, the small_lab one and a K = 3 one
+# a K = 3 shape, the two large_trace shapes at its 100 iterations, where
+# every block is one row, and two plateaus, the small_lab one and a K = 3 one
 CASES = [
     (40, 4, 1, 150, 1e-3), (80, 8, 1, 150, 1e-3), (200, 16, 1, 150, 1e-3),
-    (37, 7, 3, 150, 1e-3), (4096, 64, 1, 20, 1e-3), (2048, 64, 8, 20, 1e-3),
+    (37, 7, 3, 150, 1e-3), (4096, 64, 1, 100, 1e-3), (2048, 64, 8, 100, 1e-3),
     (64, 4, 1, 2500, 1e-6), (64, 8, 3, 2500, 1e-6),
 ]
 FUNCTIONS = ("simulate_fixed_scores", "iterate")
@@ -39,9 +42,11 @@ RUNS_PER_ROUND = 10
 
 
 def measure(cell: dict) -> dict[str, list[float]]:
-    """µs per iteration row of ``cell``, one sample per run."""
+    """µs per iteration row of ``cell``, one sample per run, and the
+    token-rows per iteration row routed by its untimed warm-up pass."""
     import numpy as np
 
+    from alflb import deterministic
     from alflb.balancer import ScheduleKind, StepSchedule
     from alflb.deterministic import iterate, simulate_fixed_scores
     from alflb.router import RawScoreMatrix, softmax_affinities
@@ -54,13 +59,21 @@ def measure(cell: dict) -> dict[str, list[float]]:
         "simulate_fixed_scores": lambda: simulate_fixed_scores(gamma, sched, N, K),
         "iterate": lambda: sum(1 for _ in iterate(gamma, sched, K, iterations=N)),
     }[cell["function"]]
-    fn()  # warm-up
+    routed, topk = [], deterministic.topk
+
+    def counting(shifted, K, **kwargs):
+        routed.append(shifted.size // shifted.shape[-1])
+        return topk(shifted, K, **kwargs)
+
+    deterministic.topk = counting
+    fn()  # warm-up, counting the token-rows routed
+    deterministic.topk = topk
     samples = []
     for _ in range(RUNS_PER_ROUND):
         t0 = time.perf_counter()
         fn()
         samples.append((time.perf_counter() - t0) / N * 1e6)
-    return {"us_per_row": samples}
+    return {"us_per_row": samples, "token_rows_routed": [sum(routed) / N]}
 
 
 if __name__ == "__main__":
@@ -70,6 +83,7 @@ if __name__ == "__main__":
             "what": "µs per iteration row of deterministic.simulate_fixed_scores "
                     "and of a bare pass over deterministic.iterate's blocks, "
                     "sign schedule at each cell's u, softmax of standard normal "
-                    "scores",
+                    "scores; token_rows_routed: token-rows per iteration row "
+                    "that iterate hands to its Top-K kernel",
         },
     ))
