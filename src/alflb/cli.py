@@ -39,8 +39,8 @@ from .deterministic import (
 )
 from .distributions import AffinityDistributionSet, BetaScore, MixtureScore, UniformScore
 from .errors import (
-    DegenerateGaps, DimMismatch, InvalidRange, NoConvergence, OverflowGuard, ParseError,
-    ValidationError,
+    ConfigError, DegenerateGaps, DimMismatch, InvalidRange, NoConvergence, OverflowGuard,
+    ParseError, ValidationError,
 )
 from .router import RawScoreMatrix, softmax_affinities
 from .stochastic import (
@@ -226,21 +226,27 @@ def _parse_distributions(value, field: str) -> AffinityDistributionSet:
 
 def load_config(path) -> ExperimentConfig:
     """Parse and strictly validate a JSON experiment config: its kind's keys
-    from ``_SCHEMA``, then the rules that join two keys."""
+    from ``_SCHEMA``, then the rules that join two keys.  A file that cannot
+    be read or decoded, or whose specs nest past the recursion limit, raises
+    ``ParseError`` naming the path."""
     try:
-        text = Path(path).read_text()
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from exc
-    try:
-        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, an integer past Python's digit limit, or nested too deep
+        raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError("<root>", "config must be a JSON object")
     kind = raw.get("kind")
     if kind not in KINDS:
         raise ValidationError("kind", f"must be one of {KINDS}, got {kind!r}")
-    params = _parse_keys(raw, _SCHEMA[kind][1], read=("kind", "seed", "out_dir"))
+    try:
+        params = _parse_keys(raw, _SCHEMA[kind][1], read=("kind", "seed", "out_dir"))
+    except RecursionError as exc:  # mixture specs nested too deep
+        raise ParseError(f"{path}: {exc}") from exc
     seed = _seed(raw.get("seed", 0))
 
     dims = params.get("dims")
@@ -596,32 +602,24 @@ def main(argv=None) -> int:
         sp.add_argument("--config", required=True, help="path to a JSON config")
         sp.add_argument("--seed", type=int, default=None, help="override config seed")
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--parallel", type=int, default=1,
-                        help="fan independent instances over N processes")
-        sp.set_defaults(kind=kind)
+        if kind == "balance_check":
+            sp.add_argument("--parallel", type=int,
+                            help="fan the instances over N processes")
+        sp.set_defaults(kind=kind, parallel=1)
     args = parser.parse_args(argv)
-    if args.parallel < 1:
-        print(f"config error: --parallel: must be >= 1, got {args.parallel}",
-              file=sys.stderr)
-        return 2
 
     try:
+        if args.parallel < 1:
+            raise ValidationError("--parallel", f"must be >= 1, got {args.parallel}")
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.seed = cfg.raw["seed"] = _seed(args.seed)
-    except (ParseError, ValidationError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    if cfg.kind != args.kind:
-        print(
-            f"config error: kind: config says {cfg.kind!r}, "
-            f"subcommand is {args.kind!r}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
+        if cfg.kind != args.kind:
+            raise ValidationError(
+                "kind", f"config says {cfg.kind!r}, subcommand is {args.kind!r}"
+            )
         return run(cfg, out_dir=args.out, parallel=args.parallel)
-    except ValidationError as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # 1 means a check failed; a crash must not look like one

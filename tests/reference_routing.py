@@ -26,13 +26,15 @@ selection matrix, per leading row.
 ``stable_partition_preserved`` and ``balanced_assignment`` are the two
 oracles of the acceptance criteria that ``alflb`` itself never runs: the
 stable-partition test of criterion 4 and the exact balanced optimum of
-criterion 10.
+criterion 10.  ``ip_enumeration_oracle`` checks that optimum on tiny
+instances by enumerating every balanced assignment.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import islice, permutations
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -453,3 +455,17 @@ def balanced_assignment(g: np.ndarray, L: int) -> tuple[float, np.ndarray]:
     rows, cols = linear_sum_assignment(np.repeat(g, L, axis=1), maximize=True)
     choice = cols // L  # rows come back as 0..T-1
     return float(g[rows, choice].sum()), choice
+
+
+def ip_enumeration_oracle(g: np.ndarray, L: int) -> float:
+    """The same optimum by brute force: the best routed affinity over the
+    distinct permutations of the balanced label vector (L copies of each
+    expert)."""
+    T, E = g.shape
+    labels = []
+    for k in range(E):
+        labels += [k] * L
+    best = -math.inf
+    for perm in set(permutations(labels)):
+        best = max(best, sum(g[i, perm[i]] for i in range(T)))
+    return best

@@ -2,7 +2,6 @@
 single pass/fail line (run with ``pytest tests/test_acceptance.py -v -s``).
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -24,7 +23,7 @@ from alflb.distributions import (
     MixtureScore,
     UniformScore,
 )
-from alflb.router import RawScoreMatrix, lagrangian, loads, softmax_affinities, topk
+from alflb.router import lagrangian, loads, topk
 from alflb.stochastic import (
     check_gradient_moments,
     edge_weights_quadrature,
@@ -36,10 +35,12 @@ from alflb.stochastic import (
     sigma_squared,
     strong_convexity_estimate,
 )
+from conftest import random_affinities
 from reference_quadrature import pi_monte_carlo
 from reference_routing import (
     balanced_assignment,
     dense_lagrangian,
+    ip_enumeration_oracle,
     stable_partition_preserved,
 )
 
@@ -49,11 +50,6 @@ def _verdict(number: int, name: str, ok: bool, detail: str = "") -> None:
     suffix = f"  [{detail}]" if detail else ""
     print(f"criterion {number:2d} ({name}): {status}{suffix}")
     assert ok, f"criterion {number} ({name}) failed{suffix}"
-
-
-def _seeded_affinities(T: int, E: int, seed: int):
-    rng = RandomSource(seed, stream=1).generator()
-    return softmax_affinities(RawScoreMatrix(rng.standard_normal((T, E))))
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +72,7 @@ def run_suite():
         sched = StepSchedule(kind, u)
         for s in range(13):
             T, E = _RUN_DIMS[s % len(_RUN_DIMS)]
-            gamma = _seeded_affinities(T, E, 1000 + s)
+            gamma = random_affinities(T, E, 1000 + s)
             trace = simulate_fixed_scores(gamma, sched, 500)
             suite.append((sched, trace))
     return suite
@@ -151,7 +147,7 @@ def test_criterion_3_approximate_balancing():
     failures = []
     for s in range(100):
         T, E = _BALANCE_DIMS[s % len(_BALANCE_DIMS)]
-        gamma = _seeded_affinities(T, E, 3000 + s)
+        gamma = random_affinities(T, E, 3000 + s)
         u = 0.9 * ubar(gamma)
         budget = max(10 * T * E, math.ceil(2.0 / u))
         report = check_balance_convergence(gamma, u, budget=budget)
@@ -345,7 +341,7 @@ def test_criterion_9_exact_identities():
     for s in range(1000):
         E = int(rng.integers(2, 7))
         T = E * int(rng.integers(1, 9))
-        gamma = _seeded_affinities(T, E, 7000 + s)
+        gamma = random_affinities(T, E, 7000 + s)
         p = rng.uniform(-0.2, 0.2, size=E)
         L = T / E
         # the routed Lagrangian that scores both the regret round and the
@@ -382,22 +378,11 @@ def test_criterion_9_exact_identities():
 _TINY_DIMS = [(8, 4), (6, 3), (8, 2), (4, 2), (6, 2), (8, 4), (6, 3), (8, 2)]
 
 
-def _ip_enumeration_oracle(g, L):
-    T, E = g.shape
-    labels = []
-    for k in range(E):
-        labels += [k] * L
-    best = -math.inf
-    for perm in set(itertools.permutations(labels)):
-        best = max(best, sum(g[i, perm[i]] for i in range(T)))
-    return best
-
-
 def test_criterion_10_ip_oracle():
     failures = []
     for s in range(50):
         T, E = _TINY_DIMS[s % len(_TINY_DIMS)]
-        gamma = _seeded_affinities(T, E, 2000 + s)
+        gamma = random_affinities(T, E, 2000 + s)
         L = T // E
         u = 0.9 * ubar(gamma)
         sched = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, u)
@@ -410,7 +395,7 @@ def test_criterion_10_ip_oracle():
                 routed = float(gamma[np.arange(T), alpha].sum())
                 break
         value, choice = balanced_assignment(gamma, L)
-        oracle = _ip_enumeration_oracle(gamma, L)
+        oracle = ip_enumeration_oracle(gamma, L)
         ip_balanced = (np.bincount(choice, minlength=E) == L).all()
         if (
             routed is None or not ip_balanced or value < routed - 1e-12

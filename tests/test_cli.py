@@ -3,14 +3,17 @@ import csv
 import hashlib
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alflb import cli
 from alflb.cli import load_config, main, run
 from alflb.distributions import BetaScore, MixtureScore, UniformScore
-from alflb.errors import ParseError, ValidationError
+from alflb.errors import ConfigError, ParseError, ValidationError
 from conftest import random_affinities
 
 
@@ -29,7 +32,42 @@ DET_CFG = {
 }
 
 
+# Any JSON value, its objects keyed by the fields of dims, schedules and
+# distribution specs, its strings the names those fields take.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["beta", "uniform", "mixture", "deepseek_sign", "inverse_n", "x"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["T", "E", "K", "kind", "u", "type", "a", "b", "lo", "hi",
+                         "components", "weights"]),
+        inner, max_size=4,
+    ),
+    max_leaves=20,
+)
+
+
+@st.composite
+def _drawn_configs(draw):
+    """A valid kind with any subset of its keys, seed and out_dir, each
+    holding any JSON value."""
+    kind = draw(st.sampled_from(cli.KINDS))
+    keys = draw(st.sets(st.sampled_from([*cli._SCHEMA[kind][1], "seed", "out_dir"])))
+    return {"kind": kind, **{key: draw(_JSON) for key in sorted(keys)}}
+
+
 class TestLoadConfig:
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=_drawn_configs())
+    def test_only_config_errors_escape(self, tmp_path_factory, cfg):
+        # load_config's whole contract with main: a config or a ConfigError
+        path = tmp_path_factory.getbasetemp() / "drawn.json"
+        path.write_text(json.dumps(cfg))
+        try:
+            load_config(path)
+        except ConfigError:
+            pass
+
     def test_minimal_deterministic_run(self, tmp_path):
         cfg = load_config(_write(tmp_path, "a.json", DET_CFG))
         assert cfg.kind == "deterministic_run"
@@ -649,9 +687,9 @@ class TestMain:
 
     @pytest.mark.parametrize("parallel", ["0", "-3"])
     def test_exit_two_on_parallel_below_one(self, tmp_path, capsys, parallel):
-        cfg_path = _write(tmp_path, "cfg.json", DET_CFG)
+        cfg_path = _write(tmp_path, "cfg.json", BALANCE_CFG)
         status = main([
-            "deterministic-run", "--config", str(cfg_path),
+            "balance-check", "--config", str(cfg_path),
             "--parallel", parallel, "--out", str(tmp_path / "out"),
         ])
         assert status == 2
@@ -683,6 +721,64 @@ class TestMain:
             "error": {"type": "RuntimeError", "message": "planted crash"},
         }
         assert [p.name for p in (tmp_path / "out").iterdir()] == ["summary.json"]
+
+    @pytest.mark.parametrize("kind", [k for k in cli.KINDS if k != "balance_check"])
+    def test_parallel_only_on_balance_check(self, tmp_path, capsys, kind):
+        cfg_path = _write(tmp_path, "cfg.json", REQUIRED_ONLY[kind])
+        with pytest.raises(SystemExit) as exc:
+            main([
+                kind.replace("_", "-"), "--config", str(cfg_path),
+                "--parallel", "2", "--out", str(tmp_path / "out"),
+            ])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --parallel 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "case", ["non_utf8", "huge_integer", "deep_json", "deep_mixture"],
+    )
+    def test_unreadable_config_exits_two(self, tmp_path, capsys, case):
+        # Each of these used to escape load_config as a bare exception.  The
+        # mixture is shallow enough for the JSON decoder (two levels per
+        # mixture) and too deep for the spec walk (four frames per mixture).
+        depth = sys.getrecursionlimit() // 3
+        spec = UNIFORM
+        for _ in range(depth):
+            spec = {"type": "mixture", "components": [spec], "weights": [1.0]}
+        text = {
+            "non_utf8": b'{"kind": "moment_check", "T": "\xff"}',
+            "huge_integer": b'{"kind": "moment_check", "T": ' + b"9" * 5000 + b"}",
+            "deep_json": b"[" * 100_000 + b"]" * 100_000,
+            "deep_mixture": json.dumps(
+                dict(MOMENT_CFG, distributions=[spec, UNIFORM])
+            ).encode(),
+        }[case]
+        if case == "deep_mixture":
+            json.loads(text)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(text)
+        status = main([
+            "moment-check", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+        ])
+        assert status == 2
+        assert capsys.readouterr().err.startswith(f"config error: {cfg_path}:")
+        assert not (tmp_path / "out").exists()
+
+    def test_exit_three_on_crash_while_parsing(self, tmp_path, capsys, monkeypatch):
+        # a bug in the parser is a crash too, not a config error
+        def crash(*args, **kwargs):
+            raise RuntimeError("planted parse crash")
+
+        monkeypatch.setattr(cli, "_parse_keys", crash)
+        cfg_path = _write(tmp_path, "cfg.json", DET_CFG)
+        status = main([
+            "deterministic-run", "--config", str(cfg_path),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert status == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: planted parse crash" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_exit_two_on_seed_out_of_range(self, tmp_path, capsys, seed):

@@ -23,7 +23,9 @@ from alflb.deterministic import (
 from alflb.errors import DegenerateGaps, DimMismatch, InvalidRange, KNotOne
 from alflb.router import lagrangian, route_topk, topk
 from conftest import random_affinities
-from reference_routing import balanced_assignment, stable_partition_preserved
+from reference_routing import (
+    balanced_assignment, ip_enumeration_oracle, stable_partition_preserved,
+)
 
 TWO_TOKEN = np.array([[0.9, 0.1], [0.8, 0.2]])
 
@@ -330,19 +332,6 @@ class TestBalanceConvergence:
         assert routes and len(routes) == len(set(routes))
 
 
-def _ip_enumeration_oracle(g, L):
-    """Distinct multiset permutations of the balanced label vector."""
-    T, E = g.shape
-    labels = []
-    for k in range(E):
-        labels += [k] * L
-    best = -math.inf
-    for perm in set(itertools.permutations(labels)):
-        val = sum(g[i, perm[i]] for i in range(T))
-        best = max(best, val)
-    return best
-
-
 class TestIpBruteforce:
     """The test-side balanced-assignment oracle of criterion 10."""
 
@@ -359,7 +348,7 @@ class TestIpBruteforce:
         gamma = random_affinities(6, 3, seed=13)
         value, choice = balanced_assignment(gamma, 2)
         assert value == pytest.approx(
-            _ip_enumeration_oracle(gamma, 2), abs=1e-12
+            ip_enumeration_oracle(gamma, 2), abs=1e-12
         )
         assert choice.shape == (6,)
         np.testing.assert_array_equal(np.bincount(choice, minlength=3), 2)
@@ -371,7 +360,7 @@ class TestIpBruteforce:
         gamma = random_affinities(8, 4, seed=14)
         value, choice = balanced_assignment(gamma, 2)
         np.testing.assert_array_equal(np.bincount(choice, minlength=4), 2)
-        assert value == pytest.approx(_ip_enumeration_oracle(gamma, 2), abs=1e-12)
+        assert value == pytest.approx(ip_enumeration_oracle(gamma, 2), abs=1e-12)
 
 
 _SIGN = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 0.001)

@@ -35,6 +35,7 @@ from alflb.errors import InvalidRange, ValidationError
 from alflb.stochastic import (
     check_gradient_moments, hessian_fd_errors, selection_moments,
 )
+from conftest import random_affinities
 
 
 def _fails(criterion: int, run) -> None:
@@ -50,7 +51,7 @@ def _first_nan(values: np.ndarray) -> np.ndarray:
 
 def _small_suite():
     """One sign-schedule trace in which switches happen, and one 1/n trace."""
-    gamma = acceptance._seeded_affinities(40, 4, 1000)
+    gamma = random_affinities(40, 4, 1000)
     return [
         (sched, simulate_fixed_scores(gamma, sched, 200))
         for sched in (StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 0.001),
@@ -209,7 +210,7 @@ def _swapped_certificate(g, last, p_rows):
 
 @pytest.mark.parametrize("plant", [_first_row_certificate, _swapped_certificate])
 def test_wrong_block_certificate_fails_the_routing_oracle(monkeypatch, plant):
-    gamma = routing_oracle._seeded_affinities(40, 4, 1000)
+    gamma = random_affinities(40, 4, 1000)
     sched = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 1e-3)
 
     def oracle_at(iterations):

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import reference_routing as ref
 from alflb import deterministic
 from alflb.balancer import ScheduleKind, StepSchedule, project_zero_sum
-from alflb.core import BiasVector, ProblemDims, RandomSource
+from alflb.core import BiasVector, ProblemDims
 from alflb.deterministic import (
     BLOCK_SCORES,
     audit_trace,
@@ -33,7 +33,8 @@ from alflb.deterministic import (
     simulate_fixed_scores,
     ubar,
 )
-from alflb.router import RawScoreMatrix, lagrangian, softmax_affinities, topk
+from alflb.router import lagrangian, topk
+from conftest import random_affinities
 
 # Shapes of the criterion-1/2/4 trace suite and of the criterion-3 sweep.
 RUN_DIMS = [(40, 4), (80, 8), (200, 16), (120, 6), (64, 8), (96, 12), (160, 16)]
@@ -52,10 +53,6 @@ SCHEDULE_U = {
 # RUN_DIMS, is 4.4e-16.
 LAGRANGIAN_TOL = 1e-13
 
-
-def _seeded_affinities(T, E, seed):
-    rng = RandomSource(seed, stream=1).generator()
-    return softmax_affinities(RawScoreMatrix(rng.standard_normal((T, E))))
 
 
 def _grid_affinities(T, E, seed):
@@ -259,7 +256,7 @@ def _assert_bookkeeping_equal(gamma, sched, iterations, K=1):
 def test_simulate_matches_reference_loop(kind, K):
     sched = StepSchedule(kind, SCHEDULE_U[kind])
     for s, (T, E) in enumerate(RUN_DIMS):
-        gamma = _seeded_affinities(T, E, 1000 + s)
+        gamma = random_affinities(T, E, 1000 + s)
         got = _assert_bookkeeping_equal(gamma, sched, 60, K=K)
         want = ref.simulate_fixed_scores(gamma, sched, 60, K=K)
         _assert_traces_equal(gamma, got, want)
@@ -288,7 +285,7 @@ def test_zero_sum_projection_changes_no_trace_column(kind, K):
     # same experts, and the Lagrangian column differs only by rounding.
     sched = StepSchedule(kind, SCHEDULE_U[kind])
     for s, (T, E) in enumerate(RUN_DIMS):
-        gamma = _seeded_affinities(T, E, 1000 + s)
+        gamma = random_affinities(T, E, 1000 + s)
         L = K * T / E
         trace = simulate_fixed_scores(gamma, sched, 150, K=K)
         blocks = iterate(gamma, sched, K, iterations=150)
@@ -363,7 +360,7 @@ def _routed_rows(monkeypatch):
 def test_blocks_match_stepwise_on_plateau(monkeypatch):
     # the benchmark's plateau: routing changes a few times in 2,500
     # iterations, and the blocks past those changes are certified unrouted
-    gamma = _seeded_affinities(64, 4, 77)
+    gamma = random_affinities(64, 4, 77)
     sched = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 1e-6)
     blocks = _assert_blocks_equal(gamma, sched, 2_500)
     assert len(blocks) < 100 and max(map(len, blocks)) == BLOCK_SCORES // (64 * 4)
@@ -385,8 +382,8 @@ def _grid_plateau_affinities(T, E, seed):
 @pytest.mark.parametrize(
     "affinities,E,K",
     [
-        (_seeded_affinities, 4, 2),
-        (_seeded_affinities, 8, 3),
+        (random_affinities, 4, 2),
+        (random_affinities, 8, 3),
         (_grid_plateau_affinities, 4, 1),
     ],
     ids=["K2", "K3", "tied_grid"],
@@ -407,7 +404,7 @@ def _plateau_runs(draw):
     schedule and its u in [1e-7, 1e-2]."""
     T, E = draw(st.integers(2, 40)), draw(st.integers(2, 8))
     affinities = draw(st.sampled_from(
-        [_seeded_affinities, _grid_affinities, _grid_plateau_affinities]
+        [random_affinities, _grid_affinities, _grid_plateau_affinities]
     ))
     gamma = affinities(T, E, draw(st.integers(0, 2**16)))
     u = 10.0 ** draw(st.floats(-7, -2))
@@ -424,7 +421,7 @@ def test_blocks_match_stepwise_on_random_runs(run):
 
 def test_blocks_match_stepwise_when_loads_change_inside_a_block():
     sched = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 1e-3)
-    blocks = _assert_blocks_equal(_seeded_affinities(40, 4, 1000), sched, 300)
+    blocks = _assert_blocks_equal(random_affinities(40, 4, 1000), sched, 300)
     # a guessed block cut short: its length is no power of two, and its last
     # row's loads differ from the guess its earlier rows held to
     cut = [
@@ -453,7 +450,7 @@ def test_blocks_match_stepwise_when_tokens_swap_at_equal_loads():
 
 
 def test_blocks_match_stepwise_when_iterations_end_inside_a_block():
-    gamma = _seeded_affinities(64, 4, 77)
+    gamma = random_affinities(64, 4, 77)
     blocks = _assert_blocks_equal(
         gamma, StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 1e-6), 1_037
     )
@@ -466,7 +463,7 @@ def test_blocks_are_single_rows_above_the_block_cap():
     # u so small that the loads never change: only the cap keeps blocks short
     sched = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 1e-12)
     for K in (1, 3):
-        blocks = _assert_blocks_equal(_seeded_affinities(T, E, 5), sched, 6, K=K)
+        blocks = _assert_blocks_equal(random_affinities(T, E, 5), sched, 6, K=K)
         assert [len(b) for b in blocks] == [1] * 6
         assert all((b == blocks[0]).all() for b in blocks)
 
@@ -478,7 +475,7 @@ def test_trace_holds_the_highest_expert_index(E, K):
     # other token prefers the last expert, whose bias the sign schedule then
     # lowers until tokens leave it, and raises until they come back, so
     # index E - 1 is stored, diffed and switched to and from.
-    gamma = np.array(_seeded_affinities(16, E, 40 + K))
+    gamma = np.array(random_affinities(16, E, 40 + K))
     gamma[::2, E - 1] = 0.5
     sched = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 0.05)
     _assert_blocks_equal(gamma, sched, 40, K=K)
@@ -494,7 +491,7 @@ def test_bookkeeping_across_score_chunks(monkeypatch, K):
     T, E = 40, 4
     monkeypatch.setattr(deterministic, "SCORE_CELLS", 3 * T * K)
     sched = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 1e-3)
-    trace = _assert_bookkeeping_equal(_seeded_affinities(T, E, 1000), sched, 300, K=K)
+    trace = _assert_bookkeeping_equal(random_affinities(T, E, 1000), sched, 300, K=K)
     if K == 1:
         assert (trace.switches[:, 0] % 3 == 0).any()
 
@@ -503,7 +500,7 @@ def test_bookkeeping_across_score_chunks(monkeypatch, K):
 def test_blocks_match_stepwise_for_every_schedule(kind):
     sched = StepSchedule(kind, SCHEDULE_U[kind] / 10)
     for K in (1, 3):
-        blocks = _assert_blocks_equal(_seeded_affinities(40, 4, 1000 + K), sched, 400, K=K)
+        blocks = _assert_blocks_equal(random_affinities(40, 4, 1000 + K), sched, 400, K=K)
         assert max(map(len, blocks)) > 1
 
 
@@ -542,8 +539,8 @@ def test_token_rows_match_stepwise_on_tied_grid(monkeypatch, K):
 @pytest.mark.parametrize(
     "affinities,E,K",
     [
-        (_seeded_affinities, 4, 2),
-        (_seeded_affinities, 8, 3),
+        (random_affinities, 4, 2),
+        (random_affinities, 8, 3),
         (_grid_plateau_affinities, 4, 1),
     ],
     ids=["K2", "K3", "tied_grid"],
@@ -580,7 +577,7 @@ def test_token_rows_match_stepwise_at_large_shapes(monkeypatch, shape, sched, K)
     if shape == "grid":
         gamma = _grid_affinities(1024, 64, seed=K)
     else:
-        gamma = _seeded_affinities(*shape, 1)
+        gamma = random_affinities(*shape, 1)
     assert 2 * gamma.size > BLOCK_SCORES  # every block is one row
     _assert_rows_equal_stepwise(gamma, sched, 100, K=K)
 
@@ -607,7 +604,7 @@ def _assert_audits_equal(gamma, sched, iterations):
 def test_audit_matches_reference(kind):
     sched = StepSchedule(kind, SCHEDULE_U[kind])
     for s, (T, E) in enumerate(RUN_DIMS):
-        _assert_audits_equal(_seeded_affinities(T, E, 1000 + s), sched, 60)
+        _assert_audits_equal(random_affinities(T, E, 1000 + s), sched, 60)
 
 
 def test_audit_matches_reference_with_ties():
@@ -633,7 +630,7 @@ def _assert_reports_equal(got, want):
 @pytest.mark.parametrize("T,E", BALANCE_DIMS)
 def test_balance_check_matches_reference(T, E):
     for seed in (3000, 3100, 3200):
-        gamma = _seeded_affinities(T, E, seed + T)
+        gamma = random_affinities(T, E, seed + T)
         u = 0.9 * ubar(gamma)
         _assert_reports_equal(
             check_balance_convergence(gamma, u, budget=10 * T * E),
@@ -644,7 +641,7 @@ def test_balance_check_matches_reference(T, E):
 def test_balance_check_matches_reference_on_slow_instance():
     # The slowest criterion-3 instance: u ~ 7.5e-8 and routing that changes
     # only a few times, cut at 20,000 iterations.
-    gamma = _seeded_affinities(64, 4, 3058)
+    gamma = random_affinities(64, 4, 3058)
     u = 0.9 * ubar(gamma)
     got = check_balance_convergence(gamma, u, budget=20_000)
     want = ref.check_balance_convergence(gamma, u, budget=20_000)
@@ -654,7 +651,7 @@ def test_balance_check_matches_reference_on_slow_instance():
 
 def test_balance_check_matches_stepwise_past_first_routing_change():
     # The same instance past its first routing change, at n = 22,142.
-    gamma = _seeded_affinities(64, 4, 3058)
+    gamma = random_affinities(64, 4, 3058)
     u = 0.9 * ubar(gamma)
     got = check_balance_convergence(gamma, u, budget=23_000)
     want = ref.check_balance_convergence_stepwise(gamma, u, budget=23_000)
@@ -693,7 +690,7 @@ def _arrays(obj):
 
 def test_trace_steps_hold_only_per_expert_arrays():
     T, E, N = 512, 16, 50
-    gamma = _seeded_affinities(T, E, 21)
+    gamma = random_affinities(T, E, 21)
     sched = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 1e-3)
     trace = simulate_fixed_scores(gamma, sched, N)
     S = len(trace.benefit)
