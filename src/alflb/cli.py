@@ -38,10 +38,7 @@ from .deterministic import (
     ubar,
 )
 from .distributions import AffinityDistributionSet, BetaScore, MixtureScore, UniformScore
-from .errors import (
-    ConfigError, DegenerateGaps, DimMismatch, InvalidRange, NoConvergence, OverflowGuard,
-    ParseError, ValidationError,
-)
+from .errors import ConfigError, InvalidRange, NoConvergence, ParseError, ValidationError
 from .router import RawScoreMatrix, softmax_affinities
 from .stochastic import (
     FD_STEP,
@@ -349,7 +346,7 @@ def _balance_one(seed: int, dims_tuple: tuple[int, int, int], score_scale: float
     try:
         gamma = _seeded_affinities(dims, seed, score_scale)
         u_bar = ubar(gamma)
-    except (DegenerateGaps, DimMismatch, OverflowGuard) as exc:
+    except InvalidRange as exc:
         # the drawn scores decide this, so it cannot be caught at parse time
         raise ValidationError("score_scale", f"instance seed {seed}: {exc}") from None
     u = u_fraction * u_bar
@@ -395,10 +392,15 @@ def _run_balance(cfg: ExperimentConfig, out: Path, parallel: int = 1):
 def _run_moment(cfg: ExperimentConfig, out: Path):
     dist: AffinityDistributionSet = cfg.params["distributions"]
     rng = RandomSource(cfg.seed, stream=2).generator()
-    report = check_gradient_moments(
-        dist, cfg.params["bias"], cfg.params["K"], cfg.params["T"],
-        cfg.params["replicas"], rng,
-    )
+    try:
+        report = check_gradient_moments(
+            dist, cfg.params["bias"], cfg.params["K"], cfg.params["T"],
+            cfg.params["replicas"], rng,
+        )
+    except InvalidRange as exc:
+        if exc.field != "replicas":
+            raise
+        raise ValidationError("replicas", str(exc)) from exc
     _write_csv(out / "moments.csv", {
         "expert": range(dist.E),
         "pi": report.pi,

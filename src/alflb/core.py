@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, InvalidRange, NonDivisible
+from .errors import InvalidRange
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -48,7 +48,7 @@ class ProblemDims:
     def L(self) -> int:
         """Perfectly balanced per-expert load K*T/E (balanced mode only)."""
         if not self.balanced:
-            raise NonDivisible(
+            raise InvalidRange(
                 f"K*T={self.K * self.T} not divisible by E={self.E}"
             )
         return (self.K * self.T) // self.E
@@ -69,7 +69,7 @@ def affinity_array(gamma) -> np.ndarray:
             and g.flags.owndata and not g.flags.writeable):
         g = _readonly(g)
     if g.ndim != 2:
-        raise DimMismatch(f"affinities must be a (T, E) matrix, got shape {g.shape}")
+        raise InvalidRange(f"affinities must be a (T, E) matrix, got shape {g.shape}")
     if not np.all((g > 0.0) & (g < 1.0)):
         raise InvalidRange("affinity entries must lie strictly in (0, 1)")
     return g
@@ -84,7 +84,7 @@ class BiasVector:
     def __post_init__(self):
         object.__setattr__(self, "values", _readonly(self.values))
         if self.values.ndim != 1:
-            raise DimMismatch("bias vector must be 1-D")
+            raise InvalidRange("bias vector must be 1-D")
         if not np.all(np.isfinite(self.values)):
             raise InvalidRange("bias entries must be finite")
 
@@ -109,7 +109,7 @@ class LoadVector:
         c.flags.writeable = False
         object.__setattr__(self, "counts", c)
         if c.shape != (self.dims.E,):
-            raise DimMismatch(f"load shape {c.shape} != ({self.dims.E},)")
+            raise InvalidRange(f"load shape {c.shape} != ({self.dims.E},)")
         if np.any(c < 0) or np.any(c > self.dims.T):
             raise InvalidRange("loads must lie in [0, T]")
         if int(c.sum()) != self.dims.K * self.dims.T:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .balancer import ScheduleKind, StepSchedule, check_overflow_bound
 from .core import ProblemDims, affinity_array
-from .errors import DegenerateGaps, InvalidRange, KNotOne
+from .errors import InvalidRange
 from .router import lagrangian, loads as count_loads, topk
 
 # Most scores, c * T * E, that one block of ``iterate`` routes at once.
@@ -330,7 +330,7 @@ def audit_trace(trace: IterationTrace) -> TraceAudit:
     (0, 2u) and earlier score gap in (-2u, 0).
     """
     if trace.K != 1:
-        raise KNotOne("trace audit requires K=1")
+        raise InvalidRange("trace audit requires K=1")
     row, _, frm, to = trace.switches.T
     penalty = trace.schedule.quadratic_penalty(
         trace.loads[:-1], trace.L, np.arange(1, len(trace.lagrangian))
@@ -363,7 +363,10 @@ def audit_trace(trace: IterationTrace) -> TraceAudit:
 def ubar(gamma) -> float:
     """Half the minimum difference of score gaps over token and expert pairs.
 
-    Raises DegenerateGaps when two tokens share an identical gap for some
+    One pass per expert k sorts the gaps g[:, k] - g[:, k'] of every k' > k
+    down the token axis, column by column, and takes the least difference of
+    neighbours; a block over all pairs at once would hold T * E(E-1)/2 gaps.
+    Raises InvalidRange when two tokens share an identical gap for some
     expert pair (the threshold would be 0 and the concurrent-switch
     guarantee vacuous).
     """
@@ -372,13 +375,11 @@ def ubar(gamma) -> float:
     if T < 2:
         raise InvalidRange("need at least two tokens")
     best = math.inf
-    for k in range(E):
-        for kp in range(k + 1, E):
-            gaps = np.sort(g[:, k] - g[:, kp])
-            min_adj = float(np.diff(gaps).min())
-            best = min(best, min_adj)
+    for k in range(E - 1):
+        gaps = np.sort(g[:, k, None] - g[:, k + 1:], axis=0)
+        best = min(best, float(np.diff(gaps, axis=0).min()))
     if best == 0.0:
-        raise DegenerateGaps("two tokens share an identical score gap")
+        raise InvalidRange("two tokens share an identical score gap")
     return 0.5 * best
 
 

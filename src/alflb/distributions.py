@@ -309,10 +309,6 @@ class BetaScore:
     def sample(self, rng: np.random.Generator, size):
         return rng.beta(self.a, self.b, size=size)
 
-    @property
-    def support(self) -> tuple[float, float]:
-        return (0.0, 1.0)
-
     def breakpoints(self) -> tuple[float, ...]:
         return (0.0, 1.0)
 
@@ -343,10 +339,6 @@ class UniformScore:
 
     def sample(self, rng: np.random.Generator, size):
         return rng.uniform(self.lo, self.hi, size=size)
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.lo, self.hi)
 
     def breakpoints(self) -> tuple[float, ...]:
         return (self.lo, self.hi)
@@ -391,11 +383,6 @@ class MixtureScore:
                 out[mask] = c.sample(rng, cnt)
         return out
 
-    @property
-    def support(self) -> tuple[float, float]:
-        los, his = zip(*(c.support for c in self.components))
-        return (min(los), max(his))
-
     def breakpoints(self) -> tuple[float, ...]:
         pts: set[float] = set()
         for c in self.components:
@@ -407,8 +394,9 @@ class MixtureScore:
 class AffinityDistributionSet:
     """One score distribution per expert.
 
-    Construction verifies support in (0, 1), cdf endpoints, nonnegative pdf
-    and unit normalization (by the quadrature rule, to 1e-6).
+    Construction verifies support in (0, 1), read as each distribution's
+    first and last breakpoint, cdf endpoints, nonnegative pdf and unit
+    normalization (by the quadrature rule, to 1e-6).
     """
 
     dists: tuple
@@ -418,8 +406,8 @@ class AffinityDistributionSet:
             raise InvalidRange("need at least two experts")
         grid = np.linspace(0.0, 1.0, 1025)
         for k, d in enumerate(self.dists):
-            lo, hi = d.support
-            if lo < 0.0 or hi > 1.0:
+            cuts = d.breakpoints()
+            if cuts[0] < 0.0 or cuts[-1] > 1.0:
                 raise InvalidRange(f"expert {k}: support outside (0, 1)")
             # Compared as ``<= tol`` so that a NaN fails the check.
             ends = np.abs([float(d.cdf(0.0)), float(d.cdf(1.0)) - 1.0])
@@ -429,7 +417,7 @@ class AffinityDistributionSet:
                 raise InvalidRange(f"expert {k}: negative pdf")
             try:
                 mass = float(_gauss_legendre(
-                    d.pdf, 0.0, 1.0, d.breakpoints(), QUAD_TOL, QUAD_MAX_DOUBLINGS,
+                    d.pdf, 0.0, 1.0, cuts, QUAD_TOL, QUAD_MAX_DOUBLINGS,
                 )[0])
             except NoConvergence as exc:
                 raise InvalidRange(

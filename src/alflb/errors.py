@@ -8,7 +8,11 @@ class AlflbError(Exception):
 
 
 class InvalidRange(AlflbError):
-    """A dimension or parameter is outside its allowed range.
+    """A dimension or parameter is outside its allowed range, or an array
+    has a wrong shape: input the lab cannot take.  This covers a K*T that E
+    does not divide where a balanced load is read, a softmax that saturates
+    to 0 or 1, a K = 1 audit given K > 1, and two tokens that share a score
+    gap, so that the u-bar threshold is 0.
 
     ``field`` names the offending parameter when one can be singled out.
     """
@@ -16,26 +20,6 @@ class InvalidRange(AlflbError):
     def __init__(self, message: str = "", field: str | None = None):
         self.field = field
         super().__init__(message)
-
-
-class NonDivisible(AlflbError):
-    """K*T is not divisible by E in balanced-target mode."""
-
-
-class DimMismatch(AlflbError):
-    """Shapes of matrices / vectors are inconsistent."""
-
-
-class OverflowGuard(AlflbError):
-    """Softmax produced a degenerate (0 or 1) probability."""
-
-
-class KNotOne(AlflbError):
-    """Operation is only defined for the K=1 analysis mode."""
-
-
-class DegenerateGaps(AlflbError):
-    """Two tokens share an identical score gap; the u-bar threshold is 0."""
 
 
 class NoConvergence(AlflbError):

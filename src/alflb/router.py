@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BiasVector, LoadVector, ProblemDims, affinity_array
-from .errors import DimMismatch, OverflowGuard
+from .errors import InvalidRange
 
 
 @dataclass(frozen=True)
@@ -28,9 +28,9 @@ class RawScoreMatrix:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
         if v.ndim != 2:
-            raise DimMismatch("raw scores must be a 2-D matrix")
+            raise InvalidRange("raw scores must be a 2-D matrix")
         if not np.all(np.isfinite(v)):
-            raise DimMismatch("raw scores must be finite")
+            raise InvalidRange("raw scores must be finite")
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def softmax_affinities(raw: RawScoreMatrix) -> np.ndarray:
     expv = np.exp(shifted)
     probs = expv / expv.sum(axis=1, keepdims=True)
     if np.any(probs <= 0.0) or np.any(probs >= 1.0):
-        raise OverflowGuard(
+        raise InvalidRange(
             "softmax under/overflowed to a degenerate probability; "
             "raw score spread too extreme"
         )
@@ -156,7 +156,7 @@ def route_topk(gamma, p: BiasVector, K: int) -> RoutingOutcome:
     g = affinity_array(gamma)
     T, E = g.shape
     if p.E != E:
-        raise DimMismatch(f"bias length {p.E} != expert count {E}")
+        raise InvalidRange(f"bias length {p.E} != expert count {E}")
     dims = ProblemDims(T=T, E=E, K=K)
     chosen, row_tie = topk(g + p.values[None, :], K)
     return RoutingOutcome(

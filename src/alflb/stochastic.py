@@ -18,7 +18,7 @@ from .balancer import project_zero_sum
 from .distributions import (
     QUAD_MAX_DOUBLINGS, QUAD_TOL, AffinityDistributionSet, _gauss_legendre,
 )
-from .errors import InvalidRange, NoConvergence, ValidationError
+from .errors import InvalidRange, NoConvergence
 from .router import lagrangian, loads, topk
 
 MOMENT_BATCH = 512       # replicas per check_gradient_moments block
@@ -204,8 +204,9 @@ def check_gradient_moments(
     """Monte Carlo check of the mean / variance / second-moment formulas
     against quadrature selection probabilities.  z-scores use the empirical
     replica spread; a spread of 0, where a z-score is undefined, raises
-    ``ValidationError`` on ``replicas``.  Replicas are drawn MOMENT_BATCH at
-    a time, each block expert by expert, so the draws depend on MOMENT_BATCH.
+    ``InvalidRange`` with field ``replicas``.  Replicas are drawn
+    MOMENT_BATCH at a time, each block expert by expert, so the draws depend
+    on MOMENT_BATCH.
     """
     E = dist.E
     L = K * T / E
@@ -231,10 +232,10 @@ def check_gradient_moments(
     norm_sq = np.square(g_all).sum(axis=1)
     second_se = float(norm_sq.std(ddof=1)) / math.sqrt(replicas)
     if not (np.all(mean_se > 0.0) and var_se > 0.0 and second_se > 0.0):
-        raise ValidationError(
-            "replicas",
+        raise InvalidRange(
             f"the {replicas} replicas have a zero spread in a gradient moment, "
             "so its z-score is undefined",
+            field="replicas",
         )
 
     mean_z = (emp_mean - grad_mean) / mean_se

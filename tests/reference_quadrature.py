@@ -128,8 +128,9 @@ def edge_weights_quadrature(
                 continue  # not enough rivals: weight is 0
             subsets = list(itertools.combinations(range(len(others)), K - 1))
             dk, dl = dist.dists[k], dist.dists[l]
-            lo = max(dk.support[0] + p[k], dl.support[0] + p[l])
-            hi = min(dk.support[1] + p[k], dl.support[1] + p[l])
+            # a score distribution's support is its first and last breakpoint
+            lo = max(dk.breakpoints()[0] + p[k], dl.breakpoints()[0] + p[l])
+            hi = min(dk.breakpoints()[-1] + p[k], dl.breakpoints()[-1] + p[l])
             if hi <= lo:
                 continue
 

@@ -23,6 +23,9 @@ routes with it.
 ``router.lagrangian`` gathered the routed scores: over a dense float 0/1
 selection matrix, per leading row.
 
+``ubar_pairwise`` is ``deterministic.ubar`` as it was before its one pass
+per expert: a sort of the gaps of each expert pair on its own.
+
 ``stable_partition_preserved`` and ``balanced_assignment`` are the two
 oracles of the acceptance criteria that ``alflb`` itself never runs: the
 stable-partition test of criterion 4 and the exact balanced optimum of
@@ -42,7 +45,7 @@ from scipy.optimize import linear_sum_assignment
 from alflb.balancer import ScheduleKind, StepSchedule
 from alflb.core import BiasVector, LoadVector, ProblemDims
 from alflb.deterministic import BalanceConvergenceReport, designations
-from alflb.errors import DimMismatch, InvalidRange, KNotOne
+from alflb.errors import InvalidRange
 from alflb.router import RoutingOutcome, topk
 
 # Iterations the balance checks run after every expert has entered the band.
@@ -90,7 +93,7 @@ def topk_argsort(shifted: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
 def route_topk(gamma: np.ndarray, p: BiasVector, K: int) -> RoutingOutcome:
     T, E = gamma.shape
     if p.E != E:
-        raise DimMismatch(f"bias length {p.E} != expert count {E}")
+        raise InvalidRange(f"bias length {p.E} != expert count {E}")
     dims = ProblemDims(T=T, E=E, K=K)
 
     chosen, row_tie = topk_argsort(gamma + p.values[None, :], K)
@@ -169,7 +172,7 @@ def dual_update(
     state: BalancerState, loads: LoadVector, L: float, sched: StepSchedule
 ) -> BalancerState:
     if loads.counts.shape[0] != state.p.E:
-        raise DimMismatch("loads / bias length mismatch")
+        raise InvalidRange("loads / bias length mismatch")
     delta = sched.bias_delta(loads.counts, L, state.iteration)
     new_p = BiasVector(state.p.values + delta)
     return replace(state, p=new_p, iteration=state.iteration + 1)
@@ -240,7 +243,7 @@ def simulate_fixed_scores(
 def check_lagrangian_identity(trace: ReferenceTrace) -> np.ndarray:
     """Identity residual per transition of a K=1 trace."""
     if trace.K != 1:
-        raise KNotOne("identity check requires K=1")
+        raise InvalidRange("identity check requires K=1")
     steps = trace.steps
     out = np.empty(max(len(steps) - 1, 0))
     for m in range(len(steps) - 1):
@@ -428,6 +431,21 @@ def check_balance_convergence_stepwise(
         converged=bool(np.all(entered > 0)),
         any_tie=any_tie,
     )
+
+
+def ubar_pairwise(g: np.ndarray) -> float:
+    """Half the minimum difference of score gaps of a (T, E) matrix, one
+    expert pair (k, k') at a time; raises InvalidRange on a shared gap."""
+    T, E = g.shape
+    best = math.inf
+    for k in range(E):
+        for kp in range(k + 1, E):
+            gaps = np.sort(g[:, k] - g[:, kp])
+            min_adj = float(np.diff(gaps).min())
+            best = min(best, min_adj)
+    if best == 0.0:
+        raise InvalidRange("two tokens share an identical score gap")
+    return 0.5 * best
 
 
 def stable_partition_preserved(

@@ -10,7 +10,7 @@ from alflb.core import (
     RandomSource,
     affinity_array,
 )
-from alflb.errors import DimMismatch, InvalidRange, NonDivisible
+from alflb.errors import InvalidRange
 
 
 class TestProblemDims:
@@ -26,7 +26,7 @@ class TestProblemDims:
     def test_non_divisible_rejected(self):
         dims = ProblemDims(T=5, E=4, K=2)
         assert not dims.balanced
-        with pytest.raises(NonDivisible):
+        with pytest.raises(InvalidRange, match="not divisible by E=4"):
             dims.L
 
     def test_non_divisible_allowed_in_unbalanced_mode(self):
@@ -53,7 +53,7 @@ class TestAffinityMatrix:
 
     def test_shape_mismatch(self):
         for shape in ((4,), (2, 2, 2)):
-            with pytest.raises(DimMismatch):
+            with pytest.raises(InvalidRange, match=r"affinities must be a \(T, E\) matrix"):
                 affinity_array(np.full(shape, 0.5))
 
     def test_values_read_only(self):

@@ -20,11 +20,11 @@ from alflb.deterministic import (
     simulate_fixed_scores,
     ubar,
 )
-from alflb.errors import DegenerateGaps, DimMismatch, InvalidRange, KNotOne
-from alflb.router import lagrangian, route_topk, topk
+from alflb.errors import InvalidRange
+from alflb.router import RawScoreMatrix, lagrangian, route_topk, softmax_affinities, topk
 from conftest import random_affinities
 from reference_routing import (
-    balanced_assignment, ip_enumeration_oracle, stable_partition_preserved,
+    balanced_assignment, ip_enumeration_oracle, stable_partition_preserved, ubar_pairwise,
 )
 
 TWO_TOKEN = np.array([[0.9, 0.1], [0.8, 0.2]])
@@ -131,7 +131,7 @@ class TestLagrangianIdentity:
         trace = simulate_fixed_scores(
             gamma, StepSchedule(ScheduleKind.CONSTANT, 0.01), 5, K=2
         )
-        with pytest.raises(KNotOne):
+        with pytest.raises(InvalidRange, match="requires K=1"):
             audit_trace(trace)
 
 
@@ -218,7 +218,7 @@ class TestUbar:
 
     def test_identical_tokens_degenerate(self):
         gamma = np.array([[0.6, 0.4], [0.6, 0.4]])
-        with pytest.raises(DegenerateGaps):
+        with pytest.raises(InvalidRange, match="identical score gap"):
             ubar(gamma)
 
     def test_matches_bruteforce(self):
@@ -227,6 +227,27 @@ class TestUbar:
             assert ubar(gamma) == pytest.approx(
                 _ubar_oracle(gamma), abs=1e-15
             )
+
+    def test_equals_pairwise_sort(self):
+        # the same subtractions, sorts and minimum as one expert pair at a
+        # time, so the value is the same double
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            T, E = int(rng.integers(2, 80)), int(rng.integers(2, 17))
+            scale = rng.choice([1e-3, 1.0, 8.0])
+            raw = RawScoreMatrix(scale * rng.standard_normal((T, E)))
+            gamma = softmax_affinities(raw)
+            assert ubar(gamma) == ubar_pairwise(gamma), (T, E, scale)
+
+    @pytest.mark.parametrize("pair", [(0, 1), (3, 4), (0, 5)])
+    def test_shared_gap_raises_like_pairwise(self, pair):
+        # token 5 copies token 2's scores on one expert pair, so the two
+        # tokens share that pair's gap exactly
+        gamma = np.array(random_affinities(12, 6, seed=4))
+        gamma[5, pair] = gamma[2, pair]
+        for rule in (ubar, ubar_pairwise):
+            with pytest.raises(InvalidRange, match="identical score gap"):
+                rule(gamma)
 
 
 class TestVerdictRules:
@@ -376,18 +397,18 @@ _AFFINITY_ENTRIES = {
 
 @pytest.mark.parametrize("entry", sorted(_AFFINITY_ENTRIES))
 @pytest.mark.parametrize(
-    "bad,error",
+    "bad,rule",
     [
-        ([[0.5, np.nan], [0.4, 0.6]], InvalidRange),
-        ([[0.5, 0.0], [0.4, 0.6]], InvalidRange),
-        ([[0.5, 1.0], [0.4, 0.6]], InvalidRange),
-        ([0.5, 0.5], DimMismatch),
-        ([[[0.5, 0.5], [0.4, 0.6]]] * 2, DimMismatch),
+        ([[0.5, np.nan], [0.4, 0.6]], "affinity entries must lie strictly"),
+        ([[0.5, 0.0], [0.4, 0.6]], "affinity entries must lie strictly"),
+        ([[0.5, 1.0], [0.4, 0.6]], "affinity entries must lie strictly"),
+        ([0.5, 0.5], r"affinities must be a \(T, E\) matrix"),
+        ([[[0.5, 0.5], [0.4, 0.6]]] * 2, r"affinities must be a \(T, E\) matrix"),
     ],
     ids=["nan", "zero", "one", "1d", "3d"],
 )
-def test_bad_affinities_rejected_at_every_entry(entry, bad, error):
-    with pytest.raises(error, match="affinit"):
+def test_bad_affinities_rejected_at_every_entry(entry, bad, rule):
+    with pytest.raises(InvalidRange, match=rule):
         _AFFINITY_ENTRIES[entry](np.array(bad))
 
 

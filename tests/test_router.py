@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alflb.core import BiasVector
-from alflb.errors import DimMismatch, OverflowGuard
+from alflb.errors import InvalidRange
 from alflb.router import (
     RawScoreMatrix,
     lagrangian,
@@ -41,11 +41,11 @@ class TestSoftmax:
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_overflow_guard(self):
-        with pytest.raises(OverflowGuard):
+        with pytest.raises(InvalidRange, match="degenerate probability"):
             softmax_affinities(RawScoreMatrix(np.array([[0.0, 2000.0]])))
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(DimMismatch):
+        with pytest.raises(InvalidRange, match="raw scores must be finite"):
             RawScoreMatrix(np.array([[0.0, np.nan]]))
 
 
@@ -123,7 +123,7 @@ class TestRouteTopK:
 
     def test_bias_length_mismatch(self):
         gamma = random_affinities(4, 3, seed=9)
-        with pytest.raises(DimMismatch):
+        with pytest.raises(InvalidRange, match="bias length 4 != expert count 3"):
             route_topk(gamma, BiasVector.zeros(4), 1)
 
 

@@ -67,3 +67,17 @@ def test_every_public_name_is_read_by_the_lab():
         for name in _public_definitions(tree) - read
     }
     assert not unread, f"public names that only tests use: {sorted(unread)}"
+
+
+def test_only_the_cli_raises_config_errors():
+    # a layer reports input it cannot take as InvalidRange; the CLI names
+    # the config field and owns the exit code
+    config_errors = {"ConfigError", "ParseError", "ValidationError"}
+    importers = {
+        layer
+        for layer in LAYERS
+        for node in ast.walk(_parse(SRC / f"{layer}.py"))
+        if isinstance(node, ast.ImportFrom)
+        and config_errors & {alias.name for alias in node.names}
+    }
+    assert importers <= {"cli"}, f"layers that import a config error: {sorted(importers)}"
