@@ -276,6 +276,12 @@ def load_config(path) -> ExperimentConfig:
             if len(bias) != E:
                 raise ValidationError("bias", f"must be a list of {E} numbers")
             params["bias"] = np.array(bias, dtype=np.float64)
+        if kind == "regret_sweep":  # the ratio rule reads the checkpoints in order
+            cps = list(params["checkpoints"])
+            if not (cps and cps[0] <= params["rounds"] and cps == sorted(set(cps))):
+                raise ValidationError(
+                    "checkpoints", f"must increase strictly from one <= rounds: {cps}"
+                )
 
     out_dir = raw.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
@@ -340,9 +346,8 @@ def _run_deterministic(cfg: ExperimentConfig, out: Path):
     return verdicts, extra
 
 
-def _balance_one(seed: int, dims_tuple: tuple[int, int, int], score_scale: float,
-                 u_fraction: float, budget):
-    dims = ProblemDims(*dims_tuple)
+def _balance_one(seed: int, dims: ProblemDims, score_scale: float, u_fraction: float,
+                 budget):
     try:
         gamma = _seeded_affinities(dims, seed, score_scale)
         u_bar = ubar(gamma)
@@ -372,18 +377,15 @@ def _balance_one(seed: int, dims_tuple: tuple[int, int, int], score_scale: float
 def _run_balance(cfg: ExperimentConfig, out: Path, parallel: int = 1):
     dims: ProblemDims = cfg.params["dims"]
     instances = cfg.params["instances"]
-    seeds = [cfg.seed + i for i in range(instances)]
-    args = [
-        (s, (dims.T, dims.E, dims.K), cfg.params["score_scale"],
-         cfg.params["u_fraction"], cfg.params["budget"])
-        for s in seeds
-    ]
+    one = partial(_balance_one, dims=dims, score_scale=cfg.params["score_scale"],
+                  u_fraction=cfg.params["u_fraction"], budget=cfg.params["budget"])
+    seeds = range(cfg.seed, cfg.seed + instances)
     workers = min(parallel, instances, os.cpu_count() or 1)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_balance_one, *zip(*args)))
+            rows = list(pool.map(one, seeds))
     else:
-        rows = [_balance_one(*a) for a in args]
+        rows = list(map(one, seeds))
     _write_csv(out / "balance.csv", {key: [r[key] for r in rows] for key in rows[0]})
     verdicts = {"theorem3": all(r["pass"] for r in rows)}
     return verdicts, {"instances": instances, "failures": [r["seed"] for r in rows if not r["pass"]]}
@@ -440,12 +442,10 @@ def _run_hessian(cfg: ExperimentConfig, out: Path):
 def _run_regret(cfg: ExperimentConfig, out: Path):
     dist: AffinityDistributionSet = cfg.params["distributions"]
     T, K = cfg.params["T"], cfg.params["K"]
-    E = dist.E
-    L = K * T / E
     kappa = cfg.params["kappa"]
     rng = RandomSource(cfg.seed, stream=4).generator()
     sc = strong_convexity_estimate(dist, K, kappa, T, cfg.params["grid_points"], rng)
-    p_star = expected_loss_minimizer(dist, K, T, L)
+    p_star = expected_loss_minimizer(dist, K, T)
     try:
         acct = regret_experiment(
             dist, T, K, sc.mu, p_star, cfg.params["rounds"], cfg.params["replicas"],

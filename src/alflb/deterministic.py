@@ -410,11 +410,12 @@ def check_balance_convergence(
     Each expert load must enter [L-(E-1), L+(E-1)] within ``budget``
     iterations and never leave afterwards; per-iteration load changes must
     stay <= E-1.  After all experts have entered, the run continues for
-    ``SETTLE_ITERATIONS`` more steps to probe the "remains in range" claim.
-    The default budget is max(10*T*E, ceil(2.5/u) + 100): in ceil(2.5/u)
-    steps of u a bias moves by 2.5, more than the width of the (0, 1) range
-    that affinities lie in; a u so small that 2.5/u is not finite raises
-    InvalidRange.  ``iterate`` checks u and the budget against
+    ``SETTLE_ITERATIONS`` more steps to probe the "remains in range" claim,
+    but never past the budget; a budget below 1 runs nothing and reports 0
+    iterations.  The default budget is max(10*T*E, ceil(2.5/u) + 100): in
+    ceil(2.5/u) steps of u a bias moves by 2.5, more than the width of the
+    (0, 1) range that affinities lie in; a u so small that 2.5/u is not
+    finite raises InvalidRange.  ``iterate`` checks u and the budget against
     ``balancer.check_overflow_bound``; the CLI checks a budget at u = 1.
     """
     g = affinity_array(gamma)
@@ -431,29 +432,25 @@ def check_balance_convergence(
     stayed = True
     max_step = 0
     any_tie = False
-    prev_loads = None
-    # The last iteration to run: once all have entered, the one after the
-    # settle window.
-    stop = math.inf
+    last = np.empty((0, E), dtype=np.int64)  # the loads of the last row run
+    # The last row to run; once all have entered, the one after the settle window.
+    stop = budget
     n_run = 0
     for n, _, _, loads, row_tie in iterate(g, sched, iterations=budget):
         in_band = (loads >= lo) & (loads <= hi)
-        if stop == math.inf:
+        if (entered < 0).any():
             new = (entered < 0) & in_band.any(axis=0)
             entered[new] = n[in_band.argmax(axis=0)[new]]
             if (entered > 0).all():
                 stop = int(entered.max()) + SETTLE_ITERATIONS + 1
-        run = int(np.searchsorted(n, stop, side="right"))
-        n, loads, in_band = n[:run], loads[:run], in_band[:run]
+        run = n <= stop
+        n, loads, in_band = n[run], np.vstack((last, loads[run])), in_band[run]
         # an expert entered at an earlier row and is out of the band now
         left = (entered > 0) & (entered < n[:, None]) & ~in_band
         stayed = stayed and not left.any()
-        if prev_loads is not None:
-            loads = np.vstack((prev_loads, loads))
-        if len(loads) > 1:
-            max_step = max(max_step, int(np.abs(np.diff(loads, axis=0)).max()))
-        any_tie = any_tie or bool(row_tie[:run].any())
-        prev_loads, n_run = loads[-1], int(n[-1])
+        max_step = max(max_step, int(np.abs(np.diff(loads, axis=0)).max(initial=0)))
+        any_tie = any_tie or bool(row_tie[run].any())
+        last, n_run = loads[-1:], int(n[-1])
         if n_run == stop:
             break
     return BalanceConvergenceReport(

@@ -253,8 +253,8 @@ class BetaScore:
     b: float
 
     def __post_init__(self):
-        if self.a < 1.0 or self.b < 1.0:
-            raise InvalidRange("beta shapes must be >= 1 for a bounded density")
+        if not (1.0 <= self.a < math.inf and 1.0 <= self.b < math.inf):
+            raise InvalidRange(f"need finite beta shapes >= 1: ({self.a}, {self.b})")
         _beta_terms(self.a, self.b)
 
     def pdf(self, x):
@@ -355,7 +355,7 @@ class MixtureScore:
         w = np.asarray(self.weights, dtype=np.float64)
         if len(self.components) != len(w) or len(w) == 0:
             raise InvalidRange("components and weights must match and be nonempty")
-        if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-12:
+        if not (np.all(w > 0) and abs(w.sum() - 1.0) <= 1e-12):
             raise InvalidRange("weights must be positive and sum to 1")
 
     def pdf(self, x):

@@ -61,7 +61,7 @@ def _bias(p, E: int) -> np.ndarray:
 # Quadrature plumbing
 # ---------------------------------------------------------------------------
 
-def piecewise_gauss_vec(f, a: float, b: float, cuts=(), tol: float = QUAD_TOL):
+def piecewise_gauss_vec(f, a: float, b: float, cuts=()):
     """Integrate a vector-valued integrand f: (m,) -> (c, m) over [a, b].
 
     The interval is split at ``cuts`` (pdf / cdf kinks) and each segment is
@@ -69,14 +69,14 @@ def piecewise_gauss_vec(f, a: float, b: float, cuts=(), tol: float = QUAD_TOL):
     in proportion to the square root of its width
     (``distributions._segment_counts``), every count doubled at most
     ``QUAD_MAX_DOUBLINGS`` times until two successive estimates agree to
-    ``tol`` in every component; raises ``NoConvergence`` when the doublings
-    run out or an estimate is not finite.
+    ``QUAD_TOL`` in every component; raises ``NoConvergence`` when the
+    doublings run out or an estimate is not finite.
 
-    The stochastic lab integrates only through this name, and reads
-    ``QUAD_MAX_DOUBLINGS`` here at each call, so replacing or counting it
-    touches neither the rule nor the mass check of a distribution set.
+    The stochastic lab integrates only through this name, and reads both
+    constants here at each call, so replacing or counting it touches
+    neither the rule nor the mass check of a distribution set.
     """
-    return _gauss_legendre(f, a, b, cuts, tol, QUAD_MAX_DOUBLINGS)
+    return _gauss_legendre(f, a, b, cuts, QUAD_TOL, QUAD_MAX_DOUBLINGS)
 
 
 def _shifted_frame(dist: AffinityDistributionSet, p: np.ndarray):
@@ -386,24 +386,23 @@ def strong_convexity_estimate(
 # ---------------------------------------------------------------------------
 
 def expected_loss(
-    dist: AffinityDistributionSet, p: np.ndarray, K: int, T: int, L: float
+    dist: AffinityDistributionSet, p: np.ndarray, K: int, T: int
 ) -> tuple[np.ndarray, float]:
-    """pi(p) and the expected loss T * F_K(p) - L * sum_k p_k, by quadrature."""
+    """pi(p) and the expected loss T F_K(p) - (K T / E) sum_k p_k, by quadrature."""
     p = _bias(p, dist.E)
     pi, value = selection_moments(dist, p, K)
-    return pi, T * value - L * float(p.sum())
+    return pi, T * value - K * T / dist.E * float(p.sum())
 
 
-def expected_loss_minimizer(
-    dist: AffinityDistributionSet, K: int, T: int, L: float
-) -> np.ndarray:
+def expected_loss_minimizer(dist: AffinityDistributionSet, K: int, T: int) -> np.ndarray:
     """The zero-sum minimizer (E,) of the expected loss, by projected
-    gradient descent with the exact quadrature gradient T pi(p) - L 1, to a
-    gradient sup-norm of 1e-6 T.
+    gradient descent with the exact quadrature gradient T pi(p) - L 1,
+    L = K T / E, to a gradient sup-norm of 1e-6 T.
     """
     tolerance = 1e-6 * T
+    L = K * T / dist.E
     p = np.zeros(dist.E)
-    pi, fval = expected_loss(dist, p, K, T, L)
+    pi, fval = expected_loss(dist, p, K, T)
     step = 1.0 / T
     for _ in range(MINIMIZER_MAX_ITER):
         grad_z = project_zero_sum(T * pi - L)
@@ -412,7 +411,7 @@ def expected_loss_minimizer(
         # backtracking line search with a mild re-expansion on success
         while True:
             cand = project_zero_sum(p - step * grad_z)
-            pi_c, f_cand = expected_loss(dist, cand, K, T, L)
+            pi_c, f_cand = expected_loss(dist, cand, K, T)
             if f_cand <= fval - 0.25 * step * float(grad_z @ grad_z):
                 p, pi, fval = cand, pi_c, f_cand
                 step *= 1.5

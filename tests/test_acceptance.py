@@ -303,13 +303,12 @@ _REGRET_BETAS = [
 def test_criterion_8_logarithmic_regret():
     dist = AffinityDistributionSet(tuple(BetaScore(a, b) for a, b in _REGRET_BETAS))
     T, K, E = 64, 2, 8
-    L = K * T / E
     kappa = 0.8
     assert sigma_squared(T, E, K) == pytest.approx(6144.0)
 
     grid_rng = RandomSource(11, stream=0).generator()
     sc = strong_convexity_estimate(dist, K, kappa, T, grid_points=100, rng=grid_rng)
-    p_star = expected_loss_minimizer(dist, K, T, L)
+    p_star = expected_loss_minimizer(dist, K, T)
     assert p_star.max() - p_star.min() <= 1.0 - kappa
 
     run_rng = RandomSource(11, stream=1).generator()

@@ -520,6 +520,11 @@ class TestConfigErrors:
             # theorem 3 assumes u < ubar
             (BALANCE_CFG, {"u_fraction": 1.0}, "u_fraction"),
             (BALANCE_CFG, {"u_fraction": 1e308}, "u_fraction"),
+            # no checkpoint is <= rounds, so no verdict would check one
+            (REGRET_CFG, {"rounds": 50}, "checkpoints"),
+            # the ratio rule reads them in the given order
+            (REGRET_CFG, {"rounds": 50, "checkpoints": [50, 10]}, "checkpoints"),
+            (REGRET_CFG, {"checkpoints": []}, "checkpoints"),
         ],
         ids=["negative_u", "string_iterations", "zero_instances", "bool_seed",
              "float_iterations", "beta_shape_below_one", "bias_length_mismatch",
@@ -535,7 +540,8 @@ class TestConfigErrors:
              "huge_iterations", "huge_compare_iterations", "huge_token_count",
              "huge_compare_token_count", "huge_budget",
              "unshapeable_iterations", "unshapeable_compare_iterations", "zero_compare_u",
-             "u_fraction_one", "u_fraction_huge"],
+             "u_fraction_one", "u_fraction_huge", "checkpoints_past_rounds",
+             "checkpoints_not_increasing", "no_checkpoints"],
     )
     def test_exit_two_names_field(self, tmp_path, capsys, recwarn, base, changes, field):
         _assert_exit_two(tmp_path, capsys, dict(base, **changes), field)

@@ -26,6 +26,19 @@ class TestComponents:
             BetaScore(0.5, 2.0)
         BetaScore(1.0, 1.0)  # uniform limit is fine
 
+    @pytest.mark.parametrize(
+        "a,b", [(math.nan, 2.0), (2.0, math.nan), (math.inf, 2.0), (2.0, math.inf)]
+    )
+    def test_non_finite_beta_shape_rejected_first(self, monkeypatch, a, b):
+        # a NaN shape passes a `< 1` check; either kind of shape would run
+        # the continued fraction out to its 10,000-term cap
+        def unreachable(*args):
+            raise AssertionError("the continued fraction ran")
+
+        monkeypatch.setattr(distributions, "_beta_terms", unreachable)
+        with pytest.raises(InvalidRange, match="finite"):
+            BetaScore(a, b)
+
     def test_uniform_interval_validated(self):
         with pytest.raises(InvalidRange):
             UniformScore(0.8, 0.2)
@@ -49,6 +62,14 @@ class TestComponents:
             MixtureScore(comps, (0.6, 0.6))
         with pytest.raises(InvalidRange):
             MixtureScore(comps, (1.0,))
+
+    @pytest.mark.parametrize(
+        "weights", [(math.nan, math.nan), (math.nan, 1.0), (0.5, math.nan), (math.inf, 1.0)]
+    )
+    def test_non_finite_mixture_weights_rejected(self, weights):
+        comps = (BetaScore(2.0, 2.0), UniformScore(0.1, 0.9))
+        with pytest.raises(InvalidRange, match="weights"):
+            MixtureScore(comps, weights)
 
     def test_mixture_cdf_is_weighted_sum(self):
         mix = MixtureScore(

@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -91,14 +90,11 @@ class TestPiQuadrature:
         assert np.all(np.abs(pi_q - pi_mc) <= 4 * se)
 
     def test_non_convergence_raises(self, monkeypatch):
-        # tol=0 is never met; one doubling keeps the test short (the rules
-        # of the last two doublings, 4,096 and 8,192 nodes, take about 3 s
-        # to generate)
+        # a tolerance of 0 is never met; one doubling keeps the test short
+        # (the rules of the last two doublings, 4,096 and 8,192 nodes, take
+        # about 3 s to generate)
         monkeypatch.setattr(stochastic, "QUAD_MAX_DOUBLINGS", 1)
-        monkeypatch.setattr(
-            stochastic, "piecewise_gauss_vec",
-            functools.partial(stochastic.piecewise_gauss_vec, tol=0.0),
-        )
+        monkeypatch.setattr(stochastic, "QUAD_TOL", 0.0)
         ds = AffinityDistributionSet((BetaScore(2.0, 2.0),) * 3)
         with pytest.raises(NoConvergence):
             _pi(ds, np.zeros(3), 1)
@@ -276,16 +272,30 @@ class TestStrongConvexity:
 
 
 class TestExpectedLossMinimizer:
+    def test_loss_derives_the_target_load(self):
+        # off the zero-sum subspace the loss reads L = K T / E through sum p,
+        # which no iterate of the minimizer shows
+        ds = AffinityDistributionSet(
+            (BetaScore(2.0, 3.0), BetaScore(3.0, 2.0), UniformScore(0.1, 0.9))
+        )
+        p = np.array([0.1, -0.02, 0.05])
+        K, T = 1, 8
+        pi, value = expected_loss(ds, p, K, T)
+        want_pi, f_k = selection_moments(ds, p, K)
+        np.testing.assert_array_equal(pi, want_pi)
+        assert value == T * f_k - (K * T / 3) * float(p.sum())
+        assert value != T * f_k
+
     def test_identical_distributions_give_zero(self):
         ds = AffinityDistributionSet((BetaScore(2.0, 2.0),) * 4)
-        p_star = expected_loss_minimizer(ds, 2, 8, 4.0)
+        p_star = expected_loss_minimizer(ds, 2, 8)
         assert np.abs(p_star).max() <= 1e-9
 
     def test_two_expert_equal_width_uniforms(self):
         # X1 ~ U(0.1, 0.9), X2 ~ U(0.2, 1.0): same width, offset 0.1, so
         # the biases must exactly cancel the offset: p* = (0.05, -0.05)
         ds = AffinityDistributionSet((UniformScore(0.1, 0.9), UniformScore(0.2, 1.0)))
-        p_star = expected_loss_minimizer(ds, 1, 8, 4.0)
+        p_star = expected_loss_minimizer(ds, 1, 8)
         np.testing.assert_allclose(p_star, [0.05, -0.05], atol=1e-5)
         assert abs(p_star.sum()) <= 1e-12
 
@@ -295,20 +305,20 @@ class TestExpectedLossMinimizer:
         )
         T, K = 12, 1
         L = K * T / 3
-        p_star = expected_loss_minimizer(ds, K, T, L)
+        p_star = expected_loss_minimizer(ds, K, T)
         np.testing.assert_allclose(T * _pi(ds, p_star, K), L, atol=1e-6 * T)
 
     def test_minimum_beats_nearby_points(self):
         ds = AffinityDistributionSet((BetaScore(2.0, 4.0), BetaScore(4.0, 2.0)))
         T, K = 8, 1
-        p_star = expected_loss_minimizer(ds, K, T, 4.0)
-        f_star = expected_loss(ds, p_star, K, T, 4.0)[1]
+        p_star = expected_loss_minimizer(ds, K, T)
+        f_star = expected_loss(ds, p_star, K, T)[1]
         rng = np.random.default_rng(11)
         for _ in range(5):
             d = rng.standard_normal(2)
             d -= d.mean()
             d *= 0.05 / np.abs(d).max()
-            f_near = expected_loss(ds, p_star + d, K, T, 4.0)[1]
+            f_near = expected_loss(ds, p_star + d, K, T)[1]
             assert f_near >= f_star - 1e-9
 
 
@@ -495,7 +505,7 @@ _BIAS_ENTRIES = {
     "hessian_fd_errors": lambda p: hessian_fd_errors(
         _BIAS_DS, p, 1, _W3, np.random.default_rng(0), 1, 1e-3
     ),
-    "expected_loss": lambda p: expected_loss(_BIAS_DS, p, 1, 8, 8 / 3),
+    "expected_loss": lambda p: expected_loss(_BIAS_DS, p, 1, 8),
     "regret_experiment": lambda p: regret_experiment(
         _BIAS_DS, 8, 1, mu=50.0, p_star=p, rounds=1, replicas=2,
         rng=np.random.default_rng(0),

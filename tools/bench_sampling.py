@@ -121,10 +121,9 @@ def _regret_samples(cfg) -> dict[str, list[float]]:
 
     params = cfg.params
     dist, T, K = params["distributions"], params["T"], params["K"]
-    L = K * T / dist.E
     rng = RandomSource(cfg.seed, stream=4).generator()
     sc = strong_convexity_estimate(dist, K, params["kappa"], T, params["grid_points"], rng)
-    p_star = expected_loss_minimizer(dist, K, T, L)
+    p_star = expected_loss_minimizer(dist, K, T)
     out = {"round_us": [], "sampling_us": [], "rest_us": []}
     for run in range(REGRET_RUNS + 1):
         spent[0] = 0.0
@@ -186,7 +185,7 @@ def _quadrature_bias(name: str, cfg):
     params = cfg.params
     dist, K = params["distributions"], params["K"]
     if name == REGRET_CASE:
-        return expected_loss_minimizer(dist, K, params["T"], K * params["T"] / dist.E)
+        return expected_loss_minimizer(dist, K, params["T"])
     rng = RandomSource(cfg.seed, stream=3).generator()
     delta = project_zero_sum(rng.standard_normal(dist.E))
     delta /= np.linalg.norm(delta)
