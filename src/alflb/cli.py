@@ -311,9 +311,11 @@ def _write_csv(path: Path, columns: dict) -> None:
 
 
 def _seeded_affinities(dims: ProblemDims, seed: int, scale: float = 1.0):
-    rng = RandomSource(seed, stream=1).generator()
+    draw = RandomSource(seed, stream=1).generator().standard_normal((dims.T, dims.E))
     with np.errstate(over="ignore"):  # RawScoreMatrix rejects an inf score
-        raw = RawScoreMatrix(scale * rng.standard_normal((dims.T, dims.E)))
+        draw *= scale
+    raw = RawScoreMatrix(draw)
+    del draw  # raw holds a copy; free the draw before the softmax
     return softmax_affinities(raw)
 
 

@@ -210,7 +210,9 @@ def _token_rows(g, schedule, K, L, iterations):
             row_tie = np.zeros(T, dtype=bool)
             i = np.flatnonzero(moved)
             if i.size:
-                new, row_tie[i], margin[i] = topk(g[i] + p, K, margin=True)
+                scores = g[i]  # a fresh copy: one temporary, not two
+                scores += p
+                new, row_tie[i], margin[i] = topk(scores, K, margin=True)
                 loads = loads + count_loads(new, E) - count_loads(chosen[i], E)
                 chosen = chosen.copy()
                 chosen[i], since[i] = new, drift

@@ -51,9 +51,10 @@ def softmax_affinities(raw: RawScoreMatrix) -> np.ndarray:
     """Row-softmax with max-subtraction for numerical stability: a read-only
     (T, E) affinity matrix, every entry in (0, 1)."""
     v = raw.values
-    shifted = v - v.max(axis=1, keepdims=True)
-    expv = np.exp(shifted)
-    probs = expv / expv.sum(axis=1, keepdims=True)
+    # one buffer: the same subtract, exp and divide, so the same bits
+    probs = v - v.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
     if np.any(probs <= 0.0) or np.any(probs >= 1.0):
         raise InvalidRange(
             "softmax under/overflowed to a degenerate probability; "
@@ -85,7 +86,8 @@ def topk(shifted: np.ndarray, K: int, *, margin: bool = False) -> tuple[np.ndarr
     score minus the (K+1)-th, as rounded doubles, 0 exactly where the row
     is tied and +inf when K = E.  For K > 1 it is the difference of the two
     sorted entries the tie flag compares; for K = 1 it costs one more pass,
-    the maximum of a copy of the scores with each row's largest set to -inf.
+    the maximum of each row over a mask that leaves out its largest cell.
+    The scores are only read.
     """
     E = shifted.shape[-1]
     if K == 1 and not margin:
@@ -98,14 +100,16 @@ def topk(shifted: np.ndarray, K: int, *, margin: bool = False) -> tuple[np.ndarr
     if K == 1:
         best = rows.argmax(axis=1)
         cells = best + np.arange(0, rows.size, E)
-        rest = rows.copy()
-        rest.put(cells, -np.inf)
-        gap = (rows.take(cells) - rest.max(axis=1)).reshape(lead)
+        keep = np.ones(rows.shape, dtype=bool)  # 1 byte a cell, not a copy
+        keep.put(cells, False)
+        runner_up = rows.max(axis=1, where=keep, initial=-np.inf)
+        gap = (rows.take(cells) - runner_up).reshape(lead)
         return best.reshape(lead + (1,)), gap == 0, gap
     ranked = np.sort(rows, axis=1)
-    kth = ranked[:, E - K]
+    kth = ranked[:, E - K].copy()
     # the (K+1)-th largest; with K = E there is none, so no tie
-    nxt = ranked[:, E - K - 1] if K < E else np.full(len(rows), -np.inf)
+    nxt = ranked[:, E - K - 1].copy() if K < E else np.full(len(rows), -np.inf)
+    del ranked  # release the sorted copy before the mask is built
     row_tie = kth == nxt
     taken = rows >= kth[:, None]
     tied = np.flatnonzero(row_tie)

@@ -450,8 +450,11 @@ class RegretAccounting:
         """The logarithmic-regret rule at the 1-based ``checkpoints`` up to
         ``rounds`` (later ones are skipped): per checkpoint n, whether the
         mean regret R_n is within the bound; and whether R_n / (1 + ln n)
-        never grows, up to RATIO_SLACK, from one checkpoint to the next."""
+        never grows, up to RATIO_SLACK, from one checkpoint to the next.
+        Raises ``InvalidRange`` when no checkpoint is up to ``rounds``."""
         ns = [n for n in checkpoints if n <= self.rounds]
+        if not ns:  # nothing would be checked, so nothing may pass
+            raise InvalidRange(f"no checkpoint is <= rounds = {self.rounds}", field="checkpoints")
         within = {n: bool(self.mean_cum_regret[n - 1] <= self.bound[n - 1]) for n in ns}
         ratios = [self.mean_cum_regret[n - 1] / (1.0 + math.log(n)) for n in ns]
         nonincreasing = all(

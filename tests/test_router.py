@@ -40,6 +40,23 @@ class TestSoftmax:
         b = softmax_affinities(RawScoreMatrix(shifted))
         np.testing.assert_allclose(a, b, atol=1e-12)
 
+    def test_one_buffer_matches_three_temporaries_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        normal = rng.standard_normal((256, 16))
+        # rows whose spread is near 700, so that exp reaches about 1e-304,
+        # with two cells near the top, so that no probability rounds to 1,
+        # and shifted by 0, +700 and -700, so that the max subtraction rounds
+        spread = rng.uniform(690.0, 710.0, (192, 1))
+        wide = -spread * rng.uniform(0.0, 1.0, (192, 16))
+        wide[:, 0], wide[:, 1], wide[:, 2] = 0.0, -rng.uniform(0.0, 2.0, 192), -spread[:, 0]
+        wide = rng.permuted(wide, axis=1) + np.repeat([0.0, 700.0, -700.0], 64)[:, None]
+        for v in (normal, wide):
+            shifted = v - v.max(axis=1, keepdims=True)
+            expv = np.exp(shifted)
+            want = expv / expv.sum(axis=1, keepdims=True)
+            got = softmax_affinities(RawScoreMatrix(v))
+            assert got.tobytes() == want.tobytes()
+
     def test_overflow_guard(self):
         with pytest.raises(InvalidRange, match="degenerate probability"):
             softmax_affinities(RawScoreMatrix(np.array([[0.0, 2000.0]])))

@@ -488,7 +488,9 @@ class TestVerdictRules:
         acct = _accounting([1.0, 1.5, 1.8], [2.0, 2.0, 2.0])
         within, nonincreasing = acct.checkpoint_verdicts([1, 3, 4, 100])
         assert within == {1: True, 3: True} and nonincreasing
-        assert acct.checkpoint_verdicts([4, 100]) == ({}, True)
+        with pytest.raises(InvalidRange) as err:  # no vacuous pass
+            acct.checkpoint_verdicts([4, 100])
+        assert err.value.field == "checkpoints"
 
 
 _BIAS_DS = AffinityDistributionSet(

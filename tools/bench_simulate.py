@@ -7,7 +7,12 @@ row, through the shared driver of ``tools/harness.py`` (``--parent
 CHECKOUT`` times a second checkout beside this one).  Each cell also counts
 ``token_rows_routed``, the token-rows per iteration row that ``iterate``
 hands to its Top-K kernel, on one untimed pass with ``deterministic.topk``
-wrapped; T means every token of every row is routed.
+wrapped; T means every token of every row is routed.  ``peak_matrices`` is
+the tracemalloc peak of one more untimed call above its entry, in units of
+one (T, E) float64 matrix, 8*T*E bytes; ``gamma_peak_matrices`` is the same
+figure for building the CLI's affinities, ``cli._seeded_affinities``.  Both
+are taken after a first call, so one-off allocations do not count; at small
+shapes fixed per-call objects still dominate them.
 
     python tools/bench_simulate.py --parent ../alflb-parent --out BENCH_simulate.json
 
@@ -41,13 +46,29 @@ CELLS = [
 RUNS_PER_ROUND = 10
 
 
+def _peak_matrices(call, T: int, E: int) -> float:
+    """The tracemalloc peak of ``call()`` above its entry, in (T, E) float64
+    matrices."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / (8 * T * E)
+    finally:
+        tracemalloc.stop()
+
+
 def measure(cell: dict) -> dict[str, list[float]]:
-    """µs per iteration row of ``cell``, one sample per run, and the
-    token-rows per iteration row routed by its untimed warm-up pass."""
+    """µs per iteration row of ``cell``, one sample per run, the token-rows
+    per iteration row routed by its untimed warm-up pass, and the peak
+    working sets of one untimed call and of building the affinities."""
     import numpy as np
 
     from alflb import deterministic
     from alflb.balancer import ScheduleKind, StepSchedule
+    from alflb.cli import _seeded_affinities
+    from alflb.core import ProblemDims
     from alflb.deterministic import iterate, simulate_fixed_scores
     from alflb.router import RawScoreMatrix, softmax_affinities
 
@@ -68,12 +89,17 @@ def measure(cell: dict) -> dict[str, list[float]]:
     deterministic.topk = counting
     fn()  # warm-up, counting the token-rows routed
     deterministic.topk = topk
+    peak = _peak_matrices(fn, T, E)
+    dims = ProblemDims(T=T, E=E, K=K)
+    _seeded_affinities(dims, 0)  # warm-up
+    gamma_peak = _peak_matrices(lambda: _seeded_affinities(dims, 0), T, E)
     samples = []
     for _ in range(RUNS_PER_ROUND):
         t0 = time.perf_counter()
         fn()
         samples.append((time.perf_counter() - t0) / N * 1e6)
-    return {"us_per_row": samples, "token_rows_routed": [sum(routed) / N]}
+    return {"us_per_row": samples, "token_rows_routed": [sum(routed) / N],
+            "peak_matrices": [peak], "gamma_peak_matrices": [gamma_peak]}
 
 
 if __name__ == "__main__":
@@ -84,6 +110,8 @@ if __name__ == "__main__":
                     "and of a bare pass over deterministic.iterate's blocks, "
                     "sign schedule at each cell's u, softmax of standard normal "
                     "scores; token_rows_routed: token-rows per iteration row "
-                    "that iterate hands to its Top-K kernel",
+                    "that iterate hands to its Top-K kernel; peak_matrices and "
+                    "gamma_peak_matrices: tracemalloc peak of one call, and of "
+                    "building the CLI's affinities, in (T, E) float64 matrices",
         },
     ))
