@@ -41,7 +41,6 @@ from .distributions import AffinityDistributionSet, BetaScore, MixtureScore, Uni
 from .errors import ConfigError, InvalidRange, NoConvergence, ParseError, ValidationError
 from .router import RawScoreMatrix, softmax_affinities
 from .stochastic import (
-    FD_STEP,
     check_gradient_moments,
     check_kappa,
     edge_weights_quadrature,
@@ -62,7 +61,6 @@ class ExperimentConfig:
     kind: str
     seed: int
     raw: dict
-    out_dir: Path | None = None
     params: dict = field(default_factory=dict)
 
     @property
@@ -149,14 +147,6 @@ def _in_range(field: str, check, *args):
         raise ValidationError(field, str(exc)) from exc
 
 
-def _seed(value) -> int:
-    """A seed: a JSON integer in [0, 2**64)."""
-    seed = _integer(value, "seed", minimum=0)
-    if seed >= 2**64:
-        raise ValidationError("seed", "must be a 64-bit unsigned integer")
-    return seed
-
-
 def _u_fraction(value, field: str) -> float:
     """u as a fraction of ubar, in (0, 1): theorem 3 assumes u < ubar."""
     x = _real(value, field, positive=True)
@@ -241,20 +231,19 @@ def load_config(path) -> ExperimentConfig:
     if kind not in KINDS:
         raise ValidationError("kind", f"must be one of {KINDS}, got {kind!r}")
     try:
-        params = _parse_keys(raw, _SCHEMA[kind][1], read=("kind", "seed", "out_dir"))
+        params = _parse_keys(raw, _SCHEMA[kind][1], read=("kind", "seed"))
     except RecursionError as exc:  # mixture specs nested too deep
         raise ParseError(f"{path}: {exc}") from exc
-    seed = _seed(raw.get("seed", 0))
+    seed = _integer(raw.get("seed", 0), "seed", minimum=0)
+    if seed >= 2**64:
+        raise ValidationError("seed", "must be a 64-bit unsigned integer")
 
     dims = params.get("dims")
     if kind == "balance_check":
         if dims.K != 1:
             raise ValidationError("dims.K", "balance_check requires K=1")
-        if not dims.balanced:
+        if dims.T % dims.E:
             raise ValidationError("dims", "balance_check requires E to divide K*T")
-        if params["budget"] is not None:
-            # every instance runs with u < ubar < 1
-            _in_range("budget", check_overflow_bound, 1.0, 1, dims.T, params["budget"])
     elif kind in ("deterministic_run", "schedule_compare"):
         u_field, u = (("schedule.u", params["schedule"].u) if kind == "deterministic_run"
                       else ("u", params["u"]))
@@ -282,12 +271,7 @@ def load_config(path) -> ExperimentConfig:
                 raise ValidationError(
                     "checkpoints", f"must increase strictly from one <= rounds: {cps}"
                 )
-
-    out_dir = raw.get("out_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ValidationError("out_dir", "must be a path string")
-    out_dir = Path(out_dir) if out_dir is not None else None
-    return ExperimentConfig(kind=kind, seed=seed, raw=raw, out_dir=out_dir, params=params)
+    return ExperimentConfig(kind=kind, seed=seed, raw=raw, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +332,7 @@ def _run_deterministic(cfg: ExperimentConfig, out: Path):
     return verdicts, extra
 
 
-def _balance_one(seed: int, dims: ProblemDims, score_scale: float, u_fraction: float,
-                 budget):
+def _balance_one(seed: int, dims: ProblemDims, score_scale: float, u_fraction: float):
     try:
         gamma = _seeded_affinities(dims, seed, score_scale)
         u_bar = ubar(gamma)
@@ -358,9 +341,9 @@ def _balance_one(seed: int, dims: ProblemDims, score_scale: float, u_fraction: f
         raise ValidationError("score_scale", f"instance seed {seed}: {exc}") from None
     u = u_fraction * u_bar
     try:
-        report = check_balance_convergence(gamma, u, budget=budget)
+        report = check_balance_convergence(gamma, u)
     except InvalidRange as exc:
-        # u underflows to 0 or 2.5 / u overflows; the budget is checked at u = 1
+        # u underflows to 0 or 2.5 / u, the default budget's step count, overflows
         raise ValidationError("u_fraction", f"instance seed {seed}: {exc}") from None
     return {
         "seed": seed,
@@ -380,7 +363,7 @@ def _run_balance(cfg: ExperimentConfig, out: Path, parallel: int = 1):
     dims: ProblemDims = cfg.params["dims"]
     instances = cfg.params["instances"]
     one = partial(_balance_one, dims=dims, score_scale=cfg.params["score_scale"],
-                  u_fraction=cfg.params["u_fraction"], budget=cfg.params["budget"])
+                  u_fraction=cfg.params["u_fraction"])
     seeds = range(cfg.seed, cfg.seed + instances)
     workers = min(parallel, instances, os.cpu_count() or 1)
     if workers > 1:
@@ -431,9 +414,7 @@ def _run_hessian(cfg: ExperimentConfig, out: Path):
     p = cfg.params["bias"]
     rng = RandomSource(cfg.seed, stream=3).generator()
     weights = edge_weights_quadrature(dist, p, K)
-    rel_errors = hessian_fd_errors(
-        dist, p, K, weights, rng, cfg.params["directions"], cfg.params["fd_step"]
-    )
+    rel_errors = hessian_fd_errors(dist, p, K, weights, rng, cfg.params["directions"])
     _write_csv(out / "hessian.csv", {
         "direction": range(len(rel_errors)), "relative_error": rel_errors,
     })
@@ -502,8 +483,8 @@ def _run_schedule_compare(cfg: ExperimentConfig, out: Path):
     return {}, {"schedules": [k.value for k in kinds]}
 
 
-# Each experiment kind: its handler, and its keys beyond "kind", "seed" and
-# "out_dir" as a key table for _parse_keys.  An absent bias stays None here:
+# Each experiment kind: its handler, and its keys beyond "kind" and "seed" as
+# a key table for _parse_keys.  An absent bias stays None here:
 # load_config fills it with zeros once it knows E.
 _SCHEMA = {
     "deterministic_run": (_run_deterministic, {
@@ -514,7 +495,6 @@ _SCHEMA = {
     "balance_check": (_run_balance, {
         "dims": (_parse_dims, _REQUIRED),
         "u_fraction": (_u_fraction, 0.9),
-        "budget": (lambda v, f: None if v is None else _integer(v, f), None),
         "instances": (_integer, 1),
         "score_scale": (partial(_real, positive=True), 1.0),
     }),
@@ -531,7 +511,6 @@ _SCHEMA = {
         "K": (_integer, _REQUIRED),
         "bias": (_reals, None),
         "directions": (_integer, 20),
-        "fd_step": (partial(_real, positive=True), FD_STEP),
     }),
     "regret_sweep": (_run_regret, {
         "distributions": (_parse_distributions, _REQUIRED),
@@ -553,7 +532,8 @@ KINDS = tuple(_SCHEMA)
 
 
 def run(cfg: ExperimentConfig, out_dir=None, parallel: int = 1) -> int:
-    """Execute one experiment; write artifacts; return the exit status.
+    """Execute one experiment; write its artifacts to ``out_dir``, or to the
+    working directory when it is None; return the exit status.
 
     A config that fails on its drawn data raises ``ValidationError`` and
     leaves no output directory, or parent of it, that this run made.  Any
@@ -561,7 +541,7 @@ def run(cfg: ExperimentConfig, out_dir=None, parallel: int = 1) -> int:
     so, with the exception's ``error`` type and message in place of
     ``verdicts``, and re-raises.
     """
-    out = Path(out_dir) if out_dir is not None else (cfg.out_dir or Path("."))
+    out = Path(out_dir or ".")
     made = next((d for d in (*reversed(out.parents), out) if not d.exists()), None)
     out.mkdir(parents=True, exist_ok=True)
     handler = _SCHEMA[cfg.kind][0]
@@ -604,7 +584,6 @@ def main(argv=None) -> int:
     for kind in KINDS:
         sp = sub.add_parser(kind.replace("_", "-"), help=f"run a {kind} experiment")
         sp.add_argument("--config", required=True, help="path to a JSON config")
-        sp.add_argument("--seed", type=int, default=None, help="override config seed")
         sp.add_argument("--out", default=None, help="output directory")
         if kind == "balance_check":
             sp.add_argument("--parallel", type=int,
@@ -616,8 +595,6 @@ def main(argv=None) -> int:
         if args.parallel < 1:
             raise ValidationError("--parallel", f"must be >= 1, got {args.parallel}")
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.seed = cfg.raw["seed"] = _seed(args.seed)
         if cfg.kind != args.kind:
             raise ValidationError(
                 "kind", f"config says {cfg.kind!r}, subcommand is {args.kind!r}"

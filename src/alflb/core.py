@@ -25,7 +25,8 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProblemDims:
-    """Token count T, expert count E and per-token sparsity K."""
+    """Token count T, expert count E and per-token sparsity K, with the one
+    load they determine, ``target_load``."""
 
     T: int
     E: int
@@ -41,21 +42,8 @@ class ProblemDims:
             raise InvalidRange(f"K={self.K} exceeds E={self.E}", "K")
 
     @property
-    def balanced(self) -> bool:
-        return (self.K * self.T) % self.E == 0
-
-    @property
-    def L(self) -> int:
-        """Perfectly balanced per-expert load K*T/E (balanced mode only)."""
-        if not self.balanced:
-            raise InvalidRange(
-                f"K*T={self.K * self.T} not divisible by E={self.E}"
-            )
-        return (self.K * self.T) // self.E
-
-    @property
     def target_load(self) -> float:
-        """K*T/E as a real number; defined even when not integral."""
+        """The balanced per-expert load K*T/E, as a real number."""
         return self.K * self.T / self.E
 
 

@@ -417,12 +417,15 @@ def check_balance_convergence(
     iterations.  The default budget is max(10*T*E, ceil(2.5/u) + 100): in
     ceil(2.5/u) steps of u a bias moves by 2.5, more than the width of the
     (0, 1) range that affinities lie in; a u so small that 2.5/u is not
-    finite raises InvalidRange.  ``iterate`` checks u and the budget against
-    ``balancer.check_overflow_bound``; the CLI checks a budget at u = 1.
+    finite raises InvalidRange, as does a T that E does not divide.
+    ``iterate`` checks u and the budget against
+    ``balancer.check_overflow_bound``.
     """
     g = affinity_array(gamma)
     T, E = g.shape
-    L = ProblemDims(T=T, E=E, K=1).L
+    L = ProblemDims(T=T, E=E, K=1).target_load
+    if T % E:
+        raise InvalidRange(f"K*T={T} not divisible by E={E}")
     sched = StepSchedule(kind=ScheduleKind.DEEPSEEK_SIGN, u=u)
     if budget is None:
         if not math.isfinite(2.5 / u):

@@ -10,7 +10,7 @@ class AlflbError(Exception):
 class InvalidRange(AlflbError):
     """A dimension or parameter is outside its allowed range, or an array
     has a wrong shape: input the lab cannot take.  This covers a K*T that E
-    does not divide where a balanced load is read, a softmax that saturates
+    does not divide in the balance check, a softmax that saturates
     to 0 or 1, a K = 1 audit given K > 1, and two tokens that share a score
     gap, so that the u-bar threshold is 0.
 

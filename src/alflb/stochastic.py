@@ -31,7 +31,7 @@ MINIMIZER_MAX_ITER = 500
 Z_BOUND = 4.0
 HESSIAN_RTOL = 1e-3
 RATIO_SLACK = 1e-9
-# The default central-difference step of the Hessian check.
+# The central-difference step of the Hessian check.
 FD_STEP = 1e-3
 
 
@@ -297,21 +297,21 @@ def edge_weights_quadrature(
 
 def hessian_fd_errors(
     dist: AffinityDistributionSet, p: np.ndarray, K: int, weights: np.ndarray,
-    rng: np.random.Generator, directions: int, h: float,
+    rng: np.random.Generator, directions: int,
 ) -> np.ndarray:
     """|q - fd| / max(|fd|, 1e-12) of the Hessian quadratic form q of the
-    edge weights against a central difference fd of pi, along
-    ``directions`` zero-sum unit directions (each one standard-normal draw
-    of length E, centered and normalized)."""
+    edge weights against a central difference fd of pi with step
+    ``FD_STEP``, along ``directions`` zero-sum unit directions (each one
+    standard-normal draw of length E, centered and normalized)."""
     p = _bias(p, dist.E)
     errors = np.empty(directions)
     for i in range(directions):
         delta = project_zero_sum(rng.standard_normal(dist.E))
         delta /= np.linalg.norm(delta)
         quad_form = quadratic_form(weights, delta)
-        plus = selection_moments(dist, p + h * delta, K)[0]
-        minus = selection_moments(dist, p - h * delta, K)[0]
-        fd = float(delta @ (plus - minus)) / (2.0 * h)
+        plus = selection_moments(dist, p + FD_STEP * delta, K)[0]
+        minus = selection_moments(dist, p - FD_STEP * delta, K)[0]
+        fd = float(delta @ (plus - minus)) / (2.0 * FD_STEP)
         errors[i] = abs(quad_form - fd) / max(abs(fd), 1e-12)
     return errors
 

@@ -311,8 +311,7 @@ def check_balance_convergence(
     gamma: np.ndarray, u: float, budget: int
 ) -> BalanceConvergenceReport:
     T, E = gamma.shape
-    dims = ProblemDims(T=T, E=E, K=1)
-    L = dims.L
+    L = T // E
     lo, hi = L - (E - 1), L + (E - 1)
     sched = StepSchedule(kind=ScheduleKind.DEEPSEEK_SIGN, u=u)
 
@@ -393,7 +392,7 @@ def check_balance_convergence_stepwise(
     ``SETTLE_ITERATIONS`` more steps to probe the "remains in range" claim.
     """
     T, E = gamma.shape
-    L = ProblemDims(T=T, E=E, K=1).L
+    L = T // E
     lo, hi = L - (E - 1), L + (E - 1)
     sched = StepSchedule(kind=ScheduleKind.DEEPSEEK_SIGN, u=u)
 

@@ -280,7 +280,7 @@ def test_criterion_7_hessian_identity():
         assert np.all(weights >= 0.0)
         rng = RandomSource(6000 + idx, stream=4).generator()
         errors.append(
-            hessian_fd_errors(dist, bias, K, weights, rng, 20, stochastic.FD_STEP)
+            hessian_fd_errors(dist, bias, K, weights, rng, 20)
         )
     errors = np.concatenate(errors)
     _verdict(

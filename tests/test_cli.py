@@ -49,10 +49,10 @@ _JSON = st.recursive(
 
 @st.composite
 def _drawn_configs(draw):
-    """A valid kind with any subset of its keys, seed and out_dir, each
-    holding any JSON value."""
+    """A valid kind with any subset of its keys and seed, each holding any
+    JSON value."""
     kind = draw(st.sampled_from(cli.KINDS))
-    keys = draw(st.sets(st.sampled_from([*cli._SCHEMA[kind][1], "seed", "out_dir"])))
+    keys = draw(st.sets(st.sampled_from([*cli._SCHEMA[kind][1], "seed"])))
     return {"kind": kind, **{key: draw(_JSON) for key in sorted(keys)}}
 
 
@@ -72,7 +72,7 @@ class TestLoadConfig:
         cfg = load_config(_write(tmp_path, "a.json", DET_CFG))
         assert cfg.kind == "deterministic_run"
         assert cfg.seed == 11
-        assert cfg.params["dims"].L == 4
+        assert cfg.params["dims"].target_load == 4.0
         assert cfg.params["schedule"].u == 0.001
 
     def test_k_exceeds_e_rejected(self, tmp_path):
@@ -383,9 +383,9 @@ REQUIRED_ONLY = {
 }
 DEFAULTS = {
     "deterministic_run": {},
-    "balance_check": {"u_fraction": 0.9, "budget": None, "instances": 1, "score_scale": 1.0},
+    "balance_check": {"u_fraction": 0.9, "instances": 1, "score_scale": 1.0},
     "moment_check": {"replicas": 10_000, "bias": [0.0, 0.0]},
-    "hessian_check": {"bias": [0.0, 0.0], "directions": 20, "fd_step": 1e-3},
+    "hessian_check": {"bias": [0.0, 0.0], "directions": 20},
     "regret_sweep": {
         "rounds": 10_000, "replicas": 32, "kappa": 0.1, "grid_points": 200,
         "checkpoints": [100, 1000, 10_000],
@@ -452,6 +452,8 @@ class TestConfigErrors:
             (DET_CFG, {"iterations": "abc"}, "iterations"),
             (BALANCE_CFG, {"instances": 0}, "instances"),
             (DET_CFG, {"seed": True}, "seed"),
+            (DET_CFG, {"seed": -1}, "seed"),
+            (DET_CFG, {"seed": 2**64}, "seed"),
             (DET_CFG, {"iterations": 2.7}, "iterations"),
             (MOMENT_CFG, {"distributions": [{"type": "beta", "a": 0.5, "b": 3.0},
                                             {"type": "beta", "a": 2.0, "b": 2.0}]},
@@ -508,7 +510,6 @@ class TestConfigErrors:
             (COMPARE_CFG, {"iterations": 10**400}, "u"),
             (DET_CFG, {"dims": {"T": 10**400, "E": 4, "K": 1}}, "schedule.u"),
             (COMPARE_CFG, {"dims": {"T": 10**400, "E": 4, "K": 1}}, "u"),
-            (BALANCE_CFG, {"budget": 10**400}, "budget"),
             # the overflow rule admits these, but no (iterations, E) float64
             # column can be shaped
             (DET_CFG, {"dims": {"T": 8, "E": 2, "K": 1},
@@ -527,6 +528,7 @@ class TestConfigErrors:
             (REGRET_CFG, {"checkpoints": []}, "checkpoints"),
         ],
         ids=["negative_u", "string_iterations", "zero_instances", "bool_seed",
+             "negative_seed", "seed_past_64_bits",
              "float_iterations", "beta_shape_below_one", "bias_length_mismatch",
              "single_expert", "unknown_dims_key", "unknown_zero_sum_key",
              "kappa_above_one",
@@ -538,7 +540,7 @@ class TestConfigErrors:
              "overflowing_constant_step", "overflowing_sign_step",
              "overflowing_compare_step", "overflowing_lagrangian",
              "huge_iterations", "huge_compare_iterations", "huge_token_count",
-             "huge_compare_token_count", "huge_budget",
+             "huge_compare_token_count",
              "unshapeable_iterations", "unshapeable_compare_iterations", "zero_compare_u",
              "u_fraction_one", "u_fraction_huge", "checkpoints_past_rounds",
              "checkpoints_not_increasing", "no_checkpoints"],
@@ -638,16 +640,36 @@ class TestConfigErrors:
             (k, key)
             for k in REQUIRED_ONLY
             for key in [*REQUIRED_ONLY[k], *DEFAULTS[k]]
-            if key not in ("kind", "budget")
+            if key != "kind"
         ],
     )
     def test_null_rejected(self, tmp_path, capsys, kind, key):
-        # only an absent key takes its default; budget's default is null
+        # only an absent key takes its default
         _assert_exit_two(tmp_path, capsys, dict(REQUIRED_ONLY[kind], **{key: None}), key)
 
-    def test_null_budget_is_the_default(self, tmp_path):
-        cfg = dict(REQUIRED_ONLY["balance_check"], budget=None)
-        assert load_config(_write(tmp_path, "b.json", cfg)).params["budget"] is None
+    @pytest.mark.parametrize(
+        "kind,name,value",
+        [("balance_check", "budget", 100), ("hessian_check", "fd_step", 1e-3),
+         ("deterministic_run", "out_dir", "out"), ("deterministic_run", "--seed", 3)],
+    )
+    def test_removed_setting_exits_two(self, tmp_path, capsys, kind, name, value):
+        # The balance budget is derived from u, T and E, and the Hessian
+        # check's step is FD_STEP; the output directory has one home, --out,
+        # and the seed one, the config's seed, so config_hash is the hash of
+        # the file that ran.
+        if not name.startswith("--"):
+            cfg = dict(REQUIRED_ONLY[kind], **{name: value})
+            _assert_exit_two(tmp_path, capsys, cfg, name)
+            return
+        cfg_path = _write(tmp_path, "cfg.json", REQUIRED_ONLY[kind])
+        with pytest.raises(SystemExit) as exc:
+            main([
+                kind.replace("_", "-"), "--config", str(cfg_path),
+                name, str(value), "--out", str(tmp_path / "out"),
+            ])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {name} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kind", list(REQUIRED_ONLY))
     def test_required_keys_take_defaults(self, tmp_path, kind):
@@ -785,27 +807,6 @@ class TestMain:
         err = capsys.readouterr().err
         assert "Traceback" in err and "RuntimeError: planted parse crash" in err
         assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
-    def test_exit_two_on_seed_out_of_range(self, tmp_path, capsys, seed):
-        cfg_path = _write(tmp_path, "cfg.json", DET_CFG)
-        status = main([
-            "deterministic-run", "--config", str(cfg_path),
-            "--seed", seed, "--out", str(tmp_path / "out"),
-        ])
-        assert status == 2
-        assert "config error: seed:" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_seed_override(self, tmp_path):
-        cfg_path = _write(tmp_path, "cfg.json", DET_CFG)
-        status = main([
-            "deterministic-run", "--config", str(cfg_path),
-            "--seed", "99", "--out", str(tmp_path / "out"),
-        ])
-        assert status == 0
-        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-        assert summary["seed"] == 99
 
 
 # Eight configs off the benchmark's shapes: a non-integer L (T=50, E=4 and

@@ -16,18 +16,11 @@ from alflb.errors import InvalidRange
 class TestProblemDims:
     def test_balanced_target_small(self):
         dims = ProblemDims(T=12, E=4, K=2)
-        assert dims.L == 6
         assert dims.target_load == 6.0
 
     def test_balanced_target_paper_scale(self):
         dims = ProblemDims(T=262144, E=64, K=6)
-        assert dims.L == 24576
-
-    def test_non_divisible_rejected(self):
-        dims = ProblemDims(T=5, E=4, K=2)
-        assert not dims.balanced
-        with pytest.raises(InvalidRange, match="not divisible by E=4"):
-            dims.L
+        assert dims.target_load == 24576.0
 
     def test_non_divisible_allowed_in_unbalanced_mode(self):
         dims = ProblemDims(T=5, E=4, K=2)

@@ -319,6 +319,12 @@ class TestBalanceConvergence:
         with pytest.raises(InvalidRange, match="default budget"):
             check_balance_convergence(gamma, u)
 
+    def test_non_divisible_rejected(self):
+        # the band [L-(E-1), L+(E-1)] needs an integer L = T/E
+        gamma = np.full((5, 4), 0.25)
+        with pytest.raises(InvalidRange, match="not divisible by E=4"):
+            check_balance_convergence(gamma, 0.01)
+
     def test_adversarial_start_converges(self):
         # every token prefers expert 0; distinct per-expert slopes keep all
         # score-gap differences comfortably apart so ubar is not microscopic

@@ -505,7 +505,7 @@ _BIAS_ENTRIES = {
         _BIAS_DS, p, 1, 8, replicas=10, rng=np.random.default_rng(0)
     ),
     "hessian_fd_errors": lambda p: hessian_fd_errors(
-        _BIAS_DS, p, 1, _W3, np.random.default_rng(0), 1, 1e-3
+        _BIAS_DS, p, 1, _W3, np.random.default_rng(0), 1
     ),
     "expected_loss": lambda p: expected_loss(_BIAS_DS, p, 1, 8),
     "regret_experiment": lambda p: regret_experiment(

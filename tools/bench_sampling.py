@@ -13,7 +13,7 @@ Gauss-Legendre rule (``distributions._leggauss``, uncached), the largest the
 quadrature asks for, and one ``stochastic.selection_moments`` and one
 ``stochastic.edge_weights_quadrature`` call at two biases: the regret
 config's expected-loss minimizer p*, and the benchmark Hessian set's bias
-p + h delta along the first direction its check draws.  Beside each of
+p + FD_STEP delta along the first direction its check draws.  Beside each of
 those two times it reports the nodes of the rule's first estimate (every
 doubling doubles them) and the number of estimates in the call.  It runs
 through the shared driver of ``tools/harness.py`` (``--parent CHECKOUT``
@@ -174,13 +174,13 @@ def _leggauss_samples(n: int) -> dict[str, list[float]]:
 
 def _quadrature_bias(name: str, cfg):
     """The bias the quadrature cell of config ``name`` integrates at: p* of
-    the regret config, or p + h delta of the Hessian config, delta being the
-    first zero-sum unit direction ``hessian_fd_errors`` draws."""
+    the regret config, or p + FD_STEP delta of the Hessian config, delta
+    being the first zero-sum unit direction ``hessian_fd_errors`` draws."""
     import numpy as np
 
     from alflb.balancer import project_zero_sum
     from alflb.core import RandomSource
-    from alflb.stochastic import expected_loss_minimizer
+    from alflb.stochastic import FD_STEP, expected_loss_minimizer
 
     params = cfg.params
     dist, K = params["distributions"], params["K"]
@@ -189,7 +189,7 @@ def _quadrature_bias(name: str, cfg):
     rng = RandomSource(cfg.seed, stream=3).generator()
     delta = project_zero_sum(rng.standard_normal(dist.E))
     delta /= np.linalg.norm(delta)
-    return np.asarray(params["bias"]) + params["fd_step"] * delta
+    return np.asarray(params["bias"]) + FD_STEP * delta
 
 
 def _quadrature_samples(name: str, function: str) -> dict[str, list[float]]:
