@@ -10,7 +10,10 @@ expected-loss minimizer, and the logarithmic-regret experiment.
 from __future__ import annotations
 
 import math
+from collections import deque
+from contextlib import closing
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -22,6 +25,7 @@ from .errors import InvalidRange, NoConvergence
 from .router import lagrangian, loads, topk
 
 MOMENT_BATCH = 512       # replicas per check_gradient_moments block
+SAMPLE_AHEAD = 2         # score blocks drawn ahead of the block being routed
 MINIMIZER_MAX_ITER = 500
 # The verdict rules.  A Monte Carlo moment agrees with its formula when its
 # z-score is at most Z_BOUND in absolute value; the Hessian identity holds
@@ -55,6 +59,34 @@ def _bias(p, E: int) -> np.ndarray:
     if not np.isfinite(p).all():
         raise InvalidRange("bias entries must be finite")
     return p
+
+
+def _sampled_blocks(dist: AffinityDistributionSet, sizes, rng: np.random.Generator):
+    """Yield ``dist.sample_matrix(size, rng)`` for each size in ``sizes``, in
+    order, drawn on one worker thread up to SAMPLE_AHEAD blocks ahead of the
+    block the caller holds.
+
+    The worker makes the serial loop's ``rng`` calls, in its order and no
+    more, so the blocks and, once the last block is yielded, the state of
+    ``rng`` are the serial loop's.  numpy's generators fill their output with
+    the interpreter lock released, so the caller's routing overlaps the
+    draws.  The caller must not use ``rng`` until the generator is exhausted
+    or closed.  A draw's exception is raised at its block, and closing the
+    generator, or any exit from it, cancels the queued draws and joins the
+    worker.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # loads threads only on use
+
+    pool = ThreadPoolExecutor(1)
+    try:
+        draws = (pool.submit(dist.sample_matrix, size, rng) for size in sizes)
+        pending = deque(islice(draws, SAMPLE_AHEAD))
+        while pending:
+            block = pending.popleft().result()
+            pending.extend(islice(draws, 1))
+            yield block
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +238,10 @@ def check_gradient_moments(
     replica spread; a spread of 0, where a z-score is undefined, raises
     ``InvalidRange`` with field ``replicas``.  Replicas are drawn
     MOMENT_BATCH at a time, each block expert by expert, so the draws depend
-    on MOMENT_BATCH.
+    on MOMENT_BATCH.  The blocks are drawn on one worker thread while the
+    caller's thread routes earlier ones; the draws, and the state ``rng`` is
+    left in, are those of drawing each block just before routing it.  No
+    other thread may use ``rng`` during the call.
     """
     E = dist.E
     L = K * T / E
@@ -218,12 +253,13 @@ def check_gradient_moments(
     expected_second = T * T * (sum_sq - K * K / E) + expected_var
 
     g_all = np.empty((replicas, E))
+    sizes = [(min(MOMENT_BATCH, replicas - done), T) for done in range(0, replicas, MOMENT_BATCH)]
     done = 0
-    while done < replicas:
-        m = min(MOMENT_BATCH, replicas - done)
-        block = dist.sample_matrix((m, T), rng)
-        g_all[done : done + m] = loads(topk(block + p, K)[0], E) - L
-        done += m
+    with closing(_sampled_blocks(dist, sizes, rng)) as blocks:
+        for block in blocks:
+            m = len(block)
+            g_all[done : done + m] = loads(topk(block + p, K)[0], E) - L
+            done += m
 
     emp_mean = g_all.mean(axis=0)
     mean_se = g_all.std(axis=0, ddof=1) / math.sqrt(replicas)
@@ -482,6 +518,11 @@ def regret_experiment(
     whose iterate leaves that domain in any replica is only counted in
     ``diam_violations``.
 
+    Each round's (replicas, T) score block is drawn on one worker thread
+    while the caller's thread routes earlier rounds; the draws, and the
+    state ``rng`` is left in, are those of drawing each block at the start
+    of its round.  No other thread may use ``rng`` during the call.
+
     Raises InvalidRange when mu is not finite or not > 0: the step and the
     bound divide by it.
     """
@@ -503,25 +544,25 @@ def regret_experiment(
     diam_violations = 0
     d_cap = 1.0 - kappa
 
-    for n in range(1, rounds + 1):
-        block = dist.sample_matrix((replicas, T), rng)
-        # both sides route by one kernel and score by one Lagrangian, so
-        # their cells add in the same order
-        chosen = topk(block + P[:, None, :], K)[0]
-        f_iter = lagrangian(block, chosen, P, L)
-        f_star = lagrangian(block, topk(block + ps, K)[0], ps, L)
+    with closing(_sampled_blocks(dist, [(replicas, T)] * rounds, rng)) as blocks:
+        for n, block in enumerate(blocks, 1):
+            # both sides route by one kernel and score by one Lagrangian, so
+            # their cells add in the same order
+            chosen = topk(block + P[:, None, :], K)[0]
+            f_iter = lagrangian(block, chosen, P, L)
+            f_star = lagrangian(block, topk(block + ps, K)[0], ps, L)
 
-        cum += f_iter - f_star
-        mean_cum[n - 1] = cum.mean()
-        diams = P.max(axis=1) - P.min(axis=1)
-        mean_diam[n - 1] = float(diams.mean())
-        if np.any(diams > d_cap):
-            diam_violations += 1
+            cum += f_iter - f_star
+            mean_cum[n - 1] = cum.mean()
+            diams = P.max(axis=1) - P.min(axis=1)
+            mean_diam[n - 1] = float(diams.mean())
+            if np.any(diams > d_cap):
+                diam_violations += 1
 
-        counts = loads(chosen, E)
-        s_proxy[n - 1] = float(np.square(counts / T).sum(axis=1).mean())
-        g = counts - L
-        P = project_zero_sum(P - g / (mu * n))
+            counts = loads(chosen, E)
+            s_proxy[n - 1] = float(np.square(counts / T).sum(axis=1).mean())
+            g = counts - L
+            P = project_zero_sum(P - g / (mu * n))
 
     bound = sig2 / (2.0 * mu) * (1.0 + np.log(np.arange(1, rounds + 1)))
     return RegretAccounting(

@@ -4,9 +4,12 @@ The whole lab needs only numpy: scipy's import alone costs about a second of
 start-up, and ``scipy.special`` alone about 0.3 s.  Each case imports
 ``alflb.cli`` in a subprocess, so that what pytest and the other tests have
 imported cannot hide a module-level import, then parses and runs small
-configs of the given kinds and reports which scipy modules are loaded.  The
-control case has the probe import ``scipy.special`` itself, to show that it
-reports scipy when scipy is there.
+configs of the given kinds (only parses them, with ``--parse-only``) and
+reports which scipy modules are loaded, and whether the thread pool
+(``concurrent.futures.thread``) is: the stochastic lab loads it when it first
+draws score blocks, never while importing or parsing.  The control cases
+have the probe import ``scipy.special`` itself, and run a config that draws,
+to show that it reports what is there.
 """
 
 import json
@@ -15,6 +18,7 @@ import sys
 from pathlib import Path
 
 import alflb
+from alflb.cli import KINDS
 
 SRC = Path(alflb.__file__).resolve().parent.parent
 
@@ -22,14 +26,17 @@ _PROBE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import alflb.cli
-if sys.argv[3] == "--import-scipy-special":
+flags = {a for a in sys.argv[3:] if a.startswith("--")}
+if "--import-scipy-special" in flags:
     import scipy.special
-    del sys.argv[3]
-for i, path in enumerate(sys.argv[3:]):
-    status = alflb.cli.run(alflb.cli.load_config(path), out_dir=f"{sys.argv[2]}/{i}")
-    assert status == 0, (path, status)
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+for i, path in enumerate(a for a in sys.argv[3:] if a not in flags):
+    cfg = alflb.cli.load_config(path)
+    if "--parse-only" not in flags:
+        status = alflb.cli.run(cfg, out_dir=f"{sys.argv[2]}/{i}")
+        assert status == 0, (path, status)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "concurrent"))))
 """
+THREAD_POOL = "concurrent.futures.thread"
 
 FIXED_SCORE = {
     "trace": {
@@ -72,7 +79,7 @@ STOCHASTIC = {
 }
 
 
-def _scipy_modules(tmp_path, configs, *flags) -> list[str]:
+def _loaded(tmp_path, configs, *flags) -> list[str]:
     paths = []
     for name, cfg in configs.items():
         path = tmp_path / f"{name}.json"
@@ -86,6 +93,10 @@ def _scipy_modules(tmp_path, configs, *flags) -> list[str]:
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def _scipy_modules(tmp_path, configs, *flags) -> list[str]:
+    return [m for m in _loaded(tmp_path, configs, *flags) if m.split(".")[0] == "scipy"]
+
+
 def test_fixed_score_kinds_load_no_scipy(tmp_path):
     assert _scipy_modules(tmp_path, FIXED_SCORE) == []
 
@@ -97,3 +108,13 @@ def test_probe_reports_scipy_it_loads(tmp_path):
 
 def test_stochastic_kinds_load_no_scipy(tmp_path):
     assert _scipy_modules(tmp_path, STOCHASTIC) == []
+
+
+def test_import_and_parsing_load_no_thread_pool(tmp_path):
+    configs = {**FIXED_SCORE, **STOCHASTIC}
+    assert sorted(cfg["kind"] for cfg in configs.values()) == sorted(KINDS)
+    assert THREAD_POOL not in _loaded(tmp_path, configs, "--parse-only")
+
+
+def test_probe_reports_the_thread_pool_of_a_draw(tmp_path):
+    assert THREAD_POOL in _loaded(tmp_path, {"moment": MOMENT})

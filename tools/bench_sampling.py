@@ -3,9 +3,10 @@ stochastic lab.
 
 Times one ``stochastic.check_gradient_moments`` call (10^4 replicas) on each
 of the benchmark's two moment sets, and one round of
-``stochastic.regret_experiment`` on the benchmark's regret config, split into
-the time spent in the score distributions' ``sample`` methods and the rest of
-the round.  The configs are those of ``perfbench/workloads.py``'s
+``stochastic.regret_experiment`` on the benchmark's regret config, beside the
+time spent in the score distributions' ``sample`` methods, on whichever
+thread draws, and the time the calling thread waits for its score blocks.
+The configs are those of ``perfbench/workloads.py``'s
 ``stochastic`` workload at benchmark seed 1, loaded through
 ``alflb.cli.load_config``.  It also times one ``BetaScore.cdf`` call on 2,048
 points of [0, 1] at four shape pairs, building the 8,192-node
@@ -90,17 +91,25 @@ def _moment_samples(cfg) -> dict[str, list[float]]:
 
 
 def _regret_samples(cfg) -> dict[str, list[float]]:
-    """µs per regret round, in total and inside the distributions' ``sample``
-    methods (the outermost call only, so a mixture's components are not
-    counted twice)."""
-    from alflb import distributions
+    """µs per regret round: ``round_us`` in total; ``sampling_us`` inside the
+    distributions' ``sample`` methods (the outermost call only, so a
+    mixture's components are not counted twice), on whichever thread draws;
+    and ``wait_us``, the time the calling thread spends getting its score
+    blocks: inside the ``sample`` calls it makes itself, and waiting on
+    ``stochastic._sampled_blocks`` where a worker thread draws them."""
+    import threading
+    from contextlib import closing
+
+    from alflb import distributions, stochastic
     from alflb.core import RandomSource
     from alflb.stochastic import (
         expected_loss_minimizer, regret_experiment, strong_convexity_estimate,
     )
 
     spent = [0.0]
-    depth = [0]
+    waited = [0.0]
+    depth = [0]  # one thread draws at a time, so one count serves both
+    caller = threading.current_thread()
 
     def timed(sample):
         def wrapper(self, rng, size):
@@ -111,7 +120,10 @@ def _regret_samples(cfg) -> dict[str, list[float]]:
             finally:
                 depth[0] -= 1
                 if depth[0] == 0:
-                    spent[0] += time.perf_counter() - t0
+                    dt = time.perf_counter() - t0
+                    spent[0] += dt
+                    if threading.current_thread() is caller:
+                        waited[0] += dt
 
         return wrapper
 
@@ -119,14 +131,30 @@ def _regret_samples(cfg) -> dict[str, list[float]]:
                 distributions.MixtureScore):
         cls.sample = timed(cls.sample)
 
+    def waiting(sampled_blocks):
+        def wrapper(*args):
+            with closing(sampled_blocks(*args)) as blocks:
+                while True:
+                    t0 = time.perf_counter()
+                    block = next(blocks, None)
+                    waited[0] += time.perf_counter() - t0
+                    if block is None:
+                        return
+                    yield block
+
+        return wrapper
+
+    if hasattr(stochastic, "_sampled_blocks"):  # a checkout that draws on the caller has none
+        stochastic._sampled_blocks = waiting(stochastic._sampled_blocks)
+
     params = cfg.params
     dist, T, K = params["distributions"], params["T"], params["K"]
     rng = RandomSource(cfg.seed, stream=4).generator()
     sc = strong_convexity_estimate(dist, K, params["kappa"], T, params["grid_points"], rng)
     p_star = expected_loss_minimizer(dist, K, T)
-    out = {"round_us": [], "sampling_us": [], "rest_us": []}
+    out = {"round_us": [], "sampling_us": [], "wait_us": []}
     for run in range(REGRET_RUNS + 1):
-        spent[0] = 0.0
+        spent[0] = waited[0] = 0.0
         t0 = time.perf_counter()
         regret_experiment(
             dist, T, K, sc.mu, p_star, REGRET_ROUNDS, params["replicas"], rng,
@@ -136,7 +164,7 @@ def _regret_samples(cfg) -> dict[str, list[float]]:
         if run:  # the first pass is a warm-up
             out["round_us"].append(total / REGRET_ROUNDS * 1e6)
             out["sampling_us"].append(spent[0] / REGRET_ROUNDS * 1e6)
-            out["rest_us"].append((total - spent[0]) / REGRET_ROUNDS * 1e6)
+            out["wait_us"].append(waited[0] / REGRET_ROUNDS * 1e6)
     return out
 
 
@@ -242,7 +270,9 @@ if __name__ == "__main__":
         header={
             "what": "s per check_gradient_moments call (10^4 replicas) on the "
                     "benchmark's moment sets; µs per regret round on its "
-                    "regret config, split into sample() time and the rest; "
+                    "regret config, with the sample() time on whichever "
+                    "thread draws and the calling thread's wait for score "
+                    "blocks; "
                     "µs per BetaScore.cdf call on 2,048 points of [0, 1]; s "
                     "to build the 8,192-node Gauss-Legendre rule; ms per "
                     "selection_moments and edge_weights_quadrature call at "
