@@ -12,6 +12,7 @@ public entry by ``core.affinity_array``.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,6 +112,8 @@ def iterate(
     row, and the rows are certified token by token instead
     (``_token_rows``): only the tokens whose Top-K set or tie the bias
     drift since their last routing may have changed go through ``topk``.
+    Where the process may run on more than one CPU, a row that routes every
+    token routes half of them on one worker thread, and yields the same rows.
     """
     g = affinity_array(gamma)
     T, E = g.shape
@@ -191,36 +194,74 @@ def _token_rows(g, schedule, K, L, iterations):
     to S its rounded step spread plus ``ROUTE_SLACK`` (1 + P + S), which
     covers the rounding of p + step (2^-53 P per bias), of the spread and of
     the sum S itself; so S - S_i bounds the true drift.
+
+    Where the process may run on more than one CPU, a full routing is split
+    in two (``_route_all``): the caller routes the first half of the tokens
+    and one worker thread the rest, beside it, since numpy's adds, sorts and
+    compares release the interpreter lock.  Each half writes its rows of
+    gamma + p into one (T, E) buffer that the caller allocates.  ``topk``
+    routes each row on its own, so the joined halves are the serial
+    routing's bits.  The worker is started on the first routing and joined
+    on every exit: the end of the run, ``close()``, or an exception from
+    either thread.
     """
     T, E = g.shape
     p = np.zeros(E)
+    pool = None
+    if len(os.sched_getaffinity(0)) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # loads threads only on use
+
+        pool = ThreadPoolExecutor(1)
     reach = drift = 0.0  # P and S
-    for n in range(1, iterations + 1):
-        if n > 1:
-            step = schedule.bias_delta(loads, L, n - 1)
-            p = p + step
-            reach = max(reach, float(np.abs(p).max()))
-            drift += float(step.max() - step.min()) + ROUTE_SLACK * (1.0 + reach + drift)
-            moved = _uncertified(margin, since, drift, ROUTE_SLACK * (1.0 + reach))
-        if n == 1 or np.count_nonzero(moved) > ROUTE_ALL_SHARE * T:
-            chosen, row_tie, margin = topk(g + p, K, margin=True)
-            loads = count_loads(chosen, E)
-            since = np.full(T, drift)  # S_i of every token
-        else:
-            row_tie = np.zeros(T, dtype=bool)
-            i = np.flatnonzero(moved)
-            if i.size:
-                scores = g[i]  # a fresh copy: one temporary, not two
-                scores += p
-                new, row_tie[i], margin[i] = topk(scores, K, margin=True)
-                loads = loads + count_loads(new, E) - count_loads(chosen[i], E)
-                chosen = chosen.copy()
-                chosen[i], since[i] = new, drift
-        # the carried margins and S_i are never yielded, and a yielded array
-        # is never written again
-        for a in (p, chosen, loads):
-            a.flags.writeable = False
-        yield np.array([n]), p[None], chosen[None], loads[None], row_tie[None]
+    try:
+        for n in range(1, iterations + 1):
+            if n > 1:
+                step = schedule.bias_delta(loads, L, n - 1)
+                p = p + step
+                reach = max(reach, float(np.abs(p).max()))
+                drift += float(step.max() - step.min()) + ROUTE_SLACK * (1.0 + reach + drift)
+                moved = _uncertified(margin, since, drift, ROUTE_SLACK * (1.0 + reach))
+            if n == 1 or np.count_nonzero(moved) > ROUTE_ALL_SHARE * T:
+                chosen, row_tie, margin = _route_all(g, p, K, pool)
+                loads = count_loads(chosen, E)
+                since = np.full(T, drift)  # S_i of every token
+            else:
+                row_tie = np.zeros(T, dtype=bool)
+                i = np.flatnonzero(moved)
+                if i.size:
+                    scores = g[i]  # a fresh copy: one temporary, not two
+                    scores += p
+                    new, row_tie[i], margin[i] = topk(scores, K, margin=True)
+                    loads = loads + count_loads(new, E) - count_loads(chosen[i], E)
+                    chosen = chosen.copy()
+                    chosen[i], since[i] = new, drift
+            # the carried margins and S_i are never yielded, and a yielded array
+            # is never written again
+            for a in (p, chosen, loads):
+                a.flags.writeable = False
+            yield np.array([n]), p[None], chosen[None], loads[None], row_tie[None]
+    finally:
+        if pool is not None:
+            pool.shutdown()
+
+
+def _route_all(g, p, K, pool):
+    """``topk(g + p, K, margin=True)``; with a ``pool``, its worker sums and
+    routes the later half of the tokens while the caller routes the first,
+    both into one buffer, and the halves are joined in token order.  Either
+    side's exception reaches the caller."""
+    shifted = np.empty_like(g)
+
+    def half(rows):
+        np.add(g[rows], p, out=shifted[rows])
+        return topk(shifted[rows], K, margin=True)
+
+    if pool is None:
+        return half(slice(None))
+    h = (len(g) + 1) // 2  # the worker starts later, so it takes the smaller half
+    later = pool.submit(half, slice(h, None))
+    first = half(slice(h))
+    return tuple(np.concatenate(pair) for pair in zip(first, later.result()))
 
 
 def _uncertified(margin, since, drift, slack):

@@ -7,12 +7,14 @@ imported cannot hide a module-level import, then parses and runs small
 configs of the given kinds (only parses them, with ``--parse-only``) and
 reports which scipy modules are loaded, and whether the thread pool
 (``concurrent.futures.thread``) is: the stochastic lab loads it when it first
-draws score blocks, never while importing or parsing.  The control cases
-have the probe import ``scipy.special`` itself, and run a config that draws,
-to show that it reports what is there.
+draws score blocks, and the fixed-score lab when it splits a routing of a
+large trace on a host with more than one CPU, never while importing or
+parsing.  The control cases have the probe import ``scipy.special`` itself,
+and run a config that draws or splits, to show that it reports what is there.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -118,3 +120,18 @@ def test_import_and_parsing_load_no_thread_pool(tmp_path):
 
 def test_probe_reports_the_thread_pool_of_a_draw(tmp_path):
     assert THREAD_POOL in _loaded(tmp_path, {"moment": MOMENT})
+
+
+def _trace(T, E):
+    return {
+        "kind": "deterministic_run", "seed": 7, "dims": {"T": T, "E": E, "K": 1},
+        "schedule": {"kind": "deepseek_sign", "u": 0.001}, "iterations": 2,
+    }
+
+
+def test_probe_reports_the_thread_pool_of_a_split_trace(tmp_path):
+    # 2048 x 64 routes one-row blocks, split on two threads where the probe
+    # may use two CPUs; 80 x 8 routes guessed blocks on the calling thread
+    split = len(os.sched_getaffinity(0)) > 1
+    assert (THREAD_POOL in _loaded(tmp_path, {"large": _trace(2048, 64)})) == split
+    assert THREAD_POOL not in _loaded(tmp_path, {"small": _trace(80, 8)})

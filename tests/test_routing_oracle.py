@@ -10,9 +10,15 @@ the two round differently, within ``LAGRANGIAN_TOL * (1 + |value|)``.  The
 column equals ``router.lagrangian`` on the reference's own rows, taken in
 index order, bit for bit, and the trace's Lagrangian column and switch table
 equal, bit for bit, what a loop over ``iterate``'s blocks computes from the
-biases and experts it yields.
+biases and experts it yields.  A one-row block that routes every token splits
+it between the caller and one worker thread where the process sees more than
+one CPU; the split rows (with the CPU count patched, so on any host) equal
+the stepwise oracle too, and no run leaves a thread behind.
 """
 
+import json
+import sys
+import threading
 from itertools import islice
 
 import numpy as np
@@ -21,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_routing as ref
-from alflb import deterministic
+from alflb import cli, deterministic
 from alflb.balancer import ScheduleKind, StepSchedule, project_zero_sum
 from alflb.core import BiasVector, ProblemDims
 from alflb.deterministic import (
@@ -346,18 +352,22 @@ def _assert_blocks_equal(gamma, sched, iterations, K=1):
     return blocks
 
 
-def _routed_rows(monkeypatch):
-    """A list that counts, from now on, the rows ``iterate`` hands to
-    ``topk``: one entry per call, the rows of a guessed block or the tokens
-    of a one-row block."""
+def _routed_rows(monkeypatch, blocks):
+    """The rows ``iterate`` hands to ``topk`` for each block of ``blocks``, a
+    fresh ``iterate`` call: the rows of a guessed block, or the tokens of a
+    one-row block, over both threads of a split routing."""
     calls, real = [], deterministic.topk
 
     def counting(shifted, K, **kwargs):
-        calls.append(len(shifted))
+        calls.append(len(shifted))  # one append is atomic across threads
         return real(shifted, K, **kwargs)
 
     monkeypatch.setattr(deterministic, "topk", counting)
-    return calls
+    routed = []
+    for _ in blocks:  # a block's routings have ended when it is yielded
+        routed.append(sum(calls))
+        calls.clear()
+    return routed
 
 
 def test_blocks_match_stepwise_on_plateau(monkeypatch):
@@ -367,11 +377,10 @@ def test_blocks_match_stepwise_on_plateau(monkeypatch):
     sched = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 1e-6)
     blocks = _assert_blocks_equal(gamma, sched, 2_500)
     assert len(blocks) < 100 and max(map(len, blocks)) == BLOCK_SCORES // (64 * 4)
-    routed = _routed_rows(monkeypatch)
-    list(iterate(gamma, sched, iterations=2_500))
+    routed = _routed_rows(monkeypatch, iterate(gamma, sched, iterations=2_500))
     # rows 1 and 2, the 256-row block that holds the one routing change (at
-    # row 2,119) and the row after it: 259 rows in four calls
-    assert len(routed) == 4 and sum(routed) < 0.11 * 2_500
+    # row 2,119) and the row after it: 259 rows in four blocks
+    assert sum(map(bool, routed)) == 4 and sum(routed) < 0.11 * 2_500
 
 
 def _grid_plateau_affinities(T, E, seed):
@@ -396,8 +405,7 @@ def test_blocks_match_stepwise_on_plateaus(monkeypatch, affinities, E, K):
     sched = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 1e-6)
     blocks = _assert_blocks_equal(gamma, sched, 1_000, K=K)
     assert max(map(len, blocks)) == BLOCK_SCORES // (64 * E)
-    routed = _routed_rows(monkeypatch)
-    list(iterate(gamma, sched, K, iterations=1_000))
+    routed = _routed_rows(monkeypatch, iterate(gamma, sched, K, iterations=1_000))
     assert sum(routed) < 0.15 * 1_000
 
 
@@ -531,10 +539,9 @@ def test_token_rows_match_stepwise_on_tied_grid(monkeypatch, K):
     for u in (1 / 16, 1 / 384):
         sched = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, u)
         _assert_blocks_equal(gamma, sched, 150, K=K)
+        ties += sum(int(tie.sum()) for *_, tie in iterate(gamma, sched, K, iterations=150))
         with monkeypatch.context() as mp:
-            calls = _routed_rows(mp)
-            ties += sum(int(tie.sum()) for *_, tie in iterate(gamma, sched, K, iterations=150))
-        routed += calls
+            routed += _routed_rows(mp, iterate(gamma, sched, K, iterations=150))
     # rows that route some tokens and certify the rest, and tied tokens
     assert any(0 < n < 48 for n in routed) and ties > 0
 
@@ -554,8 +561,7 @@ def test_token_rows_match_stepwise_on_plateaus(monkeypatch, affinities, E, K):
     sched = StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 1e-6)
     blocks = _assert_blocks_equal(gamma, sched, 1_000, K=K)
     assert list(map(len, blocks)) == [1] * 1_000
-    routed = _routed_rows(monkeypatch)
-    list(iterate(gamma, sched, K, iterations=1_000))
+    routed = _routed_rows(monkeypatch, iterate(gamma, sched, K, iterations=1_000))
     # the first row routes all 64 tokens, later rows only those near a tie
     assert routed[0] == 64 and sum(routed) < 0.02 * 64 * 1_000
 
@@ -583,6 +589,136 @@ def test_token_rows_match_stepwise_at_large_shapes(monkeypatch, shape, sched, K)
         gamma = random_affinities(*shape, 1)
     assert 2 * gamma.size > BLOCK_SCORES  # every block is one row
     _assert_rows_equal_stepwise(gamma, sched, 100, K=K)
+
+
+# The smallest T at E = 12 whose blocks are one row at the real BLOCK_SCORES
+# (T*E just above BLOCK_SCORES / 2), odd, so a full routing splits its
+# tokens 1,366 / 1,365.
+SPLIT_T, SPLIT_E = BLOCK_SCORES // 24 + 1, 12
+
+
+def _cpus(monkeypatch, n):
+    """Make ``iterate`` see ``n`` CPUs: one routes serially, two split every
+    full routing between the caller and one worker thread."""
+    monkeypatch.setattr(deterministic.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _topk_threads(monkeypatch, fail=None):
+    """A list of the thread of each ``topk`` call ``iterate`` makes from now
+    on; ``fail(thread)`` true makes that call raise the error it returns."""
+    threads, real = [], deterministic.topk
+
+    def recording(shifted, K, **kwargs):
+        threads.append(threading.current_thread())
+        error = fail and fail(threads[-1])
+        if error:
+            raise error
+        return real(shifted, K, **kwargs)
+
+    monkeypatch.setattr(deterministic, "topk", recording)
+    return threads
+
+
+def _workers(threads):
+    return {t for t in threads if t is not threading.main_thread()}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("K", [1, 2, 8, SPLIT_E - 1])
+def test_split_rows_match_stepwise_on_tied_grid(monkeypatch, K, cpus):
+    assert SPLIT_T % 2 and (SPLIT_T - 1) * SPLIT_E <= BLOCK_SCORES // 2 < SPLIT_T * SPLIT_E
+    _cpus(monkeypatch, cpus)
+    threads = _topk_threads(monkeypatch)
+    gamma = _grid_affinities(SPLIT_T, SPLIT_E, seed=K)
+    _assert_rows_equal_stepwise(gamma, StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 1 / 48), 40, K=K)
+    assert len(_workers(threads)) == cpus - 1
+
+
+def test_split_rows_match_stepwise_under_a_short_switch_interval(monkeypatch):
+    # a thread switch at almost every bytecode shakes out an ordering fault
+    # that the default 5 ms interval could hide; the sign schedule at 1e-3
+    # mixes full routings with partial ones
+    _cpus(monkeypatch, 2)
+    gamma = random_affinities(SPLIT_T, SPLIT_E, 9)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = _topk_threads(monkeypatch)
+        _assert_rows_equal_stepwise(gamma, StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 1e-3), 40, K=3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert _workers(threads)
+
+
+def _split_rows(iterations=6):
+    gamma = random_affinities(SPLIT_T, SPLIT_E, 11)
+    return iterate(gamma, StepSchedule(ScheduleKind.DEEPSEEK_SIGN, 1e-3), 2, iterations=iterations)
+
+
+class TestSplitThreadHygiene:
+    """No thread outlives a split run, however it ends."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+
+    def test_normal_end(self, monkeypatch):
+        threads = _topk_threads(monkeypatch)
+        before = threading.enumerate()
+        list(_split_rows())
+        assert threading.enumerate() == before
+        assert _workers(threads)
+
+    def test_close_at_row_two(self):
+        before = threading.enumerate()
+        rows = _split_rows()
+        next(rows)
+        next(rows)
+        assert len(threading.enumerate()) == len(before) + 1  # the worker
+        rows.close()
+        assert threading.enumerate() == before
+
+    def test_worker_raises(self, monkeypatch):
+        # the caller gets the worker's exception itself
+        planted = RuntimeError("planted routing failure")
+        _topk_threads(monkeypatch, lambda t: t is not threading.main_thread() and planted)
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError) as exc:
+            list(_split_rows())
+        assert exc.value is planted
+        assert threading.enumerate() == before
+
+    def test_caller_raises_while_the_worker_routes(self, monkeypatch):
+        planted = RuntimeError("planted routing failure")
+        threads = _topk_threads(
+            monkeypatch, lambda t: t is threading.main_thread() and planted
+        )
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError) as exc:
+            list(_split_rows())
+        assert exc.value is planted
+        assert threading.enumerate() == before
+        assert _workers(threads)
+
+
+def test_cli_exits_three_when_the_worker_raises(tmp_path, capsys, monkeypatch):
+    _cpus(monkeypatch, 2)
+    _topk_threads(
+        monkeypatch,
+        lambda t: t is not threading.main_thread() and RuntimeError("planted routing failure"),
+    )
+    cfg = {
+        "kind": "deterministic_run", "seed": 1,
+        "dims": {"T": SPLIT_T, "E": SPLIT_E, "K": 1},
+        "schedule": {"kind": "deepseek_sign", "u": 0.001}, "iterations": 3,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    before = threading.enumerate()
+    got = cli.main(["deterministic-run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert got == 3
+    assert "planted routing failure" in capsys.readouterr().err
+    assert threading.enumerate() == before
 
 
 def _assert_audits_equal(gamma, sched, iterations):
